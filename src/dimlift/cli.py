@@ -110,9 +110,12 @@ def _cell(value) -> str:
 
 def _default_threads() -> int:
     env = os.environ.get("DIMLIFT_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    threads = int(env) if env.strip().isdigit() else 0
+    if threads < 1:
+        raise ValueError(f"DIMLIFT_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def _decrease_margin(values) -> float:
@@ -274,7 +277,7 @@ def _run_two_phase(args):
         if args.pair != "half":
             raise ValueError("the elliptic product is cataloged for the half-space pair only")
         v1, v2 = half_space_pair(args.N, kind="elliptic")
-        ref = math.pi**2 / 4.0
+        ref = (sphere_area(args.N) / 4.0) ** 2
         for r in _parse_grid(args.r_grid, geometric=False):
             rep = acf_phi(v1, v2, float(r))
             rows.append([float(r), rep.factor1, rep.factor2, rep.value, ref, abs(rep.value - ref)])
@@ -589,10 +592,10 @@ _EXECUTION_KEYS = ("out", "threads")
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = _default_threads()
     started = time.perf_counter()
     try:
+        if args.threads is None:
+            args.threads = _default_threads()
         header, rows, ok, worst, max_err = _HANDLERS[args.subcommand](args)
     except (ValueError, UnsupportedConfigError, DegenerateDenominatorError, AccuracyError) as exc:
         print(f"dimlift {args.subcommand}: error: {exc}", file=sys.stderr)

@@ -18,3 +18,13 @@ def power_ratio(tau, t: float, p: float):
         expo = p * np.log(tau / t)
     out = np.where(expo < -690.0, 0.0, np.exp(np.maximum(expo, -745.0)))
     return float(out) if out.ndim == 0 else out
+
+
+def gradsq(field):
+    """Integrand y -> |grad v(y)|^2 of a field with a grad callable."""
+
+    def f(y):
+        g = np.asarray(field.grad(y), dtype=float)
+        return np.sum(g * g, axis=-1)
+
+    return f

@@ -25,7 +25,7 @@ from ..integrate import (
     integrate_weighted,
 )
 from ..lift import LiftConfig
-from .common import DENOMINATOR_FLOOR, power_ratio
+from .common import DENOMINATOR_FLOOR, gradsq, power_ratio
 
 __all__ = ["FrequencyValues", "almgren", "almgren_dL_lower_bound", "poon", "lifted_frequency"]
 
@@ -40,14 +40,6 @@ class FrequencyValues:
     L: float
 
 
-def _gradsq(field: ScalarField):
-    def f(y):
-        g = np.asarray(field.grad(y), dtype=float)
-        return np.sum(g * g, axis=-1)
-
-    return f
-
-
 def almgren(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -> FrequencyValues:
     """Elliptic frequency r D(r) / H(r) of v centered at the origin."""
     if not r > 0.0:
@@ -55,7 +47,7 @@ def almgren(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -
     H = integrate_sphere(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, spec).value
     if H < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"boundary mass H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
-    D = integrate_ball(_gradsq(v), v.N, r, spec).value
+    D = integrate_ball(gradsq(v), v.N, r, spec).value
     return FrequencyValues(param=r, H=H, D=D, L=r * D / H)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import AccuracyError, UnsupportedConfigError
 from ..fields import GraphSurface, NonhomTerm
-from ..integrate import QuadratureSpec, _jacobi, _leggauss, _refine, _sphere_nodes, integrate_weighted
+from ..integrate import QuadratureSpec, _jacobi, _legendre_rule, _polar_sum, _refine, _sphere_nodes, integrate_weighted
 from ..lift import LiftConfig, sphere_area
 from ..weights import _log_sphere_area
 
@@ -44,15 +44,20 @@ def graph_mean_curvature(surface: GraphSurface, y, t: float = 0.0):
     return lap / np.sqrt(q) - mixed / q**1.5
 
 
-def _bisect_radius(gfun, hi: np.ndarray, iters: int = 80) -> np.ndarray:
-    """Largest rho in [0, hi] with gfun <= 0, assuming gfun(0) < 0 <= gfun(hi)."""
-    lo = np.zeros_like(hi)
-    hi = hi.astype(float).copy()
-    for _ in range(iters):
+def _graph_radii(surface: GraphSurface, t: float, y0, v0: float, r_sq: float, omega: np.ndarray) -> np.ndarray:
+    """Per-direction radius of the star-shaped region {y : |y - y0|^2 + (v(y) - v0)^2 <= r_sq}.
+
+    Bisection on [0, sqrt(r_sq)] along each direction omega, assuming the
+    center lies inside; 80 halvings leave no error above the last bit.
+    """
+    lo = np.zeros(omega.shape[0])
+    hi = np.full(omega.shape[0], math.sqrt(r_sq))
+    for _ in range(80):
         mid = 0.5 * (lo + hi)
-        neg = gfun(mid) <= 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
+        dv = np.asarray(surface.value(y0 + mid[:, None] * omega, t), float) - v0
+        inside = mid * mid + dv * dv - r_sq <= 0.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -81,21 +86,13 @@ def ms_density(
 
     def eval_at(level: int):
         omega, wa = _sphere_nodes(N, level, spec.angular_rule)
+        rho, wr = _legendre_rule(level, 0.0, _graph_radii(surface, t, y0, v0, r * r, omega), N - 1)
 
-        def g(rho):
-            pts = y0 + rho[:, None] * omega
-            dv = np.asarray(surface.value(pts, t), float) - v0
-            return rho * rho + dv * dv - r * r
+        def area_element(x, _):
+            grad = np.asarray(surface.grad(x, t), dtype=float)
+            return np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
 
-        rho_star = _bisect_radius(g, np.full(omega.shape[0], r))
-        xs, wl = _leggauss(level)
-        rho = 0.5 * (xs + 1.0)[:, None] * rho_star[None, :]  # (kr, ka)
-        pts = y0 + rho[..., None] * omega[None, :, :]
-        grad = np.asarray(surface.grad(pts, t), dtype=float)
-        area_el = np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
-        wr = 0.5 * rho_star[None, :] * wl[:, None] * rho ** (N - 1)
-        vol = float(np.sum(wa[None, :] * wr * area_el))
-        return vol, rho.size
+        return _polar_sum(area_element, rho, wr, omega, wa, y0)
 
     vol, _ = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
     return vol / (sphere_area(N) / N * r**N)
@@ -148,25 +145,18 @@ def ms_density_tilde(
     def eval_at(level: int):
         omega, wa = _sphere_nodes(N, level, spec.angular_rule)
 
-        def g(rho):
-            pts = y0 + rho[:, None] * omega
-            dv = np.asarray(surface.value(pts, t), float) - v0
-            return rho * rho + dv * dv - r * r
+        def bulk(x, _):
+            # area element and the curvature correction, in base coordinates
+            grad = np.asarray(surface.grad(x, t), dtype=float)
+            vdiff = np.asarray(surface.value(x, t), float) - v0
+            area_el = np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
+            # ((w - w0) . nu) sqrt(1 + |grad v|^2) = v - v0 - (y - y0) . grad v
+            wnu_area = vdiff - np.einsum("...k,...k->...", x - y0, grad)
+            return np.stack([area_el, hval(x) * wnu_area], axis=-1)
 
-        rho_star = _bisect_radius(g, np.full(omega.shape[0], r))
-
-        # bulk: area element and the curvature correction, in base coordinates
-        xs, wl = _leggauss(level)
-        rho = 0.5 * (xs + 1.0)[:, None] * rho_star[None, :]
-        pts = y0 + rho[..., None] * omega[None, :, :]
-        grad = np.asarray(surface.grad(pts, t), dtype=float)
-        vdiff = np.asarray(surface.value(pts, t), float) - v0
-        area_el = np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
-        # ((w - w0) . nu) sqrt(1 + |grad v|^2) = v - v0 - (y - y0) . grad v
-        wnu_area = vdiff - np.einsum("...k,...k->...", pts - y0, grad)
-        wr = 0.5 * rho_star[None, :] * wl[:, None] * rho ** (N - 1)
-        vol = float(np.sum(wa[None, :] * wr * area_el))
-        correction = float(np.sum(wa[None, :] * wr * hval(pts) * wnu_area))
+        rho_star = _graph_radii(surface, t, y0, v0, r * r, omega)
+        rho, wr = _legendre_rule(level, 0.0, rho_star, N - 1)
+        (vol, correction), count = _polar_sum(bulk, rho, wr, omega, wa, y0)
         theta_tilde = (vol + correction / N) / (sphere_area(N) / N * r**N)
 
         # slice: polar parametrization of {|w - w0| = r} on the graph
@@ -194,7 +184,7 @@ def ms_density_tilde(
         integrand = (wnu * wnu + hval(ys) * wnu * r * r / N) / tang
         slice_sum = float(np.sum(wa * measure * integrand))
         rhs = N / (sphere_area(N) * r ** (N + 1)) * slice_sum
-        return np.array([theta_tilde, rhs]), 2 * rho.size
+        return np.array([theta_tilde, rhs]), count + omega.shape[0]
 
     out, _ = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
     return MsDensityReport(r=r, theta_tilde=float(out[0]), derivative_rhs=float(out[1]))
@@ -260,35 +250,27 @@ def lifted_mcf_density(
     u_center = float(surface.value(np.zeros(d), t))
     if u_center * u_center >= rmax_sq:
         return 0.0  # weight support is empty along every direction
-    # the rim factor is integrated unnormalized, so the prefactor also carries
-    # the R^{-2 expo} from (1 - (|x|^2 + u^2)/R^2)^expo
-    log_pref = (
-        _log_sphere_area(nd - d)
-        - _log_sphere_area(nd)
-        - (0.5 * d + expo) * math.log(rmax_sq)
-    )
+    # the rim factor (1 - (|x|^2 + u^2)/R^2)^expo = ((rho* - rho) q / R^2)^expo
+    # is split into (1 - z)^expo, absorbed by the Gauss-Jacobi rule in z, and
+    # (0.5 rho* q / R^2)^expo, whose base lies in [0, 1] so no n overflows it
+    log_pref = _log_sphere_area(nd - d) - _log_sphere_area(nd) - 0.5 * d * math.log(rmax_sq)
     scale = (4.0 * math.pi) ** (0.5 * d) * math.exp(log_pref)
 
     def eval_at(level: int):
         omega, wa = _sphere_nodes(d, level, spec.angular_rule)
-
-        def g(rho):
-            pts = rho[:, None] * omega
-            uu = np.asarray(surface.value(pts, t), float)
-            return rho * rho + uu * uu - rmax_sq
-
-        rho_star = _bisect_radius(g, np.full(omega.shape[0], math.sqrt(rmax_sq)))
+        rho_star = _graph_radii(surface, t, np.zeros(d), 0.0, rmax_sq, omega)
         z, wj = _jacobi(level, expo, 0.0)
-        rho = 0.5 * (1.0 + z)[:, None] * rho_star[None, :]  # (kr, ka)
-        pts = rho[..., None] * omega[None, :, :]
-        uu = np.asarray(surface.value(pts, t), float)
-        grad = np.asarray(surface.grad(pts, t), dtype=float)
-        area_el = np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
-        support = rmax_sq - rho * rho - uu * uu  # = (rho* - rho) * q with q smooth
-        q = support / (rho_star[None, :] - rho)
-        vals = area_el * rho ** (d - 1) * q**expo if expo != 0.0 else area_el * rho ** (d - 1)
-        contrib = (0.5 * rho_star) ** (expo + 1.0) * np.tensordot(wj, vals, axes=([0], [0]))
-        return scale * float(wa @ contrib), rho.size
+
+        def integrand(x, rho):
+            uu = np.asarray(surface.value(x, t), float)
+            grad = np.asarray(surface.grad(x, t), dtype=float)
+            area_el = np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
+            q = (rmax_sq - rho * rho - uu * uu) / (rho_star - rho)  # smooth across the rim
+            return area_el * rho ** (d - 1) * (0.5 * rho_star * q / rmax_sq) ** expo
+
+        rho = 0.5 * (1.0 + z)[:, None] * rho_star  # (kr, ka)
+        value, count = _polar_sum(integrand, rho, wj[:, None] * (0.5 * rho_star), omega, wa)
+        return scale * value, count
 
     value, _ = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
     return value

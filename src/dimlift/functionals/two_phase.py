@@ -11,6 +11,7 @@ import numpy as np
 from ..fields import NonhomTerm, ScalarField, SpaceTimeField
 from ..integrate import QuadratureSpec, integrate_ball, integrate_spacetime, integrate_sphere
 from ..lift import LiftConfig, sphere_area
+from .common import gradsq
 
 __all__ = [
     "TwoPhaseReport",
@@ -64,14 +65,6 @@ def support_fraction(v: ScalarField, r: float, spec: QuadratureSpec = Quadrature
     return measure / (r ** (v.N - 1) * sphere_area(v.N))
 
 
-def _gradsq_weight(field: ScalarField):
-    def f(y):
-        g = np.asarray(field.grad(y), dtype=float)
-        return np.sum(g * g, axis=-1)
-
-    return f
-
-
 def acf_phi(
     v1: ScalarField,
     v2: ScalarField,
@@ -84,8 +77,8 @@ def acf_phi(
     if not r > 0.0:
         raise ValueError("need r > 0")
     N = v1.N
-    f1 = integrate_ball(_gradsq_weight(v1), N, r, spec, radial_power=2.0 - N).value
-    f2 = integrate_ball(_gradsq_weight(v2), N, r, spec, radial_power=2.0 - N).value
+    f1 = integrate_ball(gradsq(v1), N, r, spec, radial_power=2.0 - N).value
+    f2 = integrate_ball(gradsq(v2), N, r, spec, radial_power=2.0 - N).value
     return TwoPhaseReport(param=r, factor1=f1, factor2=f2, value=f1 * f2 / r**4)
 
 
@@ -118,8 +111,8 @@ def acf_dphi_lower_bound(
 
         return f
 
-    g1 = integrate_ball(_gradsq_weight(v1), N, r, spec, radial_power=2.0 - N).value
-    g2 = integrate_ball(_gradsq_weight(v2), N, r, spec, radial_power=2.0 - N).value
+    g1 = integrate_ball(gradsq(v1), N, r, spec, radial_power=2.0 - N).value
+    g2 = integrate_ball(gradsq(v2), N, r, spec, radial_power=2.0 - N).value
     vh1 = integrate_ball(vh(v1, h1), N, r, spec, radial_power=2.0 - N).value
     vh2 = integrate_ball(vh(v2, h2), N, r, spec, radial_power=2.0 - N).value
     return (2.0 / r**4) * (psi(s1) * vh1 * g2 + psi(s2) * g1 * vh2)

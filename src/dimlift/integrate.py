@@ -1,10 +1,11 @@
 """Deterministic weighted quadrature and seeded Monte Carlo for lifted measures.
 
 Quadrature rules are product rules: a radial Gauss rule times an angular rule
-on the unit sphere.  Every deterministic estimate is refined by node doubling
-until two successive values agree to the requested relative tolerance; if
-three doublings do not stabilize the value, an AccuracyError is raised with
-the last two estimates.
+on the unit sphere, summed by _polar_sum in blocks of whole radial rows so
+memory stays bounded.  Every deterministic estimate is refined by node
+doubling until two successive values agree to the requested relative
+tolerance; if three doublings do not stabilize the value, an AccuracyError is
+raised with the last two estimates, and a non-finite value raises at once.
 
 Monte Carlo sampling is counter-based: batch k of a run is a pure function of
 (seed, k), and partial sums are combined in batch order, so results are
@@ -48,6 +49,10 @@ ANGULAR_RULES = ("product-gauss", "lebedev-like", "tensor-trapezoid")
 
 # Tail cut for the Gaussian weight: exp(-R^2/4t) = 1e-16 at R = TAIL_FACTOR * sqrt(t).
 TAIL_FACTOR = 2.0 * math.sqrt(16.0 * math.log(10.0))
+
+# Most points one integrand call receives.  Radial rows are never split, so a
+# single row (one angular rule) larger than this still goes in one call.
+_CHUNK_POINTS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -192,21 +197,78 @@ def _refine(eval_at_level: Callable[[int], tuple], level0: int, tol: float):
     """Run eval_at_level at level0, 2*level0, ... until two values agree.
 
     eval_at_level returns (value, evaluation_count).  Convergence test:
-    max |v_new - v_old| <= tol * max(||v_new||_inf, 1).
+    max |v_new - v_old| <= tol * max(||v_new||_inf, 1).  A non-finite value
+    raises at once, since doubling the nodes cannot repair it.
     """
-    prev, total = eval_at_level(level0)
-    prev_v = _as_vector(prev)
-    for k in range(1, 4):
-        cur, cnt = eval_at_level(level0 << k)
+    tried = []
+    total = 0
+    for k in range(4):
+        level = level0 << k
+        cur, cnt = eval_at_level(level)
         total += cnt
         cur_v = _as_vector(cur)
-        if np.max(np.abs(cur_v - prev_v)) <= tol * max(float(np.max(np.abs(cur_v))), 1.0):
+        if not np.all(np.isfinite(cur_v)):
+            raise AccuracyError(f"quadrature value is not finite at level {level}: {cur!r}")
+        if tried and np.max(np.abs(cur_v - tried[-1][1])) <= tol * max(float(np.max(np.abs(cur_v))), 1.0):
             return cur, total
-        prev, prev_v = cur, cur_v
+        tried.append((cur, cur_v))
     raise AccuracyError(
         "quadrature did not stabilize after three node doublings",
-        (prev if np.ndim(prev) == 0 else prev_v, cur if np.ndim(cur) == 0 else cur_v),
+        tuple(v if np.ndim(v) == 0 else v_vec for v, v_vec in tried[-2:]),
     )
+
+
+def _estimate(eval_at_level: Callable[[int], tuple], spec: QuadratureSpec) -> IntegralEstimate:
+    value, count = _refine(eval_at_level, spec.radial_nodes, spec.target_rel_tol)
+    return IntegralEstimate(value=value, std_error=0.0, method="quadrature", evaluations=count)
+
+
+# ---------------------------------------------------------------------------
+# polar rules: a radial rule times an angular rule
+
+
+def _legendre_rule(k: int, a: float, b, power: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [a, b] and weights times node**power.
+
+    b may be an array of per-direction upper limits (ka,); nodes and weights
+    are then (k, ka).
+    """
+    xs, wleg = _leggauss(k)
+    half = 0.5 * (b - a)
+    if np.ndim(b):
+        xs, wleg = xs[:, None], wleg[:, None]
+    nodes = half * (xs + 1.0) + a
+    return nodes, half * wleg * nodes**power
+
+
+def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarray, center=None):
+    """sum_ij wr_i wa_j f(center + r_i omega_j), with the point count.
+
+    r and wr are radial nodes and weights, shape (kr,) or per direction
+    (kr, ka); omega (ka, N) and wa (ka,) are the angular rule.  f(x, rho)
+    gets the points x (rows, ka, N) of a block of whole radial rows, at most
+    _CHUNK_POINTS of them unless one row is larger, and rho, the same rows
+    of r.  f returns (rows, ka) or (rows, ka, K); the component axis is kept.
+    """
+    ka = omega.shape[0]
+    step = max(1, _CHUNK_POINTS // ka)
+    acc = 0.0
+    for lo in range(0, len(r), step):
+        rho = r[lo : lo + step]
+        w = wr[lo : lo + step]
+        x = rho.reshape(len(rho), -1, 1) * omega
+        if center is not None:
+            x = x + center
+        vals = np.asarray(f(x, rho), dtype=float)
+        if w.ndim == 1:
+            # angular axis first, then radial: another order changes the last bits
+            acc = acc + np.tensordot(w, np.tensordot(wa, vals, axes=([0], [1])), axes=([0], [0]))
+        else:
+            # per-direction weights: one pairwise sum over the block
+            wb = (w * wa).reshape(w.shape + (1,) * (vals.ndim - 2))
+            acc = acc + np.sum(wb * vals, axis=(0, 1))
+    acc = np.asarray(acc)
+    return (float(acc) if acc.ndim == 0 else acc), len(r) * ka
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +278,13 @@ def _refine(eval_at_level: Callable[[int], tuple], level0: int, tol: float):
 def _weighted_slice(phi, weight: str, d: int, t: float, level: int, rule: str, n: int | None):
     """One fixed-level evaluation of int phi(x) w(x) dx; phi maps (..., d) -> (...) or (..., K)."""
     omega, wa = _sphere_nodes(d, level, rule)
+
+    def integrand(x, _):
+        return phi(x)
+
     if weight == "gaussian":
-        r_max = TAIL_FACTOR * math.sqrt(t)
-        xs, wleg = _leggauss(level)
-        r = 0.5 * r_max * (xs + 1.0)
-        wr = 0.5 * r_max * wleg
-        dens = np.exp(-r * r / (4.0 * t) - 0.5 * d * math.log(4.0 * math.pi * t))
-        radial_w = wr * r ** (d - 1) * dens
+        r, radial_w = _legendre_rule(level, 0.0, TAIL_FACTOR * math.sqrt(t), d - 1)
+        radial_w = radial_w * np.exp(-r * r / (4.0 * t) - 0.5 * d * math.log(4.0 * math.pi * t))
     elif weight == "finite":
         if n is None:
             raise ValueError("finite weight needs the step count n")
@@ -232,10 +294,8 @@ def _weighted_slice(phi, weight: str, d: int, t: float, level: int, rule: str, n
         if n == 1:
             # single step per coordinate: the push-forward measure is the
             # uniform law on the sphere |x| = sqrt(2dt), with no density at all
-            vals = np.asarray(phi(math.sqrt(2.0 * d * t) * omega), dtype=float)
-            acc = np.tensordot(wa, vals, axes=([0], [0])) / math.exp(_log_sphere_area(d))
-            acc = np.asarray(acc)
-            return (float(acc) if acc.ndim == 0 else acc), omega.shape[0]
+            value, count = _polar_sum(integrand, np.array([math.sqrt(2.0 * d * t)]), np.ones(1), omega, wa)
+            return value / math.exp(_log_sphere_area(d)), count
         r_max = math.sqrt(2.0 * nd * t)
         expo = 0.5 * (nd - d - 2)
         log_pref = _log_sphere_area(nd - d) - _log_sphere_area(nd) - 0.5 * d * math.log(2.0 * nd * t)
@@ -258,20 +318,7 @@ def _weighted_slice(phi, weight: str, d: int, t: float, level: int, rule: str, n
             radial_w = coeff * ws
     else:
         raise ValueError(f"unknown weight kind {weight!r}")
-
-    # chunk the radial axis so the (kr, ka, d) node tensor stays bounded
-    step = max(1, (1 << 21) // max(1, omega.shape[0]))
-    acc = 0.0
-    for lo in range(0, r.size, step):
-        x = r[lo : lo + step, None, None] * omega[None, :, :]  # (chunk, ka, d)
-        vals = np.asarray(phi(x), dtype=float)
-        # contract radial and angular axes, keep any trailing component axis
-        acc = acc + np.tensordot(
-            radial_w[lo : lo + step], np.tensordot(wa, vals, axes=([0], [1])), axes=([0], [0])
-        )
-    acc = np.asarray(acc)
-    count = r.size * omega.shape[0]
-    return (float(acc) if acc.ndim == 0 else acc), count
+    return _polar_sum(integrand, r, radial_w, omega, wa)
 
 
 def integrate_weighted(
@@ -289,12 +336,12 @@ def integrate_weighted(
     """
     if not t > 0.0:
         raise ValueError(f"need t > 0, got t={t}")
-    value, count = _refine(
-        lambda lvl: _weighted_slice(phi, weight, d, t, lvl, spec.angular_rule, n),
-        spec.radial_nodes,
-        spec.target_rel_tol,
-    )
-    return IntegralEstimate(value=value, std_error=0.0, method="quadrature", evaluations=count)
+    return _estimate(lambda lvl: _weighted_slice(phi, weight, d, t, lvl, spec.angular_rule, n), spec)
+
+
+def _time_rule(spec: QuadratureSpec, level: int, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
+    # time nodes grow with the radial level
+    return _legendre_rule(spec.time_nodes * max(1, level // spec.radial_nodes), t0, t1)
 
 
 def integrate_spacetime(
@@ -313,16 +360,10 @@ def integrate_spacetime(
     if not tau > 0.0:
         raise ValueError(f"need tau > 0, got tau={tau}")
 
-    base_t = spec.time_nodes
-
     def eval_at(level: int):
-        kt = base_t * max(1, level // spec.radial_nodes)
-        xs, wleg = _leggauss(kt)
-        ts = 0.5 * tau * (xs + 1.0)
-        wt = 0.5 * tau * wleg
         total = None
         count = 0
-        for tq, wq in zip(ts, wt):
+        for tq, wq in zip(*_time_rule(spec, level, 0.0, tau)):
             sl, cnt = _weighted_slice(lambda x: phi(x, tq), weight, d, tq, level, spec.angular_rule, n)
             count += cnt
             total = wq * _as_vector(sl) if total is None else total + wq * _as_vector(sl)
@@ -330,25 +371,22 @@ def integrate_spacetime(
             return float(total[0]), count
         return total, count
 
-    value, count = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
-    return IntegralEstimate(value=value, std_error=0.0, method="quadrature", evaluations=count)
+    return _estimate(eval_at, spec)
 
 
 # ---------------------------------------------------------------------------
 # plain ball / sphere / window integrals (no probability weight)
 
 
-def _ball_slice(f, N: int, r: float, level: int, rule: str, center, radial_power: float):
-    omega, wa = _sphere_nodes(N, level, rule)
-    xs, wleg = _leggauss(level)
-    rho = 0.5 * r * (xs + 1.0)
-    wr = 0.5 * r * wleg * rho ** (N - 1 + radial_power)
-    pts = rho[:, None, None] * omega[None, :, :]
-    if center is not None:
-        pts = pts + center
-    vals = np.asarray(f(pts), dtype=float)
-    acc = np.tensordot(wr, np.tensordot(wa, vals, axes=([0], [1])), axes=([0], [0]))
-    return (float(acc) if acc.ndim == 0 else acc), rho.size * omega.shape[0]
+def _integrate_shell(f, N: int, r0: float, r1: float, spec: QuadratureSpec, center, radial_power: float):
+    """int_{r0 <= |y - center| <= r1} f(y) |y - center|^radial_power dy; a ball has r0 = 0."""
+
+    def eval_at(level: int):
+        omega, wa = _sphere_nodes(N, level, spec.angular_rule)
+        rho, wr = _legendre_rule(level, r0, r1, N - 1 + radial_power)
+        return _polar_sum(lambda x, _: f(x), rho, wr, omega, wa, center)
+
+    return _estimate(eval_at, spec)
 
 
 def integrate_ball(
@@ -368,12 +406,7 @@ def integrate_ball(
     if radial_power <= -N:
         raise ValueError("radial_power must exceed -N for an integrable weight")
     c = None if center is None else np.asarray(center, dtype=float)
-    value, count = _refine(
-        lambda lvl: _ball_slice(f, N, r, lvl, spec.angular_rule, c, radial_power),
-        spec.radial_nodes,
-        spec.target_rel_tol,
-    )
-    return IntegralEstimate(value=value, std_error=0.0, method="quadrature", evaluations=count)
+    return _integrate_shell(f, N, 0.0, r, spec, c, radial_power)
 
 
 def integrate_annulus(
@@ -387,19 +420,7 @@ def integrate_annulus(
     r0, r1 = r_range
     if not 0.0 <= r0 < r1:
         raise ValueError("need 0 <= r0 < r1")
-
-    def eval_at(level: int):
-        omega, wa = _sphere_nodes(N, level, spec.angular_rule)
-        xs, wleg = _leggauss(level)
-        rho = 0.5 * (r1 - r0) * (xs + 1.0) + r0
-        wr = 0.5 * (r1 - r0) * wleg * rho ** (N - 1 + radial_power)
-        pts = rho[:, None, None] * omega[None, :, :]
-        vals = np.asarray(f(pts), dtype=float)
-        acc = np.tensordot(wr, np.tensordot(wa, vals, axes=([0], [1])), axes=([0], [0]))
-        return (float(acc) if acc.ndim == 0 else acc), rho.size * omega.shape[0]
-
-    value, count = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
-    return IntegralEstimate(value=value, std_error=0.0, method="quadrature", evaluations=count)
+    return _integrate_shell(f, N, r0, r1, spec, None, radial_power)
 
 
 def integrate_sphere(
@@ -416,15 +437,9 @@ def integrate_sphere(
 
     def eval_at(level: int):
         omega, wa = _sphere_nodes(N, level, spec.angular_rule)
-        pts = r * omega
-        if c is not None:
-            pts = pts + c
-        vals = np.asarray(f(pts), dtype=float)
-        acc = r ** (N - 1) * np.tensordot(wa, vals, axes=([0], [0]))
-        return (float(acc) if acc.ndim == 0 else acc), omega.shape[0]
+        return _polar_sum(lambda x, _: f(x), np.array([r]), np.array([r ** (N - 1)]), omega, wa, c)
 
-    value, count = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
-    return IntegralEstimate(value=value, std_error=0.0, method="quadrature", evaluations=count)
+    return _estimate(eval_at, spec)
 
 
 def integrate_window(
@@ -442,22 +457,15 @@ def integrate_window(
 
     def eval_at(level: int):
         omega, wa = _sphere_nodes(d, level, spec.angular_rule)
-        xs, wleg = _leggauss(level)
-        rho = 0.5 * (r1 - r0) * (xs + 1.0) + r0
-        wr = 0.5 * (r1 - r0) * wleg * rho ** (d - 1)
-        kt = spec.time_nodes * max(1, level // spec.radial_nodes)
-        xt, wtl = _leggauss(kt)
-        ts = 0.5 * (t1 - t0) * (xt + 1.0) + t0
-        wt = 0.5 * (t1 - t0) * wtl
-        pts = rho[:, None, None] * omega[None, :, :]
+        rho, wr = _legendre_rule(level, r0, r1, d - 1)
+        ts, wt = _time_rule(spec, level, t0, t1)
         total = 0.0
         for tq, wq in zip(ts, wt):
-            vals = np.asarray(f(pts, tq), dtype=float)
-            total += wq * float(wr @ (vals @ wa))
+            value, _ = _polar_sum(lambda x, _: f(x, tq), rho, wr, omega, wa)
+            total += wq * value
         return total, ts.size * rho.size * omega.shape[0]
 
-    value, count = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
-    return IntegralEstimate(value=value, std_error=0.0, method="quadrature", evaluations=count)
+    return _estimate(eval_at, spec)
 
 
 # ---------------------------------------------------------------------------

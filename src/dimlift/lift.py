@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
+
+from .weights import _log_sphere_area
 
 __all__ = [
     "LiftConfig",
@@ -118,8 +119,7 @@ def sphere_area(N: int) -> float:
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
-    # |S^(N-1)| = 2 pi^(N/2) / Gamma(N/2)
-    return float(np.exp(np.log(2.0) + 0.5 * N * np.log(np.pi) - gammaln(0.5 * N)))
+    return float(np.exp(_log_sphere_area(N)))
 
 
 def _steps(cfg: LiftConfig, y: np.ndarray) -> np.ndarray:

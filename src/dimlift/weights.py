@@ -25,6 +25,7 @@ __all__ = [
 
 
 def _log_sphere_area(N: int) -> float:
+    # log |S^(N-1)| = log(2 pi^(N/2) / Gamma(N/2))
     return float(np.log(2.0) + 0.5 * N * np.log(np.pi) - gammaln(0.5 * N))
 
 

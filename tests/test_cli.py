@@ -97,6 +97,30 @@ def test_domain_errors_exit_one(argv, tmp_path, monkeypatch):
     assert not (tmp_path / "err.json").exists()
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_bad_thread_environment_exits_one(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DIMLIFT_THREADS", value)
+    assert main(["gn-limit", "--out", "err"]) == 1
+    assert "DIMLIFT_THREADS must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "err.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # (|S^2| / 4)^2 = pi^2 in R^3
+        ["two-phase", "--kind", "elliptic", "--N", "3"],
+        # n*d = 320 at the largest default n
+        ["mcf", "--which", "lifted", "--d", "2"],
+    ],
+)
+def test_checks_beyond_the_default_dimension_pass(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "run"]) == 0
+    assert json.loads((tmp_path / "run.json").read_text())["status"] == "pass"
+
+
 @pytest.mark.parametrize("argv", [["no-such-command"], ["gn-limit", "--bogus"], []])
 def test_usage_errors_exit_one(argv):
     with pytest.raises(SystemExit) as exc:

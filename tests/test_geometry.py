@@ -122,6 +122,8 @@ def test_lifted_density_is_exact_on_planes():
     for n in (5, 25, 80):
         got = lifted_mcf_density(graph_plane(1, 0.0), LiftConfig(1, n), 1.0)
         assert abs(got - (4 * math.pi) ** 0.5) < 1e-8
+    # n*d = 320 raises the rim factor to the power 158 without overflow
+    assert abs(lifted_mcf_density(graph_plane(2, 0.0), LiftConfig(2, 160), 1.0) - 4 * math.pi) < 1e-8
     tilted = graph_linear([0.4])
     want = huisken_density(tilted, 1.0)
     assert abs(lifted_mcf_density(tilted, LiftConfig(1, 25), 1.0) - want) < 1e-8

@@ -22,6 +22,7 @@ from dimlift import (
     sample_sphere_uniform,
     sphere_area,
 )
+import dimlift.integrate
 from dimlift.errors import AccuracyError
 
 
@@ -91,6 +92,50 @@ def test_jump_integrand_raises_accuracy_error():
     with pytest.raises(AccuracyError) as exc:
         integrate_weighted(jump, "gaussian", 1, 1.0)
     assert exc.value.last_two is not None and len(exc.value.last_two) == 2
+    # the last two levels, not the last one twice
+    assert exc.value.last_two[0] != exc.value.last_two[1]
+
+
+def test_nan_integrand_fails_at_the_first_level():
+    shapes = []
+
+    def nan(y):
+        shapes.append(y.shape)
+        return np.full(y.shape[:-1], np.nan)
+
+    with pytest.raises(AccuracyError, match="not finite at level 48"):
+        integrate_ball(nan, 3, 1.0)
+    # one level: 48 radial rows, each of the 24 x 96 product-gauss directions
+    assert sum(math.prod(s[:-1]) for s in shapes) == 48 * 24 * 96
+
+
+def test_chunked_sums_match_one_block(monkeypatch):
+    spec = QuadratureSpec()
+    cases = {
+        "ball": lambda f: integrate_ball(f, 2, 1.3, spec, center=[0.2, -0.1], radial_power=0.5),
+        "annulus": lambda f: integrate_annulus(f, 2, (0.4, 1.2), spec, radial_power=-1.0),
+        "sphere": lambda f: integrate_sphere(f, 2, 1.1, spec, center=[0.3, 0.0]),
+        "gaussian": lambda f: integrate_weighted(f, "gaussian", 2, 0.7, spec),
+        "finite": lambda f: integrate_weighted(f, "finite", 2, 0.7, spec, n=7),
+        "window": lambda f: integrate_window(lambda x, t: f(x) * t, 2, (0.3, 1.4), (0.2, 0.9), spec),
+    }
+
+    def run(case, budget):
+        monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", budget)
+        largest = []
+
+        def f(x):
+            largest.append(math.prod(x.shape[:-1]))
+            return np.stack([np.cos(x[..., 0]) * np.exp(-np.sum(x * x, axis=-1)), x[..., 1] ** 2], axis=-1)
+
+        return np.asarray(cases[case](f).value), max(largest)
+
+    for case in cases:
+        whole, whole_max = run(case, 1 << 21)
+        chunked, chunked_max = run(case, 1000)
+        assert chunked_max <= 1000, case
+        assert whole_max > 1000 or case == "sphere", case  # a sphere rule has one radial row
+        np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0, err_msg=case)
 
 
 # ---------------------------------------------------------------------------
