@@ -15,6 +15,8 @@ bit-identical for any thread count.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,8 +90,10 @@ class MonteCarloSpec:
             raise ValueError("samples must be >= 1000")
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        # Philox is keyed with seed + (batch << 64), so a larger seed would
+        # replay another seed's batches
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64); got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -380,10 +384,17 @@ def integrate_spacetime(
 
 def _integrate_shell(f, N: int, r0: float, r1: float, spec: QuadratureSpec, center, radial_power: float):
     """int_{r0 <= |y - center| <= r1} f(y) |y - center|^radial_power dy; a ball has r0 = 0."""
+    power = N - 1 + radial_power
 
     def eval_at(level: int):
         omega, wa = _sphere_nodes(N, level, spec.angular_rule)
-        rho, wr = _legendre_rule(level, r0, r1, N - 1 + radial_power)
+        if r0 == 0.0 and not float(power).is_integer():
+            # rho = r1 (1 + s) / 2: Gauss-Jacobi(0, power) absorbs the
+            # non-smooth rho^power, which no Legendre rule resolves at the origin
+            s, ws = _jacobi(level, 0.0, power)
+            rho, wr = 0.5 * r1 * (1.0 + s), ws * (0.5 * r1) ** (power + 1.0)
+        else:
+            rho, wr = _legendre_rule(level, r0, r1, power)
         return _polar_sum(lambda x, _: f(x), rho, wr, omega, wa, center)
 
     return _estimate(eval_at, spec)
@@ -525,34 +536,50 @@ def sample_mu_ball(N: int, tau: float, d: int, mc: MonteCarloSpec) -> Iterator[n
 def mc_mean(sample_batches: Iterator[np.ndarray], phi, threads: int = 1):
     """Mean and standard error of phi over a batched sample stream.
 
-    Batches may be consumed by several worker threads, but partial sums are
-    combined in batch order, so the result is bit-identical for any thread
-    count.  phi maps (m, N) -> (m,) or (m, K).
+    Batches are drawn lazily, so memory holds a bounded number of them.  With
+    threads > 1 at most `threads` batches are reduced at once by worker
+    threads while the next one is drawn; partials are combined in batch
+    order, so the result is bit-identical for any thread count.  The mean is
+    the plain sum over the count; the variance merges per-batch (count, mean,
+    M2) pairs (Chan, Golub & LeVeque 1983), which keeps its precision when
+    |mean| is much larger than the spread.  phi maps (m, N) -> (m,) or (m, K).
     """
-    batches = list(sample_batches)
 
     def reduce_one(y: np.ndarray):
         vals = np.asarray(phi(y), dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
-        return vals.sum(axis=0), (vals * vals).sum(axis=0), vals.shape[0]
+        m = vals.shape[0]
+        p1 = vals.sum(axis=0)
+        dev = vals - p1 / m
+        return p1, (dev * dev).sum(axis=0), m
 
-    if threads > 1:
+    def partials():  # in batch order: 0, 1, 2, ...
+        if threads <= 1:
+            yield from map(reduce_one, sample_batches)
+            return
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(reduce_one, batches))
-    else:
-        partials = [reduce_one(b) for b in batches]
+            pending = deque()
+            for y in sample_batches:
+                pending.append(pool.submit(reduce_one, y))
+                if len(pending) >= threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
 
     s1 = None
-    s2 = None
+    m2 = None
     count = 0
-    for p1, p2, m in partials:  # fixed order: batch 0, 1, 2, ...
-        s1 = p1 if s1 is None else s1 + p1
-        s2 = p2 if s2 is None else s2 + p2
+    for p1, q2, m in partials():
+        if s1 is None:
+            s1, m2, count = p1, q2, m
+            continue
+        delta = p1 / m - s1 / count
+        m2 = m2 + q2 + delta * delta * (count * m / (count + m))
+        s1 = s1 + p1
         count += m
     mean = s1 / count
-    var = np.maximum(0.0, s2 / count - mean * mean)
-    se = np.sqrt(var / count)
+    se = np.sqrt(m2 / count / count)
     if mean.size == 1:
         return float(mean[0]), float(se[0]), count
     return mean, se, count
@@ -572,6 +599,49 @@ class PushforwardCheck:
     discrepancy_in_std_errors: float | np.ndarray
 
 
+# The quadrature side of a check does not depend on the sampling plan, so it
+# is kept for the last few (kind, phi, d, n, t, spec).  phi is matched by
+# identity; an entry holds a reference to its phi, so that id cannot be reused
+# by another object while the entry lives.
+_QUAD_MEMO_SIZE = 32
+_quad_memo: OrderedDict = OrderedDict()
+_quad_memo_lock = threading.Lock()
+
+
+def _pushforward_quad(kind: str, phi, d: int, n: int, t: float, spec: QuadratureSpec):
+    """Finite-weight quadrature of a push-forward check, once per (kind, phi, d, n, t, spec)."""
+    key = (kind, id(phi), d, n, t, spec)
+    with _quad_memo_lock:
+        entry = _quad_memo.get(key)
+        if entry is not None:
+            _quad_memo.move_to_end(key)
+    if entry is None:
+        if kind == "sphere":
+            value = integrate_weighted(phi, "finite", d, t, spec, n=n).value
+        else:
+            value = integrate_spacetime(phi, "finite", d, t, spec, n=n).value
+        entry = (phi, value)
+        with _quad_memo_lock:
+            _quad_memo[key] = entry
+            while len(_quad_memo) > _QUAD_MEMO_SIZE:
+                _quad_memo.popitem(last=False)
+    value = entry[1]
+    # a copy, so a caller writing into quad_value leaves the memo intact
+    return value.copy() if isinstance(value, np.ndarray) else value
+
+
+def _discrepancy(mean, se, quad, spec: QuadratureSpec):
+    """|mean - quad| in standard errors; a standard error of exactly 0 gives 0.
+
+    The quadrature is only known to the tolerance _refine accepted it at, so
+    a smaller standard error, as for an integrand that is constant on the
+    sampled support up to rounding, is replaced by that tolerance.
+    """
+    se = np.asarray(se)
+    floor = spec.target_rel_tol * max(float(np.max(np.abs(quad))), 1.0)
+    return np.abs(mean - quad) / np.where(se > 0.0, np.maximum(se, floor), np.inf)
+
+
 def pushforward_check_sphere(
     phi,
     d: int,
@@ -581,7 +651,11 @@ def pushforward_check_sphere(
     spec: QuadratureSpec = QuadratureSpec(),
     threads: int = 1,
 ) -> PushforwardCheck:
-    """Sphere average of phi(step-sum) vs. the finite-weight integral of phi."""
+    """Sphere average of phi(step-sum) vs. the finite-weight integral of phi.
+
+    phi must be a pure function: its quadrature side is computed once per
+    phi object (and d, n, t, spec) and reused for every later seed.
+    """
     cfg = LiftConfig(d=d, n=n)
     radius = math.sqrt(2.0 * d * t)
 
@@ -590,8 +664,8 @@ def pushforward_check_sphere(
         return phi(x)
 
     mean, se, _ = mc_mean(sample_sphere_uniform(cfg.N, radius, mc), through_lift, threads=threads)
-    quad = integrate_weighted(phi, "finite", d, t, spec, n=n).value
-    disc = np.abs(mean - quad) / np.where(np.asarray(se) > 0.0, se, np.inf)
+    quad = _pushforward_quad("sphere", phi, d, n, t, spec)
+    disc = _discrepancy(mean, se, quad, spec)
     if np.ndim(mean) == 0:
         disc = float(disc)
     return PushforwardCheck(mc_value=mean, mc_std_error=se, quad_value=quad, discrepancy_in_std_errors=disc)
@@ -606,7 +680,11 @@ def pushforward_check_ball(
     spec: QuadratureSpec = QuadratureSpec(),
     threads: int = 1,
 ) -> PushforwardCheck:
-    """Lifted-measure average of phi(lift) times tau vs. the space-time integral."""
+    """Lifted-measure average of phi(lift) times tau vs. the space-time integral.
+
+    phi must be a pure function: its quadrature side is computed once per
+    phi object (and d, n, tau, spec) and reused for every later seed.
+    """
     cfg = LiftConfig(d=d, n=n)
 
     def through_lift(y):
@@ -616,8 +694,8 @@ def pushforward_check_ball(
     mean, se, _ = mc_mean(sample_mu_ball(cfg.N, tau, d, mc), through_lift, threads=threads)
     mean = np.asarray(mean) * tau
     se = np.asarray(se) * tau
-    quad = integrate_spacetime(phi, "finite", d, tau, spec, n=n).value
-    disc = np.abs(mean - quad) / np.where(se > 0.0, se, np.inf)
+    quad = _pushforward_quad("ball", phi, d, n, tau, spec)
+    disc = _discrepancy(mean, se, quad, spec)
     if np.ndim(quad) == 0:
         mean, se, disc = float(mean), float(se), float(disc)
     return PushforwardCheck(mc_value=mean, mc_std_error=se, quad_value=quad, discrepancy_in_std_errors=disc)

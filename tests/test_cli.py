@@ -106,6 +106,13 @@ def test_bad_thread_environment_exits_one(value, tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "err.json").exists()
 
 
+def test_seed_beyond_64_bits_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["pushforward", "--seed", str(2**64), "--out", "err"]) == 1
+    assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "err.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 """Deterministic quadrature against closed-form moments, and seeded sampling."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -152,6 +153,16 @@ def test_ball_and_sphere_closed_forms():
     assert abs(sing - sphere_area(3) / 2) < 1e-9
 
 
+def test_ball_with_a_non_integer_radial_power():
+    # int_{-1.3}^{1.3} |y|^0.5 dy: the total radial power is not an integer,
+    # so no Legendre rule resolves rho^0.5 at the origin to 1e-11
+    got = integrate_ball(lambda y: np.ones(y.shape[:-1]), 1, 1.3, radial_power=0.5).value
+    exact = 2.0 * 1.3**1.5 / 1.5
+    assert abs(got - exact) <= 1e-11 * exact
+    ring = integrate_annulus(lambda y: np.ones(y.shape[:-1]), 2, (0.0, 1.3), radial_power=-0.5).value
+    assert abs(ring - 2.0 * math.pi * 1.3**1.5 / 1.5) <= 1e-11 * ring
+
+
 def test_ball_center_shift():
     c = np.array([5.0, -1.0])
     got = integrate_ball(lambda y: y[..., 0], 2, 1.0, center=c).value
@@ -191,6 +202,10 @@ def test_estimate_and_spec_validation():
         MonteCarloSpec(seed=1, samples=10)
     with pytest.raises(ValueError):
         MonteCarloSpec(seed=-1)
+    # batch k is keyed with seed + (k << 64): seed 2^64 batch 0 would be seed 0 batch 1
+    MonteCarloSpec(seed=2**64 - 1)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        MonteCarloSpec(seed=2**64)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +245,108 @@ def test_mc_mean_is_thread_count_invariant():
     assert (m1, s1, c1) == (m4, s4, c4)
     # E x1^2 on the unit sphere in R^6 is 1/6
     assert abs(m1 - 1 / 6) < 4 * s1
+
+
+def test_mc_mean_variance_keeps_precision_at_a_large_mean():
+    mc = MonteCarloSpec(seed=3, samples=40_000)
+
+    def phi(y):
+        return 1e6 + y[:, 0]
+
+    _, se, count = mc_mean(sample_sphere_uniform(3, 1.0, mc), phi)
+    vals = phi(np.concatenate(list(sample_sphere_uniform(3, 1.0, mc))))
+    two_pass = math.sqrt(np.var(vals) / count)
+    assert abs(se - two_pass) <= 1e-10 * two_pass
+
+
+def test_mc_mean_draws_batches_as_it_reduces_them():
+    threads = 2
+    lock = threading.Lock()
+    state = {"drawn": 0, "reduced": 0, "most_ahead": 0}
+    mc = MonteCarloSpec(seed=1, samples=40 * 1024, batch=1024)
+
+    def batches():
+        for y in sample_sphere_uniform(3, 1.0, mc):
+            with lock:
+                state["drawn"] += 1
+                state["most_ahead"] = max(state["most_ahead"], state["drawn"] - state["reduced"])
+            yield y
+
+    def phi(y):
+        with lock:
+            state["reduced"] += 1
+        return y[:, 0] ** 2
+
+    mean, _, count = mc_mean(batches(), phi, threads=threads)
+    assert state["drawn"] == state["reduced"] == 40 and count == 40 * 1024
+    assert state["most_ahead"] <= 2 * threads
+    streamed = mc_mean(sample_sphere_uniform(3, 1.0, mc), lambda y: y[:, 0] ** 2, threads=1)
+    assert streamed[0] == mean
+
+
+def _recording(phi, seen):
+    # records the number of points of each call
+    def rec(x, *args):
+        seen.append(int(np.prod(np.shape(x)[:-1])))
+        return phi(x, *args)
+
+    return rec
+
+
+def _stack(x, tt=None):
+    x = np.asarray(x, dtype=float)
+    return np.stack([np.ones(x.shape[:-1]), x[..., 0] ** 2, np.exp(-np.sum(x * x, axis=-1))], axis=-1)
+
+
+def test_pushforward_quadrature_is_computed_once_per_phi():
+    seen = []
+    phi = _recording(_stack, seen)
+    first = pushforward_check_ball(phi, 2, 4, 0.7, MonteCarloSpec(seed=1, samples=5000), threads=2)
+    assert sum(seen) > 5000
+    seen.clear()
+    second = pushforward_check_ball(phi, 2, 4, 0.7, MonteCarloSpec(seed=2, samples=5000), threads=2)
+    # only the Monte Carlo samples reach phi; the quadrature is the same bits
+    assert sum(seen) == 5000
+    assert first.quad_value.tobytes() == second.quad_value.tobytes()
+    assert not np.array_equal(first.mc_value, second.mc_value)
+    seen.clear()
+    pushforward_check_sphere(phi, 2, 4, 0.7, MonteCarloSpec(seed=2, samples=5000))
+    pushforward_check_sphere(phi, 2, 4, 0.7, MonteCarloSpec(seed=3, samples=5000))
+    assert sum(seen) > 10_000  # the sphere check has its own quadrature
+    seen.clear()
+    pushforward_check_sphere(phi, 2, 4, 0.7, MonteCarloSpec(seed=4, samples=5000))
+    assert sum(seen) == 5000
+
+
+def test_pushforward_quadrature_is_redone_for_a_new_phi_object():
+    mc = MonteCarloSpec(seed=1, samples=5000)
+    for scale in (1.0, 2.0, 3.0):
+        seen = []
+
+        def phi(x, tt, scale=scale):
+            return scale * _stack(x)
+
+        res = pushforward_check_ball(_recording(phi, seen), 1, 5, 0.5, mc)
+        assert sum(seen) > 5000
+        assert abs(res.quad_value[0] - scale * 0.5) < 1e-10
+
+
+def test_writing_into_quad_value_leaves_the_next_result_intact():
+    mc = MonteCarloSpec(seed=1, samples=5000)
+    first = pushforward_check_sphere(_stack, 1, 5, 0.9, mc)
+    kept = first.quad_value.copy()
+    first.quad_value[:] = -1.0
+    again = pushforward_check_sphere(_stack, 1, 5, 0.9, mc)
+    assert again.quad_value.tobytes() == kept.tobytes()
+
+
+def test_integrand_constant_on_the_sampled_sphere_is_no_discrepancy():
+    # at n = 1 every sample has |x| = sqrt(2 d t), so x1^2 (d = 1) and
+    # exp(-|x|^2) are constant up to rounding and their standard error is ~1e-15
+    mc = MonteCarloSpec(seed=0, samples=20_000)
+    for d in (1, 2):
+        chk = pushforward_check_sphere(_stack, d, 1, 0.8, mc)
+        assert np.all(chk.discrepancy_in_std_errors < 3.0), (d, chk)
 
 
 def test_pushforward_sphere_single_seed():
