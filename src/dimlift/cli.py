@@ -20,7 +20,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 
@@ -56,7 +55,13 @@ from .functionals import (
     poon,
     struwe_Phi,
 )
-from .integrate import MonteCarloSpec, pushforward_check_ball, pushforward_check_sphere
+from .integrate import (
+    MonteCarloSpec,
+    _default_threads,
+    _use_threads,
+    pushforward_check_ball,
+    pushforward_check_sphere,
+)
 from .lift import LiftConfig, sphere_area
 from .weights import weight_limit_report
 
@@ -106,16 +111,6 @@ def _cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
-
-
-def _default_threads() -> int:
-    env = os.environ.get("DIMLIFT_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    threads = int(env) if env.strip().isdigit() else 0
-    if threads < 1:
-        raise ValueError(f"DIMLIFT_THREADS must be a positive integer, got {env!r}")
-    return threads
 
 
 def _decrease_margin(values) -> float:
@@ -490,7 +485,9 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads; default DIMLIFT_THREADS or the CPU count",
+            help="worker threads for the quadrature (and pushforward's Monte Carlo); "
+            "default DIMLIFT_THREADS or the CPU count, at most the CPU count; "
+            "memory in flight grows with it",
         )
         return p
 
@@ -596,7 +593,10 @@ def main(argv=None) -> int:
     try:
         if args.threads is None:
             args.threads = _default_threads()
-        header, rows, ok, worst, max_err = _HANDLERS[args.subcommand](args)
+        elif args.threads < 1:
+            raise ValueError(f"--threads must be a positive integer, got {args.threads}")
+        with _use_threads(args.threads):
+            header, rows, ok, worst, max_err = _HANDLERS[args.subcommand](args)
     except (ValueError, UnsupportedConfigError, DegenerateDenominatorError, AccuracyError) as exc:
         print(f"dimlift {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1

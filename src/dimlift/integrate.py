@@ -2,10 +2,12 @@
 
 Quadrature rules are product rules: a radial Gauss rule times an angular rule
 on the unit sphere, summed by _polar_sum in blocks of whole radial rows so
-memory stays bounded.  Every deterministic estimate is refined by node
-doubling until two successive values agree to the requested relative
-tolerance; if three doublings do not stabilize the value, an AccuracyError is
-raised with the last two estimates, and a non-finite value raises at once.
+memory stays bounded.  The blocks of one sum run on worker threads and are
+added in block order, so the bits do not depend on the thread count.  Every
+deterministic estimate is refined by node doubling until two successive
+values agree to the requested relative tolerance; if three doublings do not
+stabilize the value, an AccuracyError is raised with the last two estimates,
+and a non-finite value raises at once.
 
 Monte Carlo sampling is counter-based: batch k of a run is a pure function of
 (seed, k), and partial sums are combined in batch order, so results are
@@ -14,13 +16,16 @@ bit-identical for any thread count.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -52,9 +57,12 @@ ANGULAR_RULES = ("product-gauss", "lebedev-like", "tensor-trapezoid")
 # Tail cut for the Gaussian weight: exp(-R^2/4t) = 1e-16 at R = TAIL_FACTOR * sqrt(t).
 TAIL_FACTOR = 2.0 * math.sqrt(16.0 * math.log(10.0))
 
-# Most points one integrand call receives.  Radial rows are never split, so a
-# single row (one angular rule) larger than this still goes in one call.
-_CHUNK_POINTS = 1 << 21
+# Most points one integrand call receives, and so the size of one block of a
+# polar sum.  Radial rows are never split, so a single row (one angular rule)
+# larger than this still goes in one call.  Up to `threads` blocks are in
+# flight at once; the block size does not depend on the thread count, which
+# keeps the sums bit-identical for any count.
+_CHUNK_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,70 @@ class IntegralEstimate:
         deterministic = self.method == "quadrature"
         if deterministic != bool(np.all(err == 0.0)):
             raise ValueError("std_error must be 0 iff the method is deterministic")
+
+
+# ---------------------------------------------------------------------------
+# worker threads
+
+# the thread count the CLI's --threads sets around a subcommand; None means
+# the default
+_requested_threads: contextvars.ContextVar[int | None] = contextvars.ContextVar("dimlift_threads", default=None)
+
+
+def _default_threads() -> int:
+    """DIMLIFT_THREADS if it is set, else the CPU count."""
+    env = os.environ.get("DIMLIFT_THREADS")
+    if not env:
+        return os.cpu_count() or 1
+    threads = int(env) if env.strip().isdigit() else 0
+    if threads < 1:
+        raise ValueError(f"DIMLIFT_THREADS must be a positive integer, got {env!r}")
+    return threads
+
+
+def _worker_count(requested: int | None = None) -> int:
+    """Threads to use: requested, else the count set by _use_threads, else
+    _default_threads(); at least 1 and at most the CPU count.
+
+    Memory grows with the work in flight and no result depends on the count,
+    so more threads than CPUs would only cost memory.
+    """
+    if requested is None:
+        requested = _requested_threads.get()
+    if requested is None:
+        requested = _default_threads()
+    return max(1, min(requested, os.cpu_count() or 1))
+
+
+@contextlib.contextmanager
+def _use_threads(threads: int) -> Iterator[None]:
+    """Run the quadratures of the enclosed code on `threads` worker threads."""
+    token = _requested_threads.set(threads)
+    try:
+        yield
+    finally:
+        _requested_threads.reset(token)
+
+
+def _ordered_map(fn, items: Iterable, threads: int) -> Iterator:
+    """fn(item) for each item, yielded in item order.
+
+    With threads > 1 the calls run on a pool of that many worker threads; at
+    most `threads` are in flight, and items are drawn lazily, one per call
+    submitted.  With threads <= 1 they run in the calling thread, with no pool.
+    An exception raised by fn is raised here when its result is reached.
+    """
+    if threads <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 # ---------------------------------------------------------------------------
@@ -253,24 +325,34 @@ def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarr
     gets the points x (rows, ka, N) of a block of whole radial rows, at most
     _CHUNK_POINTS of them unless one row is larger, and rho, the same rows
     of r.  f returns (rows, ka) or (rows, ka, K); the component axis is kept.
+
+    A sum of several blocks evaluates them on _worker_count() threads, each
+    block's points, f and contraction on one thread; the partial sums are
+    added in block order, so the bits do not depend on the thread count.  f
+    must be safe to call from several threads at once.
     """
     ka = omega.shape[0]
     step = max(1, _CHUNK_POINTS // ka)
-    acc = 0.0
-    for lo in range(0, len(r), step):
+
+    def block(lo: int):
         rho = r[lo : lo + step]
         w = wr[lo : lo + step]
         x = rho.reshape(len(rho), -1, 1) * omega
         if center is not None:
-            x = x + center
+            x += center  # in place: a second copy would double the block's largest array
         vals = np.asarray(f(x, rho), dtype=float)
+        del x  # free the points before the contraction
         if w.ndim == 1:
             # angular axis first, then radial: another order changes the last bits
-            acc = acc + np.tensordot(w, np.tensordot(wa, vals, axes=([0], [1])), axes=([0], [0]))
-        else:
-            # per-direction weights: one pairwise sum over the block
-            wb = (w * wa).reshape(w.shape + (1,) * (vals.ndim - 2))
-            acc = acc + np.sum(wb * vals, axis=(0, 1))
+            return np.tensordot(w, np.tensordot(wa, vals, axes=([0], [1])), axes=([0], [0]))
+        # per-direction weights: one pairwise sum over the block
+        wb = (w * wa).reshape(w.shape + (1,) * (vals.ndim - 2))
+        return np.sum(wb * vals, axis=(0, 1))
+
+    starts = range(0, len(r), step)
+    acc = 0.0
+    for partial in _ordered_map(block, starts, 1 if len(starts) < 2 else _worker_count()):
+        acc = acc + partial
     acc = np.asarray(acc)
     return (float(acc) if acc.ndim == 0 else acc), len(r) * ka
 
@@ -537,12 +619,13 @@ def mc_mean(sample_batches: Iterator[np.ndarray], phi, threads: int = 1):
     """Mean and standard error of phi over a batched sample stream.
 
     Batches are drawn lazily, so memory holds a bounded number of them.  With
-    threads > 1 at most `threads` batches are reduced at once by worker
-    threads while the next one is drawn; partials are combined in batch
-    order, so the result is bit-identical for any thread count.  The mean is
-    the plain sum over the count; the variance merges per-batch (count, mean,
-    M2) pairs (Chan, Golub & LeVeque 1983), which keeps its precision when
-    |mean| is much larger than the spread.  phi maps (m, N) -> (m,) or (m, K).
+    threads > 1 (at most the CPU count) at most `threads` batches are reduced
+    at once by worker threads while the next one is drawn; partials are
+    combined in batch order, so the result is bit-identical for any thread
+    count.  The mean is the plain sum over the count; the variance merges
+    per-batch (count, mean, M2) pairs (Chan, Golub & LeVeque 1983), which
+    keeps its precision when |mean| is much larger than the spread.  phi maps
+    (m, N) -> (m,) or (m, K).
     """
 
     def reduce_one(y: np.ndarray):
@@ -554,23 +637,10 @@ def mc_mean(sample_batches: Iterator[np.ndarray], phi, threads: int = 1):
         dev = vals - p1 / m
         return p1, (dev * dev).sum(axis=0), m
 
-    def partials():  # in batch order: 0, 1, 2, ...
-        if threads <= 1:
-            yield from map(reduce_one, sample_batches)
-            return
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
-            for y in sample_batches:
-                pending.append(pool.submit(reduce_one, y))
-                if len(pending) >= threads:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-
     s1 = None
     m2 = None
     count = 0
-    for p1, q2, m in partials():
+    for p1, q2, m in _ordered_map(reduce_one, sample_batches, _worker_count(threads)):
         if s1 is None:
             s1, m2, count = p1, q2, m
             continue

@@ -8,6 +8,7 @@ The lift map sends y to the pair (x, t) with ``x_i = sum_j y_{i,j}`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -115,11 +116,16 @@ class DomainSpec:
 def sphere_area(N: int) -> float:
     """Surface measure of the unit sphere S^(N-1) in R^N.
 
-    Computed in log space, so large N stays finite.
+    The closed form 2 pi^(N/2) / Gamma(N/2) while Gamma(N/2) is finite (so
+    N = 2 gives 2 pi exactly); beyond that it is computed in log space, so
+    large N stays finite.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
-    return float(np.exp(_log_sphere_area(N)))
+    try:
+        return 2.0 * math.pi ** (0.5 * N) / math.gamma(0.5 * N)
+    except OverflowError:
+        return float(np.exp(_log_sphere_area(N)))
 
 
 def _steps(cfg: LiftConfig, y: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dimlift.integrate
 from dimlift.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -56,8 +57,15 @@ def test_subcommand_writes_three_files_with_the_summary_schema(name, tmp_path, m
 
 
 def test_reruns_and_thread_counts_are_byte_identical(tmp_path, monkeypatch):
+    # counts are clamped to the CPU count; with 4 CPUs, --threads 4 runs 4 workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     payloads = {}
-    for label, threads in [("a", 4), ("b", 4), ("c", 1)]:
+    # at the default block size every FAST_ARGS quadrature is one block; at
+    # 1000 points the N=2 and N=3 sums span many blocks, run on the pool
+    runs = [("a", 4, None), ("b", 4, None), ("c", 1, None), ("small4", 4, 1000), ("small1", 1, 1000)]
+    for label, threads, budget in runs:
+        if budget is not None:
+            monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", budget)
         d = tmp_path / label
         d.mkdir()
         monkeypatch.chdir(d)
@@ -69,6 +77,7 @@ def test_reruns_and_thread_counts_are_byte_identical(tmp_path, monkeypatch):
     for name in FAST_ARGS:
         assert payloads["a", name] == payloads["b", name]
         assert payloads["a", name] == payloads["c", name]
+        assert payloads["small4", name] == payloads["small1", name]
 
 
 def test_failing_check_exits_two(tmp_path, monkeypatch):
@@ -97,13 +106,26 @@ def test_domain_errors_exit_one(argv, tmp_path, monkeypatch):
     assert not (tmp_path / "err.json").exists()
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-2"])
-def test_bad_thread_environment_exits_one(value, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "env, argv, reason",
+    [
+        pytest.param("abc", [], "DIMLIFT_THREADS must be a positive integer", id="abc"),
+        pytest.param("0", [], "DIMLIFT_THREADS must be a positive integer", id="0"),
+        pytest.param("-2", [], "DIMLIFT_THREADS must be a positive integer", id="-2"),
+        pytest.param(None, ["--threads", "0"], "--threads must be a positive integer", id="threads=0"),
+        pytest.param(None, ["--threads", "-3"], "--threads must be a positive integer", id="threads=-3"),
+    ],
+)
+def test_bad_thread_environment_exits_one(env, argv, reason, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("DIMLIFT_THREADS", value)
-    assert main(["gn-limit", "--out", "err"]) == 1
-    assert "DIMLIFT_THREADS must be a positive integer" in capsys.readouterr().err
+    if env is None:
+        monkeypatch.delenv("DIMLIFT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DIMLIFT_THREADS", env)
+    assert main(["gn-limit", "--out", "err"] + argv) == 1
+    assert reason in capsys.readouterr().err
     assert not (tmp_path / "err.json").exists()
+    assert not (tmp_path / "err.manifest.json").exists()
 
 
 def test_seed_beyond_64_bits_exits_one(tmp_path, monkeypatch, capsys):

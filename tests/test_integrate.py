@@ -1,6 +1,8 @@
 """Deterministic quadrature against closed-form moments, and seeded sampling."""
 
+import concurrent.futures
 import math
+import os
 import threading
 
 import numpy as np
@@ -25,6 +27,7 @@ from dimlift import (
 )
 import dimlift.integrate
 from dimlift.errors import AccuracyError
+from dimlift.integrate import _use_threads
 
 
 def _x1sq(x):
@@ -121,7 +124,7 @@ def test_chunked_sums_match_one_block(monkeypatch):
         "window": lambda f: integrate_window(lambda x, t: f(x) * t, 2, (0.3, 1.4), (0.2, 0.9), spec),
     }
 
-    def run(case, budget):
+    def run(case, budget, threads):
         monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", budget)
         largest = []
 
@@ -129,14 +132,104 @@ def test_chunked_sums_match_one_block(monkeypatch):
             largest.append(math.prod(x.shape[:-1]))
             return np.stack([np.cos(x[..., 0]) * np.exp(-np.sum(x * x, axis=-1)), x[..., 1] ** 2], axis=-1)
 
-        return np.asarray(cases[case](f).value), max(largest)
+        with _use_threads(threads):
+            return np.asarray(cases[case](f).value), max(largest)
 
+    # counts are clamped to the CPU count; with 4 CPUs, 2 and 4 threads both run
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for case in cases:
-        whole, whole_max = run(case, 1 << 21)
-        chunked, chunked_max = run(case, 1000)
-        assert chunked_max <= 1000, case
+        whole, whole_max = run(case, 1 << 21, 1)
         assert whole_max > 1000 or case == "sphere", case  # a sphere rule has one radial row
-        np.testing.assert_allclose(chunked, whole, rtol=1e-14, atol=0.0, err_msg=case)
+        chunked = {}
+        for threads in (1, 2, 4):
+            chunked[threads], chunked_max = run(case, 1000, threads)
+            assert chunked_max <= 1000, (case, threads)
+        np.testing.assert_allclose(chunked[1], whole, rtol=1e-14, atol=0.0, err_msg=case)
+        for threads in (2, 4):
+            assert chunked[threads].tobytes() == chunked[1].tobytes(), (case, threads)
+
+
+class _SerialPool:
+    """Stands in for ThreadPoolExecutor: records max_workers and runs each
+    submitted call at once, so no thread is started."""
+
+    def __init__(self, max_workers, created):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def _record_pools(monkeypatch) -> list:
+    created = []
+    monkeypatch.setattr(dimlift.integrate, "ThreadPoolExecutor", lambda max_workers: _SerialPool(max_workers, created))
+    return created
+
+
+def _ones(x):
+    return np.ones(x.shape[:-1])
+
+
+def test_an_integrand_error_in_a_middle_block_propagates(monkeypatch):
+    # 50 radial rows of 100 directions in blocks of 10 rows: the error is in block 2 of 0..4
+    monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", 1000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    omega, wa = dimlift.integrate._sphere_nodes(2, 50, "product-gauss")
+    assert omega.shape[0] == 100
+    r = np.arange(50.0)
+
+    def f(x, rho):
+        if rho[0] == 20.0:
+            raise RuntimeError("middle block")
+        return _ones(x)
+
+    for threads in (1, 2):
+        with _use_threads(threads), pytest.raises(RuntimeError, match="middle block"):
+            dimlift.integrate._polar_sum(f, r, np.ones(50), omega, wa)
+
+
+def test_a_single_block_sum_starts_no_pool(monkeypatch):
+    created = _record_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    with _use_threads(4):
+        # 48 rows of 96 directions at the first level, 96 of 192 at the next: one block each
+        value = integrate_ball(_ones, 2, 1.0).value
+        integrate_sphere(_ones, 3, 1.0)
+        integrate_weighted(_x1sq, "finite", 2, 0.7, n=7)
+    assert abs(value - math.pi) < 1e-11
+    assert created == []
+
+
+def test_thread_count_is_clamped_to_the_cpu_count(monkeypatch):
+    created = _record_pools(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", 1000)
+    with _use_threads(1):
+        serial = integrate_ball(_x1sq, 2, 1.0)
+    assert created == []
+    with _use_threads(10**6):
+        requested = integrate_ball(_x1sq, 2, 1.0)
+    assert created and set(created) == {3}
+    assert requested.value == serial.value
+    # the DIMLIFT_THREADS default and mc_mean's count are clamped the same way
+    created.clear()
+    monkeypatch.setenv("DIMLIFT_THREADS", str(10**6))
+    integrate_ball(_x1sq, 2, 1.0)
+    assert created and set(created) == {3}
+    created.clear()
+    mc_mean(sample_sphere_uniform(3, 1.0, MonteCarloSpec(seed=1, samples=4096, batch=1024)), _x1sq, threads=10**6)
+    assert created == [3]
 
 
 # ---------------------------------------------------------------------------

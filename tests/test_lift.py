@@ -58,7 +58,7 @@ def test_ball_bound_is_attained_exactly_on_constant_rows():
 
 def test_sphere_area_closed_forms():
     assert sphere_area(1) == 2.0
-    assert math.isclose(sphere_area(2), 2 * math.pi, rel_tol=1e-15)
+    assert sphere_area(2) == 2 * math.pi
     assert math.isclose(sphere_area(3), 4 * math.pi, rel_tol=1e-15)
     assert math.isclose(sphere_area(4), 2 * math.pi**2, rel_tol=1e-15)
 
