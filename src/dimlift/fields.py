@@ -57,6 +57,9 @@ class ScalarField:
     smoothness: str = "smooth"
     name: str = ""
     support: tuple | None = None  # ("annulus", r_in, r_out) or None for all of R^N
+    # k when v(y) depends on y only through y_1..y_k and |y|, that is, v is
+    # unchanged by every rotation fixing e_1..e_k; None declares nothing
+    symmetry: int | None = None
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,9 @@ class SphereField:
     energy: Callable  # |Dv|^2, the squared Frobenius norm of the jacobian
     dt: Callable | None = None  # None marks a time-independent map
     name: str = ""
+    # k when the energy |Dv|^2 depends on y only through y_1..y_k and |y|;
+    # None declares nothing
+    symmetry: int | None = None
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,7 @@ def harmonic_polynomial(kind: str, N: int, k: int | None = None) -> ScalarField:
             laplacian=_zeros_like_leading,
             hessian=lambda y: np.zeros(np.asarray(y).shape + (N,)),
             name="x1",
+            symmetry=1,
         )
     if kind == "x1x2":
         if N < 2:
@@ -171,6 +178,7 @@ def harmonic_polynomial(kind: str, N: int, k: int | None = None) -> ScalarField:
             laplacian=_zeros_like_leading,
             hessian=hess,
             name="x1x2",
+            symmetry=2,
         )
     if kind == "re_zk":
         if N != 2:
@@ -557,6 +565,7 @@ def half_space_pair(dim: int, kind: str = "parabolic"):
                 laplacian=lambda y: np.zeros(np.asarray(y).shape[:-1]),
                 smoothness="lipschitz-ae",
                 name="y1_plus" if sign > 0 else "y1_minus",
+                symmetry=1,
             )
 
         return mk(+1.0), mk(-1.0)
@@ -606,6 +615,7 @@ def equator_map(N: int) -> SphereField:
         jacobian=jacobian,
         energy=energy,
         name=f"equator_map(N={N})",
+        symmetry=0,
     )
 
 
@@ -765,6 +775,7 @@ def bump_radial(N: int, r_in: float, r_out: float, k: int = 4) -> ScalarField:
         smoothness=f"C^{k - 1}",
         name=f"bump_radial([{r_in},{r_out}], k={k})",
         support=("annulus", r_in, r_out),
+        symmetry=0,
     )
 
 

@@ -84,8 +84,12 @@ def carleman_elliptic_check(
     def val_sq(y):
         return np.asarray(v.value(y), float) ** 2
 
-    lhs = math.sqrt(integrate_annulus(lap_sq, v.N, (r_in, r_out), spec, radial_power=2.0 * (2.0 - gamma)).value)
-    norm_v = math.sqrt(integrate_annulus(val_sq, v.N, (r_in, r_out), spec, radial_power=-2.0 * gamma).value)
+    lhs = math.sqrt(
+        integrate_annulus(lap_sq, v.N, (r_in, r_out), spec, radial_power=2.0 * (2.0 - gamma), symmetry=v.symmetry).value
+    )
+    norm_v = math.sqrt(
+        integrate_annulus(val_sq, v.N, (r_in, r_out), spec, radial_power=-2.0 * gamma, symmetry=v.symmetry).value
+    )
     rhs = c * norm_v
     ratio = lhs / rhs if rhs > 0.0 else math.inf
     return EllipticCarlemanReport(

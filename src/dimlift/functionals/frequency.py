@@ -44,10 +44,10 @@ def almgren(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -
     """Elliptic frequency r D(r) / H(r) of v centered at the origin."""
     if not r > 0.0:
         raise ValueError("need r > 0")
-    H = integrate_sphere(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, spec).value
+    H = integrate_sphere(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, spec, symmetry=v.symmetry).value
     if H < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"boundary mass H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
-    D = integrate_ball(gradsq(v), v.N, r, spec).value
+    D = integrate_ball(gradsq(v), v.N, r, spec, symmetry=v.symmetry).value
     return FrequencyValues(param=r, H=H, D=D, L=r * D / H)
 
 

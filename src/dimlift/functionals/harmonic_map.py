@@ -18,7 +18,9 @@ def hm_phi(vmap: SphereField, y0, r: float, spec: QuadratureSpec = QuadratureSpe
         raise ValueError("need r > 0")
     N = vmap.dim_domain
     c = None if y0 is None else np.asarray(y0, dtype=float)
-    energy = integrate_ball(lambda y: np.asarray(vmap.energy(y), float), N, r, spec, center=c).value
+    energy = integrate_ball(
+        lambda y: np.asarray(vmap.energy(y), float), N, r, spec, center=c, symmetry=vmap.symmetry
+    ).value
     return r ** (2 - N) * energy
 
 

@@ -77,8 +77,8 @@ def acf_phi(
     if not r > 0.0:
         raise ValueError("need r > 0")
     N = v1.N
-    f1 = integrate_ball(gradsq(v1), N, r, spec, radial_power=2.0 - N).value
-    f2 = integrate_ball(gradsq(v2), N, r, spec, radial_power=2.0 - N).value
+    f1 = integrate_ball(gradsq(v1), N, r, spec, radial_power=2.0 - N, symmetry=v1.symmetry).value
+    f2 = integrate_ball(gradsq(v2), N, r, spec, radial_power=2.0 - N, symmetry=v2.symmetry).value
     return TwoPhaseReport(param=r, factor1=f1, factor2=f2, value=f1 * f2 / r**4)
 
 

@@ -1,13 +1,17 @@
 """Deterministic weighted quadrature and seeded Monte Carlo for lifted measures.
 
-Quadrature rules are product rules: a radial Gauss rule times an angular rule
-on the unit sphere, summed by _polar_sum in blocks of whole radial rows so
-memory stays bounded.  The blocks of one sum run on worker threads and are
-added in block order, so the bits do not depend on the thread count.  Every
-deterministic estimate is refined by node doubling until two successive
-values agree to the requested relative tolerance; if three doublings do not
-stabilize the value, an AccuracyError is raised with the last two estimates,
-and a non-finite value raises at once.
+Quadrature rules are polar: a radial Gauss rule times an angular rule on the
+unit sphere, summed by _polar_sum in blocks of whole radial rows so memory
+stays bounded.  The angular rule is a tensor product of one-dimensional Gauss
+rules, unless the integrand is declared to depend on y only through y_1..y_k
+and |y|: the ball, sphere and annulus integrals then integrate over the
+push-forward of the sphere's measure to those k coordinates, with O(level^k)
+directions for any N instead of O(level^(N-1)).  The blocks of one sum run
+on worker threads and are added in block order, so the bits do not depend on
+the thread count.  Every deterministic estimate is refined by node doubling
+until two successive values agree to the requested relative tolerance; if
+three doublings do not stabilize the value, an AccuracyError is raised with
+the last two estimates, and a non-finite value raises at once.
 
 Monte Carlo sampling is counter-based: batch k of a run is a pure function of
 (seed, k), and partial sums are combined in batch order, so results are
@@ -31,7 +35,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .errors import AccuracyError, UnsupportedConfigError
-from .lift import LiftConfig, lift_point_time
+from .lift import LiftConfig, lift_point_time, sphere_area
 from .weights import _log_sphere_area
 
 __all__ = [
@@ -52,7 +56,7 @@ __all__ = [
     "pushforward_check_ball",
 ]
 
-ANGULAR_RULES = ("product-gauss", "lebedev-like", "tensor-trapezoid")
+ANGULAR_RULES = ("product-gauss",)
 
 # Tail cut for the Gaussian weight: exp(-R^2/4t) = 1e-16 at R = TAIL_FACTOR * sqrt(t).
 TAIL_FACTOR = 2.0 * math.sqrt(16.0 * math.log(10.0))
@@ -209,6 +213,10 @@ def _azimuth_count(level: int) -> int:
     return 4 * max(4, level // 2)
 
 
+def _polar_count(level: int) -> int:
+    return max(6, level // 2)
+
+
 @lru_cache(maxsize=None)
 def _circle_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     m = _azimuth_count(level)
@@ -218,40 +226,25 @@ def _circle_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _fibonacci_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    # equal-weight quasi-uniform S^2 covering (spiral points)
-    m = max(144, level * level // 2)
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    k = np.arange(m) + 0.5
-    z = 1.0 - 2.0 * k / m
-    s = np.sqrt(1.0 - z * z)
-    phi = 2.0 * np.pi * k / golden
-    pts = np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
-    return pts, np.full(m, 4.0 * np.pi / m)
+def _sphere_nodes(N: int, level: int, rule: str, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (m, N) and weights (m,) with sum |S^(N-1)|.
 
-
-@lru_cache(maxsize=None)
-def _sphere_nodes(N: int, level: int, rule: str) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (m, N) and weights (m,) with sum |S^(N-1)|."""
+    k = None gives the tensor product rule on S^(N-1).  0 <= k < N gives the
+    reduced rule, exact only for integrands of omega_1..omega_k alone: the
+    uniform measure on S^(N-1) pushed forward to those coordinates has
+    density |S^(N-k-1)| (1 - |z|^2)^((N-k-2)/2) on the ball B^k, so each node
+    is omega = (z, sqrt(1 - |z|^2), 0, ..., 0) for a node z of that density.
+    """
+    if k is not None:
+        return _reduced_sphere_nodes(N, level, rule, k)
     if N == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if N == 2:
         return _circle_nodes(level)
-    if rule == "lebedev-like":
-        if N != 3:
-            raise UnsupportedConfigError("lebedev-like rule is defined for N = 3 only")
-        return _fibonacci_nodes(level)
 
     sub_pts, sub_w = _sphere_nodes(N - 1, level, rule)
-    if rule == "product-gauss":
-        # x = (sin(theta) w', cos(theta)); Gauss-Jacobi absorbs sin^(N-2)
-        k = max(6, level // 2)
-        u, wu = _jacobi(k, 0.5 * (N - 3), 0.5 * (N - 3))
-    else:  # tensor-trapezoid: midpoint in the polar angle
-        k = max(8, level)
-        theta = np.pi * (np.arange(k) + 0.5) / k
-        u = np.cos(theta)
-        wu = (np.pi / k) * np.sin(theta) ** (N - 2)
+    # x = (sin(theta) w', cos(theta)); Gauss-Jacobi absorbs sin^(N-2)
+    u, wu = _jacobi(_polar_count(level), 0.5 * (N - 3), 0.5 * (N - 3))
     s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
     pts = np.concatenate(
         [s[:, None, None] * sub_pts[None, :, :], np.broadcast_to(u[:, None, None], (len(u), len(sub_w), 1))],
@@ -259,6 +252,39 @@ def _sphere_nodes(N: int, level: int, rule: str) -> tuple[np.ndarray, np.ndarray
     ).reshape(-1, N)
     w = (wu[:, None] * sub_w[None, :]).reshape(-1)
     return pts, w
+
+
+def _reduced_sphere_nodes(N: int, level: int, rule: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+    if k == 0:
+        omega = np.zeros((1, N))
+        omega[0, 0] = 1.0
+        return omega, np.array([sphere_area(N)])
+    # z = |z| theta: the push-forward density in |z|, with as many nodes as
+    # the tensor rule's polar factor, times a rule on S^(k-1)
+    rz, wz = _ball_rule(_polar_count(level), k, 0.5 * (N - k - 2), 1.0, _log_sphere_area(N - k))
+    theta, wt = _sphere_nodes(k, level, rule)
+    omega = np.zeros((len(rz), len(wt), N))
+    omega[..., :k] = rz[:, None, None] * theta
+    omega[..., k] = np.sqrt(np.maximum(0.0, 1.0 - rz * rz))[:, None]
+    return omega.reshape(-1, N), (wz[:, None] * wt).reshape(-1)
+
+
+def _reduced_k(N: int, symmetry: int | None, center) -> int | None:
+    """The k of the reduced angular rule for an integrand declared to depend
+    on y only through y_1..y_k and |y|, or None for the tensor rule.
+
+    The reduction needs a center in the span of e_1..e_k, so that the
+    integrand is still a function of omega_1..omega_k on every sphere about
+    the center.  It is used for k <= N - 2 only: at k = N - 1 it saves at most
+    half the directions, and its Gauss-Jacobi parameter -1/2 loses about 5e-14
+    at level 96.  At N <= 2 the tensor rule is a single circle rule and is
+    kept.
+    """
+    if symmetry is None or N < 3 or not 0 <= symmetry <= N - 2:
+        return None
+    if center is not None and np.any(np.asarray(center)[symmetry:] != 0.0):
+        return None
+    return symmetry
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +387,31 @@ def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarr
 # weighted integrals on R^d
 
 
+def _ball_rule(level: int, d: int, expo: float, r_max: float, log_pref: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radial nodes r and weights w for the push-forward density on a ball:
+
+        sum_ij w_i wa_j g(r_i omega_j) ~ int_{|x| <= r_max} g(x) e^log_pref (1 - |x|^2/r_max^2)^expo dx
+
+    with (omega, wa) = _sphere_nodes(d, level, rule).  Projecting the
+    uniform measure on a sphere in R^N onto d coordinates gives this density
+    with expo = (N - d - 2)/2.
+    """
+    if d % 2 == 1:
+        # r = R s with the symmetric rule for (1 - s^2)^expo; folding the
+        # +-s node pairs into the antipodal angular pairs keeps r^{d-1}
+        # times the angular average smooth even when g has an integrable
+        # pole at the origin, and it avoids the Jacobi parameter -1/2 of
+        # the generic substitution, which loses ~1e-11 at high degree
+        lev = level + (level % 2)
+        s, ws = _jacobi(lev, expo, expo)
+        half = lev // 2
+        return r_max * s[half:], r_max**d * math.exp(log_pref) * ws[half:] * s[half:] ** (d - 1)
+    # s = 2 r^2 / R^2 - 1 turns the rim factor into a Gauss-Jacobi weight
+    s, ws = _jacobi(level, expo, 0.5 * d - 1.0)
+    coeff = 0.5 * r_max**d * 2.0 ** (-(expo + 0.5 * d)) * math.exp(log_pref)
+    return r_max * np.sqrt(0.5 * (1.0 + s)), coeff * ws
+
+
 def _weighted_slice(phi, weight: str, d: int, t: float, level: int, rule: str, n: int | None):
     """One fixed-level evaluation of int phi(x) w(x) dx; phi maps (..., d) -> (...) or (..., K)."""
     omega, wa = _sphere_nodes(d, level, rule)
@@ -382,26 +433,8 @@ def _weighted_slice(phi, weight: str, d: int, t: float, level: int, rule: str, n
             # uniform law on the sphere |x| = sqrt(2dt), with no density at all
             value, count = _polar_sum(integrand, np.array([math.sqrt(2.0 * d * t)]), np.ones(1), omega, wa)
             return value / math.exp(_log_sphere_area(d)), count
-        r_max = math.sqrt(2.0 * nd * t)
-        expo = 0.5 * (nd - d - 2)
         log_pref = _log_sphere_area(nd - d) - _log_sphere_area(nd) - 0.5 * d * math.log(2.0 * nd * t)
-        if d % 2 == 1:
-            # r = R s with the symmetric rule for (1 - s^2)^expo; folding the
-            # +-s node pairs into the antipodal angular pairs keeps r^{d-1}
-            # times the angular average smooth even when phi has an integrable
-            # pole at the origin, and it avoids the Jacobi parameter -1/2 of
-            # the generic substitution, which loses ~1e-11 at high degree
-            lev = level + (level % 2)
-            s, ws = _jacobi(lev, expo, expo)
-            half = lev // 2
-            r = r_max * s[half:]
-            radial_w = r_max**d * math.exp(log_pref) * ws[half:] * s[half:] ** (d - 1)
-        else:
-            # s = 2 r^2 / R^2 - 1 turns the rim factor into a Gauss-Jacobi weight
-            s, ws = _jacobi(level, expo, 0.5 * d - 1.0)
-            r = r_max * np.sqrt(0.5 * (1.0 + s))
-            coeff = 0.5 * r_max**d * 2.0 ** (-(expo + 0.5 * d)) * math.exp(log_pref)
-            radial_w = coeff * ws
+        r, radial_w = _ball_rule(level, d, 0.5 * (nd - d - 2), math.sqrt(2.0 * nd * t), log_pref)
     else:
         raise ValueError(f"unknown weight kind {weight!r}")
     return _polar_sum(integrand, r, radial_w, omega, wa)
@@ -464,12 +497,15 @@ def integrate_spacetime(
 # plain ball / sphere / window integrals (no probability weight)
 
 
-def _integrate_shell(f, N: int, r0: float, r1: float, spec: QuadratureSpec, center, radial_power: float):
+def _integrate_shell(
+    f, N: int, r0: float, r1: float, spec: QuadratureSpec, center, radial_power: float, symmetry: int | None
+):
     """int_{r0 <= |y - center| <= r1} f(y) |y - center|^radial_power dy; a ball has r0 = 0."""
     power = N - 1 + radial_power
+    k = _reduced_k(N, symmetry, center)
 
     def eval_at(level: int):
-        omega, wa = _sphere_nodes(N, level, spec.angular_rule)
+        omega, wa = _sphere_nodes(N, level, spec.angular_rule, k)
         if r0 == 0.0 and not float(power).is_integer():
             # rho = r1 (1 + s) / 2: Gauss-Jacobi(0, power) absorbs the
             # non-smooth rho^power, which no Legendre rule resolves at the origin
@@ -489,17 +525,21 @@ def integrate_ball(
     spec: QuadratureSpec = QuadratureSpec(),
     center=None,
     radial_power: float = 0.0,
+    symmetry: int | None = None,
 ) -> IntegralEstimate:
     """int_{B_r(center)} f(y) |y - center|^radial_power dy.
 
     The power can be as singular as 1 - N; it is folded into the radial rule.
+    symmetry = k declares that f depends on y only through y_1..y_k and |y|;
+    the reduced angular rule of _sphere_nodes is then used where it applies
+    (see _reduced_k), and the tensor rule everywhere else.
     """
     if not r > 0.0:
         raise ValueError(f"need r > 0, got r={r}")
     if radial_power <= -N:
         raise ValueError("radial_power must exceed -N for an integrable weight")
     c = None if center is None else np.asarray(center, dtype=float)
-    return _integrate_shell(f, N, 0.0, r, spec, c, radial_power)
+    return _integrate_shell(f, N, 0.0, r, spec, c, radial_power, symmetry)
 
 
 def integrate_annulus(
@@ -508,12 +548,13 @@ def integrate_annulus(
     r_range: tuple[float, float],
     spec: QuadratureSpec = QuadratureSpec(),
     radial_power: float = 0.0,
+    symmetry: int | None = None,
 ) -> IntegralEstimate:
-    """int_{r0 <= |y| <= r1} f(y) |y|^radial_power dy."""
+    """int_{r0 <= |y| <= r1} f(y) |y|^radial_power dy; symmetry as in integrate_ball."""
     r0, r1 = r_range
     if not 0.0 <= r0 < r1:
         raise ValueError("need 0 <= r0 < r1")
-    return _integrate_shell(f, N, r0, r1, spec, None, radial_power)
+    return _integrate_shell(f, N, r0, r1, spec, None, radial_power, symmetry)
 
 
 def integrate_sphere(
@@ -522,14 +563,16 @@ def integrate_sphere(
     r: float,
     spec: QuadratureSpec = QuadratureSpec(),
     center=None,
+    symmetry: int | None = None,
 ) -> IntegralEstimate:
-    """Surface integral int_{bd B_r(center)} f dS."""
+    """Surface integral int_{bd B_r(center)} f dS; symmetry as in integrate_ball."""
     if not r > 0.0:
         raise ValueError(f"need r > 0, got r={r}")
     c = None if center is None else np.asarray(center, dtype=float)
+    k = _reduced_k(N, symmetry, c)
 
     def eval_at(level: int):
-        omega, wa = _sphere_nodes(N, level, spec.angular_rule)
+        omega, wa = _sphere_nodes(N, level, spec.angular_rule, k)
         return _polar_sum(lambda x, _: f(x), np.array([r]), np.array([r ** (N - 1)]), omega, wa, c)
 
     return _estimate(eval_at, spec)

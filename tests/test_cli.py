@@ -142,6 +142,10 @@ def test_seed_beyond_64_bits_exits_one(tmp_path, monkeypatch, capsys):
         ["two-phase", "--kind", "elliptic", "--N", "3"],
         # n*d = 320 at the largest default n
         ["mcf", "--which", "lifted", "--d", "2"],
+        # N >= 5 through the reduced angular rules of the declared fields
+        ["harmonic-map", "--which", "phi", "--N", "5"],
+        ["frequency", "--elliptic", "--field", "x1x2", "--N", "10"],
+        ["carleman", "--elliptic", "--N", "6"],
     ],
 )
 def test_checks_beyond_the_default_dimension_pass(argv, tmp_path, monkeypatch):
