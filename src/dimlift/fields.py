@@ -438,45 +438,53 @@ def caloric_from_csv(path, T: float) -> SpaceTimeField:
     return _kernel_sum_field(xi, cell * vals, T, d, name=f"caloric_from_csv(T={T})")
 
 
+# Largest (points, M, d) temporary a kernel-sum field builds at once, in
+# bytes; longer point lists are evaluated in chunks of points.
+_KERNEL_CHUNK_BYTES = 32 << 20
+
+
 def _kernel_sum_field(xi: np.ndarray, coeff: np.ndarray, T: float, d: int, name: str) -> SpaceTimeField:
     xi = np.asarray(xi, float).reshape(-1, d)
     coeff = np.asarray(coeff, float)
 
-    def prepare(x, t):
-        t = float(t) if np.ndim(t) == 0 else np.asarray(t, float)
-        if np.any(np.abs(T - np.asarray(t)) < 1e-3):
+    def kernel_sum(x, t, term: int, vector: bool):
+        """sum_m coeff_m K(x - xi_m, T - t) for the kernel term K of
+        _kernel_terms, over the points of x (..., d) and the times t that
+        broadcast against x[..., 0].  Each point's sum is one pairwise sum
+        over m, so the bits do not depend on the chunking."""
+        t = np.asarray(t, float)
+        if np.any(np.abs(T - t) < 1e-3):
             raise AccuracyError(f"cannot evaluate within 1e-3 of the data time T = {T}")
         x = np.asarray(x, float)
-        z = x[..., None, :] - xi  # (..., M, d)
-        s = np.broadcast_to(np.asarray(T - np.asarray(t), float)[..., None], z.shape[:-1])
-        return z, s
+        lead = np.broadcast_shapes(x.shape[:-1], t.shape)
+        pts = np.broadcast_to(x, lead + (d,)).reshape(-1, d)
+        s = np.broadcast_to(T - t, lead).reshape(-1)
+        chunk = max(1, _KERNEL_CHUNK_BYTES // (8 * len(xi) * d))
+        parts = []
+        for lo in range(0, max(len(pts), 1), chunk):
+            z = pts[lo : lo + chunk, None, :] - xi  # (chunk, M, d)
+            k = _kernel_terms(z, np.broadcast_to(s[lo : lo + chunk, None], z.shape[:-1]), d)[term]
+            del z
+            parts.append(np.sum(k * coeff[:, None], axis=-2) if vector else np.sum(k * coeff, axis=-1))
+        return np.concatenate(parts).reshape(lead + ((d,) if vector else ()))
 
     def value(x, t):
-        z, s = prepare(x, t)
-        g, *_ = _kernel_terms(z, s, d)
-        return g @ coeff
+        return kernel_sum(x, t, 0, False)
 
     def grad(x, t):
-        z, s = prepare(x, t)
-        _, gr, *_ = _kernel_terms(z, s, d)
-        return np.einsum("...md,m->...d", gr, coeff)
+        return kernel_sum(x, t, 1, True)
 
     def laplacian(x, t):
-        z, s = prepare(x, t)
-        lap = _kernel_terms(z, s, d)[2]
-        return lap @ coeff
+        return kernel_sum(x, t, 2, False)
 
     def dt(x, t):
         return -laplacian(x, t)
 
     def grad_dt(x, t):
-        z, s = prepare(x, t)
-        gl = _kernel_terms(z, s, d)[3]
-        return -np.einsum("...md,m->...d", gl, coeff)
+        return -kernel_sum(x, t, 3, True)
 
     def dtt(x, t):
-        z, s = prepare(x, t)
-        return _kernel_terms(z, s, d)[4] @ coeff
+        return kernel_sum(x, t, 4, False)
 
     return SpaceTimeField(
         d=d,

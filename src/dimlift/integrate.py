@@ -2,9 +2,11 @@
 
 Quadrature rules are polar: a radial Gauss rule times an angular rule on the
 unit sphere, summed by _polar_sum in blocks of whole radial rows so memory
-stays bounded.  The angular rule is a tensor product of one-dimensional Gauss
-rules, unless the integrand is declared to depend on y only through y_1..y_k
-and |y|: the ball, sphere and annulus integrals then integrate over the
+stays bounded.  A space-time integral stacks its time nodes as leading rows
+of one such sum, so the integrand is called once per block, not once per
+node.  The angular rule is a tensor product of one-dimensional Gauss rules,
+unless the integrand is declared to depend on y only through y_1..y_k and
+|y|: the ball, sphere and annulus integrals then integrate over the
 push-forward of the sphere's measure to those k coordinates, with O(level^k)
 directions for any N instead of O(level^(N-1)).  The blocks of one sum run
 on worker threads and are added in block order, so the bits do not depend on
@@ -65,8 +67,11 @@ TAIL_FACTOR = 2.0 * math.sqrt(16.0 * math.log(10.0))
 # polar sum.  Radial rows are never split, so a single row (one angular rule)
 # larger than this still goes in one call.  Up to `threads` blocks are in
 # flight at once; the block size does not depend on the thread count, which
-# keeps the sums bit-identical for any count.
-_CHUNK_POINTS = 1 << 20
+# keeps the sums bit-identical for any count.  At 2^14 points a block's
+# coordinates and the integrand's temporaries stay in a core's L2 cache, and
+# the time-stacked sums of d <= 2 split into enough blocks for every worker;
+# larger blocks ran faster on two workers but held more memory in flight.
+_CHUNK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -169,22 +174,26 @@ def _use_threads(threads: int) -> Iterator[None]:
         _requested_threads.reset(token)
 
 
-def _ordered_map(fn, items: Iterable, threads: int) -> Iterator:
+def _ordered_map(fn, items: Iterable, threads: int, window: int | None = None) -> Iterator:
     """fn(item) for each item, yielded in item order.
 
     With threads > 1 the calls run on a pool of that many worker threads; at
-    most `threads` are in flight, and items are drawn lazily, one per call
-    submitted.  With threads <= 1 they run in the calling thread, with no pool.
-    An exception raised by fn is raised here when its result is reached.
+    most `window` (default `threads`) calls are submitted and not yet
+    yielded, and items are drawn lazily, one per call submitted.  A window
+    wider than `threads` keeps the workers busy past a slow call at the head
+    of the order; calls past the first `threads` wait in the pool's queue.
+    With threads <= 1 they run in the calling thread, with no pool.  An
+    exception raised by fn is raised here when its result is reached.
     """
     if threads <= 1:
         yield from map(fn, items)
         return
+    window = threads if window is None else window
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for item in items:
             pending.append(pool.submit(fn, item))
-            if len(pending) >= threads:
+            if len(pending) >= window:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
@@ -343,44 +352,78 @@ def _legendre_rule(k: int, a: float, b, power: float = 0.0) -> tuple[np.ndarray,
     return nodes, half * wleg * nodes**power
 
 
-def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarray, center=None):
+def _contract(w: np.ndarray, wa: np.ndarray, vals: np.ndarray):
+    """sum_ij w_i wa_j vals[i, j, ...] over one slice's rows of a block."""
+    if w.ndim == 1:
+        # angular axis first, then radial, with the dot calls np.tensordot
+        # makes: another order, or one dot over several slices, changes the
+        # last bits (BLAS treats output columns in groups)
+        ang = np.dot(wa[None, :], vals.swapaxes(0, 1).reshape(len(wa), -1))
+        return np.dot(w[None, :], ang.reshape(len(w), -1)).reshape(vals.shape[2:])
+    # per-direction weights: one pairwise sum over the block
+    wb = (w * wa).reshape(w.shape + (1,) * (vals.ndim - 2))
+    return np.sum(wb * vals, axis=(0, 1))
+
+
+def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarray, center=None, t=None):
     """sum_ij wr_i wa_j f(center + r_i omega_j), with the point count.
 
     r and wr are radial nodes and weights, shape (kr,) or per direction
     (kr, ka); omega (ka, N) and wa (ka,) are the angular rule.  f(x, rho)
-    gets the points x (rows, ka, N) of a block of whole radial rows, at most
-    _CHUNK_POINTS of them unless one row is larger, and rho, the same rows
-    of r.  f returns (rows, ka) or (rows, ka, K); the component axis is kept.
+    gets the points x (rows, ka, N) of a block of whole radial rows and rho,
+    the same rows of r.  f returns (rows, ka) or (rows, ka, K); the component
+    axis is kept.
 
-    A sum of several blocks evaluates them on _worker_count() threads, each
-    block's points, f and contraction on one thread; the partial sums are
-    added in block order, so the bits do not depend on the thread count.  f
-    must be safe to call from several threads at once.
+    With node times t (T,) the sum has a leading time axis: r and wr are
+    (T, kr), one radial rule per time node, each row is a (time node, radial
+    node) pair, and the result is the T unweighted sums, shape (T,) or
+    (T, K).  f(x, t) then gets the times of the rows, shape (rows, 1).
+
+    A block has at most _CHUNK_POINTS points unless one row is larger.  It
+    holds whole slices (the rows of one time node) or, when a slice is larger
+    than a block, one piece of a slice, cut every _CHUNK_POINTS // ka rows.
+    Each slice is contracted on its own and its pieces are added in order, so
+    its sum has the same bits whatever other slices share its blocks.  A sum
+    of several blocks evaluates them on _worker_count() threads, each block's
+    points, f and contraction on one thread, and adds the partials in block
+    order, so the bits do not depend on the thread count either.  f must be
+    safe to call from several threads at once.
     """
     ka = omega.shape[0]
     step = max(1, _CHUNK_POINTS // ka)
+    timed = t is not None
+    if not timed:
+        r, wr = r[None], wr[None]
+    T, kr = r.shape[:2]
+    if kr > step:
+        blocks = [(i, i + 1, lo, min(lo + step, kr)) for i in range(T) for lo in range(0, kr, step)]
+    else:
+        per = step // kr
+        blocks = [(i, min(i + per, T), 0, kr) for i in range(0, T, per)]
 
-    def block(lo: int):
-        rho = r[lo : lo + step]
-        w = wr[lo : lo + step]
+    def block(bounds):
+        i0, i1, lo, hi = bounds
+        m = hi - lo
+        rho = r[i0:i1, lo:hi].reshape((-1,) + r.shape[2:])
         x = rho.reshape(len(rho), -1, 1) * omega
         if center is not None:
             x += center  # in place: a second copy would double the block's largest array
-        vals = np.asarray(f(x, rho), dtype=float)
+        vals = np.asarray(f(x, np.repeat(t[i0:i1], m)[:, None] if timed else rho), dtype=float)
         del x  # free the points before the contraction
-        if w.ndim == 1:
-            # angular axis first, then radial: another order changes the last bits
-            return np.tensordot(w, np.tensordot(wa, vals, axes=([0], [1])), axes=([0], [0]))
-        # per-direction weights: one pairwise sum over the block
-        wb = (w * wa).reshape(w.shape + (1,) * (vals.ndim - 2))
-        return np.sum(wb * vals, axis=(0, 1))
+        return [_contract(wr[i, lo:hi], wa, vals[(i - i0) * m : (i - i0 + 1) * m]) for i in range(i0, i1)]
 
-    starts = range(0, len(r), step)
-    acc = 0.0
-    for partial in _ordered_map(block, starts, 1 if len(starts) < 2 else _worker_count()):
-        acc = acc + partial
-    acc = np.asarray(acc)
-    return (float(acc) if acc.ndim == 0 else acc), len(r) * ka
+    acc = [0.0] * T
+    threads = 1 if len(blocks) < 2 else _worker_count()
+    # a slice's last piece can be far smaller than a block; a queue of
+    # blocks beyond the ones running keeps every worker busy meanwhile
+    for (i0, _, _, _), partials in zip(blocks, _ordered_map(block, blocks, threads, 4 * threads)):
+        for i, partial in enumerate(partials, i0):
+            acc[i] = acc[i] + partial
+    count = T * kr * ka
+    if timed:
+        return np.array(acc), count
+    value = np.asarray(acc[0])
+    return (float(value) if value.ndim == 0 else value), count
 
 
 # ---------------------------------------------------------------------------
@@ -412,32 +455,49 @@ def _ball_rule(level: int, d: int, expo: float, r_max: float, log_pref: float) -
     return r_max * np.sqrt(0.5 * (1.0 + s)), coeff * ws
 
 
-def _weighted_slice(phi, weight: str, d: int, t: float, level: int, rule: str, n: int | None):
-    """One fixed-level evaluation of int phi(x) w(x) dx; phi maps (..., d) -> (...) or (..., K)."""
-    omega, wa = _sphere_nodes(d, level, rule)
+def _weighted_rule(weight: str, d: int, t: float, level: int, n: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Radial nodes and weights (kr,) of the weight w_t:
 
-    def integrand(x, _):
-        return phi(x)
+        sum_ij w_i wa_j phi(r_i omega_j) ~ int phi(x) w_t(x) dx
 
+    with (omega, wa) = _sphere_nodes(d, level, rule).  The finite weight at
+    n = 1 is the uniform law on the sphere |x| = sqrt(2dt), with no density;
+    its rule is that one radius with weight 1, and the sum must still be
+    divided by |S^(d-1)|.
+    """
     if weight == "gaussian":
         r, radial_w = _legendre_rule(level, 0.0, TAIL_FACTOR * math.sqrt(t), d - 1)
-        radial_w = radial_w * np.exp(-r * r / (4.0 * t) - 0.5 * d * math.log(4.0 * math.pi * t))
-    elif weight == "finite":
+        return r, radial_w * np.exp(-r * r / (4.0 * t) - 0.5 * d * math.log(4.0 * math.pi * t))
+    if weight == "finite":
         if n is None:
             raise ValueError("finite weight needs the step count n")
         if n < 1:
             raise UnsupportedConfigError(f"finite weight needs n >= 1; got n={n}")
-        nd = n * d
         if n == 1:
             # single step per coordinate: the push-forward measure is the
-            # uniform law on the sphere |x| = sqrt(2dt), with no density at all
-            value, count = _polar_sum(integrand, np.array([math.sqrt(2.0 * d * t)]), np.ones(1), omega, wa)
-            return value / math.exp(_log_sphere_area(d)), count
+            # uniform law on the sphere, with no density at all
+            return np.array([math.sqrt(2.0 * d * t)]), np.ones(1)
+        nd = n * d
         log_pref = _log_sphere_area(nd - d) - _log_sphere_area(nd) - 0.5 * d * math.log(2.0 * nd * t)
-        r, radial_w = _ball_rule(level, d, 0.5 * (nd - d - 2), math.sqrt(2.0 * nd * t), log_pref)
-    else:
-        raise ValueError(f"unknown weight kind {weight!r}")
-    return _polar_sum(integrand, r, radial_w, omega, wa)
+        return _ball_rule(level, d, 0.5 * (nd - d - 2), math.sqrt(2.0 * nd * t), log_pref)
+    raise ValueError(f"unknown weight kind {weight!r}")
+
+
+def _weighted_sums(f, weight: str, d: int, ts: np.ndarray, level: int, rule: str, n: int | None):
+    """int f(x, t) w_t(x) dx at each time of ts (T,) in one polar sum: the T
+    values, shape (T,) or (T, K), and the evaluation count.  f(x, t) gets t
+    of shape (rows, 1)."""
+    omega, wa = _sphere_nodes(d, level, rule)
+    rules = [_weighted_rule(weight, d, tq, level, n) for tq in ts]
+    values, count = _polar_sum(f, np.stack([r for r, _ in rules]), np.stack([w for _, w in rules]), omega, wa, t=ts)
+    if weight == "finite" and n == 1:
+        values = values / math.exp(_log_sphere_area(d))
+    return values, count
+
+
+def _time_sum(wt: np.ndarray, values: np.ndarray):
+    """sum_q wt_q values_q, added in node order."""
+    return np.cumsum(wt.reshape((-1,) + (1,) * (values.ndim - 1)) * values, axis=0)[-1]
 
 
 def integrate_weighted(
@@ -455,7 +515,14 @@ def integrate_weighted(
     """
     if not t > 0.0:
         raise ValueError(f"need t > 0, got t={t}")
-    return _estimate(lambda lvl: _weighted_slice(phi, weight, d, t, lvl, spec.angular_rule, n), spec)
+
+    def eval_at(level: int):
+        # the one-time-node case of the time-stacked sum
+        values, count = _weighted_sums(lambda x, _: phi(x), weight, d, np.array([t]), level, spec.angular_rule, n)
+        value = values[0]
+        return (float(value) if value.ndim == 0 else value), count
+
+    return _estimate(eval_at, spec)
 
 
 def _time_rule(spec: QuadratureSpec, level: int, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
@@ -474,18 +541,19 @@ def integrate_spacetime(
     """int_0^tau int_{R^d} phi(x, t) w_t(x) dx dt.
 
     Time nodes are Gauss points interior to (0, tau); integrands that blow up
-    as t -> 0 are usable as long as they are integrable there.
+    as t -> 0 are usable as long as they are integrable there.  All time
+    nodes go through one polar sum, so phi(x, t) gets the points x of
+    several nodes at once, shape (rows, ka, d), and t as an array of shape
+    (rows, 1) that broadcasts against x[..., 0]; an integrand with a
+    component axis needs t[..., None] to broadcast against that axis.
     """
     if not tau > 0.0:
         raise ValueError(f"need tau > 0, got tau={tau}")
 
     def eval_at(level: int):
-        total = None
-        count = 0
-        for tq, wq in zip(*_time_rule(spec, level, 0.0, tau)):
-            sl, cnt = _weighted_slice(lambda x: phi(x, tq), weight, d, tq, level, spec.angular_rule, n)
-            count += cnt
-            total = wq * _as_vector(sl) if total is None else total + wq * _as_vector(sl)
+        ts, wt = _time_rule(spec, level, 0.0, tau)
+        values, count = _weighted_sums(phi, weight, d, ts, level, spec.angular_rule, n)
+        total = _as_vector(_time_sum(wt, values))
         if total.size == 1:
             return float(total[0]), count
         return total, count
@@ -585,7 +653,12 @@ def integrate_window(
     t_range: tuple[float, float],
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> IntegralEstimate:
-    """int_{t0}^{t1} int_{r0 <= |x| <= r1} f(x, t) dx dt over a smooth window."""
+    """int_{t0}^{t1} int_{r0 <= |x| <= r1} f(x, t) dx dt over a smooth window.
+
+    All time nodes go through one polar sum: f(x, t) gets t as an array of
+    shape (rows, 1) that broadcasts against x[..., 0], as in
+    integrate_spacetime.
+    """
     r0, r1 = r_range
     t0, t1 = t_range
     if not (0.0 <= r0 < r1 and 0.0 < t0 < t1):
@@ -595,11 +668,9 @@ def integrate_window(
         omega, wa = _sphere_nodes(d, level, spec.angular_rule)
         rho, wr = _legendre_rule(level, r0, r1, d - 1)
         ts, wt = _time_rule(spec, level, t0, t1)
-        total = 0.0
-        for tq, wq in zip(ts, wt):
-            value, _ = _polar_sum(lambda x, _: f(x, tq), rho, wr, omega, wa)
-            total += wq * value
-        return total, ts.size * rho.size * omega.shape[0]
+        shape = (len(ts), len(rho))
+        values, count = _polar_sum(f, np.broadcast_to(rho, shape), np.broadcast_to(wr, shape), omega, wa, t=ts)
+        return _time_sum(wt, values), count
 
     return _estimate(eval_at, spec)
 

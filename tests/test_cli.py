@@ -60,8 +60,9 @@ def test_reruns_and_thread_counts_are_byte_identical(tmp_path, monkeypatch):
     # counts are clamped to the CPU count; with 4 CPUs, --threads 4 runs 4 workers
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     payloads = {}
-    # at the default block size every FAST_ARGS quadrature is one block; at
-    # 1000 points the N=2 and N=3 sums span many blocks, run on the pool
+    # at the default block size the N=2 sums of level 96 and up already span
+    # several blocks; at 1000 points the N=2 and N=3 sums span many blocks,
+    # run on the pool
     runs = [("a", 4, None), ("b", 4, None), ("c", 1, None), ("small4", 4, 1000), ("small1", 1, 1000)]
     for label, threads, budget in runs:
         if budget is not None:

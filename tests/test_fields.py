@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import dimlift.fields
 from dimlift.errors import AccuracyError
 from dimlift.fields import (
     bump_radial,
@@ -167,6 +168,34 @@ def test_caloric_from_csv_rejects_ragged_grids(tmp_path):
             w.writerow([x, 1.0])
     with pytest.raises(ValueError):
         caloric_from_csv(path, T=1.0)
+
+
+@pytest.mark.parametrize("d, nodes", [(1, 128), (2, 16)])
+def test_kernel_fields_evaluate_in_bounded_chunks(d, nodes, rng, monkeypatch):
+    u = caloric_from_data(lambda x: np.exp(-np.sum(np.asarray(x, float) ** 2, axis=-1)), T=2.0, d=d, nodes=nodes)
+    # a polar block's layout: rows of points, and times of shape (rows, 1)
+    x = rng.uniform(-1.0, 1.0, size=(7, 5, d))
+    t = rng.uniform(0.2, 1.5, size=(7, 1))
+    parts = ("value", "grad", "laplacian", "dt", "grad_dt", "dtt")
+    whole = {p: np.asarray(getattr(u, p)(x, t)) for p in parts}  # 35 points: one chunk
+    assert whole["value"].shape == (7, 5) and whole["grad"].shape == (7, 5, d)
+
+    widest = []
+    kernel_terms = dimlift.fields._kernel_terms
+
+    def recording(z, s, dd):
+        widest.append(z.nbytes)
+        return kernel_terms(z, s, dd)
+
+    monkeypatch.setattr(dimlift.fields, "_kernel_terms", recording)
+    point_bytes = 8 * nodes**d * d
+    for per_chunk in (1, 3):
+        monkeypatch.setattr(dimlift.fields, "_KERNEL_CHUNK_BYTES", per_chunk * point_bytes)
+        widest.clear()
+        for p in parts:
+            chunked = np.asarray(getattr(u, p)(x, t))
+            assert chunked.tobytes() == whole[p].tobytes(), (p, per_chunk)
+        assert max(widest) == per_chunk * point_bytes
 
 
 # ---------------------------------------------------------------------------

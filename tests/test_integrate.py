@@ -121,7 +121,7 @@ def test_chunked_sums_match_one_block(monkeypatch):
         "sphere": lambda f: integrate_sphere(f, 2, 1.1, spec, center=[0.3, 0.0]),
         "gaussian": lambda f: integrate_weighted(f, "gaussian", 2, 0.7, spec),
         "finite": lambda f: integrate_weighted(f, "finite", 2, 0.7, spec, n=7),
-        "window": lambda f: integrate_window(lambda x, t: f(x) * t, 2, (0.3, 1.4), (0.2, 0.9), spec),
+        "window": lambda f: integrate_window(lambda x, t: f(x) * t[..., None], 2, (0.3, 1.4), (0.2, 0.9), spec),
     }
 
     def run(case, budget, threads):
@@ -147,6 +147,86 @@ def test_chunked_sums_match_one_block(monkeypatch):
         np.testing.assert_allclose(chunked[1], whole, rtol=1e-14, atol=0.0, err_msg=case)
         for threads in (2, 4):
             assert chunked[threads].tobytes() == chunked[1].tobytes(), (case, threads)
+
+
+def _per_node_estimate(case, phi, d, n, spec, shapes):
+    """The estimate of the time-axis case with the engine called once per
+    time node, and the weighted slices added one node at a time; shapes gets
+    (time nodes, radial nodes, directions) of each level tried."""
+    I = dimlift.integrate
+
+    def eval_at(level: int):
+        if case == "window":
+            ts, wt = I._time_rule(spec, level, 0.2, 0.9)
+            omega, wa = I._sphere_nodes(d, level, spec.angular_rule)
+            rho, wr = I._legendre_rule(level, 0.3, 1.4, d - 1)
+
+            def one(q):
+                return I._polar_sum(phi, rho[None], wr[None], omega, wa, t=ts[q : q + 1])
+
+        else:
+            ts, wt = I._time_rule(spec, level, 0.0, 0.7)
+
+            def one(q):
+                return I._weighted_sums(phi, case, d, ts[q : q + 1], level, spec.angular_rule, n)
+
+        ka = I._sphere_nodes(d, level, spec.angular_rule)[0].shape[0]
+        total, count = None, 0
+        for q in range(len(ts)):
+            values, cnt = one(q)
+            total = wt[q] * values[0] if total is None else total + wt[q] * values[0]
+            count += cnt
+        shapes.append((len(ts), cnt // ka, ka))
+        return total, count
+
+    return I._estimate(eval_at, spec)
+
+
+def _block_count(T: int, kr: int, ka: int, budget: int) -> int:
+    # blocks of whole slices, or pieces of a slice larger than a block
+    step = max(1, budget // ka)
+    return T * -(-kr // step) if kr > step else -(-T // (step // kr))
+
+
+@pytest.mark.parametrize(
+    "case, n", [("gaussian", None), ("finite", 1), ("finite", 7), ("window", None)], ids=["gauss", "n1", "n7", "window"]
+)
+@pytest.mark.parametrize("d", [1, 2])
+def test_time_axis_matches_the_per_node_loop(case, n, d, monkeypatch):
+    spec = QuadratureSpec()
+    calls = []
+
+    def phi(x, t):
+        calls.append(x.shape)
+        rr = np.sum(x * x, axis=-1)
+        a = np.exp(-t * rr) * (1.0 + x[..., 0] ** 2)
+        if d == 1:
+            return a
+        return np.stack([a, t * t * x[..., 1] ** 2 + t], axis=-1)
+
+    def stacked():
+        if case == "window":
+            return integrate_window(phi, d, (0.3, 1.4), (0.2, 0.9), spec)
+        return integrate_spacetime(phi, case, d, 0.7, spec, n=n)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for budget in (dimlift.integrate._CHUNK_POINTS, 1000):
+        monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", budget)
+        shapes = []
+        with _use_threads(1):
+            ref = _per_node_estimate(case, phi, d, n, spec, shapes)
+        for threads in (1, 2, 4):
+            calls.clear()
+            with _use_threads(threads):
+                got = stacked()
+            assert np.asarray(got.value).tobytes() == np.asarray(ref.value).tobytes(), (budget, threads)
+            assert got.evaluations == ref.evaluations
+            assert len(calls) == sum(_block_count(*shape, budget) for shape in shapes), (budget, threads)
+            # some block holds the rows of several time nodes, unless every
+            # slice is over the budget
+            kr_of = {ka: kr for _, kr, ka in shapes}
+            assert any(rows > kr_of[ka] for rows, ka, _ in calls) or (d == 2 and budget == 1000)
+            assert max(math.prod(s[:-1]) for s in calls) <= budget
 
 
 class _SerialPool:
@@ -202,13 +282,35 @@ def test_an_integrand_error_in_a_middle_block_propagates(monkeypatch):
 def test_a_single_block_sum_starts_no_pool(monkeypatch):
     created = _record_pools(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    small = QuadratureSpec(radial_nodes=24, time_nodes=24)
     with _use_threads(4):
-        # 48 rows of 96 directions at the first level, 96 of 192 at the next: one block each
-        value = integrate_ball(_ones, 2, 1.0).value
+        # 24 rows of 48 directions at the first level, 48 of 96 at the next
+        value = integrate_ball(_ones, 2, 1.0, small).value
+        # one row of 24 x 96, then of 48 x 192 directions
         integrate_sphere(_ones, 3, 1.0)
-        integrate_weighted(_x1sq, "finite", 2, 0.7, n=7)
+        # 24 rows of 2 directions, then 48 of 2
+        integrate_weighted(_x1sq, "finite", 1, 0.7, n=7)
+        # 24 time nodes of 24 rows of 2 directions, then 48 of 48 of 2
+        mass = integrate_spacetime(lambda x, t: np.ones(x.shape[:-1]), "gaussian", 1, 0.8, small).value
     assert abs(value - math.pi) < 1e-11
+    assert abs(mass - 0.8) < 1e-10
     assert created == []
+
+
+def test_ordered_map_queues_a_window_of_calls_past_the_running_ones(monkeypatch):
+    created = _record_pools(monkeypatch)
+    drawn = []
+
+    def items():
+        for k in range(20):
+            drawn.append(k)
+            yield k
+
+    out = dimlift.integrate._ordered_map(lambda k: k * k, items(), 2, 8)
+    assert next(out) == 0
+    assert len(drawn) == 8  # eight calls submitted before the first result is taken
+    assert list(out) == [k * k for k in range(1, 20)]
+    assert created == [2]
 
 
 def test_thread_count_is_clamped_to_the_cpu_count(monkeypatch):

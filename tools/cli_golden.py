@@ -1,0 +1,214 @@
+"""Golden records of the CLI's output bytes, and a diff of two records.
+
+    PYTHONPATH=src python tools/cli_golden.py record OUT.json [--threads N] [--t T] [--block POINTS]
+    python tools/cli_golden.py diff OLD.json NEW.json
+
+``record`` runs, in-process and in a temporary directory, the eight quick
+cases of ``tests/test_cli.py`` (``FAST_ARGS``) and the nineteen argv lists of
+the benchmark's ``cli-lowdim`` workload, with every ``--t`` set to one fixed
+value.  For each case it writes the exit code, the sha256 of the CSV and of
+the summary JSON, and both texts.  The manifest file is left out: it holds
+the wall time and may differ between byte-identical runs.  ``--block`` sets
+the polar-sum block size (points per block) for the run.
+
+To record another checkout, put its ``src`` first on PYTHONPATH.
+
+``diff`` lists every case whose exit code, CSV or summary differs.  For each
+number that moved it prints the old and new value, the relative change and
+the distance in units in the last place.  It exits 0 when the records match
+and 1 otherwise.  Only the standard library and dimlift are used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import math
+import os
+import struct
+import sys
+import tempfile
+
+# the quick cases of tests/test_cli.py
+FAST_ARGS = {
+    "gn-limit": ["gn-limit"],
+    "pushforward": ["pushforward", "--samples", "20000"],
+    "frequency": ["frequency", "--elliptic", "--field", "x1"],
+    "carleman": ["carleman", "--elliptic", "--gamma", "0.7"],
+    "two-phase": ["two-phase"],
+    "harmonic-map": ["harmonic-map"],
+    "mcf": ["mcf"],
+    "lift-demo": ["lift-demo"],
+}
+
+# the argv lists of perfbench's cli-lowdim workload; "T" stands for the fixed --t
+LOWDIM_ARGS = [
+    ["gn-limit", "--d", "1"],
+    ["gn-limit", "--d", "2"],
+    ["frequency", "--parabolic", "--field", "x1sq", "--d", "1"],
+    ["frequency", "--parabolic", "--field", "x1cube", "--d", "2"],
+    ["frequency", "--parabolic", "--field", "hk", "--d", "2"],
+    ["carleman", "--parabolic", "--d", "1"],
+    ["two-phase", "--kind", "parabolic", "--pair", "half", "--d", "1"],
+    ["two-phase", "--kind", "parabolic", "--pair", "power", "--d", "2"],
+    ["two-phase", "--kind", "lifted", "--pair", "half", "--d", "1", "--t", "T"],
+    ["two-phase", "--kind", "lifted", "--pair", "power", "--d", "2", "--t", "T"],
+    ["harmonic-map", "--which", "struwe", "--map", "circle", "--d", "2"],
+    ["harmonic-map", "--which", "lifted", "--map", "circle", "--d", "2", "--t", "T"],
+    ["mcf", "--which", "huisken", "--surface", "const", "--d", "2"],
+    ["mcf", "--which", "lifted", "--d", "1", "--t", "T"],
+    ["mcf", "--which", "lifted", "--d", "2"],
+    ["lift-demo", "--which", "frequency", "--field", "x1cube", "--d", "2", "--t", "T"],
+    ["lift-demo", "--which", "two-phase", "--field", "half", "--d", "2", "--t", "T"],
+    ["lift-demo", "--which", "harmonic-map", "--field", "circle", "--d", "1", "--t", "T"],
+    ["lift-demo", "--which", "mcf", "--field", "const", "--d", "1", "--t", "T"],
+]
+
+
+def cases(t: str) -> dict[str, list[str]]:
+    """Case name -> argv, in run order."""
+    out = {f"fast {name}": argv for name, argv in FAST_ARGS.items()}
+    for argv in LOWDIM_ARGS:
+        argv = [t if a == "T" else a for a in argv]
+        out["lowdim " + " ".join(argv)] = argv
+    return out
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def record(path: str, threads: int, t: str, block: int | None) -> None:
+    import dimlift.cli
+    import dimlift.integrate
+
+    if block is not None:
+        dimlift.integrate._CHUNK_POINTS = block
+    result = {"threads": threads, "t": t, "block": block, "cases": {}}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, argv in cases(t).items():
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    rc = dimlift.cli.main(argv + ["--out", "run", "--threads", str(threads)])
+                entry = {"argv": argv, "rc": rc}
+                for ext in ("csv", "json"):
+                    if os.path.exists(f"run.{ext}"):
+                        with open(f"run.{ext}") as f:
+                            text = f.read()
+                        entry[ext] = text
+                        entry[f"{ext}_sha256"] = _sha(text)
+                        os.remove(f"run.{ext}")
+                result["cases"][name] = entry
+                print(f"{rc} {name}", file=sys.stderr)
+        finally:
+            os.chdir(cwd)
+    with open(path, "w") as f:
+        json.dump(result, f, indent=1)
+
+
+def _number(cell):
+    if isinstance(cell, bool) or cell is None:
+        return None
+    if isinstance(cell, (int, float)):
+        return float(cell)
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def _ulps(a: float, b: float) -> int:
+    """Distance between two finite doubles in units in the last place."""
+
+    def key(x: float) -> int:
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+    return abs(key(a) - key(b))
+
+
+def _cells(entry: dict) -> dict[str, object]:
+    """Every CSV cell and JSON leaf of a case, by a readable location."""
+    out = {}
+    if "csv" in entry:
+        rows = list(csv.reader(io.StringIO(entry["csv"])))
+        header = rows[0] if rows else []
+        for i, row in enumerate(rows[1:]):
+            for j, cell in enumerate(row):
+                col = header[j] if j < len(header) else str(j)
+                out[f"csv row {i} {col}"] = cell
+
+    def walk(prefix, node):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                walk(f"{prefix}.{k}", v)
+        elif isinstance(node, list):
+            for k, v in enumerate(node):
+                walk(f"{prefix}[{k}]", v)
+        else:
+            out[prefix] = node
+
+    if "json" in entry:
+        walk("json", json.loads(entry["json"]))
+    return out
+
+
+def diff(old_path: str, new_path: str) -> int:
+    with open(old_path) as f:
+        old = json.load(f)["cases"]
+    with open(new_path) as f:
+        new = json.load(f)["cases"]
+    differing = 0
+    for name in list(old) + [n for n in new if n not in old]:
+        a, b = old.get(name), new.get(name)
+        if a is None or b is None:
+            print(f"{name}: only in {'new' if a is None else 'old'} record")
+            differing += 1
+            continue
+        same = a["rc"] == b["rc"] and all(a.get(f"{e}_sha256") == b.get(f"{e}_sha256") for e in ("csv", "json"))
+        if same:
+            continue
+        differing += 1
+        print(f"{name}: exit {a['rc']} -> {b['rc']}")
+        ca, cb = _cells(a), _cells(b)
+        for loc in list(ca) + [k for k in cb if k not in ca]:
+            va, vb = ca.get(loc), cb.get(loc)
+            if va == vb:
+                continue
+            fa, fb = _number(va), _number(vb)
+            if fa is None or fb is None or not (math.isfinite(fa) and math.isfinite(fb)):
+                print(f"  {loc}: {va!r} -> {vb!r}")
+                continue
+            rel = abs(fa - fb) / max(abs(fa), abs(fb)) if fa != fb else 0.0
+            print(f"  {loc}: {va} -> {vb} (relative {rel:.2g}, {_ulps(fa, fb)} ulp)")
+    print(f"{differing} of {len(set(old) | set(new))} cases differ")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record", help="run the cases and write a record")
+    rec.add_argument("out")
+    rec.add_argument("--threads", type=int, default=2)
+    rec.add_argument("--t", default="0.8731", help="the --t of every case that takes one")
+    rec.add_argument("--block", type=int, default=None, help="points per polar-sum block")
+    dif = sub.add_parser("diff", help="compare two records")
+    dif.add_argument("old")
+    dif.add_argument("new")
+    args = parser.parse_args(argv)
+    if args.command == "record":
+        record(args.out, args.threads, args.t, args.block)
+        return 0
+    return diff(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
