@@ -9,6 +9,7 @@ import numpy as np
 
 from ..fields import ScalarField, SpaceTimeField
 from ..integrate import QuadratureSpec, integrate_annulus, integrate_window
+from .common import dot
 
 __all__ = [
     "CarlemanReport",
@@ -131,11 +132,13 @@ def carleman_parabolic_check(
     constant = 8.0 / eps**2
 
     def lhs_f(x, t):
-        rr = np.sum(np.asarray(x, float) ** 2, axis=-1)
+        x = np.asarray(x, float)
+        rr = dot(x, x)
         return t ** (-2.0 * alpha) * np.exp(-rr / (4.0 * t)) * np.asarray(u.value(x, t), float) ** 2
 
     def rhs_f(x, t):
-        rr = np.sum(np.asarray(x, float) ** 2, axis=-1)
+        x = np.asarray(x, float)
+        rr = dot(x, x)
         res = np.asarray(u.laplacian(x, t), float) + np.asarray(u.dt(x, t), float)
         return t ** (-2.0 * alpha + 2.0) * np.exp(-rr / (4.0 * t)) * res**2
 

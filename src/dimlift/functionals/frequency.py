@@ -25,7 +25,7 @@ from ..integrate import (
     integrate_weighted,
 )
 from ..lift import LiftConfig
-from .common import DENOMINATOR_FLOOR, gradsq, power_ratio
+from .common import DENOMINATOR_FLOOR, dot, gradsq, power_ratio
 
 __all__ = ["FrequencyValues", "almgren", "almgren_dL_lower_bound", "poon", "lifted_frequency"]
 
@@ -72,11 +72,11 @@ def almgren_dL_lower_bound(
 
     def v_radial(y):
         g = np.asarray(v.grad(y), dtype=float)
-        return np.asarray(v.value(y), float) * np.sum(np.asarray(y, float) * g, axis=-1)
+        return np.asarray(v.value(y), float) * dot(np.asarray(y, float), g)
 
     def h_radial(y):
         g = np.asarray(v.grad(y), dtype=float)
-        return np.asarray(h.value(y), float) * np.sum(np.asarray(y, float) * g, axis=-1)
+        return np.asarray(h.value(y), float) * dot(np.asarray(y, float), g)
 
     def h_v(y):
         return np.asarray(h.value(y), float) * np.asarray(v.value(y), float)
@@ -95,7 +95,7 @@ def poon(u: SpaceTimeField, t: float, spec: QuadratureSpec = QuadratureSpec()) -
     def both(x):
         val = np.asarray(u.value(x, t), float)
         g = np.asarray(u.grad(x, t), float)
-        return np.stack([val * val, np.sum(g * g, axis=-1)], axis=-1)
+        return np.stack([val * val, dot(g, g)], axis=-1)
 
     HD = integrate_weighted(both, "gaussian", u.d, t, spec).value
     H, D = float(HD[0]), float(HD[1])
@@ -128,7 +128,7 @@ def lifted_frequency(
     def instant(x):
         val = np.asarray(u.value(x, t), float)
         g = np.asarray(u.grad(x, t), float)
-        radial = np.sum(np.asarray(x, float) * g, axis=-1) + 2.0 * t * np.asarray(u.dt(x, t), float)
+        radial = dot(np.asarray(x, float), g) + 2.0 * t * np.asarray(u.dt(x, t), float)
         return np.stack([val * val, val * radial], axis=-1)
 
     inst = integrate_weighted(instant, "finite", d, t, spec, n=n).value
@@ -139,7 +139,7 @@ def lifted_frequency(
     def history(x, s):
         val = np.asarray(u.value(x, s), float)
         gdt = np.asarray(u.grad_dt(x, s), float)
-        spatial = np.sum(np.asarray(x, float) * gdt, axis=-1)
+        spatial = dot(np.asarray(x, float), gdt)
         return 2.0 * val * (spatial + s * np.asarray(u.dtt(x, s), float)) * power_ratio(s, t, p)
 
     numer2 = integrate_spacetime(history, "finite", d, t, spec, n=n).value

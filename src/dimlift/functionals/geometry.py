@@ -19,6 +19,7 @@ from ..fields import GraphSurface, NonhomTerm
 from ..integrate import QuadratureSpec, _jacobi, _legendre_rule, _polar_sum, _refine, _sphere_nodes, integrate_weighted
 from ..lift import LiftConfig, sphere_area
 from ..weights import _log_sphere_area
+from .common import dot
 
 __all__ = [
     "MsDensityReport",
@@ -38,7 +39,7 @@ def graph_mean_curvature(surface: GraphSurface, y, t: float = 0.0):
     """
     g = np.asarray(surface.grad(y, t), dtype=float)
     hess = np.asarray(surface.hessian(y, t), dtype=float)
-    q = 1.0 + np.sum(g * g, axis=-1)
+    q = 1.0 + dot(g, g)
     lap = np.trace(hess, axis1=-2, axis2=-1)
     mixed = np.einsum("...i,...ij,...j->...", g, hess, g)
     return lap / np.sqrt(q) - mixed / q**1.5
@@ -90,7 +91,7 @@ def ms_density(
 
         def area_element(x, _):
             grad = np.asarray(surface.grad(x, t), dtype=float)
-            return np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
+            return np.sqrt(1.0 + dot(grad, grad))
 
         return _polar_sum(area_element, rho, wr, omega, wa, y0)
 
@@ -149,7 +150,7 @@ def ms_density_tilde(
             # area element and the curvature correction, in base coordinates
             grad = np.asarray(surface.grad(x, t), dtype=float)
             vdiff = np.asarray(surface.value(x, t), float) - v0
-            area_el = np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
+            area_el = np.sqrt(1.0 + dot(grad, grad))
             # ((w - w0) . nu) sqrt(1 + |grad v|^2) = v - v0 - (y - y0) . grad v
             wnu_area = vdiff - np.einsum("...k,...k->...", x - y0, grad)
             return np.stack([area_el, hval(x) * wnu_area], axis=-1)
@@ -163,7 +164,7 @@ def ms_density_tilde(
         ys = y0 + rho_star[:, None] * omega
         vs = np.asarray(surface.value(ys, t), float) - v0
         gs = np.asarray(surface.grad(ys, t), dtype=float)
-        qroot = np.sqrt(1.0 + np.sum(gs * gs, axis=-1))
+        qroot = np.sqrt(1.0 + dot(gs, gs))
         wnu = (vs - np.einsum("...k,...k->...", ys - y0, gs)) / qroot  # (w - w0) . nu
         tang_sq = r * r - wnu * wnu
         if np.any(tang_sq <= (1e-9 * r) ** 2):
@@ -178,8 +179,8 @@ def ms_density_tilde(
         grad_s_rho = -rho_star[:, None] * perp / psi_rho[:, None]
         nhat = grad_psi / np.linalg.norm(grad_psi, axis=-1, keepdims=True)
         gtang = gs - np.einsum("...k,...k->...", gs, nhat)[:, None] * nhat
-        lift_factor = np.sqrt(1.0 + np.sum(gtang * gtang, axis=-1))
-        measure = rho_star ** (N - 2) * np.sqrt(rho_star**2 + np.sum(grad_s_rho**2, axis=-1)) * lift_factor
+        lift_factor = np.sqrt(1.0 + dot(gtang, gtang))
+        measure = rho_star ** (N - 2) * np.sqrt(rho_star**2 + dot(grad_s_rho, grad_s_rho)) * lift_factor
 
         integrand = (wnu * wnu + hval(ys) * wnu * r * r / N) / tang
         slice_sum = float(np.sum(wa * measure * integrand))
@@ -204,7 +205,7 @@ def huisken_density(surface: GraphSurface, t: float, spec: QuadratureSpec = Quad
     def phi(x):
         uu = np.asarray(surface.value(x, t), float)
         g = np.asarray(surface.grad(x, t), dtype=float)
-        return np.exp(-uu * uu / (4.0 * t)) * np.sqrt(1.0 + np.sum(g * g, axis=-1))
+        return np.exp(-uu * uu / (4.0 * t)) * np.sqrt(1.0 + dot(g, g))
 
     base = integrate_weighted(phi, "gaussian", d, t, spec).value
     return (4.0 * math.pi) ** (0.5 * d) * base
@@ -217,7 +218,7 @@ def mcf_residual(surface: GraphSurface, x, t):
     """
     g = np.asarray(surface.grad(x, t), dtype=float)
     hess = np.asarray(surface.hessian(x, t), dtype=float)
-    q = 1.0 + np.sum(g * g, axis=-1)
+    q = 1.0 + dot(g, g)
     lap = np.trace(hess, axis1=-2, axis2=-1)
     mixed = np.einsum("...i,...ij,...j->...", g, hess, g)
     return np.asarray(surface.dt(x, t), float) + lap - mixed / q
@@ -264,7 +265,7 @@ def lifted_mcf_density(
         def integrand(x, rho):
             uu = np.asarray(surface.value(x, t), float)
             grad = np.asarray(surface.grad(x, t), dtype=float)
-            area_el = np.sqrt(1.0 + np.sum(grad * grad, axis=-1))
+            area_el = np.sqrt(1.0 + dot(grad, grad))
             q = (rmax_sq - rho * rho - uu * uu) / (rho_star - rho)  # smooth across the rim
             return area_el * rho ** (d - 1) * (0.5 * rho_star * q / rmax_sq) ** expo
 

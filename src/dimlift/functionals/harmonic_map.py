@@ -8,6 +8,7 @@ from ..errors import UnsupportedConfigError
 from ..fields import NonhomTerm, SphereField
 from ..integrate import QuadratureSpec, integrate_ball, integrate_weighted
 from ..lift import LiftConfig
+from .common import dot
 
 __all__ = ["hm_phi", "hm_dphi_lower_bound", "struwe_Phi", "lifted_hm_Phi"]
 
@@ -45,7 +46,7 @@ def hm_dphi_lower_bound(
     def f(y):
         j = np.asarray(vmap.jacobian(y), dtype=float)  # (..., m, N)
         radial = np.einsum("...mk,...k->...m", j, np.asarray(y, float) - c)
-        return np.sum(np.asarray(H.value(y), float) * radial, axis=-1)
+        return dot(np.asarray(H.value(y), float), radial)
 
     bulk = integrate_ball(f, N, r, spec, center=c).value
     return -(r ** (1 - N)) * bulk
@@ -94,7 +95,7 @@ def lifted_hm_Phi(
         e = np.asarray(umap.energy(x), float)
         j = np.asarray(umap.jacobian(x), dtype=float)
         xd = np.einsum("...mk,...k->...m", j, np.asarray(x, float))
-        return np.stack([e, np.sum(xd * xd, axis=-1)], axis=-1)
+        return np.stack([e, dot(xd, xd)], axis=-1)
 
     vals = integrate_weighted(both, "finite", cfg.d, t, spec, n=cfg.n).value
     return (nd / (nd - 2.0)) * t * float(vals[0]) - float(vals[1]) / (nd - 2.0)

@@ -11,7 +11,7 @@ import numpy as np
 from ..fields import NonhomTerm, ScalarField, SpaceTimeField
 from ..integrate import QuadratureSpec, integrate_ball, integrate_spacetime, integrate_sphere
 from ..lift import LiftConfig, sphere_area
-from .common import gradsq
+from .common import dot, gradsq
 
 __all__ = [
     "TwoPhaseReport",
@@ -121,7 +121,7 @@ def acf_dphi_lower_bound(
 def _parabolic_energy(u: SpaceTimeField):
     def f(x, t):
         g = np.asarray(u.grad(x, t), dtype=float)
-        return np.sum(g * g, axis=-1)
+        return dot(g, g)
 
     return f
 
@@ -166,8 +166,8 @@ def lifted_two_phase(
         def f(x, t):
             g = np.asarray(u.grad(x, t), dtype=float)
             ut = np.asarray(u.dt(x, t), float)
-            radial = np.sum(np.asarray(x, float) * g, axis=-1) + t * ut
-            return np.sum(g * g, axis=-1) + (2.0 / nd) * radial * ut
+            radial = dot(np.asarray(x, float), g) + t * ut
+            return dot(g, g) + (2.0 / nd) * radial * ut
 
         return f
 

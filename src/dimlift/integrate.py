@@ -28,7 +28,7 @@ import math
 import os
 import threading
 from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
@@ -174,29 +174,71 @@ def _use_threads(threads: int) -> Iterator[None]:
         _requested_threads.reset(token)
 
 
+# one pool per worker count, built on first use and kept for the life of the
+# process; a forked child starts without them, since their threads stay behind
+_pools: dict[int, ThreadPoolExecutor] = {}
+_pools_lock = threading.Lock()
+_in_worker = threading.local()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pools.clear)
+
+
+def _mark_worker() -> None:
+    _in_worker.active = True
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of `threads` workers, built on first use."""
+    with _pools_lock:
+        pool = _pools.get(threads)
+        if pool is None:
+            pool = ThreadPoolExecutor(max_workers=threads, thread_name_prefix="dimlift", initializer=_mark_worker)
+            _pools[threads] = pool
+        return pool
+
+
+def _close_pools() -> None:
+    """Shut down and forget every pool; the next threaded call builds a new one."""
+    with _pools_lock:
+        pools = list(_pools.values())
+        _pools.clear()
+    for pool in pools:
+        pool.shutdown(wait=True)
+
+
 def _ordered_map(fn, items: Iterable, threads: int, window: int | None = None) -> Iterator:
     """fn(item) for each item, yielded in item order.
 
-    With threads > 1 the calls run on a pool of that many worker threads; at
+    With threads > 1 the calls run on the process's pool of that many worker
+    threads, built on the first such call and reused by every later one; at
     most `window` (default `threads`) calls are submitted and not yet
     yielded, and items are drawn lazily, one per call submitted.  A window
     wider than `threads` keeps the workers busy past a slow call at the head
     of the order; calls past the first `threads` wait in the pool's queue.
-    With threads <= 1 they run in the calling thread, with no pool.  An
-    exception raised by fn is raised here when its result is reached.
+    With threads <= 1, or when called from a pool worker (an integrand that
+    runs a sum of its own), the calls run in the calling thread: a worker
+    waiting on calls queued behind its own could wait forever.  An exception
+    raised by fn is raised here when its result is reached.  When the
+    generator is closed early or raises, the calls still queued are
+    cancelled and the running ones are waited for.
     """
-    if threads <= 1:
+    if threads <= 1 or getattr(_in_worker, "active", False):
         yield from map(fn, items)
         return
     window = threads if window is None else window
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
+    pool = _pool(threads)
+    pending = deque()
+    try:
         for item in items:
             pending.append(pool.submit(fn, item))
             if len(pending) >= window:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 # ---------------------------------------------------------------------------

@@ -229,18 +229,20 @@ def test_time_axis_matches_the_per_node_loop(case, n, d, monkeypatch):
             assert max(math.prod(s[:-1]) for s in calls) <= budget
 
 
+@pytest.fixture(autouse=True)
+def _fresh_pools():
+    # the worker pools live for the process; each test starts and ends without any
+    dimlift.integrate._close_pools()
+    yield
+    dimlift.integrate._close_pools()
+
+
 class _SerialPool:
     """Stands in for ThreadPoolExecutor: records max_workers and runs each
     submitted call at once, so no thread is started."""
 
     def __init__(self, max_workers, created):
         created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
 
     def submit(self, fn, *args):
         future = concurrent.futures.Future()
@@ -250,10 +252,15 @@ class _SerialPool:
             future.set_exception(exc)
         return future
 
+    def shutdown(self, wait=True):
+        pass
+
 
 def _record_pools(monkeypatch) -> list:
     created = []
-    monkeypatch.setattr(dimlift.integrate, "ThreadPoolExecutor", lambda max_workers: _SerialPool(max_workers, created))
+    monkeypatch.setattr(
+        dimlift.integrate, "ThreadPoolExecutor", lambda max_workers, **_: _SerialPool(max_workers, created)
+    )
     return created
 
 
@@ -325,13 +332,118 @@ def test_thread_count_is_clamped_to_the_cpu_count(monkeypatch):
     assert created and set(created) == {3}
     assert requested.value == serial.value
     # the DIMLIFT_THREADS default and mc_mean's count are clamped the same way
+    # a pool is built once per count, so drop it to see the next count chosen
+    dimlift.integrate._close_pools()
     created.clear()
     monkeypatch.setenv("DIMLIFT_THREADS", str(10**6))
     integrate_ball(_x1sq, 2, 1.0)
     assert created and set(created) == {3}
+    dimlift.integrate._close_pools()
     created.clear()
     mc_mean(sample_sphere_uniform(3, 1.0, MonteCarloSpec(seed=1, samples=4096, batch=1024)), _x1sq, threads=10**6)
     assert created == [3]
+
+
+def _two_block_sum(threads, f=None):
+    # 50 radial rows of 100 directions in blocks of 10 rows: five blocks
+    omega, wa = dimlift.integrate._sphere_nodes(2, 50, "product-gauss")
+    r = np.linspace(0.1, 1.0, 50)
+    f = f or (lambda x, rho: np.cos(x[..., 0]) * np.exp(-x[..., 1] ** 2))
+    with _use_threads(threads):
+        return dimlift.integrate._polar_sum(f, r, np.full(50, 0.02), omega, wa)
+
+
+def test_consecutive_threaded_sums_share_one_pool(monkeypatch):
+    monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", 1000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    built = []
+    real = dimlift.integrate.ThreadPoolExecutor
+    monkeypatch.setattr(dimlift.integrate, "ThreadPoolExecutor", lambda **kw: built.append(kw) or real(**kw))
+    serial = _two_block_sum(1)
+    assert built == []
+    first = _two_block_sum(2)
+    second = _two_block_sum(2)
+    assert [kw["max_workers"] for kw in built] == [2]
+    assert first == second == serial
+
+
+def test_a_sum_nested_in_a_threaded_integrand_runs_inline(monkeypatch):
+    # with one shared pool, an inner sum that queued its blocks behind the
+    # outer ones would wait on the workers that are waiting on it
+    monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", 1000)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    inner_threads = []
+
+    def outer(threads):
+        def f(x, rho):
+            inner_threads.append(threading.current_thread().name)
+            inner, _ = _two_block_sum(2)
+            return np.cos(x[..., 0]) * inner
+
+        return _two_block_sum(threads, f)
+
+    serial = outer(1)
+    inner_threads.clear()
+    done = []
+    runner = threading.Thread(target=lambda: done.append(outer(2)), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "nested sum deadlocked"
+    assert np.asarray(done[0][0]).tobytes() == np.asarray(serial[0]).tobytes()
+    assert done[0][1] == serial[1]
+    assert inner_threads and all(name.startswith("dimlift") for name in inner_threads)
+    assert list(dimlift.integrate._pools) == [2]
+
+
+def _held_calls(monkeypatch, first):
+    """A call recording its item, and a wait that frees the held calls: call
+    0 does `first`, every later call holds until the generator, having
+    cancelled what was still queued, waits for the running calls."""
+    started = []
+    release = threading.Event()
+    real_wait = dimlift.integrate.wait
+
+    def releasing_wait(futures):
+        release.set()
+        return real_wait(futures)
+
+    monkeypatch.setattr(dimlift.integrate, "wait", releasing_wait)
+
+    def call(k):
+        started.append(k)
+        if k == 0:
+            return first()
+        release.wait(timeout=30)
+        return k
+
+    return call, started
+
+
+def _assert_nothing_queued_ran(started):
+    # calls 0 and 1 ran, and call 2 if a worker took it before the
+    # cancel; a call run after ours would have been queued before it
+    ran = list(started)
+    dimlift.integrate._pools[2].submit(lambda: None).result(timeout=30)
+    assert started == ran and set(ran) <= {0, 1, 2}
+
+
+def test_a_closed_ordered_map_cancels_its_queued_calls(monkeypatch):
+    call, started = _held_calls(monkeypatch, lambda: 0)
+    out = dimlift.integrate._ordered_map(call, range(20), 2, 8)
+    assert next(out) == 0  # eight calls are submitted by now
+    out.close()
+    _assert_nothing_queued_ran(started)
+
+
+def test_an_ordered_map_that_raises_cancels_its_queued_calls(monkeypatch):
+    def fail():
+        raise RuntimeError("first call")
+
+    call, started = _held_calls(monkeypatch, fail)
+    out = dimlift.integrate._ordered_map(call, range(20), 2, 8)
+    with pytest.raises(RuntimeError, match="first call"):
+        next(out)
+    _assert_nothing_queued_ran(started)
 
 
 # ---------------------------------------------------------------------------
