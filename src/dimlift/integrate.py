@@ -17,7 +17,9 @@ the last two estimates, and a non-finite value raises at once.
 
 Monte Carlo sampling is counter-based: batch k of a run is a pure function of
 (seed, k), and partial sums are combined in batch order, so results are
-bit-identical for any thread count.
+bit-identical for any thread count.  The push-forward checks draw each batch
+on the worker thread that lifts and reduces it, into a buffer reused within
+the call.
 """
 
 from __future__ import annotations
@@ -734,21 +736,56 @@ def _batch_sizes(mc: MonteCarloSpec) -> list[int]:
     return sizes
 
 
-def sample_sphere_uniform(N: int, radius: float, mc: MonteCarloSpec) -> Iterator[np.ndarray]:
-    """Uniform points on the sphere of given radius in R^N, yielded in batches.
-
-    Batch k is a pure function of (mc.seed, k): normalized Gaussian vectors
-    scaled to the radius.  The concatenation of all batches is the sample
-    stream; its order never depends on scheduling.
-    """
+def _check_sphere_args(N: int, radius: float) -> None:
     if N < 1:
         raise ValueError("need N >= 1")
     if not radius > 0.0:
         raise ValueError("need radius > 0")
-    for k, m in enumerate(_batch_sizes(mc)):
-        g = _batch_rng(mc.seed, k).standard_normal((m, N))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        yield radius * g
+
+
+def _check_mu_ball_args(N: int, tau: float, d: int) -> None:
+    if N < 1 or d < 1:
+        raise ValueError("need N >= 1 and d >= 1")
+    if not tau > 0.0:
+        raise ValueError("need tau > 0")
+
+
+def _sphere_batch(out: np.ndarray, seed: int, k: int, radius: float) -> np.ndarray:
+    """Batch k of sample_sphere_uniform, drawn into out, shape (m, N), and returned.
+
+    Normalized Gaussian vectors scaled to the radius, a pure function of
+    (seed, k, m); the arithmetic is done in place.
+    """
+    _batch_rng(seed, k).standard_normal(out=out)
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    out *= radius
+    return out
+
+
+def _mu_ball_batch(out: np.ndarray, seed: int, k: int, tau: float, d: int) -> np.ndarray:
+    """Batch k of sample_mu_ball, drawn into out, shape (m, N), and returned.
+
+    Uniform directions times radii r with r^2 uniform on [0, 2 d tau], a pure
+    function of (seed, k, m); the arithmetic is done in place.
+    """
+    rng = _batch_rng(seed, k)
+    rng.standard_normal(out=out)
+    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    out *= np.sqrt(2.0 * d * tau * rng.random(len(out)))[:, None]
+    return out
+
+
+def sample_sphere_uniform(N: int, radius: float, mc: MonteCarloSpec) -> Iterator[np.ndarray]:
+    """Uniform points on the sphere of given radius in R^N, yielded in batches.
+
+    Batch k is a pure function of (mc.seed, k): normalized Gaussian vectors
+    scaled to the radius (_sphere_batch).  The concatenation of all batches
+    is the sample stream; its order never depends on scheduling.  Each batch
+    is a new array.  The arguments are checked at the call, before any batch
+    is drawn.
+    """
+    _check_sphere_args(N, radius)
+    return (_sphere_batch(np.empty((m, N)), mc.seed, k, radius) for k, m in enumerate(_batch_sizes(mc)))
 
 
 def sample_mu_ball(N: int, tau: float, d: int, mc: MonteCarloSpec) -> Iterator[np.ndarray]:
@@ -757,46 +794,35 @@ def sample_mu_ball(N: int, tau: float, d: int, mc: MonteCarloSpec) -> Iterator[n
     The measure has total mass tau; normalized, its radial law makes r^2
     uniform on [0, 2 d tau] (so the lifted time |y|^2/2d is uniform on
     (0, tau]) and its angular law is uniform.  Yields batches like
-    sample_sphere_uniform.
+    sample_sphere_uniform, each drawn by _mu_ball_batch.
     """
-    if N < 1 or d < 1:
-        raise ValueError("need N >= 1 and d >= 1")
-    if not tau > 0.0:
-        raise ValueError("need tau > 0")
-    for k, m in enumerate(_batch_sizes(mc)):
-        rng = _batch_rng(mc.seed, k)
-        g = rng.standard_normal((m, N))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        r = np.sqrt(2.0 * d * tau * rng.random(m))
-        yield r[:, None] * g
+    _check_mu_ball_args(N, tau, d)
+    return (_mu_ball_batch(np.empty((m, N)), mc.seed, k, tau, d) for k, m in enumerate(_batch_sizes(mc)))
 
 
-def mc_mean(sample_batches: Iterator[np.ndarray], phi, threads: int = 1):
-    """Mean and standard error of phi over a batched sample stream.
+def _batch_moments(vals) -> tuple[np.ndarray, np.ndarray, int]:
+    """(sum, M2, count) of one batch of values, shape (m,) or (m, K)."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    m = vals.shape[0]
+    p1 = vals.sum(axis=0)
+    dev = vals - p1 / m
+    return p1, (dev * dev).sum(axis=0), m
 
-    Batches are drawn lazily, so memory holds a bounded number of them.  With
-    threads > 1 (at most the CPU count) at most `threads` batches are reduced
-    at once by worker threads while the next one is drawn; partials are
-    combined in batch order, so the result is bit-identical for any thread
-    count.  The mean is the plain sum over the count; the variance merges
-    per-batch (count, mean, M2) pairs (Chan, Golub & LeVeque 1983), which
-    keeps its precision when |mean| is much larger than the spread.  phi maps
-    (m, N) -> (m,) or (m, K).
+
+def _merge_moments(parts: Iterable[tuple[np.ndarray, np.ndarray, int]]):
+    """Mean, standard error and count from per-batch (sum, M2, count) triples.
+
+    The triples are merged in the order given.  The mean is the plain sum
+    over the count; the variance merges the (count, mean, M2) pairs (Chan,
+    Golub & LeVeque 1983), which keeps its precision when |mean| is much
+    larger than the spread.  A single component gives floats.
     """
-
-    def reduce_one(y: np.ndarray):
-        vals = np.asarray(phi(y), dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-        m = vals.shape[0]
-        p1 = vals.sum(axis=0)
-        dev = vals - p1 / m
-        return p1, (dev * dev).sum(axis=0), m
-
     s1 = None
     m2 = None
     count = 0
-    for p1, q2, m in _ordered_map(reduce_one, sample_batches, _worker_count(threads)):
+    for p1, q2, m in parts:
         if s1 is None:
             s1, m2, count = p1, q2, m
             continue
@@ -809,6 +835,47 @@ def mc_mean(sample_batches: Iterator[np.ndarray], phi, threads: int = 1):
     if mean.size == 1:
         return float(mean[0]), float(se[0]), count
     return mean, se, count
+
+
+def mc_mean(sample_batches: Iterator[np.ndarray], phi, threads: int = 1):
+    """Mean and standard error of phi over a batched sample stream.
+
+    Batches are drawn lazily, in the calling thread, so memory holds a
+    bounded number of them.  With threads > 1 (at most the CPU count) at
+    most `threads` batches are reduced at once by worker threads while the
+    next one is drawn; partials are merged in batch order by _merge_moments,
+    so the result is bit-identical for any thread count.  phi maps (m, N) ->
+    (m,) or (m, K).  The push-forward checks draw their batches on the
+    workers instead (_drawn_mc_mean), with the same bits.
+    """
+    return _merge_moments(_ordered_map(lambda y: _batch_moments(phi(y)), sample_batches, _worker_count(threads)))
+
+
+def _drawn_mc_mean(draw, N: int, mc: MonteCarloSpec, phi, threads: int):
+    """mc_mean of phi over the batches draw(out, k) of the plan mc, with its bits.
+
+    Each batch is drawn, passed to phi and reduced by one call on a worker
+    thread.  The call draws into one of a fixed set of buffers of
+    min(mc.batch, mc.samples) rows of R^N, allocated here, one per worker,
+    and handed out through a free list: no more calls run at once than there
+    are workers, so a buffer is never shared, and the memory the workers'
+    allocator arenas keep stays small.  phi must not keep a view of its
+    argument.
+    """
+    sizes = _batch_sizes(mc)
+    workers = 1 if len(sizes) < 2 else _worker_count(threads)
+    rows = min(mc.batch, mc.samples)
+    free = deque(np.empty((rows, N)) for _ in range(min(workers, len(sizes))))
+
+    def reduce_one(item):
+        k, m = item
+        buf = free.pop()
+        try:
+            return _batch_moments(phi(draw(buf[:m], k)))
+        finally:
+            free.append(buf)
+
+    return _merge_moments(_ordered_map(reduce_one, enumerate(sizes), workers))
 
 
 # ---------------------------------------------------------------------------
@@ -880,16 +947,23 @@ def pushforward_check_sphere(
     """Sphere average of phi(step-sum) vs. the finite-weight integral of phi.
 
     phi must be a pure function: its quadrature side is computed once per
-    phi object (and d, n, t, spec) and reused for every later seed.
+    phi object (and d, n, t, spec) and reused for every later seed.  The
+    Monte Carlo batches are those of sample_sphere_uniform, drawn, lifted
+    and reduced on `threads` workers (_drawn_mc_mean), with the bits of
+    mc_mean over that sampler for any thread count.
     """
     cfg = LiftConfig(d=d, n=n)
     radius = math.sqrt(2.0 * d * t)
+    _check_sphere_args(cfg.N, radius)
 
     def through_lift(y):
         x, _ = lift_point_time(cfg, y)
         return phi(x)
 
-    mean, se, _ = mc_mean(sample_sphere_uniform(cfg.N, radius, mc), through_lift, threads=threads)
+    def draw(out, k):
+        return _sphere_batch(out, mc.seed, k, radius)
+
+    mean, se, _ = _drawn_mc_mean(draw, cfg.N, mc, through_lift, threads)
     quad = _pushforward_quad("sphere", phi, d, n, t, spec)
     disc = _discrepancy(mean, se, quad, spec)
     if np.ndim(mean) == 0:
@@ -909,15 +983,21 @@ def pushforward_check_ball(
     """Lifted-measure average of phi(lift) times tau vs. the space-time integral.
 
     phi must be a pure function: its quadrature side is computed once per
-    phi object (and d, n, tau, spec) and reused for every later seed.
+    phi object (and d, n, tau, spec) and reused for every later seed.  The
+    Monte Carlo batches are those of sample_mu_ball, drawn on the workers as
+    in pushforward_check_sphere.
     """
     cfg = LiftConfig(d=d, n=n)
+    _check_mu_ball_args(cfg.N, tau, d)
 
     def through_lift(y):
         x, tt = lift_point_time(cfg, y)
         return phi(x, tt)
 
-    mean, se, _ = mc_mean(sample_mu_ball(cfg.N, tau, d, mc), through_lift, threads=threads)
+    def draw(out, k):
+        return _mu_ball_batch(out, mc.seed, k, tau, d)
+
+    mean, se, _ = _drawn_mc_mean(draw, cfg.N, mc, through_lift, threads)
     mean = np.asarray(mean) * tau
     se = np.asarray(se) * tau
     quad = _pushforward_quad("ball", phi, d, n, tau, spec)

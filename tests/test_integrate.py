@@ -3,7 +3,9 @@
 import concurrent.futures
 import math
 import os
+import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from dimlift import (
 import dimlift.integrate
 from dimlift.errors import AccuracyError
 from dimlift.integrate import _use_threads
+from dimlift.lift import LiftConfig, lift_point_time
 
 
 def _x1sq(x):
@@ -654,6 +657,86 @@ def test_integrand_constant_on_the_sampled_sphere_is_no_discrepancy():
     for d in (1, 2):
         chk = pushforward_check_sphere(_stack, d, 1, 0.8, mc)
         assert np.all(chk.discrepancy_in_std_errors < 3.0), (d, chk)
+
+
+def _check_bits(res) -> tuple:
+    return tuple(np.asarray(v, dtype=float).tobytes() for v in res.__dict__.values())
+
+
+def test_pushforward_checks_draw_on_workers_with_the_bits_of_the_samplers(monkeypatch):
+    # 20 batches, drawn on the workers; the bits must match at every thread
+    # count, with more workers than cores and frequent thread switches, and
+    # match mc_mean over the public samplers
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    d, n, t = 2, 5, 0.7
+    cfg = LiftConfig(d=d, n=n)
+    mc = MonteCarloSpec(seed=11, samples=20 * 1024 - 300, batch=1024)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        sphere = {th: pushforward_check_sphere(_stack, d, n, t, mc, threads=th) for th in (1, 2, 4)}
+        ball = {th: pushforward_check_ball(_stack, d, n, t, mc, threads=th) for th in (1, 2, 4)}
+    finally:
+        sys.setswitchinterval(interval)
+    for results in (sphere, ball):
+        assert _check_bits(results[2]) == _check_bits(results[1])
+        assert _check_bits(results[4]) == _check_bits(results[1])
+
+    mean, se, count = mc_mean(
+        sample_sphere_uniform(cfg.N, math.sqrt(2 * d * t), mc), lambda y: _stack(lift_point_time(cfg, y)[0]), threads=2
+    )
+    assert count == mc.samples
+    assert sphere[1].mc_value.tobytes() == mean.tobytes()
+    assert sphere[1].mc_std_error.tobytes() == se.tobytes()
+    assert sphere[1].quad_value.tobytes() == integrate_weighted(_stack, "finite", d, t, n=n).value.tobytes()
+
+    mean, se, _ = mc_mean(sample_mu_ball(cfg.N, t, d, mc), lambda y: _stack(*lift_point_time(cfg, y)), threads=1)
+    assert ball[1].mc_value.tobytes() == (mean * t).tobytes()
+    assert ball[1].mc_std_error.tobytes() == (se * t).tobytes()
+    assert ball[1].quad_value.tobytes() == integrate_spacetime(_stack, "finite", d, t, n=n).value.tobytes()
+
+
+def test_pushforward_checks_draw_into_one_buffer_per_worker(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    buffers = []  # kept alive, so no two buffers can share an identity
+    draws = {"_sphere_batch": dimlift.integrate._sphere_batch, "_mu_ball_batch": dimlift.integrate._mu_ball_batch}
+    for name, draw in draws.items():
+
+        def recorded(out, *args, draw=draw):
+            buffers.append(out.base)
+            return draw(out, *args)
+
+        monkeypatch.setattr(dimlift.integrate, name, recorded)
+    mc = MonteCarloSpec(seed=3, samples=20 * 1000, batch=1000)
+    for threads in (1, 2, 4):
+        for check in (pushforward_check_sphere, pushforward_check_ball):
+            buffers.clear()
+            check(_stack, 1, 6, 0.5, mc, threads=threads)
+            assert len(buffers) == 20
+            distinct = {id(b) for b in buffers}
+            assert 1 <= len(distinct) <= threads
+            assert all(b is not None and b.shape == (1000, 6) for b in buffers)
+
+
+def test_pushforward_checks_reject_bad_arguments_before_drawing(monkeypatch):
+    def draw(*args):
+        raise AssertionError("a batch was drawn before the arguments were checked")
+
+    for name in ("_sphere_batch", "_mu_ball_batch"):
+        monkeypatch.setattr(dimlift.integrate, name, draw)
+    mc = MonteCarloSpec(seed=1, samples=5000, batch=1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^need radius > 0$"):
+            pushforward_check_sphere(_stack, 1, 5, 0.0, mc, threads=2)
+        for tau in (0.0, -0.5):
+            with pytest.raises(ValueError, match=r"^need tau > 0$"):
+                pushforward_check_ball(_stack, 1, 5, tau, mc, threads=2)
+        # the public samplers check at the call, before the first batch
+        with pytest.raises(ValueError, match=r"^need radius > 0$"):
+            sample_sphere_uniform(3, 0.0, mc)
+        with pytest.raises(ValueError, match=r"^need tau > 0$"):
+            sample_mu_ball(3, -1.0, 1, mc)
 
 
 def test_pushforward_sphere_single_seed():

@@ -4,10 +4,12 @@
     python tools/cli_golden.py diff OLD.json NEW.json
 
 ``record`` runs, in-process and in a temporary directory, the eight quick
-cases of ``tests/test_cli.py`` (``FAST_ARGS``) and the nineteen argv lists of
+cases of ``tests/test_cli.py`` (``FAST_ARGS``), the nineteen argv lists of
 the benchmark's ``cli-lowdim`` workload, with every ``--t`` set to one fixed
-value.  For each case it writes the exit code, the sha256 of the CSV and of
-the summary JSON, and both texts.  The manifest file is left out: it holds
+value, and two ``pushforward`` cases whose Monte Carlo runs in seven batches,
+so that a record at two or more threads covers batches drawn on workers.
+For each case it writes the exit code, the sha256 of the CSV and of the
+summary JSON, and both texts.  The manifest file is left out: it holds
 the wall time and may differ between byte-identical runs.  ``--block`` sets
 the polar-sum block size (points per block) for the run.
 
@@ -68,6 +70,11 @@ LOWDIM_ARGS = [
     ["lift-demo", "--which", "mcf", "--field", "const", "--d", "1", "--t", "T"],
 ]
 
+# push-forward checks at N = 40 with 100,000 samples: seven Monte Carlo batches
+MC_ARGS = [
+    ["pushforward", "--domain", domain, "--d", "2", "--n", "20", "--samples", "100000"] for domain in ("sphere", "ball")
+]
+
 
 def cases(t: str) -> dict[str, list[str]]:
     """Case name -> argv, in run order."""
@@ -75,6 +82,8 @@ def cases(t: str) -> dict[str, list[str]]:
     for argv in LOWDIM_ARGS:
         argv = [t if a == "T" else a for a in argv]
         out["lowdim " + " ".join(argv)] = argv
+    for argv in MC_ARGS:
+        out["mc " + " ".join(argv)] = argv
     return out
 
 
