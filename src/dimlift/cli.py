@@ -55,6 +55,7 @@ from .functionals import (
     poon,
     struwe_Phi,
 )
+from .functionals.sweeps import _step_margins
 from .integrate import (
     MonteCarloSpec,
     _default_threads,
@@ -90,6 +91,8 @@ def _parse_grid(text: str, geometric: bool) -> np.ndarray:
     a, b, k = float(parts[0]), float(parts[1]), int(parts[2])
     if k < 2:
         raise ValueError("grid needs at least 2 points")
+    if not (math.isfinite(a) and math.isfinite(b) and b > a):
+        raise ValueError(f"grid needs finite endpoints with b > a, got {text!r}")
     if geometric:
         if a <= 0.0 or b <= 0.0:
             raise ValueError("geometric grid needs positive endpoints")
@@ -97,12 +100,11 @@ def _parse_grid(text: str, geometric: bool) -> np.ndarray:
     return np.linspace(a, b, k)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p]
+def _parse_list(text: str, kind=int) -> list:
+    values = [kind(p) for p in text.split(",") if p]
+    if not values:
+        raise ValueError(f"need a comma list with at least one entry, got {text!r}")
+    return values
 
 
 def _cell(value) -> str:
@@ -116,12 +118,8 @@ def _cell(value) -> str:
 def _decrease_margin(values) -> float:
     """Worst monotonicity violation: positive when some step falls by more
     than SWEEP_TOL relative to the local scale, 0 otherwise."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        return 0.0
-    steps = np.diff(v)
-    scale = np.maximum(1.0, np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
-    return float(max(0.0, np.max(-steps - SWEEP_TOL * scale)))
+    margins = _step_margins(np.asarray(values, dtype=float), SWEEP_TOL)
+    return float(max(0.0, np.max(margins))) if margins.size else 0.0
 
 
 def _increase_margin(values) -> float:
@@ -132,12 +130,60 @@ def _increase_margin(values) -> float:
     return float(max(0.0, np.max(np.diff(v))))
 
 
+def _verdict(mode: str, values, errs, tol: float) -> tuple[bool, float, float]:
+    """(ok, worst violation, max error) of a family's rows.
+
+    "plateau": the values never fall and every error is below tol.
+    "converging": every error is below tol, or the errors never rise and end
+    below where they start.
+    """
+    max_err = float(max(errs))
+    if mode == "plateau":
+        worst = _decrease_margin(values)
+        return worst == 0.0 and max_err < tol, worst, max_err
+    if max_err < tol:
+        return True, 0.0, max_err
+    worst = _increase_margin(errs)
+    return worst == 0.0 and errs[-1] < errs[0], worst, max_err
+
+
+def _checked(header, rows, mode: str, tol: float):
+    """The handler result for rows that end in (value, reference, abs_error)."""
+    values = [row[-3] for row in rows]
+    errs = [row[-1] for row in rows]
+    return (header, rows, *_verdict(mode, values, errs, tol))
+
+
+def _lifted_rows(n_text: str, d: int, limit: float, cells_at) -> list[list]:
+    """One row [n, *cells, limit, |value - limit|] for each step count n in
+    n_text, where cells = cells_at(LiftConfig(d, n)) ends with the value."""
+    rows = []
+    for n in _parse_list(n_text):
+        cells = cells_at(LiftConfig(d, n))
+        rows.append([n, *cells, limit, abs(cells[-1] - limit)])
+    return rows
+
+
+# the pair and map constructors are looked up by name at call time, so that
+# a constructor rebound on this module after import is the one called
+
+
+def _pair(name: str, d: int, power: int = 3):
+    if name == "half":
+        return half_space_pair(d, kind="parabolic")
+    return half_space_power_pair(d, power)
+
+
+def _sphere_map(name: str, dim: int):
+    return circle_map(dim) if name == "circle" else equator_map(dim)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (header, rows, status, worst, max_error)
 
 
 def _run_gn_limit(args):
-    n_list = _parse_int_list(args.n)
+    n_list = _parse_list(args.n)
     grid = _parse_grid(args.grid, geometric=False)
     pts = np.zeros((grid.size, args.d)) if args.d > 1 else grid
     if args.d > 1:
@@ -226,10 +272,9 @@ def _run_frequency(args):
             fv = almgren(v, float(r))
             rows.append([float(r), fv.H, fv.D, fv.L])
     values = [row[3] for row in rows]
-    worst = _decrease_margin(values)
-    max_err = 0.0 if expected is None else float(max(abs(v - expected) for v in values))
-    ok = worst == 0.0 and (expected is None or max_err < 1e-8)
-    return header, rows, ok, worst, max_err
+    # without a known degree only monotonicity is checked
+    errs = [0.0 if expected is None else abs(v - expected) for v in values]
+    return (header, rows, *_verdict("plateau", values, errs, 1e-8))
 
 
 _ELLIPTIC_BUMPS = [(1.0, 2.0, 4), (0.5, 1.5, 5), (1.0, 3.0, 6)]
@@ -245,7 +290,7 @@ def _run_carleman(args):
     worst = 0.0
     if args.parabolic:
         header = ["bump", "alpha", "epsilon", "lhs", "rhs", "constant_used", "satisfied"]
-        for alpha in _parse_float_list(args.alpha):
+        for alpha in _parse_list(args.alpha, float):
             for spec_tuple in _PARABOLIC_BUMPS:
                 u = bump_spacetime(args.d, *spec_tuple)
                 rep = carleman_parabolic_check(u, alpha, args.d)
@@ -255,7 +300,7 @@ def _run_carleman(args):
                 worst = max(worst, max(0.0, rep.lhs - rep.rhs))
     else:
         header = ["bump", "gamma", "lhs", "rhs", "constant_used", "satisfied"]
-        for gamma in _parse_float_list(args.gamma):
+        for gamma in _parse_list(args.gamma, float):
             for r_in, r_out, k in _ELLIPTIC_BUMPS:
                 v = bump_radial(args.N, r_in, r_out, k)
                 rep = carleman_elliptic_check(v, gamma)
@@ -276,44 +321,27 @@ def _run_two_phase(args):
         for r in _parse_grid(args.r_grid, geometric=False):
             rep = acf_phi(v1, v2, float(r))
             rows.append([float(r), rep.factor1, rep.factor2, rep.value, ref, abs(rep.value - ref)])
-        tol = 1e-6
-    elif args.kind == "parabolic":
-        if args.pair == "half":
-            u1, u2 = half_space_pair(args.d, kind="parabolic")
-            ref_of = lambda tau: 0.25
-        else:
-            u1, u2 = half_space_power_pair(args.d, args.power)
-            # closed form for the cubic pair; other powers are compared to
-            # themselves (monotonicity is still checked)
-            ref_of = (lambda tau: 9.0 * tau * tau) if args.power == 3 else None
-        for tau in _parse_grid(args.t_grid, geometric=True):
-            rep = caffarelli_Phi(u1, u2, float(tau))
-            ref = rep.value if ref_of is None else ref_of(float(tau))
-            rows.append(
-                [float(tau), rep.factor1, rep.factor2, rep.value, ref, abs(rep.value - ref)]
-            )
-        tol = 1e-8
-    else:
-        if args.pair == "half":
-            u1, u2 = half_space_pair(args.d, kind="parabolic")
-            ref = 0.25
-        else:
-            u1, u2 = half_space_power_pair(args.d, args.power)
-            ref = caffarelli_Phi(u1, u2, args.t).value
-        for n in _parse_int_list(args.n):
-            rep = lifted_two_phase(u1, u2, LiftConfig(args.d, n), args.t)
-            rows.append([n, rep.factor1, rep.factor2, rep.value, ref, abs(rep.value - ref)])
-        tol = 1e-8
-    errs = [row[-1] for row in rows]
-    values = [row[3] for row in rows]
-    max_err = float(max(errs))
+        return _checked(header, rows, "plateau", 1e-6)
+    u1, u2 = _pair(args.pair, args.d, args.power)
     if args.kind == "lifted":
-        worst = 0.0 if max_err < tol else _increase_margin(errs)
-        ok = max_err < tol or (worst == 0.0 and errs[-1] < errs[0])
+        ref = 0.25 if args.pair == "half" else caffarelli_Phi(u1, u2, args.t).value
+
+        def cells_at(cfg):
+            rep = lifted_two_phase(u1, u2, cfg, args.t)
+            return [rep.factor1, rep.factor2, rep.value]
+
+        return _checked(header, _lifted_rows(args.n, args.d, ref, cells_at), "converging", 1e-8)
+    if args.pair == "half":
+        ref_of = lambda tau: 0.25
     else:
-        worst = _decrease_margin(values)
-        ok = worst == 0.0 and max_err < tol
-    return header, rows, ok, worst, max_err
+        # closed form for the cubic pair; other powers are compared to
+        # themselves (monotonicity is still checked)
+        ref_of = (lambda tau: 9.0 * tau * tau) if args.power == 3 else None
+    for tau in _parse_grid(args.t_grid, geometric=True):
+        rep = caffarelli_Phi(u1, u2, float(tau))
+        ref = rep.value if ref_of is None else ref_of(float(tau))
+        rows.append([float(tau), rep.factor1, rep.factor2, rep.value, ref, abs(rep.value - ref)])
+    return _checked(header, rows, "plateau", 1e-8)
 
 
 def _run_harmonic_map(args):
@@ -327,32 +355,18 @@ def _run_harmonic_map(args):
         for r in _parse_grid(args.r_grid, geometric=False):
             val = hm_phi(vmap, np.zeros(args.N), float(r))
             rows.append([float(r), val, ref, abs(val - ref)])
-        tol = 1e-6
-    elif args.which == "struwe":
-        umap = circle_map(args.d) if args.map == "circle" else equator_map(args.N)
-        for t in _parse_grid(args.t_grid, geometric=True):
-            val = struwe_Phi(umap, float(t))
-            ref = float(t) if args.map == "circle" else 1.0
-            rows.append([float(t), val, ref, abs(val - ref)])
-        tol = 1e-8
-    else:
-        umap = circle_map(args.d) if args.map == "circle" else equator_map(args.N)
-        cfg_d = args.d if args.map == "circle" else args.N
-        ref = args.t if args.map == "circle" else 1.0
-        for n in _parse_int_list(args.n):
-            val = lifted_hm_Phi(umap, LiftConfig(cfg_d, n), args.t)
-            rows.append([n, val, ref, abs(val - ref)])
-        tol = 1e-8
-    errs = [row[-1] for row in rows]
-    values = [row[1] for row in rows]
-    max_err = float(max(errs))
+        return _checked(header, rows, "plateau", 1e-6)
+    dim = args.d if args.map == "circle" else args.N
+    umap = _sphere_map(args.map, dim)
     if args.which == "lifted":
-        worst = 0.0 if max_err < tol else _increase_margin(errs)
-        ok = max_err < tol or (worst == 0.0 and errs[-1] < errs[0])
-    else:
-        worst = _decrease_margin(values)
-        ok = worst == 0.0 and max_err < tol
-    return header, rows, ok, worst, max_err
+        ref = args.t if args.map == "circle" else 1.0
+        rows = _lifted_rows(args.n, dim, ref, lambda cfg: [lifted_hm_Phi(umap, cfg, args.t)])
+        return _checked(header, rows, "converging", 1e-8)
+    for t in _parse_grid(args.t_grid, geometric=True):
+        val = struwe_Phi(umap, float(t))
+        ref = float(t) if args.map == "circle" else 1.0
+        rows.append([float(t), val, ref, abs(val - ref)])
+    return _checked(header, rows, "plateau", 1e-8)
 
 
 def _surface(args):
@@ -360,7 +374,7 @@ def _surface(args):
         return graph_plane(args.d, 0.0)
     if args.surface == "const":
         return graph_plane(args.d, args.c)
-    slopes = _parse_float_list(args.a)
+    slopes = _parse_list(args.a, float)
     if len(slopes) < args.d:
         raise ValueError(f"--a needs at least {args.d} entries for --d {args.d}")
     return graph_linear(slopes[: args.d])
@@ -389,32 +403,18 @@ def _run_mcf(args):
                 else 1.0
             )
             rows.append([float(r), val, ref, abs(val - ref)])
-        tol = 1e-6
-    elif args.which == "huisken":
-        surface = _surface(args)
-        flat = (4.0 * math.pi) ** (0.5 * args.d)
-        for t in _parse_grid(args.t_grid, geometric=True):
-            val = huisken_density(surface, float(t))
-            ref = flat * math.exp(-args.c**2 / (4.0 * float(t))) if args.surface == "const" else flat
-            rows.append([float(t), val, ref, abs(val - ref)])
-        tol = 1e-8
-    else:
-        surface = _surface(args)
-        ref = huisken_density(surface, args.t)
-        for n in _parse_int_list(args.n):
-            val = lifted_mcf_density(surface, LiftConfig(args.d, n), args.t)
-            rows.append([n, val, ref, abs(val - ref)])
-        tol = 1e-8
-    errs = [row[-1] for row in rows]
-    values = [row[1] for row in rows]
-    max_err = float(max(errs))
+        return _checked(header, rows, "plateau", 1e-6)
+    surface = _surface(args)
     if args.which == "lifted":
-        worst = 0.0 if max_err < tol else _increase_margin(errs)
-        ok = max_err < tol or (worst == 0.0 and errs[-1] < errs[0])
-    else:
-        worst = _decrease_margin(values)
-        ok = worst == 0.0 and max_err < tol
-    return header, rows, ok, worst, max_err
+        ref = huisken_density(surface, args.t)
+        cells_at = lambda cfg: [lifted_mcf_density(surface, cfg, args.t)]
+        return _checked(header, _lifted_rows(args.n, args.d, ref, cells_at), "converging", 1e-8)
+    flat = (4.0 * math.pi) ** (0.5 * args.d)
+    for t in _parse_grid(args.t_grid, geometric=True):
+        val = huisken_density(surface, float(t))
+        ref = flat * math.exp(-args.c**2 / (4.0 * float(t))) if args.surface == "const" else flat
+        rows.append([float(t), val, ref, abs(val - ref)])
+    return _checked(header, rows, "plateau", 1e-8)
 
 
 _DEMO_FIELDS = {
@@ -426,30 +426,24 @@ _DEMO_FIELDS = {
 
 
 def _run_lift_demo(args):
-    n_list = _parse_int_list(args.n)
     if args.field not in _DEMO_FIELDS[args.which]:
         raise ValueError(
             f"--which {args.which} accepts --field from {_DEMO_FIELDS[args.which]}"
         )
-    header = ["n", "lifted_value", "limit_value", "abs_error"]
     if args.which == "frequency":
         u = caloric_polynomial(args.field, args.d)
         limit = 2.0 * poon(u, args.t).L
-        values = [lifted_frequency(u, LiftConfig(args.d, n), args.t) for n in n_list]
+        cells_at = lambda cfg: [lifted_frequency(u, cfg, args.t)]
     elif args.which == "two-phase":
-        pair = (
-            half_space_pair(args.d, kind="parabolic")
-            if args.field == "half"
-            else half_space_power_pair(args.d)
-        )
-        limit = caffarelli_Phi(pair[0], pair[1], args.t).value
-        values = [lifted_two_phase(*pair, LiftConfig(args.d, n), args.t).value for n in n_list]
+        u1, u2 = _pair(args.field, args.d)
+        limit = caffarelli_Phi(u1, u2, args.t).value
+        cells_at = lambda cfg: [lifted_two_phase(u1, u2, cfg, args.t).value]
     elif args.which == "harmonic-map":
         if args.field == "equator" and args.d < 3:
             raise ValueError("the equator map needs --d >= 3")
-        umap = circle_map(args.d) if args.field == "circle" else equator_map(args.d)
+        umap = _sphere_map(args.field, args.d)
         limit = struwe_Phi(umap, args.t)
-        values = [lifted_hm_Phi(umap, LiftConfig(args.d, n), args.t) for n in n_list]
+        cells_at = lambda cfg: [lifted_hm_Phi(umap, cfg, args.t)]
     else:
         if args.field == "tilted":
             surface = graph_linear([0.4] * args.d)
@@ -458,13 +452,9 @@ def _run_lift_demo(args):
         else:
             surface = graph_plane(args.d, 0.0)
         limit = huisken_density(surface, args.t)
-        values = [lifted_mcf_density(surface, LiftConfig(args.d, n), args.t) for n in n_list]
-    errs = [abs(v - limit) for v in values]
-    rows = [[n, v, limit, e] for n, v, e in zip(n_list, values, errs)]
-    max_err = float(max(errs))
-    worst = 0.0 if max_err < 1e-8 else _increase_margin(errs)
-    ok = max_err < 1e-8 or worst == 0.0
-    return header, rows, ok, worst, max_err
+        cells_at = lambda cfg: [lifted_mcf_density(surface, cfg, args.t)]
+    header = ["n", "lifted_value", "limit_value", "abs_error"]
+    return _checked(header, _lifted_rows(args.n, args.d, limit, cells_at), "converging", 1e-8)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def ms_density(
         return 0.0  # the ball misses the sheet above the center
 
     def eval_at(level: int):
-        omega, wa = _sphere_nodes(N, level, spec.angular_rule)
+        omega, wa = _sphere_nodes(N, level)
         rho, wr = _legendre_rule(level, 0.0, _graph_radii(surface, t, y0, v0, r * r, omega), N - 1)
 
         def area_element(x, _):
@@ -144,7 +144,7 @@ def ms_density_tilde(
         return np.asarray(h.value(pts), float)
 
     def eval_at(level: int):
-        omega, wa = _sphere_nodes(N, level, spec.angular_rule)
+        omega, wa = _sphere_nodes(N, level)
 
         def bulk(x, _):
             # area element and the curvature correction, in base coordinates
@@ -258,7 +258,7 @@ def lifted_mcf_density(
     scale = (4.0 * math.pi) ** (0.5 * d) * math.exp(log_pref)
 
     def eval_at(level: int):
-        omega, wa = _sphere_nodes(d, level, spec.angular_rule)
+        omega, wa = _sphere_nodes(d, level)
         rho_star = _graph_radii(surface, t, np.zeros(d), 0.0, rmax_sq, omega)
         z, wj = _jacobi(level, expo, 0.0)
 

@@ -23,6 +23,15 @@ class MonotonicityReport:
         return self.violations == 0
 
 
+def _step_margins(values: np.ndarray, tol: float) -> np.ndarray:
+    """-step - tol * scale for each step of values, scale being the larger of
+    1 and the two values' magnitudes: positive where a step falls by more
+    than tol relative to that scale."""
+    steps = np.diff(values)
+    scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
+    return -steps - tol * scale
+
+
 def monotonicity_sweep(curve, grid, tol: float = 1e-8) -> MonotonicityReport:
     """Evaluate curve on a strictly increasing grid (>= 8 points) and count
     steps that decrease by more than tol relative to the local value scale.
@@ -33,10 +42,8 @@ def monotonicity_sweep(curve, grid, tol: float = 1e-8) -> MonotonicityReport:
     if np.any(np.diff(grid) <= 0.0):
         raise ValueError("grid must be strictly increasing")
     values = np.array([float(curve(s)) for s in grid])
-    steps = np.diff(values)
-    fd = steps / np.diff(grid)
-    scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
-    violations = int(np.sum(steps < -tol * scale))
+    fd = np.diff(values) / np.diff(grid)
+    violations = int(np.sum(_step_margins(values, tol) > 0.0))
     return MonotonicityReport(
         grid=grid,
         values=values,

@@ -279,7 +279,7 @@ def _circle_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _sphere_nodes(N: int, level: int, rule: str, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _sphere_nodes(N: int, level: int, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (m, N) and weights (m,) with sum |S^(N-1)|.
 
     k = None gives the tensor product rule on S^(N-1).  0 <= k < N gives the
@@ -289,13 +289,13 @@ def _sphere_nodes(N: int, level: int, rule: str, k: int | None = None) -> tuple[
     is omega = (z, sqrt(1 - |z|^2), 0, ..., 0) for a node z of that density.
     """
     if k is not None:
-        return _reduced_sphere_nodes(N, level, rule, k)
+        return _reduced_sphere_nodes(N, level, k)
     if N == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if N == 2:
         return _circle_nodes(level)
 
-    sub_pts, sub_w = _sphere_nodes(N - 1, level, rule)
+    sub_pts, sub_w = _sphere_nodes(N - 1, level)
     # x = (sin(theta) w', cos(theta)); Gauss-Jacobi absorbs sin^(N-2)
     u, wu = _jacobi(_polar_count(level), 0.5 * (N - 3), 0.5 * (N - 3))
     s = np.sqrt(np.maximum(0.0, 1.0 - u * u))
@@ -307,7 +307,7 @@ def _sphere_nodes(N: int, level: int, rule: str, k: int | None = None) -> tuple[
     return pts, w
 
 
-def _reduced_sphere_nodes(N: int, level: int, rule: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _reduced_sphere_nodes(N: int, level: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k == 0:
         omega = np.zeros((1, N))
         omega[0, 0] = 1.0
@@ -315,7 +315,7 @@ def _reduced_sphere_nodes(N: int, level: int, rule: str, k: int) -> tuple[np.nda
     # z = |z| theta: the push-forward density in |z|, with as many nodes as
     # the tensor rule's polar factor, times a rule on S^(k-1)
     rz, wz = _ball_rule(_polar_count(level), k, 0.5 * (N - k - 2), 1.0, _log_sphere_area(N - k))
-    theta, wt = _sphere_nodes(k, level, rule)
+    theta, wt = _sphere_nodes(k, level)
     omega = np.zeros((len(rz), len(wt), N))
     omega[..., :k] = rz[:, None, None] * theta
     omega[..., k] = np.sqrt(np.maximum(0.0, 1.0 - rz * rz))[:, None]
@@ -479,7 +479,7 @@ def _ball_rule(level: int, d: int, expo: float, r_max: float, log_pref: float) -
 
         sum_ij w_i wa_j g(r_i omega_j) ~ int_{|x| <= r_max} g(x) e^log_pref (1 - |x|^2/r_max^2)^expo dx
 
-    with (omega, wa) = _sphere_nodes(d, level, rule).  Projecting the
+    with (omega, wa) = _sphere_nodes(d, level).  Projecting the
     uniform measure on a sphere in R^N onto d coordinates gives this density
     with expo = (N - d - 2)/2.
     """
@@ -504,7 +504,7 @@ def _weighted_rule(weight: str, d: int, t: float, level: int, n: int | None) -> 
 
         sum_ij w_i wa_j phi(r_i omega_j) ~ int phi(x) w_t(x) dx
 
-    with (omega, wa) = _sphere_nodes(d, level, rule).  The finite weight at
+    with (omega, wa) = _sphere_nodes(d, level).  The finite weight at
     n = 1 is the uniform law on the sphere |x| = sqrt(2dt), with no density;
     its rule is that one radius with weight 1, and the sum must still be
     divided by |S^(d-1)|.
@@ -527,11 +527,11 @@ def _weighted_rule(weight: str, d: int, t: float, level: int, n: int | None) -> 
     raise ValueError(f"unknown weight kind {weight!r}")
 
 
-def _weighted_sums(f, weight: str, d: int, ts: np.ndarray, level: int, rule: str, n: int | None):
+def _weighted_sums(f, weight: str, d: int, ts: np.ndarray, level: int, n: int | None):
     """int f(x, t) w_t(x) dx at each time of ts (T,) in one polar sum: the T
     values, shape (T,) or (T, K), and the evaluation count.  f(x, t) gets t
     of shape (rows, 1)."""
-    omega, wa = _sphere_nodes(d, level, rule)
+    omega, wa = _sphere_nodes(d, level)
     rules = [_weighted_rule(weight, d, tq, level, n) for tq in ts]
     values, count = _polar_sum(f, np.stack([r for r, _ in rules]), np.stack([w for _, w in rules]), omega, wa, t=ts)
     if weight == "finite" and n == 1:
@@ -562,7 +562,7 @@ def integrate_weighted(
 
     def eval_at(level: int):
         # the one-time-node case of the time-stacked sum
-        values, count = _weighted_sums(lambda x, _: phi(x), weight, d, np.array([t]), level, spec.angular_rule, n)
+        values, count = _weighted_sums(lambda x, _: phi(x), weight, d, np.array([t]), level, n)
         value = values[0]
         return (float(value) if value.ndim == 0 else value), count
 
@@ -596,7 +596,7 @@ def integrate_spacetime(
 
     def eval_at(level: int):
         ts, wt = _time_rule(spec, level, 0.0, tau)
-        values, count = _weighted_sums(phi, weight, d, ts, level, spec.angular_rule, n)
+        values, count = _weighted_sums(phi, weight, d, ts, level, n)
         total = _as_vector(_time_sum(wt, values))
         if total.size == 1:
             return float(total[0]), count
@@ -617,7 +617,7 @@ def _integrate_shell(
     k = _reduced_k(N, symmetry, center)
 
     def eval_at(level: int):
-        omega, wa = _sphere_nodes(N, level, spec.angular_rule, k)
+        omega, wa = _sphere_nodes(N, level, k)
         if r0 == 0.0 and not float(power).is_integer():
             # rho = r1 (1 + s) / 2: Gauss-Jacobi(0, power) absorbs the
             # non-smooth rho^power, which no Legendre rule resolves at the origin
@@ -684,7 +684,7 @@ def integrate_sphere(
     k = _reduced_k(N, symmetry, c)
 
     def eval_at(level: int):
-        omega, wa = _sphere_nodes(N, level, spec.angular_rule, k)
+        omega, wa = _sphere_nodes(N, level, k)
         return _polar_sum(lambda x, _: f(x), np.array([r]), np.array([r ** (N - 1)]), omega, wa, c)
 
     return _estimate(eval_at, spec)
@@ -709,7 +709,7 @@ def integrate_window(
         raise ValueError("need 0 <= r0 < r1 and 0 < t0 < t1")
 
     def eval_at(level: int):
-        omega, wa = _sphere_nodes(d, level, spec.angular_rule)
+        omega, wa = _sphere_nodes(d, level)
         rho, wr = _legendre_rule(level, r0, r1, d - 1)
         ts, wt = _time_rule(spec, level, t0, t1)
         shape = (len(ts), len(rho))
@@ -953,7 +953,8 @@ def pushforward_check_sphere(
     mc_mean over that sampler for any thread count.
     """
     cfg = LiftConfig(d=d, n=n)
-    radius = math.sqrt(2.0 * d * t)
+    # t <= 0 (or NaN) fails the radius check rather than the square root
+    radius = math.sqrt(2.0 * d * t) if t > 0.0 else 0.0
     _check_sphere_args(cfg.N, radius)
 
     def through_lift(y):

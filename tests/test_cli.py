@@ -92,6 +92,24 @@ def test_failing_check_exits_two(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, rc",
+    [
+        # a repeated step count gives errors that do not fall: the lifted
+        # value is not seen converging, and the check fails
+        (["lift-demo", "--which", "two-phase", "--field", "power", "--n", "10,10"], 2),
+        (["two-phase", "--kind", "lifted", "--pair", "power", "--n", "10,10"], 2),
+        # unless every error is already below the tolerance
+        (["mcf", "--which", "lifted", "--n", "10,10"], 0),
+    ],
+)
+def test_lifted_errors_must_fall_or_stay_below_tolerance(argv, rc, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "run"]) == rc
+    summary = json.loads((tmp_path / "run.json").read_text())
+    assert summary["status"] == ("pass" if rc == 0 else "fail")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["mcf", "--which", "ms", "--surface", "const"],
@@ -99,6 +117,15 @@ def test_failing_check_exits_two(tmp_path, monkeypatch):
         ["frequency", "--elliptic", "--r-grid", "1:2"],
         ["frequency", "--parabolic", "--field", "nope"],
         ["harmonic-map", "--which", "lifted", "--map", "equator", "--N", "2"],
+        # empty comma lists
+        ["carleman", "--elliptic", "--gamma", ","],
+        ["gn-limit", "--n", ","],
+        ["lift-demo", "--n", ","],
+        # grids must run from a to a finite b > a
+        ["frequency", "--elliptic", "--r-grid", "2:0.5:8"],
+        ["frequency", "--parabolic", "--field", "hk", "--t-grid", "4:0.25:16"],
+        ["gn-limit", "--grid", "1:1e400:5"],
+        ["pushforward", "--t", "-1"],
     ],
 )
 def test_domain_errors_exit_one(argv, tmp_path, monkeypatch):

@@ -161,7 +161,7 @@ def _per_node_estimate(case, phi, d, n, spec, shapes):
     def eval_at(level: int):
         if case == "window":
             ts, wt = I._time_rule(spec, level, 0.2, 0.9)
-            omega, wa = I._sphere_nodes(d, level, spec.angular_rule)
+            omega, wa = I._sphere_nodes(d, level)
             rho, wr = I._legendre_rule(level, 0.3, 1.4, d - 1)
 
             def one(q):
@@ -171,9 +171,9 @@ def _per_node_estimate(case, phi, d, n, spec, shapes):
             ts, wt = I._time_rule(spec, level, 0.0, 0.7)
 
             def one(q):
-                return I._weighted_sums(phi, case, d, ts[q : q + 1], level, spec.angular_rule, n)
+                return I._weighted_sums(phi, case, d, ts[q : q + 1], level, n)
 
-        ka = I._sphere_nodes(d, level, spec.angular_rule)[0].shape[0]
+        ka = I._sphere_nodes(d, level)[0].shape[0]
         total, count = None, 0
         for q in range(len(ts)):
             values, cnt = one(q)
@@ -275,7 +275,7 @@ def test_an_integrand_error_in_a_middle_block_propagates(monkeypatch):
     # 50 radial rows of 100 directions in blocks of 10 rows: the error is in block 2 of 0..4
     monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", 1000)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    omega, wa = dimlift.integrate._sphere_nodes(2, 50, "product-gauss")
+    omega, wa = dimlift.integrate._sphere_nodes(2, 50)
     assert omega.shape[0] == 100
     r = np.arange(50.0)
 
@@ -349,7 +349,7 @@ def test_thread_count_is_clamped_to_the_cpu_count(monkeypatch):
 
 def _two_block_sum(threads, f=None):
     # 50 radial rows of 100 directions in blocks of 10 rows: five blocks
-    omega, wa = dimlift.integrate._sphere_nodes(2, 50, "product-gauss")
+    omega, wa = dimlift.integrate._sphere_nodes(2, 50)
     r = np.linspace(0.1, 1.0, 50)
     f = f or (lambda x, rho: np.cos(x[..., 0]) * np.exp(-x[..., 1] ** 2))
     with _use_threads(threads):
@@ -648,6 +648,13 @@ def test_writing_into_quad_value_leaves_the_next_result_intact():
     first.quad_value[:] = -1.0
     again = pushforward_check_sphere(_stack, 1, 5, 0.9, mc)
     assert again.quad_value.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, float("nan")])
+def test_sphere_check_needs_a_positive_time(t):
+    # checked before the radius sqrt(2 d t) is taken, so every t <= 0 gives one reason
+    with pytest.raises(ValueError, match="need radius > 0"):
+        pushforward_check_sphere(_stack, 1, 5, t, MonteCarloSpec(seed=0, samples=1000))
 
 
 def test_integrand_constant_on_the_sampled_sphere_is_no_discrepancy():

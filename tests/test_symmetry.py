@@ -33,7 +33,7 @@ def _undeclared(field):
 
 @pytest.mark.parametrize("N,k", [(3, 1), (4, 1), (4, 2), (5, 3), (7, 2), (40, 1), (40, 2), (40, 3)])
 def test_reduced_rule_integrates_moments_of_the_first_k_coordinates(N, k):
-    omega, wa = _sphere_nodes(N, 48, "product-gauss", k)
+    omega, wa = _sphere_nodes(N, 48, k)
     area = sphere_area(N)
     assert np.allclose(np.linalg.norm(omega, axis=-1), 1.0, rtol=0.0, atol=1e-15)
     assert np.all(omega[:, k + 1 :] == 0.0)
@@ -47,7 +47,7 @@ def test_reduced_rule_integrates_moments_of_the_first_k_coordinates(N, k):
 
 
 def test_radial_rule_is_one_node():
-    omega, wa = _sphere_nodes(5, 48, "product-gauss", 0)
+    omega, wa = _sphere_nodes(5, 48, 0)
     assert omega.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]]
     assert wa.tolist() == [sphere_area(5)]
 

@@ -6,8 +6,10 @@
 ``record`` runs, in-process and in a temporary directory, the eight quick
 cases of ``tests/test_cli.py`` (``FAST_ARGS``), the nineteen argv lists of
 the benchmark's ``cli-lowdim`` workload, with every ``--t`` set to one fixed
-value, and two ``pushforward`` cases whose Monte Carlo runs in seven batches,
-so that a record at two or more threads covers batches drawn on workers.
+value, two ``pushforward`` cases whose Monte Carlo runs in seven batches,
+so that a record at two or more threads covers batches drawn on workers,
+and one case for each handler branch the others miss (``BRANCH_ARGS``),
+failing checks included.
 For each case it writes the exit code, the sha256 of the CSV and of the
 summary JSON, and both texts.  The manifest file is left out: it holds
 the wall time and may differ between byte-identical runs.  ``--block`` sets
@@ -76,6 +78,30 @@ MC_ARGS = [
 ]
 
 
+# every handler branch that the lists above leave out, and checks that fail
+BRANCH_ARGS = [
+    ["frequency", "--elliptic", "--field", "x1x2", "--N", "3"],
+    ["frequency", "--elliptic", "--field", "re_z3"],
+    ["frequency", "--parabolic", "--field", "radial", "--d", "2"],
+    ["two-phase", "--kind", "parabolic", "--pair", "power", "--power", "2"],
+    ["harmonic-map", "--which", "struwe", "--map", "equator", "--N", "3"],
+    ["harmonic-map", "--which", "lifted", "--map", "equator", "--N", "3"],
+    ["mcf", "--which", "ms", "--delta", "0.4"],
+    ["mcf", "--which", "ms", "--surface", "tilted", "--d", "2"],
+    ["mcf", "--which", "huisken", "--surface", "tilted", "--d", "2"],
+    ["mcf", "--which", "lifted", "--surface", "tilted", "--d", "1"],
+    ["mcf", "--which", "lifted", "--n", "10,10"],
+    ["lift-demo", "--which", "harmonic-map", "--field", "equator", "--d", "3"],
+    ["lift-demo", "--which", "mcf", "--field", "tilted", "--d", "2"],
+    ["lift-demo", "--which", "two-phase", "--field", "power"],
+    ["lift-demo", "--which", "frequency", "--field", "radial", "--d", "2"],
+    ["carleman", "--elliptic"],
+    ["gn-limit", "--n", "64,8"],
+    ["lift-demo", "--which", "two-phase", "--field", "power", "--n", "10,10"],
+    ["two-phase", "--kind", "lifted", "--pair", "power", "--n", "10,10"],
+]
+
+
 def cases(t: str) -> dict[str, list[str]]:
     """Case name -> argv, in run order."""
     out = {f"fast {name}": argv for name, argv in FAST_ARGS.items()}
@@ -84,6 +110,8 @@ def cases(t: str) -> dict[str, list[str]]:
         out["lowdim " + " ".join(argv)] = argv
     for argv in MC_ARGS:
         out["mc " + " ".join(argv)] = argv
+    for argv in BRANCH_ARGS:
+        out["branch " + " ".join(argv)] = argv
     return out
 
 
