@@ -117,17 +117,13 @@ def _cell(value) -> str:
 
 def _decrease_margin(values) -> float:
     """Worst monotonicity violation: positive when some step falls by more
-    than SWEEP_TOL relative to the local scale, 0 otherwise."""
-    margins = _step_margins(np.asarray(values, dtype=float), SWEEP_TOL)
-    return float(max(0.0, np.max(margins))) if margins.size else 0.0
+    than SWEEP_TOL relative to the local scale, 0 otherwise; NaN if a value is."""
+    return float(np.max(_step_margins(np.asarray(values, dtype=float), SWEEP_TOL), initial=0.0))
 
 
 def _increase_margin(values) -> float:
-    """Worst failure of strict decrease (for error sequences)."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 2:
-        return 0.0
-    return float(max(0.0, np.max(np.diff(v))))
+    """Worst rise of an error sequence: 0 if it never rises; NaN if an error is."""
+    return float(np.max(np.diff(np.asarray(values, dtype=float)), initial=0.0))
 
 
 def _verdict(mode: str, values, errs, tol: float) -> tuple[bool, float, float]:
@@ -136,15 +132,17 @@ def _verdict(mode: str, values, errs, tol: float) -> tuple[bool, float, float]:
     "plateau": the values never fall and every error is below tol.
     "converging": every error is below tol, or the errors never rise and end
     below where they start.
+    A non-finite value or error fails either mode.
     """
-    max_err = float(max(errs))
+    finite = bool(np.all(np.isfinite(np.asarray(values, dtype=float))) and np.all(np.isfinite(errs)))
+    max_err = float(np.max(errs))
     if mode == "plateau":
         worst = _decrease_margin(values)
-        return worst == 0.0 and max_err < tol, worst, max_err
-    if max_err < tol:
+        return finite and worst == 0.0 and max_err < tol, worst, max_err
+    if finite and max_err < tol:
         return True, 0.0, max_err
     worst = _increase_margin(errs)
-    return worst == 0.0 and errs[-1] < errs[0], worst, max_err
+    return finite and worst == 0.0 and errs[-1] < errs[0], worst, max_err
 
 
 def _checked(header, rows, mode: str, tol: float):
@@ -195,8 +193,7 @@ def _run_gn_limit(args):
     for i, n in enumerate(n_list):
         ratio = "" if i == 0 else errs[i - 1] / errs[i]
         rows.append([n, float(errs[i]), ratio])
-    worst = _increase_margin(errs)
-    return header, rows, worst == 0.0, worst, float(np.max(errs))
+    return (header, rows, *_verdict("converging", errs, errs, 0.0))
 
 
 _PHI_CATALOG = {

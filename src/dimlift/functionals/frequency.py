@@ -19,12 +19,11 @@ from ..errors import DegenerateDenominatorError
 from ..fields import NonhomTerm, ScalarField, SpaceTimeField
 from ..integrate import (
     QuadratureSpec,
-    integrate_ball,
+    _shell_mean,
     integrate_spacetime,
-    integrate_sphere,
     integrate_weighted,
 )
-from ..lift import LiftConfig
+from ..lift import LiftConfig, sphere_area
 from .common import DENOMINATOR_FLOOR, dot, gradsq, power_ratio
 
 __all__ = ["FrequencyValues", "almgren", "almgren_dL_lower_bound", "poon", "lifted_frequency"]
@@ -41,14 +40,24 @@ class FrequencyValues:
 
 
 def almgren(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -> FrequencyValues:
-    """Elliptic frequency r D(r) / H(r) of v centered at the origin."""
+    """Elliptic frequency r D(r) / H(r) of v centered at the origin.
+
+    L = (r^2/N) D_mean / H_mean, from the means of |grad v|^2 on the ball and
+    of v^2 on the sphere, so the measures |S^(N-1)| r^N / N and
+    |S^(N-1)| r^(N-1) cancel and L stays finite at N in the hundreds.  The
+    floor applies to H_mean; H and D are the totals.
+    """
     if not r > 0.0:
         raise ValueError("need r > 0")
-    H = integrate_sphere(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, spec, symmetry=v.symmetry).value
-    if H < DENOMINATOR_FLOOR:
-        raise DegenerateDenominatorError(f"boundary mass H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
-    D = integrate_ball(gradsq(v), v.N, r, spec, symmetry=v.symmetry).value
-    return FrequencyValues(param=r, H=H, D=D, L=r * D / H)
+    N = v.N
+    H_mean = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, N, r, r, spec, symmetry=v.symmetry).value
+    if H_mean < DENOMINATOR_FLOOR:
+        raise DegenerateDenominatorError(f"boundary mean H = {H_mean!r} is below the {DENOMINATOR_FLOOR} floor")
+    D_mean = _shell_mean(gradsq(v), N, 0.0, r, spec, symmetry=v.symmetry).value
+    # the totals, with the bits of integrate_sphere and integrate_ball
+    H = H_mean * (sphere_area(N) * r ** (N - 1))
+    D = D_mean * (sphere_area(N) * (r**N / N))
+    return FrequencyValues(param=r, H=H, D=D, L=r * r / N * D_mean / H_mean)
 
 
 def almgren_dL_lower_bound(
@@ -62,13 +71,15 @@ def almgren_dL_lower_bound(
         L'(r) >= 2 (int_{bd B_r} v (y . grad v) dS) (int_{B_r} h v dy) / H^2
                  - 2 (int_{B_r} h (y . grad v) dy) / H.
 
-    For h = 0 this recovers monotonicity of the homogeneous frequency.
+    For h = 0 this recovers monotonicity of the homogeneous frequency.  In
+    the sphere and ball means (subscript m) the bound is
+    (2r/N) (B_m hv_m / H_m^2 - hr_m / H_m), and the floor applies to H_m.
     """
     if not r > 0.0:
         raise ValueError("need r > 0")
-    H = integrate_sphere(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, spec).value
+    H = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, r, spec).value
     if H < DENOMINATOR_FLOOR:
-        raise DegenerateDenominatorError(f"boundary mass H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
+        raise DegenerateDenominatorError(f"boundary mean H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
 
     def v_radial(y):
         g = np.asarray(v.grad(y), dtype=float)
@@ -81,10 +92,10 @@ def almgren_dL_lower_bound(
     def h_v(y):
         return np.asarray(h.value(y), float) * np.asarray(v.value(y), float)
 
-    boundary_term = integrate_sphere(v_radial, v.N, r, spec).value
-    bulk_hv = integrate_ball(h_v, v.N, r, spec).value
-    bulk_hr = integrate_ball(h_radial, v.N, r, spec).value
-    return 2.0 * boundary_term * bulk_hv / H**2 - 2.0 * bulk_hr / H
+    boundary_term = _shell_mean(v_radial, v.N, r, r, spec).value
+    bulk_hv = _shell_mean(h_v, v.N, 0.0, r, spec).value
+    bulk_hr = _shell_mean(h_radial, v.N, 0.0, r, spec).value
+    return 2.0 * r / v.N * (boundary_term * bulk_hv / H**2 - bulk_hr / H)
 
 
 def poon(u: SpaceTimeField, t: float, spec: QuadratureSpec = QuadratureSpec()) -> FrequencyValues:

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import AccuracyError, UnsupportedConfigError
 from ..fields import GraphSurface, NonhomTerm
 from ..integrate import QuadratureSpec, _jacobi, _legendre_rule, _polar_sum, _refine, _sphere_nodes, integrate_weighted
-from ..lift import LiftConfig, sphere_area
+from ..lift import LiftConfig
 from ..weights import _log_sphere_area
 from .common import dot
 
@@ -95,8 +95,9 @@ def ms_density(
 
         return _polar_sum(area_element, rho, wr, omega, wa, y0)
 
+    # the angular rule has sum 1, so the sum is Area / |S^(N-1)|
     vol, _ = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
-    return vol / (sphere_area(N) / N * r**N)
+    return vol * N / r**N
 
 
 @dataclass(frozen=True)
@@ -157,8 +158,9 @@ def ms_density_tilde(
 
         rho_star = _graph_radii(surface, t, y0, v0, r * r, omega)
         rho, wr = _legendre_rule(level, 0.0, rho_star, N - 1)
+        # the angular rule has sum 1, so the sums are divided by |S^(N-1)|
         (vol, correction), count = _polar_sum(bulk, rho, wr, omega, wa, y0)
-        theta_tilde = (vol + correction / N) / (sphere_area(N) / N * r**N)
+        theta_tilde = (vol + correction / N) * N / r**N
 
         # slice: polar parametrization of {|w - w0| = r} on the graph
         ys = y0 + rho_star[:, None] * omega
@@ -184,7 +186,7 @@ def ms_density_tilde(
 
         integrand = (wnu * wnu + hval(ys) * wnu * r * r / N) / tang
         slice_sum = float(np.sum(wa * measure * integrand))
-        rhs = N / (sphere_area(N) * r ** (N + 1)) * slice_sum
+        rhs = N / r ** (N + 1) * slice_sum
         return np.array([theta_tilde, rhs]), count + omega.shape[0]
 
     out, _ = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
@@ -253,8 +255,11 @@ def lifted_mcf_density(
         return 0.0  # weight support is empty along every direction
     # the rim factor (1 - (|x|^2 + u^2)/R^2)^expo = ((rho* - rho) q / R^2)^expo
     # is split into (1 - z)^expo, absorbed by the Gauss-Jacobi rule in z, and
-    # (0.5 rho* q / R^2)^expo, whose base lies in [0, 1] so no n overflows it
-    log_pref = _log_sphere_area(nd - d) - _log_sphere_area(nd) - 0.5 * d * math.log(rmax_sq)
+    # (0.5 rho* q / R^2)^expo, whose base lies in [0, 1] so no n overflows it.
+    # The angular and Jacobi rules have sum 1; their measures |S^(d-1)| and
+    # int (1 - z)^expo dz = 2^(expo+1)/(expo+1) are folded in here
+    log_pref = _log_sphere_area(nd - d) + _log_sphere_area(d) - _log_sphere_area(nd) - 0.5 * d * math.log(rmax_sq)
+    log_pref += (expo + 1.0) * math.log(2.0) - math.log(expo + 1.0)
     scale = (4.0 * math.pi) ** (0.5 * d) * math.exp(log_pref)
 
     def eval_at(level: int):

@@ -6,23 +6,24 @@ import numpy as np
 
 from ..errors import UnsupportedConfigError
 from ..fields import NonhomTerm, SphereField
-from ..integrate import QuadratureSpec, integrate_ball, integrate_weighted
-from ..lift import LiftConfig
+from ..integrate import QuadratureSpec, _shell_mean, integrate_ball, integrate_weighted
+from ..lift import LiftConfig, sphere_area
 from .common import dot
 
 __all__ = ["hm_phi", "hm_dphi_lower_bound", "struwe_Phi", "lifted_hm_Phi"]
 
 
 def hm_phi(vmap: SphereField, y0, r: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Scaled local energy phi(r) = r^(2-N) int_{B_r(y0)} |Dv|^2 dy."""
+    """Scaled local energy phi(r) = r^(2-N) int_{B_r(y0)} |Dv|^2 dy.
+
+    Computed as (r^2/N) |S^(N-1)| times the ball mean of |Dv|^2; the factor
+    |S^(N-1)| underflows to 0 near N = 480, and the value with it.
+    """
     if not r > 0.0:
         raise ValueError("need r > 0")
     N = vmap.dim_domain
-    c = None if y0 is None else np.asarray(y0, dtype=float)
-    energy = integrate_ball(
-        lambda y: np.asarray(vmap.energy(y), float), N, r, spec, center=c, symmetry=vmap.symmetry
-    ).value
-    return r ** (2 - N) * energy
+    mean = _shell_mean(lambda y: np.asarray(vmap.energy(y), float), N, 0.0, r, spec, y0, symmetry=vmap.symmetry)
+    return r * r / N * sphere_area(N) * mean.value
 
 
 def hm_dphi_lower_bound(

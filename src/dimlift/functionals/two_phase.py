@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fields import NonhomTerm, ScalarField, SpaceTimeField
-from ..integrate import QuadratureSpec, integrate_ball, integrate_spacetime, integrate_sphere
-from ..lift import LiftConfig, sphere_area
+from ..integrate import QuadratureSpec, _shell_mean, integrate_ball, integrate_spacetime
+from ..lift import LiftConfig
 from .common import dot, gradsq
 
 __all__ = [
@@ -61,8 +61,7 @@ def support_fraction(v: ScalarField, r: float, spec: QuadratureSpec = Quadrature
     def indicator(y):
         return (np.asarray(v.value(y), float) > 0.0).astype(float)
 
-    measure = integrate_sphere(indicator, v.N, r, spec).value
-    return measure / (r ** (v.N - 1) * sphere_area(v.N))
+    return _shell_mean(indicator, v.N, r, r, spec).value
 
 
 def acf_phi(

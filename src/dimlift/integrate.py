@@ -2,9 +2,13 @@
 
 Quadrature rules are polar: a radial Gauss rule times an angular rule on the
 unit sphere, summed by _polar_sum in blocks of whole radial rows so memory
-stays bounded.  A space-time integral stacks its time nodes as leading rows
-of one such sum, so the integrand is called once per block, not once per
-node.  The angular rule is a tensor product of one-dimensional Gauss rules,
+stays bounded.  The rules are probability rules, with weights that sum to 1:
+the angular rule averages over the uniform law on the sphere, and the
+Gauss-Jacobi rules (built with numpy, _jacobi) over a Beta law.  A ball,
+annulus or sphere integral is refined as a mean, which stays of the size of
+the integrand for any N, and multiplied once by the measure in closed form.
+A space-time integral stacks its time nodes as leading rows of one such sum,
+so the integrand is called once per block, not once per node.  The angular rule is a tensor product of one-dimensional Gauss rules,
 unless the integrand is declared to depend on y only through y_1..y_k and
 |y|: the ball, sphere and annulus integrals then integrate over the
 push-forward of the sphere's measure to those k coordinates, with O(level^k)
@@ -31,16 +35,14 @@ import os
 import threading
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import AccuracyError, UnsupportedConfigError
 from .lift import LiftConfig, lift_point_time, sphere_area
-from .weights import _log_sphere_area
 
 __all__ = [
     "QuadratureSpec",
@@ -254,7 +256,47 @@ def _leggauss(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _jacobi(k: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    return roots_jacobi(k, alpha, beta)
+    """Gauss-Jacobi nodes (ascending) and weights summing to 1 for the
+    probability density proportional to (1 - x)^alpha (1 + x)^beta on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    orthonormal polynomials p_j.  The weights are the Christoffel numbers
+    1 / sum_j p_j(x_i)^2, with the p_j from the three-term recurrence; unlike
+    the squared first components of the eigenvectors, they keep their
+    relative precision far out in the light tail when alpha >> beta.  The
+    j = 0 and j = 1 coefficients are written with alpha + beta (+ 1)
+    cancelled, so alpha + beta = 0 or -1 needs no special case.  A rule whose
+    sums overflow (k in the hundreds at large alpha) raises rather than
+    return zero weights.
+    """
+    ab = alpha + beta
+    j = np.arange(1.0, k)
+    s = 2.0 * j + ab
+    diag = np.concatenate([[(beta - alpha) / (ab + 2.0)], (beta * beta - alpha * alpha) / (s * (s + 2.0))])
+    j, s = j[1:], s[1:]
+    off = np.sqrt(
+        np.concatenate(
+            [
+                [4.0 * (1.0 + alpha) * (1.0 + beta) / ((ab + 2.0) ** 2 * (ab + 3.0))],
+                4.0 * j * (j + alpha) * (j + beta) * (j + ab) / (s * s * (s + 1.0) * (s - 1.0)),
+            ]
+        )[: k - 1]
+    )
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    if alpha == beta:
+        x = 0.5 * (x - x[::-1])  # exactly symmetric, with an exact 0 for odd k
+    p_prev, p = np.zeros(k), np.ones(k)  # p_(-1) = 0 and p_0 = 1
+    total = np.ones(k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k - 1):
+            p, p_prev = ((x - diag[i]) * p - off[i - 1] * p_prev) / off[i], p
+            total += p * p
+    if not np.all(np.isfinite(total)):
+        raise UnsupportedConfigError(
+            f"Gauss-Jacobi rule with k={k}, alpha={alpha}, beta={beta} is out of range: its weights underflow"
+        )
+    w = 1.0 / total
+    return x, w / w.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +317,24 @@ def _circle_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     m = _azimuth_count(level)
     theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
     pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return pts, np.full(m, 2.0 * np.pi / m)
+    return pts, np.full(m, 1.0 / m)
 
 
 @lru_cache(maxsize=None)
 def _sphere_nodes(N: int, level: int, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (m, N) and weights (m,) with sum |S^(N-1)|.
+    """Nodes (m, N) and weights (m,) with sum 1 for the uniform probability
+    measure on S^(N-1): sum_j wa_j g(omega_j) is the mean of g over the sphere.
 
     k = None gives the tensor product rule on S^(N-1).  0 <= k < N gives the
     reduced rule, exact only for integrands of omega_1..omega_k alone: the
-    uniform measure on S^(N-1) pushed forward to those coordinates has
-    density |S^(N-k-1)| (1 - |z|^2)^((N-k-2)/2) on the ball B^k, so each node
-    is omega = (z, sqrt(1 - |z|^2), 0, ..., 0) for a node z of that density.
+    uniform law on S^(N-1) pushed forward to those coordinates has density
+    proportional to (1 - |z|^2)^((N-k-2)/2) on the ball B^k, so each node is
+    omega = (z, sqrt(1 - |z|^2), 0, ..., 0) for a node z of that density.
     """
     if k is not None:
         return _reduced_sphere_nodes(N, level, k)
     if N == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+        return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
     if N == 2:
         return _circle_nodes(level)
 
@@ -311,10 +354,10 @@ def _reduced_sphere_nodes(N: int, level: int, k: int) -> tuple[np.ndarray, np.nd
     if k == 0:
         omega = np.zeros((1, N))
         omega[0, 0] = 1.0
-        return omega, np.array([sphere_area(N)])
+        return omega, np.ones(1)
     # z = |z| theta: the push-forward density in |z|, with as many nodes as
     # the tensor rule's polar factor, times a rule on S^(k-1)
-    rz, wz = _ball_rule(_polar_count(level), k, 0.5 * (N - k - 2), 1.0, _log_sphere_area(N - k))
+    rz, wz = _ball_rule(_polar_count(level), k, 0.5 * (N - k - 2), 1.0)
     theta, wt = _sphere_nodes(k, level)
     omega = np.zeros((len(rz), len(wt), N))
     omega[..., :k] = rz[:, None, None] * theta
@@ -329,9 +372,10 @@ def _reduced_k(N: int, symmetry: int | None, center) -> int | None:
     The reduction needs a center in the span of e_1..e_k, so that the
     integrand is still a function of omega_1..omega_k on every sphere about
     the center.  It is used for k <= N - 2 only: at k = N - 1 it saves at most
-    half the directions, and its Gauss-Jacobi parameter -1/2 loses about 5e-14
-    at level 96.  At N <= 2 the tensor rule is a single circle rule and is
-    kept.
+    half the directions, and its Gauss-Jacobi parameter -1/2 loses 1e-14 to
+    7e-14 in the moments of omega_1 up to degree 6 at level 96 (N = 3..5),
+    against at most 6e-15 at k <= N - 2.  At N <= 2 the tensor rule is a
+    single circle rule and is kept.
     """
     if symmetry is None or N < 3 or not 0 <= symmetry <= N - 2:
         return None
@@ -474,14 +518,15 @@ def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarr
 # weighted integrals on R^d
 
 
-def _ball_rule(level: int, d: int, expo: float, r_max: float, log_pref: float) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes r and weights w for the push-forward density on a ball:
+def _ball_rule(level: int, d: int, expo: float, r_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Radial nodes r and weights w, with sum 1, for the probability density
+    proportional to (1 - |x|^2/r_max^2)^expo on the ball |x| <= r_max in R^d:
 
-        sum_ij w_i wa_j g(r_i omega_j) ~ int_{|x| <= r_max} g(x) e^log_pref (1 - |x|^2/r_max^2)^expo dx
+        sum_ij w_i wa_j g(r_i omega_j) ~ E[g(x)]
 
-    with (omega, wa) = _sphere_nodes(d, level).  Projecting the
-    uniform measure on a sphere in R^N onto d coordinates gives this density
-    with expo = (N - d - 2)/2.
+    with (omega, wa) = _sphere_nodes(d, level).  Projecting the uniform law
+    on a sphere in R^N onto d coordinates gives this density with
+    expo = (N - d - 2)/2.
     """
     if d % 2 == 1:
         # r = R s with the symmetric rule for (1 - s^2)^expo; folding the
@@ -492,26 +537,27 @@ def _ball_rule(level: int, d: int, expo: float, r_max: float, log_pref: float) -
         lev = level + (level % 2)
         s, ws = _jacobi(lev, expo, expo)
         half = lev // 2
-        return r_max * s[half:], r_max**d * math.exp(log_pref) * ws[half:] * s[half:] ** (d - 1)
-    # s = 2 r^2 / R^2 - 1 turns the rim factor into a Gauss-Jacobi weight
+        w = ws[half:] * s[half:] ** (d - 1)
+        return r_max * s[half:], w / w.sum()
+    # s = 2 r^2 / R^2 - 1 turns the law of r into a Gauss-Jacobi weight
     s, ws = _jacobi(level, expo, 0.5 * d - 1.0)
-    coeff = 0.5 * r_max**d * 2.0 ** (-(expo + 0.5 * d)) * math.exp(log_pref)
-    return r_max * np.sqrt(0.5 * (1.0 + s)), coeff * ws
+    return r_max * np.sqrt(0.5 * (1.0 + s)), ws
 
 
 def _weighted_rule(weight: str, d: int, t: float, level: int, n: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes and weights (kr,) of the weight w_t:
+    """Radial nodes and weights (kr,) of the weight w_t, a probability density:
 
         sum_ij w_i wa_j phi(r_i omega_j) ~ int phi(x) w_t(x) dx
 
-    with (omega, wa) = _sphere_nodes(d, level).  The finite weight at
-    n = 1 is the uniform law on the sphere |x| = sqrt(2dt), with no density;
-    its rule is that one radius with weight 1, and the sum must still be
-    divided by |S^(d-1)|.
+    with (omega, wa) = _sphere_nodes(d, level).  The radial weights are those
+    of the law of |x|.  The finite weight at n = 1 is the uniform law on the
+    sphere |x| = sqrt(2dt), with no density; its rule is that one radius
+    with weight 1.
     """
     if weight == "gaussian":
+        # the density of |x| is |S^(d-1)| r^(d-1) G_t(r), cut where G_t < 1e-16 G_t(0)
         r, radial_w = _legendre_rule(level, 0.0, TAIL_FACTOR * math.sqrt(t), d - 1)
-        return r, radial_w * np.exp(-r * r / (4.0 * t) - 0.5 * d * math.log(4.0 * math.pi * t))
+        return r, sphere_area(d) * radial_w * np.exp(-r * r / (4.0 * t) - 0.5 * d * math.log(4.0 * math.pi * t))
     if weight == "finite":
         if n is None:
             raise ValueError("finite weight needs the step count n")
@@ -522,8 +568,7 @@ def _weighted_rule(weight: str, d: int, t: float, level: int, n: int | None) -> 
             # uniform law on the sphere, with no density at all
             return np.array([math.sqrt(2.0 * d * t)]), np.ones(1)
         nd = n * d
-        log_pref = _log_sphere_area(nd - d) - _log_sphere_area(nd) - 0.5 * d * math.log(2.0 * nd * t)
-        return _ball_rule(level, d, 0.5 * (nd - d - 2), math.sqrt(2.0 * nd * t), log_pref)
+        return _ball_rule(level, d, 0.5 * (nd - d - 2), math.sqrt(2.0 * nd * t))
     raise ValueError(f"unknown weight kind {weight!r}")
 
 
@@ -533,10 +578,7 @@ def _weighted_sums(f, weight: str, d: int, ts: np.ndarray, level: int, n: int | 
     of shape (rows, 1)."""
     omega, wa = _sphere_nodes(d, level)
     rules = [_weighted_rule(weight, d, tq, level, n) for tq in ts]
-    values, count = _polar_sum(f, np.stack([r for r, _ in rules]), np.stack([w for _, w in rules]), omega, wa, t=ts)
-    if weight == "finite" and n == 1:
-        values = values / math.exp(_log_sphere_area(d))
-    return values, count
+    return _polar_sum(f, np.stack([r for r, _ in rules]), np.stack([w for _, w in rules]), omega, wa, t=ts)
 
 
 def _time_sum(wt: np.ndarray, values: np.ndarray):
@@ -607,25 +649,55 @@ def integrate_spacetime(
 
 # ---------------------------------------------------------------------------
 # plain ball / sphere / window integrals (no probability weight)
+#
+# A ball, annulus or sphere integral refines the mean of f under the uniform
+# law on the sphere times the normalized radial law, which stays of the size
+# of f for any N, and multiplies it once by the measure, in closed form.
 
 
-def _integrate_shell(
-    f, N: int, r0: float, r1: float, spec: QuadratureSpec, center, radial_power: float, symmetry: int | None
-):
-    """int_{r0 <= |y - center| <= r1} f(y) |y - center|^radial_power dy; a ball has r0 = 0."""
+def _radial_measure(power: float, r0: float, r1: float) -> float:
+    """int_r0^r1 rho^power d rho."""
+    q = power + 1.0
+    if q == 0.0:
+        return math.log(r1 / r0)
+    return (r1**q - r0**q) / q
+
+
+def _shell_mean(
+    f,
+    N: int,
+    r0: float,
+    r1: float,
+    spec: QuadratureSpec = QuadratureSpec(),
+    center=None,
+    radial_power: float = 0.0,
+    symmetry: int | None = None,
+) -> IntegralEstimate:
+    """Mean of f on r0 <= |y - center| <= r1 under the uniform law on the
+    sphere times the probability density proportional to rho^(N-1+radial_power)
+    on [r0, r1]; a ball has r0 = 0 and a sphere r0 = r1.  The arguments are
+    those of integrate_ball and integrate_sphere, which check them."""
+    c = None if center is None else np.asarray(center, dtype=float)
     power = N - 1 + radial_power
-    k = _reduced_k(N, symmetry, center)
+    k = _reduced_k(N, symmetry, c)
 
     def eval_at(level: int):
         omega, wa = _sphere_nodes(N, level, k)
-        if r0 == 0.0 and not float(power).is_integer():
+        if r0 == r1:
+            rho, wr = np.array([r1]), np.ones(1)
+        elif r0 == 0.0 and not float(power).is_integer():
             # rho = r1 (1 + s) / 2: Gauss-Jacobi(0, power) absorbs the
             # non-smooth rho^power, which no Legendre rule resolves at the origin
-            s, ws = _jacobi(level, 0.0, power)
-            rho, wr = 0.5 * r1 * (1.0 + s), ws * (0.5 * r1) ** (power + 1.0)
+            s, wr = _jacobi(level, 0.0, power)
+            rho = 0.5 * r1 * (1.0 + s)
         else:
-            rho, wr = _legendre_rule(level, r0, r1, power)
-        return _polar_sum(lambda x, _: f(x), rho, wr, omega, wa, center)
+            # (rho/r1)^power, normalized by its own sum: the rule takes the
+            # mean of a constant exactly, and r1^power, which overflows at N
+            # in the hundreds, never forms
+            rho, wr = _legendre_rule(level, r0, r1)
+            wr = wr * (rho / r1) ** power
+            wr = wr / wr.sum()
+        return _polar_sum(lambda x, _: f(x), rho, wr, omega, wa, c)
 
     return _estimate(eval_at, spec)
 
@@ -650,8 +722,9 @@ def integrate_ball(
         raise ValueError(f"need r > 0, got r={r}")
     if radial_power <= -N:
         raise ValueError("radial_power must exceed -N for an integrable weight")
-    c = None if center is None else np.asarray(center, dtype=float)
-    return _integrate_shell(f, N, 0.0, r, spec, c, radial_power, symmetry)
+    mean = _shell_mean(f, N, 0.0, r, spec, center, radial_power, symmetry)
+    measure = sphere_area(N) * _radial_measure(N - 1 + radial_power, 0.0, r)
+    return replace(mean, value=mean.value * measure)
 
 
 def integrate_annulus(
@@ -666,7 +739,9 @@ def integrate_annulus(
     r0, r1 = r_range
     if not 0.0 <= r0 < r1:
         raise ValueError("need 0 <= r0 < r1")
-    return _integrate_shell(f, N, r0, r1, spec, None, radial_power, symmetry)
+    mean = _shell_mean(f, N, r0, r1, spec, None, radial_power, symmetry)
+    measure = sphere_area(N) * _radial_measure(N - 1 + radial_power, r0, r1)
+    return replace(mean, value=mean.value * measure)
 
 
 def integrate_sphere(
@@ -680,14 +755,9 @@ def integrate_sphere(
     """Surface integral int_{bd B_r(center)} f dS; symmetry as in integrate_ball."""
     if not r > 0.0:
         raise ValueError(f"need r > 0, got r={r}")
-    c = None if center is None else np.asarray(center, dtype=float)
-    k = _reduced_k(N, symmetry, c)
-
-    def eval_at(level: int):
-        omega, wa = _sphere_nodes(N, level, k)
-        return _polar_sum(lambda x, _: f(x), np.array([r]), np.array([r ** (N - 1)]), omega, wa, c)
-
-    return _estimate(eval_at, spec)
+    mean = _shell_mean(f, N, r, r, spec, center, symmetry=symmetry)
+    measure = sphere_area(N) * r ** (N - 1)
+    return replace(mean, value=mean.value * measure)
 
 
 def integrate_window(
@@ -711,6 +781,7 @@ def integrate_window(
     def eval_at(level: int):
         omega, wa = _sphere_nodes(d, level)
         rho, wr = _legendre_rule(level, r0, r1, d - 1)
+        wr = sphere_area(d) * wr
         ts, wt = _time_rule(spec, level, t0, t1)
         shape = (len(ts), len(rho))
         values, count = _polar_sum(f, np.broadcast_to(rho, shape), np.broadcast_to(wr, shape), omega, wa, t=ts)

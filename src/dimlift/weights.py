@@ -8,10 +8,10 @@ R^(n*d) forward through the step-sum map.  It is supported on the closed ball
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import UnsupportedConfigError
 
@@ -26,7 +26,7 @@ __all__ = [
 
 def _log_sphere_area(N: int) -> float:
     # log |S^(N-1)| = log(2 pi^(N/2) / Gamma(N/2))
-    return float(np.log(2.0) + 0.5 * N * np.log(np.pi) - gammaln(0.5 * N))
+    return math.log(2.0) + 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N)
 
 
 def _check_t(t: float) -> None:

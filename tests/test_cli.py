@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dimlift.integrate
-from dimlift.cli import main
+from dimlift.cli import _verdict, main
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -107,6 +107,34 @@ def test_lifted_errors_must_fall_or_stay_below_tolerance(argv, rc, tmp_path, mon
     assert main(argv + ["--out", "run"]) == rc
     summary = json.loads((tmp_path / "run.json").read_text())
     assert summary["status"] == ("pass" if rc == 0 else "fail")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the Gaussian underflows to 0 far out, so every relative error is NaN
+        ["--grid=-60:60:5"],
+        # the grid reaches past every finite weight's support: errors all 1.0
+        ["--grid=-40:40:5"],
+        # one step count: the error is not seen to fall
+        ["--n", "64"],
+    ],
+)
+def test_gn_limit_fails_on_errors_that_are_nan_or_do_not_fall(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gn-limit", *argv, "--out", "run"]) == 2
+    assert json.loads((tmp_path / "run.json").read_text())["status"] == "fail"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("where", ["values", "errors"])
+@pytest.mark.parametrize("mode", ["plateau", "converging"])
+def test_verdict_fails_on_a_non_finite_entry(mode, where, bad):
+    values = [1.0, 1.0, 1.0]
+    errs = [1e-9, 1e-10, 1e-11]
+    assert _verdict(mode, values, errs, 1e-8)[0]
+    (values if where == "values" else errs)[1] = bad
+    assert not _verdict(mode, values, errs, 1e-8)[0]
 
 
 @pytest.mark.parametrize(
@@ -249,3 +277,12 @@ def test_console_script_is_installed(tmp_path):
         return
     scripts = {ep.name: ep.value for ep in dist.entry_points if ep.group == "console_scripts"}
     assert scripts.get("dimlift") == target
+
+
+def test_importing_the_package_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, dimlift, dimlift.cli; print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

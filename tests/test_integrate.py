@@ -28,7 +28,7 @@ from dimlift import (
     sphere_area,
 )
 import dimlift.integrate
-from dimlift.errors import AccuracyError
+from dimlift.errors import AccuracyError, UnsupportedConfigError
 from dimlift.integrate import _use_threads
 from dimlift.lift import LiftConfig, lift_point_time
 
@@ -163,6 +163,7 @@ def _per_node_estimate(case, phi, d, n, spec, shapes):
             ts, wt = I._time_rule(spec, level, 0.2, 0.9)
             omega, wa = I._sphere_nodes(d, level)
             rho, wr = I._legendre_rule(level, 0.3, 1.4, d - 1)
+            wr = sphere_area(d) * wr
 
             def one(q):
                 return I._polar_sum(phi, rho[None], wr[None], omega, wa, t=ts[q : q + 1])
@@ -762,3 +763,38 @@ def test_pushforward_ball_single_seed():
     )
     assert abs(chk.quad_value - 0.5) < 1e-10  # total mass of the lifted measure is tau
     assert chk.discrepancy_in_std_errors < 5.0
+
+
+@pytest.mark.parametrize(
+    "k, alpha, beta",
+    [
+        (24, 0.0, 0.0),
+        (48, 158.0, 0.0),
+        (96, 158.0, 0.0),
+        (96, 158.0, 78.5),
+        (192, 158.0, 0.0),
+        (192, 238.5, 238.5),
+        (96, 0.0, -0.5),
+    ],
+)
+def test_jacobi_rule_has_the_moments_of_its_beta_law(k, alpha, beta):
+    # under the density proportional to (1 - x)^alpha (1 + x)^beta, y = (1 + x)/2
+    # follows Beta(beta + 1, alpha + 1), with the moments
+    # E[y^j] = prod_{i<j} (beta + 1 + i) / (alpha + beta + 2 + i).  Weights taken
+    # as squared first eigenvector components miss these far in the light
+    # tail when alpha >> beta.
+    x, w = dimlift.integrate._jacobi(k, alpha, beta)
+    assert len(x) == len(w) == k
+    assert np.all(np.diff(x) > 0.0) and -1.0 < x[0] and x[-1] < 1.0
+    assert np.all(w > 0.0)
+    assert math.isclose(w.sum(), 1.0, rel_tol=1e-12)
+    y = 0.5 * (1.0 + x)
+    expected = 1.0
+    for j in range(min(2 * k, 40)):
+        assert math.isclose(w @ y**j, expected, rel_tol=1e-12), j
+        expected *= (beta + 1.0 + j) / (alpha + beta + 2.0 + j)
+
+
+def test_jacobi_rule_raises_where_its_weights_would_underflow():
+    with pytest.raises(UnsupportedConfigError, match="out of range"):
+        dimlift.integrate._jacobi(384, 300.0, 0.0)

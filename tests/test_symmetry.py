@@ -18,8 +18,7 @@ from dimlift.functionals import (
     hm_phi,
 )
 from dimlift.functionals.common import gradsq
-from dimlift.integrate import QuadratureSpec, _sphere_nodes, integrate_ball, integrate_sphere
-from dimlift.lift import sphere_area
+from dimlift.integrate import QuadratureSpec, _shell_mean, _sphere_nodes, integrate_ball, integrate_sphere
 
 # The reduced rule is exact in the angle for the declared fields at every
 # level, and so is the tensor rule for these integrands, so a coarse spec
@@ -34,22 +33,22 @@ def _undeclared(field):
 @pytest.mark.parametrize("N,k", [(3, 1), (4, 1), (4, 2), (5, 3), (7, 2), (40, 1), (40, 2), (40, 3)])
 def test_reduced_rule_integrates_moments_of_the_first_k_coordinates(N, k):
     omega, wa = _sphere_nodes(N, 48, k)
-    area = sphere_area(N)
     assert np.allclose(np.linalg.norm(omega, axis=-1), 1.0, rtol=0.0, atol=1e-15)
     assert np.all(omega[:, k + 1 :] == 0.0)
-    assert math.isclose(wa.sum(), area, rel_tol=1e-13)
-    # int w1^2 = |S|/N, int w1^4 = 3|S|/(N(N+2)), int w1^2 w2^2 = |S|/(N(N+2))
-    assert math.isclose(wa @ omega[:, 0] ** 2, area / N, rel_tol=1e-13)
-    assert math.isclose(wa @ omega[:, 0] ** 4, 3.0 * area / (N * (N + 2)), rel_tol=1e-13)
+    # the weights are those of the uniform probability law on the sphere
+    assert math.isclose(wa.sum(), 1.0, rel_tol=1e-13)
+    # E[w1^2] = 1/N, E[w1^4] = 3/(N(N+2)), E[w1^2 w2^2] = 1/(N(N+2))
+    assert math.isclose(wa @ omega[:, 0] ** 2, 1.0 / N, rel_tol=1e-13)
+    assert math.isclose(wa @ omega[:, 0] ** 4, 3.0 / (N * (N + 2)), rel_tol=1e-13)
     if k >= 2:
-        assert math.isclose(wa @ (omega[:, 0] * omega[:, 1]) ** 2, area / (N * (N + 2)), rel_tol=1e-13)
-        assert abs(wa @ (omega[:, 0] * omega[:, 1])) < 1e-15 * area
+        assert math.isclose(wa @ (omega[:, 0] * omega[:, 1]) ** 2, 1.0 / (N * (N + 2)), rel_tol=1e-13)
+        assert abs(wa @ (omega[:, 0] * omega[:, 1])) < 1e-15
 
 
 def test_radial_rule_is_one_node():
     omega, wa = _sphere_nodes(5, 48, 0)
     assert omega.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]]
-    assert wa.tolist() == [sphere_area(5)]
+    assert wa.tolist() == [1.0]
 
 
 CASES = {
@@ -132,3 +131,27 @@ def test_a_radial_energy_costs_a_radial_rule():
     est = integrate_ball(vmap.energy, 4, 1.0, symmetry=0)
     assert est.evaluations <= 1_000
     assert math.isclose(est.value, 3.0 * math.pi**2, rel_tol=1e-13)
+
+
+# At N in the hundreds the totals |S^(N-1)| r^N underflow or leave the
+# 1e-30 floor behind, but the means the functionals read do not.
+
+
+@pytest.mark.parametrize("N", [160, 320])
+def test_almgren_holds_at_hundreds_of_dimensions(N):
+    assert abs(almgren(harmonic_polynomial("x1x2", N), 1.0).L - 2.0) < 1e-8
+
+
+@pytest.mark.parametrize("r", [1.0, 50.0])
+def test_the_ball_mean_of_a_radial_energy_holds_at_480_dimensions(r):
+    # |Dv|^2 = (N-1)/|y|^2 and E[|y|^-2] = N r^-2/(N-2) on B_r; at r = 50,
+    # r^(N-1) overflows, and the mean must not form it
+    N = 480
+    vmap = equator_map(N)
+    mean = _shell_mean(vmap.energy, N, 0.0, r, symmetry=vmap.symmetry).value
+    assert math.isclose(mean * r * r / N, 479.0 / 478.0, rel_tol=1e-12)
+
+
+def test_hm_phi_underflows_with_the_sphere_measure_at_480_dimensions():
+    # (N-1)/(N-2) |S^479| is about 1e-346.6, below the smallest subnormal
+    assert hm_phi(equator_map(480), np.zeros(480), 1.0) == 0.0
