@@ -11,6 +11,7 @@ converges to twice the parabolic frequency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from ..integrate import (
     integrate_weighted,
 )
 from ..lift import LiftConfig, sphere_area
+from ..weights import _log_sphere_area
 from .common import DENOMINATOR_FLOOR, dot, gradsq, power_ratio
 
 __all__ = ["FrequencyValues", "almgren", "almgren_dL_lower_bound", "poon", "lifted_frequency"]
@@ -39,13 +41,34 @@ class FrequencyValues:
     L: float
 
 
+def _total(mean: float, N: int, r: float, power: int, divisor: int) -> float:
+    """mean |S^(N-1)| r^power / divisor, the total of a sphere (power N - 1,
+    divisor 1) or ball (power N, divisor N) mean >= 0.
+
+    While r^power and the measure are floats it has the bits of
+    integrate_sphere and integrate_ball; otherwise it is taken from the log
+    measure, so a total beyond float range is inf instead of an
+    OverflowError.
+    """
+    with np.errstate(over="ignore"):
+        measure = sphere_area(N) * float(np.float64(r) ** power / divisor)
+    if math.isfinite(measure) and measure > 0.0:
+        return mean * measure
+    if mean == 0.0:
+        return 0.0
+    log_total = math.log(mean) + _log_sphere_area(N) + power * math.log(r) - math.log(divisor)
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_total))
+
+
 def almgren(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -> FrequencyValues:
     """Elliptic frequency r D(r) / H(r) of v centered at the origin.
 
     L = (r^2/N) D_mean / H_mean, from the means of |grad v|^2 on the ball and
     of v^2 on the sphere, so the measures |S^(N-1)| r^N / N and
     |S^(N-1)| r^(N-1) cancel and L stays finite at N in the hundreds.  The
-    floor applies to H_mean; H and D are the totals.
+    floor applies to H_mean; H and D are the totals (_total), inf where
+    they exceed the float range.
     """
     if not r > 0.0:
         raise ValueError("need r > 0")
@@ -54,9 +77,8 @@ def almgren(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -
     if H_mean < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"boundary mean H = {H_mean!r} is below the {DENOMINATOR_FLOOR} floor")
     D_mean = _shell_mean(gradsq(v), N, 0.0, r, spec, symmetry=v.symmetry).value
-    # the totals, with the bits of integrate_sphere and integrate_ball
-    H = H_mean * (sphere_area(N) * r ** (N - 1))
-    D = D_mean * (sphere_area(N) * (r**N / N))
+    H = _total(H_mean, N, r, N - 1, 1)
+    D = _total(D_mean, N, r, N, N)
     return FrequencyValues(param=r, H=H, D=D, L=r * r / N * D_mean / H_mean)
 
 

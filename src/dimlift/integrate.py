@@ -21,9 +21,10 @@ the last two estimates, and a non-finite value raises at once.
 
 Monte Carlo sampling is counter-based: batch k of a run is a pure function of
 (seed, k), and partial sums are combined in batch order, so results are
-bit-identical for any thread count.  The push-forward checks draw each batch
-on the worker thread that lifts and reduces it, into a buffer reused within
-the call.
+bit-identical for any thread count.  The push-forward checks draw only what
+the lift reads, the d step sums and the lifted time, from d normals and one
+chi-square per sample (exact in law), each batch on the worker thread that
+reduces it, into a buffer reused within the call.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import AccuracyError, UnsupportedConfigError
-from .lift import LiftConfig, lift_point_time, sphere_area
+from .lift import LiftConfig, sphere_area
 
 __all__ = [
     "QuadratureSpec",
@@ -846,6 +847,62 @@ def _mu_ball_batch(out: np.ndarray, seed: int, k: int, tau: float, d: int) -> np
     return out
 
 
+def _gaussian_norms(rng: np.random.Generator, a: np.ndarray, n: int) -> np.ndarray:
+    """|g|^2 of m Gaussian vectors g in R^(nd) read through their d step sums.
+
+    Draws a ~ N(0, I_d) into a, shape (m, d), so that the step sums of g are
+    sqrt(n) a, then one chi-square(nd - d) variate per row, independent of a,
+    and returns |a|^2 + chi^2, shape (m,): in law, the pair (sqrt(n) a, |g|^2).
+    At n = 1 there is no chi-square term and no second draw.
+    """
+    rng.standard_normal(out=a)
+    q = np.einsum("ij,ij->i", a, a)
+    if n > 1:
+        q += rng.chisquare((n - 1) * a.shape[1], len(a))
+    return q
+
+
+def _lifted_sphere_batch(out: np.ndarray, seed: int, k: int, n: int, radius: float) -> np.ndarray:
+    """Batch k of lifted sphere points, drawn into out, shape (m, d), and returned.
+
+    Row i is the step sum x of a uniform point y on the sphere of the given
+    radius in R^(nd), drawn in the reduced dimension: with a and |g|^2 from
+    _gaussian_norms, x = radius sqrt(n) a / |g|.  A pure function of
+    (seed, k, m); the draw order is the d normals of every row, then the m
+    chi-squares.
+    """
+    q = _gaussian_norms(_batch_rng(seed, k), out, n)
+    np.divide(radius * math.sqrt(n), np.sqrt(q, out=q), out=q)
+    out *= q[:, None]
+    return out
+
+
+def _lifted_ball_batch(out: np.ndarray, seed: int, k: int, n: int, tau: float):
+    """Batch k of lifted (x, t) of sample_mu_ball's law, drawn into out, and
+    returned as views (x, t) of out.
+
+    out has shape (m, d + 1) and is C-contiguous: its first m d numbers hold
+    x, shape (m, d), and its last m the times t, shape (m,).  The time is
+    t = tau u with u uniform on [0, 1), the lifted time |y|^2 / 2d of a
+    radius r = sqrt(2 d tau u); with a and |g|^2 from _gaussian_norms,
+    x = r sqrt(n) a / |g|.  A pure function of (seed, k, m); the draw order
+    is the d normals of every row, then the m chi-squares, then the m
+    uniforms.
+    """
+    m, d = out.shape[0], out.shape[1] - 1
+    flat = out.reshape(-1)
+    x, tt = flat[: m * d].reshape(m, d), flat[m * d :]
+    rng = _batch_rng(seed, k)
+    q = _gaussian_norms(rng, x, n)
+    rng.random(out=tt)
+    tt *= tau
+    # |x|^2 = n r^2 |a|^2 / |g|^2 with r^2 = 2 d t
+    np.divide(tt, q, out=q)
+    q *= 2.0 * d * n
+    x *= np.sqrt(q, out=q)[:, None]
+    return x, tt
+
+
 def sample_sphere_uniform(N: int, radius: float, mc: MonteCarloSpec) -> Iterator[np.ndarray]:
     """Uniform points on the sphere of given radius in R^N, yielded in batches.
 
@@ -915,28 +972,30 @@ def mc_mean(sample_batches: Iterator[np.ndarray], phi, threads: int = 1):
     bounded number of them.  With threads > 1 (at most the CPU count) at
     most `threads` batches are reduced at once by worker threads while the
     next one is drawn; partials are merged in batch order by _merge_moments,
-    so the result is bit-identical for any thread count.  phi maps (m, N) ->
-    (m,) or (m, K).  The push-forward checks draw their batches on the
-    workers instead (_drawn_mc_mean), with the same bits.
+    so the result is bit-identical for any thread count.  phi maps a batch,
+    such as (m, N), to (m,) or (m, K).  The push-forward checks draw their
+    batches on the workers instead (_drawn_mc_mean), with the bits of
+    mc_mean over the same batches.
     """
     return _merge_moments(_ordered_map(lambda y: _batch_moments(phi(y)), sample_batches, _worker_count(threads)))
 
 
-def _drawn_mc_mean(draw, N: int, mc: MonteCarloSpec, phi, threads: int):
+def _drawn_mc_mean(draw, width: int, mc: MonteCarloSpec, phi, threads: int):
     """mc_mean of phi over the batches draw(out, k) of the plan mc, with its bits.
 
     Each batch is drawn, passed to phi and reduced by one call on a worker
     thread.  The call draws into one of a fixed set of buffers of
-    min(mc.batch, mc.samples) rows of R^N, allocated here, one per worker,
-    and handed out through a free list: no more calls run at once than there
-    are workers, so a buffer is never shared, and the memory the workers'
-    allocator arenas keep stays small.  phi must not keep a view of its
-    argument.
+    min(mc.batch, mc.samples) rows of `width` numbers, allocated here, one
+    per worker, and handed out through a free list: no more calls run at
+    once than there are workers, so a buffer is never shared, and the memory
+    the workers' allocator arenas keep stays small.  draw gets the first m
+    rows, a C-contiguous block.  phi must not keep a view of what draw
+    returns.
     """
     sizes = _batch_sizes(mc)
     workers = 1 if len(sizes) < 2 else _worker_count(threads)
     rows = min(mc.batch, mc.samples)
-    free = deque(np.empty((rows, N)) for _ in range(min(workers, len(sizes))))
+    free = deque(np.empty((rows, width)) for _ in range(min(workers, len(sizes))))
 
     def reduce_one(item):
         k, m = item
@@ -1019,23 +1078,22 @@ def pushforward_check_sphere(
 
     phi must be a pure function: its quadrature side is computed once per
     phi object (and d, n, t, spec) and reused for every later seed.  The
-    Monte Carlo batches are those of sample_sphere_uniform, drawn, lifted
-    and reduced on `threads` workers (_drawn_mc_mean), with the bits of
-    mc_mean over that sampler for any thread count.
+    Monte Carlo side draws the step sums in the reduced dimension
+    (_lifted_sphere_batch): d normals and one chi-square per sample, exact
+    in law for the uniform sphere of radius sqrt(2 d t) in R^(nd), where
+    sample_sphere_uniform draws nd normals.  Batches are drawn and reduced on
+    `threads` workers (_drawn_mc_mean), with the bits of mc_mean over the
+    same batches for any thread count.
     """
     cfg = LiftConfig(d=d, n=n)
     # t <= 0 (or NaN) fails the radius check rather than the square root
     radius = math.sqrt(2.0 * d * t) if t > 0.0 else 0.0
     _check_sphere_args(cfg.N, radius)
 
-    def through_lift(y):
-        x, _ = lift_point_time(cfg, y)
-        return phi(x)
-
     def draw(out, k):
-        return _sphere_batch(out, mc.seed, k, radius)
+        return _lifted_sphere_batch(out, mc.seed, k, n, radius)
 
-    mean, se, _ = _drawn_mc_mean(draw, cfg.N, mc, through_lift, threads)
+    mean, se, _ = _drawn_mc_mean(draw, d, mc, phi, threads)
     quad = _pushforward_quad("sphere", phi, d, n, t, spec)
     disc = _discrepancy(mean, se, quad, spec)
     if np.ndim(mean) == 0:
@@ -1056,20 +1114,17 @@ def pushforward_check_ball(
 
     phi must be a pure function: its quadrature side is computed once per
     phi object (and d, n, tau, spec) and reused for every later seed.  The
-    Monte Carlo batches are those of sample_mu_ball, drawn on the workers as
-    in pushforward_check_sphere.
+    Monte Carlo side draws (x, t) of sample_mu_ball's law in the reduced
+    dimension (_lifted_ball_batch), on the workers as in
+    pushforward_check_sphere.
     """
     cfg = LiftConfig(d=d, n=n)
     _check_mu_ball_args(cfg.N, tau, d)
 
-    def through_lift(y):
-        x, tt = lift_point_time(cfg, y)
-        return phi(x, tt)
-
     def draw(out, k):
-        return _mu_ball_batch(out, mc.seed, k, tau, d)
+        return _lifted_ball_batch(out, mc.seed, k, n, tau)
 
-    mean, se, _ = _drawn_mc_mean(draw, cfg.N, mc, through_lift, threads)
+    mean, se, _ = _drawn_mc_mean(draw, d + 1, mc, lambda xt: phi(*xt), threads)
     mean = np.asarray(mean) * tau
     se = np.asarray(se) * tau
     quad = _pushforward_quad("ball", phi, d, n, tau, spec)

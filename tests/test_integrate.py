@@ -671,13 +671,28 @@ def _check_bits(res) -> tuple:
     return tuple(np.asarray(v, dtype=float).tobytes() for v in res.__dict__.values())
 
 
+def _lifted_sphere_batches(d, n, radius, mc):
+    # the batches of pushforward_check_sphere, each in a new array
+    return (
+        dimlift.integrate._lifted_sphere_batch(np.empty((m, d)), mc.seed, k, n, radius)
+        for k, m in enumerate(dimlift.integrate._batch_sizes(mc))
+    )
+
+
+def _lifted_ball_batches(d, n, tau, mc):
+    # the (x, t) batches of pushforward_check_ball, each in new arrays
+    return (
+        dimlift.integrate._lifted_ball_batch(np.empty((m, d + 1)), mc.seed, k, n, tau)
+        for k, m in enumerate(dimlift.integrate._batch_sizes(mc))
+    )
+
+
 def test_pushforward_checks_draw_on_workers_with_the_bits_of_the_samplers(monkeypatch):
     # 20 batches, drawn on the workers; the bits must match at every thread
     # count, with more workers than cores and frequent thread switches, and
-    # match mc_mean over the public samplers
+    # match mc_mean over the reduced-dimension batches drawn one by one
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     d, n, t = 2, 5, 0.7
-    cfg = LiftConfig(d=d, n=n)
     mc = MonteCarloSpec(seed=11, samples=20 * 1024 - 300, batch=1024)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -690,15 +705,13 @@ def test_pushforward_checks_draw_on_workers_with_the_bits_of_the_samplers(monkey
         assert _check_bits(results[2]) == _check_bits(results[1])
         assert _check_bits(results[4]) == _check_bits(results[1])
 
-    mean, se, count = mc_mean(
-        sample_sphere_uniform(cfg.N, math.sqrt(2 * d * t), mc), lambda y: _stack(lift_point_time(cfg, y)[0]), threads=2
-    )
+    mean, se, count = mc_mean(_lifted_sphere_batches(d, n, math.sqrt(2 * d * t), mc), _stack, threads=2)
     assert count == mc.samples
     assert sphere[1].mc_value.tobytes() == mean.tobytes()
     assert sphere[1].mc_std_error.tobytes() == se.tobytes()
     assert sphere[1].quad_value.tobytes() == integrate_weighted(_stack, "finite", d, t, n=n).value.tobytes()
 
-    mean, se, _ = mc_mean(sample_mu_ball(cfg.N, t, d, mc), lambda y: _stack(*lift_point_time(cfg, y)), threads=1)
+    mean, se, _ = mc_mean(_lifted_ball_batches(d, n, t, mc), lambda xt: _stack(*xt), threads=1)
     assert ball[1].mc_value.tobytes() == (mean * t).tobytes()
     assert ball[1].mc_std_error.tobytes() == (se * t).tobytes()
     assert ball[1].quad_value.tobytes() == integrate_spacetime(_stack, "finite", d, t, n=n).value.tobytes()
@@ -707,7 +720,10 @@ def test_pushforward_checks_draw_on_workers_with_the_bits_of_the_samplers(monkey
 def test_pushforward_checks_draw_into_one_buffer_per_worker(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     buffers = []  # kept alive, so no two buffers can share an identity
-    draws = {"_sphere_batch": dimlift.integrate._sphere_batch, "_mu_ball_batch": dimlift.integrate._mu_ball_batch}
+    draws = {
+        "_lifted_sphere_batch": dimlift.integrate._lifted_sphere_batch,
+        "_lifted_ball_batch": dimlift.integrate._lifted_ball_batch,
+    }
     for name, draw in draws.items():
 
         def recorded(out, *args, draw=draw):
@@ -716,21 +732,23 @@ def test_pushforward_checks_draw_into_one_buffer_per_worker(monkeypatch):
 
         monkeypatch.setattr(dimlift.integrate, name, recorded)
     mc = MonteCarloSpec(seed=3, samples=20 * 1000, batch=1000)
+    d = 1
     for threads in (1, 2, 4):
-        for check in (pushforward_check_sphere, pushforward_check_ball):
+        # one row of d numbers per sample on the sphere, and d + 1 (x, t) in the ball
+        for check, width in ((pushforward_check_sphere, d), (pushforward_check_ball, d + 1)):
             buffers.clear()
-            check(_stack, 1, 6, 0.5, mc, threads=threads)
+            check(_stack, d, 6, 0.5, mc, threads=threads)
             assert len(buffers) == 20
             distinct = {id(b) for b in buffers}
             assert 1 <= len(distinct) <= threads
-            assert all(b is not None and b.shape == (1000, 6) for b in buffers)
+            assert all(b is not None and b.shape == (1000, width) for b in buffers)
 
 
 def test_pushforward_checks_reject_bad_arguments_before_drawing(monkeypatch):
     def draw(*args):
         raise AssertionError("a batch was drawn before the arguments were checked")
 
-    for name in ("_sphere_batch", "_mu_ball_batch"):
+    for name in ("_sphere_batch", "_mu_ball_batch", "_lifted_sphere_batch", "_lifted_ball_batch"):
         monkeypatch.setattr(dimlift.integrate, name, draw)
     mc = MonteCarloSpec(seed=1, samples=5000, batch=1000)
     with warnings.catch_warnings():
@@ -745,6 +763,54 @@ def test_pushforward_checks_reject_bad_arguments_before_drawing(monkeypatch):
             sample_sphere_uniform(3, 0.0, mc)
         with pytest.raises(ValueError, match=r"^need tau > 0$"):
             sample_mu_ball(3, -1.0, 1, mc)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 5, 20])
+def test_reduced_draw_has_the_law_of_the_lifted_samplers(d, n):
+    # the checks draw (x, t) from d normals and one chi-square(nd - d); the
+    # public samplers draw nd normals and lift them: the means of _stack must
+    # agree within 4 combined standard errors, plus 1e-12 for the columns that
+    # are constant up to rounding (the mass; on the sphere at n = 1,
+    # exp(-|x|^2), and x1^2 when d = 1 too)
+    cfg = LiftConfig(d=d, n=n)
+    t = 0.7
+    radius = math.sqrt(2 * d * t)
+    reduced = MonteCarloSpec(seed=100 + 10 * d + n, samples=40_000)
+    full = MonteCarloSpec(seed=200 + 10 * d + n, samples=40_000)
+    pairs = [
+        (
+            pushforward_check_sphere(_stack, d, n, t, reduced, threads=2),
+            mc_mean(sample_sphere_uniform(cfg.N, radius, full), lambda y: _stack(lift_point_time(cfg, y)[0]), threads=2),
+            1.0,
+        ),
+        (
+            pushforward_check_ball(_stack, d, n, t, reduced, threads=2),
+            mc_mean(sample_mu_ball(cfg.N, t, d, full), lambda y: _stack(*lift_point_time(cfg, y)), threads=2),
+            t,
+        ),
+    ]
+    for chk, (mean, se, _), scale in pairs:
+        combined = np.hypot(chk.mc_std_error, se * scale)
+        assert np.all(np.abs(chk.mc_value - mean * scale) <= 4.0 * combined + 1e-12), (chk, mean * scale, combined)
+
+    # exact structure of the reduced batches: sphere points lie in the ball
+    # |x|^2 <= 2 n d t of R^d, on its boundary at n = 1; ball points lie in
+    # |x|^2 <= 2 n d t at their time t, which lies in [0, tau)
+    mc = MonteCarloSpec(seed=7, samples=5000, batch=2000)
+    x = np.concatenate(list(_lifted_sphere_batches(d, n, radius, mc)))
+    x2 = np.sum(x * x, axis=-1)
+    assert x.shape == (5000, d) and np.all(np.isfinite(x))
+    assert np.all(x2 <= 2 * n * d * t * (1 + 1e-14))
+    if n == 1:
+        assert np.allclose(np.sqrt(x2), radius, rtol=1e-14, atol=0.0)
+    xs, ts = zip(*_lifted_ball_batches(d, n, t, mc))
+    x, tt = np.concatenate(xs), np.concatenate(ts)
+    assert np.all((tt >= 0.0) & (tt < t))
+    x2 = np.sum(x * x, axis=-1)
+    assert np.all(x2 <= 2 * n * d * tt * (1 + 1e-14))
+    if n == 1:
+        assert np.allclose(x2, 2 * d * tt, rtol=1e-14, atol=0.0)
 
 
 def test_pushforward_sphere_single_seed():

@@ -18,6 +18,7 @@ from dimlift.functionals import (
     hm_phi,
 )
 from dimlift.functionals.common import gradsq
+from dimlift.functionals.frequency import _total
 from dimlift.integrate import QuadratureSpec, _shell_mean, _sphere_nodes, integrate_ball, integrate_sphere
 
 # The reduced rule is exact in the angle for the declared fields at every
@@ -140,6 +141,18 @@ def test_a_radial_energy_costs_a_radial_rule():
 @pytest.mark.parametrize("N", [160, 320])
 def test_almgren_holds_at_hundreds_of_dimensions(N):
     assert abs(almgren(harmonic_polynomial("x1x2", N), 1.0).L - 2.0) < 1e-8
+
+
+def test_almgren_reports_totals_past_the_float_range_and_keeps_its_frequency():
+    # at N = 200, r = 50, r^(N-1) is past the float range but the totals are
+    # not: H = |S^199| 50^199 H_mean is about 2e234
+    fv = almgren(harmonic_polynomial("x1x2", 200), 50.0)
+    assert abs(fv.L - 2.0) < 1e-12
+    assert math.isfinite(fv.H) and math.isfinite(fv.D)
+    assert math.isclose(fv.L, 50.0 * fv.D / fv.H, rel_tol=1e-12)
+    # at r = 1000 the totals themselves are past it
+    assert _total(1.0, 200, 1000.0, 199, 1) == _total(1.0, 200, 1000.0, 200, 200) == math.inf
+    assert _total(0.0, 200, 1000.0, 199, 1) == 0.0
 
 
 @pytest.mark.parametrize("r", [1.0, 50.0])

@@ -19,8 +19,11 @@ To record another checkout, put its ``src`` first on PYTHONPATH.
 
 ``diff`` lists every case whose exit code, CSV or summary differs.  For each
 number that moved it prints the old and new value, the relative change and
-the distance in units in the last place.  It exits 0 when the records match
-and 1 otherwise.  Only the standard library and dimlift are used.
+the distance in units in the last place.  For a ``pushforward`` case it then
+says whether any ``quad_value`` moved and gives the worst
+``discrepancy_in_std_errors`` of the new record, so a moved Monte Carlo
+stream reads as one line per case.  It exits 0 when the records match and 1
+otherwise.  Only the standard library and dimlift are used.
 """
 
 from __future__ import annotations
@@ -197,6 +200,14 @@ def _cells(entry: dict) -> dict[str, object]:
     return out
 
 
+def _monte_carlo_summary(ca: dict, cb: dict) -> str:
+    """Whether a pushforward case's quadrature moved, and its new worst discrepancy."""
+    moved = [loc for loc in ca if loc.endswith(" quad_value") and ca[loc] != cb.get(loc)]
+    discs = [abs(_number(c)) for loc, c in cb.items() if loc.endswith(" discrepancy_in_std_errors")]
+    quad = "quad_value moved in " + ", ".join(moved) if moved else "no quad_value moved"
+    return f"{quad}; worst discrepancy now {max(discs, default=math.nan):.3g} standard errors"
+
+
 def diff(old_path: str, new_path: str) -> int:
     with open(old_path) as f:
         old = json.load(f)["cases"]
@@ -225,6 +236,8 @@ def diff(old_path: str, new_path: str) -> int:
                 continue
             rel = abs(fa - fb) / max(abs(fa), abs(fb)) if fa != fb else 0.0
             print(f"  {loc}: {va} -> {vb} (relative {rel:.2g}, {_ulps(fa, fb)} ulp)")
+        if b["argv"][0] == "pushforward":
+            print("  " + _monte_carlo_summary(ca, cb))
     print(f"{differing} of {len(set(old) | set(new))} cases differ")
     return 1 if differing else 0
 
