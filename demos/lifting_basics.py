@@ -50,7 +50,7 @@ for _ in range(25):
 print("chain rule vs finite differences:", {k: f"{v:.2e}" for k, v in worst.items()})
 
 # the same field also passes its own derivative self-check
-print("field self-check:", fd_check_spacetime(u, rng.standard_normal((20, 2)), [0.5, 1.0]))
+print("field self-check:", fd_check_spacetime(u, rng.standard_normal((20, 2)), np.linspace(0.5, 1.0, 20)))
 
 # ---------------------------------------------------------------------------
 # push-forward of the uniform measure on the lifted sphere |y| = sqrt(2dt):

@@ -2,8 +2,8 @@
 
 Every evaluator is vectorized over leading axes: spatial arguments have shape
 (..., dim) and return shape (...) for scalars, (..., dim) for gradients, and
-(..., dim, dim) for Hessians.  Time arguments broadcast against the leading
-axes.  The caloric convention throughout is the backward one: a field u is
+(..., dim, dim) for a graph's Hessian.  Time arguments broadcast against the
+leading axes.  The caloric convention throughout is the backward one: a field u is
 caloric when Lap u + du/dt = 0.
 """
 
@@ -47,13 +47,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A function v on R^N with gradient and (optionally) second derivatives."""
+    """A function v on R^N with gradient and (optionally) Laplacian."""
 
     N: int
     value: Callable
     grad: Callable
     laplacian: Callable | None = None
-    hessian: Callable | None = None
     smoothness: str = "smooth"
     name: str = ""
     support: tuple | None = None  # ("annulus", r_in, r_out) or None for all of R^N
@@ -104,7 +103,6 @@ class GraphSurface:
     grad: Callable
     hessian: Callable
     dt: Callable
-    static: bool = True
     name: str = ""
 
 
@@ -114,12 +112,18 @@ class NonhomTerm:
 
     value: Callable
     vector: bool = False
-    bound: float | None = None
     name: str = ""
 
 
-def _zeros_like_leading(x: np.ndarray) -> np.ndarray:
-    return np.zeros(np.asarray(x).shape[:-1])
+def _zeros(x, t=0.0) -> np.ndarray:
+    """Zeros of the shape of x[..., 0] broadcast against t."""
+    return np.zeros(np.broadcast_shapes(np.shape(np.asarray(x)[..., 0]), np.shape(t)))
+
+
+def _zeros_vec(x, t=0.0) -> np.ndarray:
+    """Zeros of the shape of x[..., 0] broadcast against t, times x's last axis."""
+    x = np.asarray(x)
+    return np.zeros(np.broadcast_shapes(np.shape(x[..., 0]), np.shape(t)) + x.shape[-1:])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,7 @@ def harmonic_polynomial(kind: str, N: int, k: int | None = None) -> ScalarField:
             return np.asarray(y, float)[..., 0]
 
         def grad(y):
-            g = np.zeros_like(np.asarray(y, float))
+            g = _zeros_vec(y)
             g[..., 0] = 1.0
             return g
 
@@ -144,8 +148,7 @@ def harmonic_polynomial(kind: str, N: int, k: int | None = None) -> ScalarField:
             N=N,
             value=val,
             grad=grad,
-            laplacian=_zeros_like_leading,
-            hessian=lambda y: np.zeros(np.asarray(y).shape + (N,)),
+            laplacian=_zeros,
             name="x1",
             symmetry=1,
         )
@@ -159,24 +162,16 @@ def harmonic_polynomial(kind: str, N: int, k: int | None = None) -> ScalarField:
 
         def grad(y):
             y = np.asarray(y, float)
-            g = np.zeros_like(y)
+            g = _zeros_vec(y)
             g[..., 0] = y[..., 1]
             g[..., 1] = y[..., 0]
             return g
-
-        def hess(y):
-            y = np.asarray(y, float)
-            h = np.zeros(y.shape + (N,))
-            h[..., 0, 1] = 1.0
-            h[..., 1, 0] = 1.0
-            return h
 
         return ScalarField(
             N=N,
             value=val,
             grad=grad,
-            laplacian=_zeros_like_leading,
-            hessian=hess,
+            laplacian=_zeros,
             name="x1x2",
             symmetry=2,
         )
@@ -196,22 +191,11 @@ def harmonic_polynomial(kind: str, N: int, k: int | None = None) -> ScalarField:
             # d/dy1 Re z^k = Re k z^(k-1), d/dy2 Re z^k = -Im k z^(k-1)
             return np.stack([w.real, -w.imag], axis=-1)
 
-        def hess(y):
-            y = np.asarray(y, float)
-            w = k * (k - 1) * (y[..., 0] + 1j * y[..., 1]) ** (k - 2) if k >= 2 else np.zeros(y.shape[:-1], complex)
-            h = np.empty(y.shape + (2,))
-            h[..., 0, 0] = w.real
-            h[..., 0, 1] = -w.imag
-            h[..., 1, 0] = -w.imag
-            h[..., 1, 1] = -w.real
-            return h
-
         return ScalarField(
             N=2,
             value=val,
             grad=grad,
-            laplacian=_zeros_like_leading,
-            hessian=hess,
+            laplacian=_zeros,
             name=f"re_z{k}",
         )
     raise ValueError(f"unknown harmonic polynomial kind {kind!r}")
@@ -222,15 +206,8 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
     if d < 1:
         raise ValueError("need d >= 1")
 
-    def zeros(x, t):
-        return np.zeros(np.broadcast_shapes(np.shape(np.asarray(x)[..., 0]), np.shape(t)))
-
-    def zeros_vec(x, t):
-        shp = np.broadcast_shapes(np.shape(np.asarray(x)[..., 0]), np.shape(t))
-        return np.zeros(shp + (d,))
-
     def e1(x, t):
-        g = zeros_vec(x, t)
+        g = _zeros_vec(x, t)
         g[..., 0] = 1.0
         return g
 
@@ -239,10 +216,10 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
             d=d,
             value=lambda x, t: np.asarray(x, float)[..., 0] + 0.0 * np.asarray(t),
             grad=e1,
-            dt=zeros,
-            laplacian=zeros,
-            grad_dt=zeros_vec,
-            dtt=zeros,
+            dt=_zeros,
+            laplacian=_zeros,
+            grad_dt=_zeros_vec,
+            dtt=_zeros,
             caloric=True,
             name="x1",
         )
@@ -250,7 +227,7 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
 
         def grad_x1sq(x, t):
             x = np.asarray(x, float)
-            g = zeros_vec(x, t)
+            g = _zeros_vec(x, t)
             g[..., 0] = 2.0 * x[..., 0]
             return g
 
@@ -258,10 +235,10 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
             d=d,
             value=lambda x, t: np.asarray(x, float)[..., 0] ** 2 - 2.0 * np.asarray(t),
             grad=grad_x1sq,
-            dt=lambda x, t: -2.0 + zeros(x, t),
-            laplacian=lambda x, t: 2.0 + zeros(x, t),
-            grad_dt=zeros_vec,
-            dtt=zeros,
+            dt=lambda x, t: -2.0 + _zeros(x, t),
+            laplacian=lambda x, t: 2.0 + _zeros(x, t),
+            grad_dt=_zeros_vec,
+            dtt=_zeros,
             caloric=True,
             name="x1sq",
         )
@@ -269,12 +246,12 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
 
         def grad(x, t):
             x = np.asarray(x, float)
-            g = zeros_vec(x, t)
+            g = _zeros_vec(x, t)
             g[..., 0] = 3.0 * x[..., 0] ** 2 - 6.0 * np.asarray(t)
             return g
 
         def grad_dt(x, t):
-            g = zeros_vec(x, t)
+            g = _zeros_vec(x, t)
             g[..., 0] = -6.0
             return g
 
@@ -285,7 +262,7 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
             dt=lambda x, t: -6.0 * np.asarray(x, float)[..., 0] + 0.0 * np.asarray(t),
             laplacian=lambda x, t: 6.0 * np.asarray(x, float)[..., 0] + 0.0 * np.asarray(t),
             grad_dt=grad_dt,
-            dtt=zeros,
+            dtt=_zeros,
             caloric=True,
             name="x1cube",
         )
@@ -293,16 +270,16 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
 
         def grad_radial(x, t):
             x = np.asarray(x, float)
-            return 2.0 * x + zeros_vec(x, t)
+            return 2.0 * x + _zeros_vec(x, t)
 
         return SpaceTimeField(
             d=d,
             value=lambda x, t: np.sum(np.asarray(x, float) ** 2, axis=-1) - 2.0 * d * np.asarray(t),
             grad=grad_radial,
-            dt=lambda x, t: -2.0 * d + zeros(x, t),
-            laplacian=lambda x, t: 2.0 * d + zeros(x, t),
-            grad_dt=zeros_vec,
-            dtt=zeros,
+            dt=lambda x, t: -2.0 * d + _zeros(x, t),
+            laplacian=lambda x, t: 2.0 * d + _zeros(x, t),
+            grad_dt=_zeros_vec,
+            dtt=_zeros,
             caloric=True,
             name="radial",
         )
@@ -314,12 +291,12 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
 
 
 def _kernel_terms(z: np.ndarray, s, d: int):
-    """G, grad G, Lap G, grad Lap G, and d2/ds2-related pieces for G(z, s)."""
-    s = np.asarray(s, float)
+    """G, grad G, Lap G, grad Lap G, and d2/ds2-related pieces for G(z, s),
+    with s an array that broadcasts against z[..., 0]."""
     rr = np.sum(z * z, axis=-1)
     g = np.exp(-rr / (4.0 * s) - 0.5 * d * np.log(4.0 * math.pi * s))
     a = rr / (4.0 * s**2) - d / (2.0 * s)  # Lap G = a G ( = dG/ds)
-    grad = -z / (2.0 * s[..., None] if s.ndim else 2.0 * s) * g[..., None]
+    grad = -z / (2.0 * s[..., None]) * g[..., None]
     lap = a * g
     # grad(a G) = z G (1/(2 s^2) - a/(2 s))
     grad_lap = z * (g * (1.0 / (2.0 * s**2) - a / (2.0 * s)))[..., None]
@@ -333,48 +310,8 @@ def heat_kernel_translate(d: int, x0, s0: float) -> SpaceTimeField:
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).reshape(d)
     if not s0 > 0.0:
         raise ValueError("need s0 > 0")
-
-    def shifted(x, t):
-        t = np.asarray(t, float)
-        if np.any(t >= s0):
-            raise ValueError(f"heat kernel translate needs t < s0 = {s0}")
-        return np.asarray(x, float) - x0, s0 - t
-
-    def value(x, t):
-        z, s = shifted(x, t)
-        return _kernel_terms(z, s, d)[0]
-
-    def grad(x, t):
-        z, s = shifted(x, t)
-        return _kernel_terms(z, s, d)[1]
-
-    def laplacian(x, t):
-        z, s = shifted(x, t)
-        return _kernel_terms(z, s, d)[2]
-
-    def dt(x, t):
-        # du/dt = -dG/ds = -Lap G
-        return -laplacian(x, t)
-
-    def grad_dt(x, t):
-        z, s = shifted(x, t)
-        return -_kernel_terms(z, s, d)[3]
-
-    def dtt(x, t):
-        z, s = shifted(x, t)
-        return _kernel_terms(z, s, d)[4]
-
-    return SpaceTimeField(
-        d=d,
-        value=value,
-        grad=grad,
-        dt=dt,
-        laplacian=laplacian,
-        grad_dt=grad_dt,
-        dtt=dtt,
-        caloric=True,
-        name=f"heat_kernel_translate(x0={x0.tolist()}, s0={s0})",
-    )
+    name = f"heat_kernel_translate(x0={x0.tolist()}, s0={s0})"
+    return _kernel_sum_field(x0[None], np.ones(1), s0, d, name, width=0.0)
 
 
 def caloric_from_data(g, T: float, d: int = 1, radius: float | None = None, nodes: int = 128) -> SpaceTimeField:
@@ -443,7 +380,15 @@ def caloric_from_csv(path, T: float) -> SpaceTimeField:
 _KERNEL_CHUNK_BYTES = 32 << 20
 
 
-def _kernel_sum_field(xi: np.ndarray, coeff: np.ndarray, T: float, d: int, name: str) -> SpaceTimeField:
+def _kernel_sum_field(
+    xi: np.ndarray, coeff: np.ndarray, T: float, d: int, name: str, width: float = 1e-3
+) -> SpaceTimeField:
+    """u(x, t) = sum_m coeff_m G(x - xi_m, T - t), backward caloric for t < T.
+
+    Evaluation within width of T raises AccuracyError (the discretized data
+    fields keep 1e-3; a single translate is exact up to T), and at t >= T
+    ValueError, since the kernel is undefined there.
+    """
     xi = np.asarray(xi, float).reshape(-1, d)
     coeff = np.asarray(coeff, float)
 
@@ -453,20 +398,25 @@ def _kernel_sum_field(xi: np.ndarray, coeff: np.ndarray, T: float, d: int, name:
         broadcast against x[..., 0].  Each point's sum is one pairwise sum
         over m, so the bits do not depend on the chunking."""
         t = np.asarray(t, float)
-        if np.any(np.abs(T - t) < 1e-3):
-            raise AccuracyError(f"cannot evaluate within 1e-3 of the data time T = {T}")
+        if np.any(np.abs(T - t) < width):
+            raise AccuracyError(f"cannot evaluate within {width} of the data time T = {T}")
+        if np.any(t >= T):
+            raise ValueError(f"{name} needs t < T = {T}")
         x = np.asarray(x, float)
         lead = np.broadcast_shapes(x.shape[:-1], t.shape)
         pts = np.broadcast_to(x, lead + (d,)).reshape(-1, d)
-        s = np.broadcast_to(T - t, lead).reshape(-1)
+        # one time for every point stays one value, so its terms form once
+        one_time = t.size == 1
+        s = np.reshape(T - t, (1, 1)) if one_time else np.broadcast_to(T - t, lead).reshape(-1, 1)
+        w = coeff[:, None] if vector else coeff
         chunk = max(1, _KERNEL_CHUNK_BYTES // (8 * len(xi) * d))
-        parts = []
-        for lo in range(0, max(len(pts), 1), chunk):
+        out = np.empty((len(pts), d) if vector else len(pts))
+        for lo in range(0, len(pts), chunk):
             z = pts[lo : lo + chunk, None, :] - xi  # (chunk, M, d)
-            k = _kernel_terms(z, np.broadcast_to(s[lo : lo + chunk, None], z.shape[:-1]), d)[term]
+            k = _kernel_terms(z, s if one_time else s[lo : lo + chunk], d)[term]
             del z
-            parts.append(np.sum(k * coeff[:, None], axis=-2) if vector else np.sum(k * coeff, axis=-1))
-        return np.concatenate(parts).reshape(lead + ((d,) if vector else ()))
+            np.sum(k * w, axis=1, out=out[lo : lo + chunk])
+        return out.reshape(lead + out.shape[1:])
 
     def value(x, t):
         return kernel_sum(x, t, 0, False)
@@ -478,6 +428,7 @@ def _kernel_sum_field(xi: np.ndarray, coeff: np.ndarray, T: float, d: int, name:
         return kernel_sum(x, t, 2, False)
 
     def dt(x, t):
+        # du/dt = -dG/ds = -Lap G
         return -laplacian(x, t)
 
     def grad_dt(x, t):
@@ -513,22 +464,16 @@ def _half_space_field(d: int, sign: float, power: int) -> SpaceTimeField:
 
     def grad(x, t):
         x = np.asarray(x, float)
-        g = np.zeros(np.broadcast_shapes(x[..., 0].shape, np.shape(t)) + (d,))
+        g = _zeros_vec(x, t)
         p = part(x)
         g[..., 0] = sign * power * p ** (power - 1) * (p > 0.0)  # kill the 0^0 = 1 artifact at the interface
         return g
 
     def laplacian(x, t):
         if power == 1:
-            return np.zeros(np.broadcast_shapes(np.asarray(x)[..., 0].shape, np.shape(t)))
+            return _zeros(x, t)
         p = part(x)
         return power * (power - 1) * p ** (power - 2) * (p > 0.0) + 0.0 * np.asarray(t)
-
-    def zeros(x, t):
-        return np.zeros(np.broadcast_shapes(np.asarray(x)[..., 0].shape, np.shape(t)))
-
-    def zeros_vec(x, t):
-        return np.zeros(np.broadcast_shapes(np.asarray(x)[..., 0].shape, np.shape(t)) + (d,))
 
     tag = {1: "", 2: "sq", 3: "cube"}.get(power, f"^{power}")
     side = "plus" if sign > 0 else "minus"
@@ -536,10 +481,10 @@ def _half_space_field(d: int, sign: float, power: int) -> SpaceTimeField:
         d=d,
         value=value,
         grad=grad,
-        dt=zeros,
+        dt=_zeros,
         laplacian=laplacian,
-        grad_dt=zeros_vec,
-        dtt=zeros,
+        grad_dt=_zeros_vec,
+        dtt=_zeros,
         caloric=(power == 1),
         smoothness="lipschitz-ae",
         name=f"x1_{side}{tag}",
@@ -562,7 +507,7 @@ def half_space_pair(dim: int, kind: str = "parabolic"):
 
             def grad(y):
                 y = np.asarray(y, float)
-                g = np.zeros_like(y)
+                g = _zeros_vec(y)
                 g[..., 0] = sign * (sign * y[..., 0] > 0.0)
                 return g
 
@@ -570,7 +515,7 @@ def half_space_pair(dim: int, kind: str = "parabolic"):
                 N=dim,
                 value=value,
                 grad=grad,
-                laplacian=lambda y: np.zeros(np.asarray(y).shape[:-1]),
+                laplacian=_zeros,
                 smoothness="lipschitz-ae",
                 name="y1_plus" if sign > 0 else "y1_minus",
                 symmetry=1,
@@ -764,22 +709,11 @@ def bump_radial(N: int, r_in: float, r_out: float, k: int = 4) -> ScalarField:
         safe = np.where(r > 0.0, r, 1.0)
         return ddp + (N - 1) * dp / safe
 
-    def hessian(y):
-        y = np.asarray(y, float)
-        r = np.linalg.norm(y, axis=-1)
-        _, dp, ddp = rho(r)
-        safe = np.where(r > 0.0, r, 1.0)
-        yhat = y / safe[..., None]
-        outer = yhat[..., :, None] * yhat[..., None, :]
-        eye = np.eye(N)
-        return ddp[..., None, None] * outer + (dp / safe)[..., None, None] * (eye - outer)
-
     return ScalarField(
         N=N,
         value=value,
         grad=grad,
         laplacian=laplacian,
-        hessian=hessian,
         smoothness=f"C^{k - 1}",
         name=f"bump_radial([{r_in},{r_out}], k={k})",
         support=("annulus", r_in, r_out),
@@ -794,15 +728,12 @@ def bump_radial(N: int, r_in: float, r_out: float, k: int = 4) -> ScalarField:
 def graph_plane(dim: int, c: float = 0.0) -> GraphSurface:
     """Horizontal plane x_{dim+1} = c."""
 
-    def zeros(y, t):
-        return np.zeros(np.asarray(y).shape[:-1])
-
     return GraphSurface(
         dim=dim,
         value=lambda y, t: np.full(np.asarray(y).shape[:-1], float(c)),
-        grad=lambda y, t: np.zeros_like(np.asarray(y, float)),
+        grad=_zeros_vec,
         hessian=lambda y, t: np.zeros(np.asarray(y).shape + (dim,)),
-        dt=zeros,
+        dt=_zeros,
         name=f"plane(c={c})",
     )
 
@@ -817,7 +748,7 @@ def graph_linear(a) -> GraphSurface:
         value=lambda y, t: np.asarray(y, float) @ a,
         grad=lambda y, t: np.broadcast_to(a, np.asarray(y).shape).copy(),
         hessian=lambda y, t: np.zeros(np.asarray(y).shape + (dim,)),
-        dt=lambda y, t: np.zeros(np.asarray(y).shape[:-1]),
+        dt=_zeros,
         name=f"linear(a={a.tolist()})",
     )
 
@@ -830,7 +761,7 @@ def graph_paraboloid(dim: int, eps: float) -> GraphSurface:
         value=lambda y, t: 0.5 * eps * np.sum(np.asarray(y, float) ** 2, axis=-1),
         grad=lambda y, t: eps * np.asarray(y, float),
         hessian=lambda y, t: np.broadcast_to(eps * np.eye(dim), np.asarray(y).shape + (dim,)).copy(),
-        dt=lambda y, t: np.zeros(np.asarray(y).shape[:-1]),
+        dt=_zeros,
         name=f"paraboloid(eps={eps})",
     )
 
@@ -868,53 +799,32 @@ def fd_check_scalar(field: ScalarField, points: np.ndarray, h: float = 1e-5) -> 
 def fd_check_spacetime(u: SpaceTimeField, points: np.ndarray, ts: np.ndarray, h: float = 1e-5, h2: float = 1e-3) -> dict:
     """Relative FD mismatches for all stored derivatives of a space-time field.
 
-    First derivatives use step h; the Laplacian and dtt use the larger step h2
-    to keep the second-difference roundoff below the check tolerance.
+    ts broadcasts against points[..., 0], and each stencil offset is one call
+    of u.value on all points.  First derivatives use step h; the Laplacian
+    and dtt use the larger step h2 to keep the second-difference roundoff
+    below the check tolerance.
     """
-    points = np.asarray(points, dtype=float)
-    ts = np.asarray(ts, dtype=float)
-    d = u.d
+    x = np.asarray(points, dtype=float)
+    t = np.asarray(ts, dtype=float)
+    steps = np.eye(u.d)
+
+    def v(dx=0.0, dt=0.0):
+        return np.asarray(u.value(x + dx, t + dt), float)
+
+    v0 = v()
+    fd = {
+        "grad": np.stack([(v(h * e) - v(-h * e)) / (2.0 * h) for e in steps], axis=-1),
+        "dt": (v(dt=h) - v(dt=-h)) / (2.0 * h),
+        "laplacian": sum((v(h2 * e) - 2.0 * v0 + v(-h2 * e)) / h2**2 for e in steps),
+        "grad_dt": np.stack(
+            [(v(h * e, h) - v(-h * e, h) - v(h * e, -h) + v(-h * e, -h)) / (4.0 * h * h) for e in steps], axis=-1
+        ),
+        "dtt": (v(dt=h2) - 2.0 * v0 + v(dt=-h2)) / h2**2,
+    }
     out = {}
-
-    grads = np.stack([u.grad(x, t) for x, t in zip(points, ts)])
-    fd = np.empty_like(grads)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        fd[:, i] = np.array([(u.value(x + e, t) - u.value(x - e, t)) / (2.0 * h) for x, t in zip(points, ts)])
-    out["grad"] = _rel(fd - grads, grads)
-
-    dts = np.array([u.dt(x, t) for x, t in zip(points, ts)])
-    fd1 = np.array([(u.value(x, t + h) - u.value(x, t - h)) / (2.0 * h) for x, t in zip(points, ts)])
-    out["dt"] = _rel(fd1 - dts, dts)
-
-    laps = np.array([u.laplacian(x, t) for x, t in zip(points, ts)])
-    fd2 = np.zeros_like(laps)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h2
-        fd2 += np.array(
-            [(u.value(x + e, t) - 2.0 * u.value(x, t) + u.value(x - e, t)) / h2**2 for x, t in zip(points, ts)]
-        )
-    out["laplacian"] = _rel(fd2 - laps, laps)
-
-    gdt = np.stack([u.grad_dt(x, t) for x, t in zip(points, ts)])
-    fdm = np.empty_like(gdt)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = h
-        fdm[:, i] = np.array(
-            [
-                (u.value(x + e, t + h) - u.value(x - e, t + h) - u.value(x + e, t - h) + u.value(x - e, t - h))
-                / (4.0 * h * h)
-                for x, t in zip(points, ts)
-            ]
-        )
-    out["grad_dt"] = _rel(fdm - gdt, gdt)
-
-    dtts = np.array([u.dtt(x, t) for x, t in zip(points, ts)])
-    fdt2 = np.array([(u.value(x, t + h2) - 2.0 * u.value(x, t) + u.value(x, t - h2)) / h2**2 for x, t in zip(points, ts)])
-    out["dtt"] = _rel(fdt2 - dtts, dtts)
+    for name, approx in fd.items():
+        an = np.asarray(getattr(u, name)(x, t), float)
+        out[name] = _rel(approx - an, an)
     return out
 
 

@@ -11,7 +11,6 @@ converges to twice the parabolic frequency.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +20,11 @@ from ..fields import NonhomTerm, ScalarField, SpaceTimeField
 from ..integrate import (
     QuadratureSpec,
     _shell_mean,
+    _shell_total,
     integrate_spacetime,
     integrate_weighted,
 )
-from ..lift import LiftConfig, sphere_area
-from ..weights import _log_sphere_area
+from ..lift import LiftConfig
 from .common import DENOMINATOR_FLOOR, dot, gradsq, power_ratio
 
 __all__ = ["FrequencyValues", "almgren", "almgren_dL_lower_bound", "poon", "lifted_frequency"]
@@ -41,34 +40,14 @@ class FrequencyValues:
     L: float
 
 
-def _total(mean: float, N: int, r: float, power: int, divisor: int) -> float:
-    """mean |S^(N-1)| r^power / divisor, the total of a sphere (power N - 1,
-    divisor 1) or ball (power N, divisor N) mean >= 0.
-
-    While r^power and the measure are floats it has the bits of
-    integrate_sphere and integrate_ball; otherwise it is taken from the log
-    measure, so a total beyond float range is inf instead of an
-    OverflowError.
-    """
-    with np.errstate(over="ignore"):
-        measure = sphere_area(N) * float(np.float64(r) ** power / divisor)
-    if math.isfinite(measure) and measure > 0.0:
-        return mean * measure
-    if mean == 0.0:
-        return 0.0
-    log_total = math.log(mean) + _log_sphere_area(N) + power * math.log(r) - math.log(divisor)
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_total))
-
-
 def almgren(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -> FrequencyValues:
     """Elliptic frequency r D(r) / H(r) of v centered at the origin.
 
     L = (r^2/N) D_mean / H_mean, from the means of |grad v|^2 on the ball and
     of v^2 on the sphere, so the measures |S^(N-1)| r^N / N and
     |S^(N-1)| r^(N-1) cancel and L stays finite at N in the hundreds.  The
-    floor applies to H_mean; H and D are the totals (_total), inf where
-    they exceed the float range.
+    floor applies to H_mean; H and D are the totals (_shell_total), inf
+    where they exceed the float range.
     """
     if not r > 0.0:
         raise ValueError("need r > 0")
@@ -77,8 +56,8 @@ def almgren(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -
     if H_mean < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"boundary mean H = {H_mean!r} is below the {DENOMINATOR_FLOOR} floor")
     D_mean = _shell_mean(gradsq(v), N, 0.0, r, spec, symmetry=v.symmetry).value
-    H = _total(H_mean, N, r, N - 1, 1)
-    D = _total(D_mean, N, r, N, N)
+    H = _shell_total(H_mean, N, r, r)
+    D = _shell_total(D_mean, N, 0.0, r)
     return FrequencyValues(param=r, H=H, D=D, L=r * r / N * D_mean / H_mean)
 
 

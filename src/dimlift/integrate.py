@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import AccuracyError, UnsupportedConfigError
 from .lift import LiftConfig, sphere_area
+from .weights import _log_sphere_area
 
 __all__ = [
     "QuadratureSpec",
@@ -62,8 +63,6 @@ __all__ = [
     "pushforward_check_sphere",
     "pushforward_check_ball",
 ]
-
-ANGULAR_RULES = ("product-gauss",)
 
 # Tail cut for the Gaussian weight: exp(-R^2/4t) = 1e-16 at R = TAIL_FACTOR * sqrt(t).
 TAIL_FACTOR = 2.0 * math.sqrt(16.0 * math.log(10.0))
@@ -84,7 +83,6 @@ class QuadratureSpec:
     """Node counts and tolerance for deterministic integration."""
 
     radial_nodes: int = 48
-    angular_rule: str = "product-gauss"
     time_nodes: int = 48
     target_rel_tol: float = 1e-11
 
@@ -93,8 +91,6 @@ class QuadratureSpec:
             raise ValueError("radial_nodes must be >= 2")
         if self.time_nodes < 2:
             raise ValueError("time_nodes must be >= 2")
-        if self.angular_rule not in ANGULAR_RULES:
-            raise ValueError(f"angular_rule must be one of {ANGULAR_RULES}")
         if not (0.0 < self.target_rel_tol <= 1e-2):
             raise ValueError("target_rel_tol must lie in (0, 1e-2]")
 
@@ -656,14 +652,6 @@ def integrate_spacetime(
 # of f for any N, and multiplies it once by the measure, in closed form.
 
 
-def _radial_measure(power: float, r0: float, r1: float) -> float:
-    """int_r0^r1 rho^power d rho."""
-    q = power + 1.0
-    if q == 0.0:
-        return math.log(r1 / r0)
-    return (r1**q - r0**q) / q
-
-
 def _shell_mean(
     f,
     N: int,
@@ -703,6 +691,42 @@ def _shell_mean(
     return _estimate(eval_at, spec)
 
 
+def _shell_total(mean, N: int, r0: float, r1: float, radial_power: float = 0.0):
+    """mean |S^(N-1)| m, the total that a _shell_mean stands for: m is
+    r1^(N-1) on a sphere (r0 == r1) and int_r0^r1 rho^(N-1+radial_power) drho
+    on a ball (r0 = 0) or annulus.
+
+    While the measure is a positive float it is formed as a float and the
+    total is mean times it.  Otherwise the total is taken in logs, with the
+    sign of the mean, so a total past the float range is +-inf (or 0), not
+    an OverflowError.
+    """
+    q = N - 1 + radial_power + 1.0
+    with np.errstate(over="ignore"):
+        try:
+            if r0 == r1:
+                measure = sphere_area(N) * r1 ** (N - 1)
+            elif q == 0.0:
+                measure = sphere_area(N) * math.log(r1 / r0)
+            else:
+                measure = sphere_area(N) * ((r1**q - r0**q) / q)
+        except OverflowError:
+            measure = math.inf
+    if math.isfinite(measure) and measure > 0.0:
+        return mean * measure
+    if r0 == r1:
+        log_m = (N - 1) * math.log(r1)
+    elif q == 0.0:
+        log_m = math.log(math.log(r1 / r0))
+    else:
+        # log |r1^q - r0^q| / |q|, from the larger of the two powers
+        a, b = q * math.log(r1), (q * math.log(r0) if r0 > 0.0 else -math.inf)
+        log_m = max(a, b) + math.log(-math.expm1(-abs(a - b))) - math.log(abs(q))
+    with np.errstate(divide="ignore", over="ignore"):
+        total = np.sign(mean) * np.exp(np.log(np.abs(mean)) + _log_sphere_area(N) + log_m)
+    return float(total) if np.ndim(total) == 0 else total
+
+
 def integrate_ball(
     f,
     N: int,
@@ -724,8 +748,7 @@ def integrate_ball(
     if radial_power <= -N:
         raise ValueError("radial_power must exceed -N for an integrable weight")
     mean = _shell_mean(f, N, 0.0, r, spec, center, radial_power, symmetry)
-    measure = sphere_area(N) * _radial_measure(N - 1 + radial_power, 0.0, r)
-    return replace(mean, value=mean.value * measure)
+    return replace(mean, value=_shell_total(mean.value, N, 0.0, r, radial_power))
 
 
 def integrate_annulus(
@@ -741,8 +764,7 @@ def integrate_annulus(
     if not 0.0 <= r0 < r1:
         raise ValueError("need 0 <= r0 < r1")
     mean = _shell_mean(f, N, r0, r1, spec, None, radial_power, symmetry)
-    measure = sphere_area(N) * _radial_measure(N - 1 + radial_power, r0, r1)
-    return replace(mean, value=mean.value * measure)
+    return replace(mean, value=_shell_total(mean.value, N, r0, r1, radial_power))
 
 
 def integrate_sphere(
@@ -757,8 +779,7 @@ def integrate_sphere(
     if not r > 0.0:
         raise ValueError(f"need r > 0, got r={r}")
     mean = _shell_mean(f, N, r, r, spec, center, symmetry=symmetry)
-    measure = sphere_area(N) * r ** (N - 1)
-    return replace(mean, value=mean.value * measure)
+    return replace(mean, value=_shell_total(mean.value, N, r, r))
 
 
 def integrate_window(

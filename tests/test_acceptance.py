@@ -303,7 +303,7 @@ def _cube_pair():
     zero = lambda y: np.zeros(np.asarray(y, float).shape[:-1])
     v1 = ScalarField(2, cube_val, cube_grad, laplacian=cube_lap, smoothness="lipschitz-ae")
     v2 = ScalarField(2, neg_val, neg_grad, laplacian=zero, smoothness="lipschitz-ae")
-    return v1, v2, NonhomTerm(cube_lap), NonhomTerm(zero, bound=0.0)
+    return v1, v2, NonhomTerm(cube_lap), NonhomTerm(zero)
 
 
 def test_criterion_6_two_phase():

@@ -1,6 +1,7 @@
 """Catalog fields: derivative self-checks, caloric residuals, supports."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -138,6 +139,39 @@ def test_quadrature_generated_caloric_field(rng):
     assert max(checks["grad"], checks["dt"]) < FD_TOL
     with pytest.raises(AccuracyError):
         u.value(pts, 2.0)  # at the data time the kernel degenerates
+
+
+def test_kernel_fields_reject_times_past_the_data_time(rng):
+    u = caloric_from_data(lambda x: np.exp(-np.asarray(x, float)[..., 0] ** 2), T=2.0, d=1)
+    x = rng.uniform(-1.0, 1.0, size=(5, 1))
+    for part in ("value", "grad", "dtt"):
+        with pytest.raises(ValueError, match="needs t < T"):
+            getattr(u, part)(x, 2.5)
+    with pytest.raises(AccuracyError):
+        u.value(x, np.array([1.0, 1.9995, 1.0, 1.0, 1.0]))
+    # a single translate is exact up to its singular time, and no further
+    hk = heat_kernel_translate(1, [0.5], 2.0)
+    assert np.all(np.isfinite(hk.value(x, 1.9995)))
+    with pytest.raises(ValueError, match="needs t < T"):
+        hk.value(x, 2.0)
+
+
+def test_fd_check_spacetime_calls_the_field_once_per_stencil_offset(rng):
+    u = caloric_polynomial("x1cube", 2)
+    shapes = []
+
+    def value(x, t):
+        shapes.append((np.shape(x), np.shape(t)))
+        return u.value(x, t)
+
+    pts = rng.uniform(-2.0, 2.0, size=(30, 2))
+    ts = rng.uniform(0.1, 2.0, size=30)
+    checks = fd_check_spacetime(dataclasses.replace(u, value=value), pts, ts)
+    assert max(checks.values()) < 1e-5
+    # the center, 2 per axis for grad and Laplacian, 4 per axis for grad_dt,
+    # and 2 each for dt and dtt
+    assert len(shapes) == 1 + 2 * 2 + 2 * 2 + 4 * 2 + 2 + 2
+    assert set(shapes) == {((30, 2), (30,))}
 
 
 def test_caloric_from_csv_round_trip(tmp_path, rng):

@@ -66,7 +66,7 @@ def test_lifted_values_match_at_every_n():
 def test_nonhomogeneous_derivative_bound_with_zero_tension():
     vmap = equator_map(3)
     y0 = np.zeros(3)
-    H = NonhomTerm(lambda y: np.zeros_like(np.asarray(y, float)), vector=True, bound=0.0)
+    H = NonhomTerm(lambda y: np.zeros_like(np.asarray(y, float)), vector=True)
     for r in (0.8, 1.0):
         dr = 1e-4
         fd = (hm_phi(vmap, y0, r + dr) - hm_phi(vmap, y0, r - dr)) / (2 * dr)

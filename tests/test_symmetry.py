@@ -18,8 +18,16 @@ from dimlift.functionals import (
     hm_phi,
 )
 from dimlift.functionals.common import gradsq
-from dimlift.functionals.frequency import _total
-from dimlift.integrate import QuadratureSpec, _shell_mean, _sphere_nodes, integrate_ball, integrate_sphere
+from dimlift.integrate import (
+    QuadratureSpec,
+    _shell_mean,
+    _shell_total,
+    _sphere_nodes,
+    integrate_annulus,
+    integrate_ball,
+    integrate_sphere,
+)
+from dimlift.weights import _log_sphere_area
 
 # The reduced rule is exact in the angle for the declared fields at every
 # level, and so is the tensor rule for these integrands, so a coarse spec
@@ -123,7 +131,7 @@ def test_integrals_with_a_nonhomogeneous_term_use_the_tensor_rule():
     bound = hm_dphi_lower_bound(vmap, H, np.zeros(3), 1.0, SPEC)
     assert bound == hm_dphi_lower_bound(_undeclared(vmap), H, np.zeros(3), 1.0, SPEC)
     v = harmonic_polynomial("x1", 3)
-    h = NonhomTerm(lambda y: np.asarray(y, float)[..., 1] ** 2, bound=1.0)
+    h = NonhomTerm(lambda y: np.asarray(y, float)[..., 1] ** 2)
     assert almgren_dL_lower_bound(v, h, 1.0, SPEC) == almgren_dL_lower_bound(_undeclared(v), h, 1.0, SPEC)
 
 
@@ -151,8 +159,43 @@ def test_almgren_reports_totals_past_the_float_range_and_keeps_its_frequency():
     assert math.isfinite(fv.H) and math.isfinite(fv.D)
     assert math.isclose(fv.L, 50.0 * fv.D / fv.H, rel_tol=1e-12)
     # at r = 1000 the totals themselves are past it
-    assert _total(1.0, 200, 1000.0, 199, 1) == _total(1.0, 200, 1000.0, 200, 200) == math.inf
-    assert _total(0.0, 200, 1000.0, 199, 1) == 0.0
+    assert _shell_total(1.0, 200, 1000.0, 1000.0) == _shell_total(1.0, 200, 0.0, 1000.0) == math.inf
+    assert _shell_total(0.0, 200, 1000.0, 1000.0) == 0.0
+
+
+def test_shell_integrals_report_totals_past_the_float_range():
+    # at N = 200, r = 50, r^(N-1) and r^N overflow but the totals (about
+    # 1e234) do not; each total is its mean times the log measure
+    N, r = 200, 50.0
+    f = lambda y: np.asarray(y, float)[..., 0] ** 2 - 0.01
+    cases = [
+        (integrate_sphere(f, N, r, symmetry=1), (r, r), (N - 1) * math.log(r)),
+        (integrate_ball(f, N, r, symmetry=1), (0.0, r), N * math.log(r) - math.log(N)),
+        (
+            integrate_annulus(f, N, (0.5 * r, r), symmetry=1),
+            (0.5 * r, r),
+            N * math.log(r) + math.log1p(-(0.5**N)) - math.log(N),
+        ),
+    ]
+    for total, (r0, r1), log_measure in cases:
+        mean = _shell_mean(f, N, r0, r1, symmetry=1).value
+        expected = mean * math.exp(_log_sphere_area(N) + log_measure)
+        assert math.isfinite(expected) and expected > 1e230
+        assert math.isclose(total.value, expected, rel_tol=1e-12)
+
+
+def test_shell_totals_carry_the_sign_of_the_mean_and_of_a_negative_power():
+    # N = 3 with radial power -4.5 gives rho^(-2.5), q = -1.5 (carleman's
+    # elliptic weight at gamma = 2.25); from r0 = 1e-250, r0^q overflows
+    N, r0, r1, q = 3, 1e-250, 2.0, -1.5
+    log_measure = q * math.log(r0) + math.log(-math.expm1(q * math.log(r1 / r0))) - math.log(-q)
+    expected = -math.exp(math.log(1e-100) + _log_sphere_area(N) + log_measure)
+    total = _shell_total(-1e-100, N, r0, r1, radial_power=-4.5)
+    assert expected < -1e270 and math.isclose(total, expected, rel_tol=1e-12)
+    # in range, the total is the mean times the float measure, sign included
+    assert _shell_total(-2.0, N, 1.0, r1, radial_power=-4.5) == -2.0 * (4.0 * math.pi * ((r1**q - 1.0) / q))
+    totals = _shell_total(np.array([2.0, -2.0, 0.0]), 200, 1000.0, 1000.0)
+    assert totals.tolist() == [math.inf, -math.inf, 0.0]
 
 
 @pytest.mark.parametrize("r", [1.0, 50.0])

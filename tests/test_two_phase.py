@@ -111,7 +111,7 @@ def _elliptic_cube_pair():
     zero = lambda y: np.zeros(np.asarray(y, float).shape[:-1])
     v1 = ScalarField(2, cube_val, cube_grad, laplacian=cube_lap, smoothness="lipschitz-ae", name="y1_plus_cube")
     v2 = ScalarField(2, neg_val, neg_grad, laplacian=zero, smoothness="lipschitz-ae", name="y1_minus")
-    return v1, v2, NonhomTerm(cube_lap), NonhomTerm(zero, bound=0.0)
+    return v1, v2, NonhomTerm(cube_lap), NonhomTerm(zero)
 
 
 def test_nonhomogeneous_two_phase_derivative_bound():

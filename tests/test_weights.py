@@ -116,11 +116,3 @@ def test_quadrature_spec_validation():
         QuadratureSpec(radial_nodes=1)
     with pytest.raises(ValueError):
         QuadratureSpec(target_rel_tol=0.5)
-    with pytest.raises(ValueError):
-        QuadratureSpec(angular_rule="cubature")
-
-
-@pytest.mark.parametrize("rule", ["lebedev-like", "tensor-trapezoid"])
-def test_removed_angular_rules_are_rejected(rule):
-    with pytest.raises(ValueError, match="angular_rule must be one of"):
-        QuadratureSpec(angular_rule=rule)
