@@ -100,10 +100,14 @@ def _parse_grid(text: str, geometric: bool) -> np.ndarray:
     return np.linspace(a, b, k)
 
 
-def _parse_list(text: str, kind=int) -> list:
+def _parse_list(args, key: str, kind=int) -> list:
+    """The entries of the comma list --key; float entries must be finite."""
+    text = getattr(args, key)
     values = [kind(p) for p in text.split(",") if p]
     if not values:
-        raise ValueError(f"need a comma list with at least one entry, got {text!r}")
+        raise ValueError(f"--{key} needs a comma list with at least one entry, got {text!r}")
+    if kind is float and not all(map(math.isfinite, values)):
+        raise ValueError(f"--{key} entries must be finite, got {text!r}")
     return values
 
 
@@ -145,21 +149,30 @@ def _verdict(mode: str, values, errs, tol: float) -> tuple[bool, float, float]:
     return finite and worst == 0.0 and errs[-1] < errs[0], worst, max_err
 
 
-def _checked(header, rows, mode: str, tol: float):
-    """The handler result for rows that end in (value, reference, abs_error)."""
-    values = [row[-3] for row in rows]
-    errs = [row[-1] for row in rows]
-    return (header, rows, *_verdict(mode, values, errs, tol))
+# The three kinds of sequence a check runs along: radii r (elliptic), times t
+# (parabolic) and step counts n (the lifted limit).  The axis decides where
+# the parameters come from, the pass rule and the tolerance.
+_AXES = {
+    "r": (lambda args: _parse_grid(args.r_grid, geometric=False).tolist(), "plateau", 1e-6),
+    "t": (lambda args: _parse_grid(args.t_grid, geometric=True).tolist(), "plateau", 1e-8),
+    "n": (lambda args: _parse_list(args, "n"), "converging", 1e-8),
+}
 
 
-def _lifted_rows(n_text: str, d: int, limit: float, cells_at) -> list[list]:
-    """One row [n, *cells, limit, |value - limit|] for each step count n in
-    n_text, where cells = cells_at(LiftConfig(d, n)) ends with the value."""
+def _sequence(args, axis: str, header: list[str], evaluate):
+    """The handler result of a check along one axis of _AXES.
+
+    evaluate(p) returns [*cells, reference] at each parameter p, where cells
+    ends with the value and a reference of None stands for the value itself.
+    Each row is [p, *cells, reference, |value - reference|].
+    """
+    params, mode, tol = _AXES[axis]
     rows = []
-    for n in _parse_list(n_text):
-        cells = cells_at(LiftConfig(d, n))
-        rows.append([n, *cells, limit, abs(cells[-1] - limit)])
-    return rows
+    for p in params(args):
+        *cells, ref = evaluate(p)
+        ref = cells[-1] if ref is None else ref
+        rows.append([p, *cells, ref, abs(cells[-1] - ref)])
+    return (header, rows, *_verdict(mode, [row[-3] for row in rows], [row[-1] for row in rows], tol))
 
 
 # the pair and map constructors are looked up by name at call time, so that
@@ -181,7 +194,7 @@ def _sphere_map(name: str, dim: int):
 
 
 def _run_gn_limit(args):
-    n_list = _parse_list(args.n)
+    n_list = _parse_list(args, "n")
     grid = _parse_grid(args.grid, geometric=False)
     pts = np.zeros((grid.size, args.d)) if args.d > 1 else grid
     if args.d > 1:
@@ -239,23 +252,19 @@ _CALORIC_DEGREES = {"x1": 0.5, "x1sq": 1.0, "x1cube": 1.5, "radial": 1.0}
 
 
 def _run_frequency(args):
-    header = ["param", "H", "D", "L"]
-    rows = []
+    # the grids of _AXES, but rows without a reference and 1e-8 on both
+    grid = _AXES["t" if args.parabolic else "r"][0](args)
     if args.parabolic:
-        grid = _parse_grid(args.t_grid, geometric=True)
         if args.field == "hk":
-            u = heat_kernel_translate(args.d, 1.5 * np.ones(args.d), 2.0 * float(grid[-1]))
+            u = heat_kernel_translate(args.d, 1.5 * np.ones(args.d), 2.0 * grid[-1])
             expected = None
         elif args.field in _CALORIC_DEGREES:
             u = caloric_polynomial(args.field, args.d)
             expected = _CALORIC_DEGREES[args.field]
         else:
             raise ValueError(f"unknown parabolic field {args.field!r}")
-        for t in grid:
-            fv = poon(u, float(t))
-            rows.append([float(t), fv.H, fv.D, fv.L])
+        functional = lambda t: poon(u, t)
     else:
-        grid = _parse_grid(args.r_grid, geometric=False)
         if args.field.startswith("re_z"):
             k = int(args.field[4:])
             v = harmonic_polynomial("re_zk", args.N, k)
@@ -265,13 +274,15 @@ def _run_frequency(args):
             expected = float(_HARMONIC_DEGREES[args.field])
         else:
             raise ValueError(f"unknown elliptic field {args.field!r}")
-        for r in grid:
-            fv = almgren(v, float(r))
-            rows.append([float(r), fv.H, fv.D, fv.L])
+        functional = lambda r: almgren(v, r)
+    rows = []
+    for p in grid:
+        fv = functional(p)
+        rows.append([p, fv.H, fv.D, fv.L])
     values = [row[3] for row in rows]
     # without a known degree only monotonicity is checked
     errs = [0.0 if expected is None else abs(v - expected) for v in values]
-    return (header, rows, *_verdict("plateau", values, errs, 1e-8))
+    return (["param", "H", "D", "L"], rows, *_verdict("plateau", values, errs, 1e-8))
 
 
 _ELLIPTIC_BUMPS = [(1.0, 2.0, 4), (0.5, 1.5, 5), (1.0, 3.0, 6)]
@@ -287,7 +298,7 @@ def _run_carleman(args):
     worst = 0.0
     if args.parabolic:
         header = ["bump", "alpha", "epsilon", "lhs", "rhs", "constant_used", "satisfied"]
-        for alpha in _parse_list(args.alpha, float):
+        for alpha in _parse_list(args, "alpha", float):
             for spec_tuple in _PARABOLIC_BUMPS:
                 u = bump_spacetime(args.d, *spec_tuple)
                 rep = carleman_parabolic_check(u, alpha, args.d)
@@ -297,7 +308,7 @@ def _run_carleman(args):
                 worst = max(worst, max(0.0, rep.lhs - rep.rhs))
     else:
         header = ["bump", "gamma", "lhs", "rhs", "constant_used", "satisfied"]
-        for gamma in _parse_list(args.gamma, float):
+        for gamma in _parse_list(args, "gamma", float):
             for r_in, r_out, k in _ELLIPTIC_BUMPS:
                 v = bump_radial(args.N, r_in, r_out, k)
                 rep = carleman_elliptic_check(v, gamma)
@@ -309,61 +320,39 @@ def _run_carleman(args):
 
 def _run_two_phase(args):
     header = ["param", "factor1", "factor2", "value", "reference", "abs_error"]
-    rows = []
+    cells = lambda rep, ref: [rep.factor1, rep.factor2, rep.value, ref]
     if args.kind == "elliptic":
         if args.pair != "half":
             raise ValueError("the elliptic product is cataloged for the half-space pair only")
         v1, v2 = half_space_pair(args.N, kind="elliptic")
         ref = (sphere_area(args.N) / 4.0) ** 2
-        for r in _parse_grid(args.r_grid, geometric=False):
-            rep = acf_phi(v1, v2, float(r))
-            rows.append([float(r), rep.factor1, rep.factor2, rep.value, ref, abs(rep.value - ref)])
-        return _checked(header, rows, "plateau", 1e-6)
+        return _sequence(args, "r", header, lambda r: cells(acf_phi(v1, v2, r), ref))
     u1, u2 = _pair(args.pair, args.d, args.power)
     if args.kind == "lifted":
         ref = 0.25 if args.pair == "half" else caffarelli_Phi(u1, u2, args.t).value
-
-        def cells_at(cfg):
-            rep = lifted_two_phase(u1, u2, cfg, args.t)
-            return [rep.factor1, rep.factor2, rep.value]
-
-        return _checked(header, _lifted_rows(args.n, args.d, ref, cells_at), "converging", 1e-8)
-    if args.pair == "half":
-        ref_of = lambda tau: 0.25
-    else:
-        # closed form for the cubic pair; other powers are compared to
-        # themselves (monotonicity is still checked)
-        ref_of = (lambda tau: 9.0 * tau * tau) if args.power == 3 else None
-    for tau in _parse_grid(args.t_grid, geometric=True):
-        rep = caffarelli_Phi(u1, u2, float(tau))
-        ref = rep.value if ref_of is None else ref_of(float(tau))
-        rows.append([float(tau), rep.factor1, rep.factor2, rep.value, ref, abs(rep.value - ref)])
-    return _checked(header, rows, "plateau", 1e-8)
+        lifted = lambda n: lifted_two_phase(u1, u2, LiftConfig(args.d, n), args.t)
+        return _sequence(args, "n", header, lambda n: cells(lifted(n), ref))
+    # closed forms for the half pair and the cubic pair; other powers are
+    # compared to themselves (monotonicity is still checked)
+    ref_at = lambda tau: 0.25 if args.pair == "half" else (9.0 * tau * tau if args.power == 3 else None)
+    return _sequence(args, "t", header, lambda tau: cells(caffarelli_Phi(u1, u2, tau), ref_at(tau)))
 
 
 def _run_harmonic_map(args):
     header = ["param", "value", "reference", "abs_error"]
-    rows = []
     if args.which == "phi":
         if args.map != "equator":
             raise ValueError("the ball-energy density is cataloged for the equator map")
         vmap = equator_map(args.N)
         ref = (args.N - 1) * sphere_area(args.N) / (args.N - 2)
-        for r in _parse_grid(args.r_grid, geometric=False):
-            val = hm_phi(vmap, np.zeros(args.N), float(r))
-            rows.append([float(r), val, ref, abs(val - ref)])
-        return _checked(header, rows, "plateau", 1e-6)
+        return _sequence(args, "r", header, lambda r: [hm_phi(vmap, np.zeros(args.N), r), ref])
     dim = args.d if args.map == "circle" else args.N
     umap = _sphere_map(args.map, dim)
+    ref_at = lambda t: t if args.map == "circle" else 1.0
     if args.which == "lifted":
-        ref = args.t if args.map == "circle" else 1.0
-        rows = _lifted_rows(args.n, dim, ref, lambda cfg: [lifted_hm_Phi(umap, cfg, args.t)])
-        return _checked(header, rows, "converging", 1e-8)
-    for t in _parse_grid(args.t_grid, geometric=True):
-        val = struwe_Phi(umap, float(t))
-        ref = float(t) if args.map == "circle" else 1.0
-        rows.append([float(t), val, ref, abs(val - ref)])
-    return _checked(header, rows, "plateau", 1e-8)
+        lifted = lambda n: lifted_hm_Phi(umap, LiftConfig(dim, n), args.t)
+        return _sequence(args, "n", header, lambda n: [lifted(n), ref_at(args.t)])
+    return _sequence(args, "t", header, lambda t: [struwe_Phi(umap, t), ref_at(t)])
 
 
 def _surface(args):
@@ -371,7 +360,7 @@ def _surface(args):
         return graph_plane(args.d, 0.0)
     if args.surface == "const":
         return graph_plane(args.d, args.c)
-    slopes = _parse_list(args.a, float)
+    slopes = _parse_list(args, "a", float)
     if len(slopes) < args.d:
         raise ValueError(f"--a needs at least {args.d} entries for --d {args.d}")
     return graph_linear(slopes[: args.d])
@@ -379,39 +368,32 @@ def _surface(args):
 
 def _run_mcf(args):
     header = ["param", "value", "reference", "abs_error"]
-    rows = []
     if args.which == "ms":
         if args.surface == "const":
             raise ValueError("for the ball density use --surface plane with --delta for offsets")
         if args.surface == "tilted" and args.delta != 0.0:
             raise ValueError("offset reference values are cataloged for --surface plane")
         surface = _surface(args)
-        grid = _parse_grid(args.r_grid, geometric=False)
-        if args.delta != 0.0 and args.delta >= grid[0]:
-            raise ValueError("--delta must stay below the smallest grid radius")
         w0 = np.zeros(args.d + 1)
         w0[-1] = args.delta
-        for r in grid:
-            val = ms_density(surface, w0, float(r), t=0.0)
+
+        def at(r):
+            # the first radius is the smallest
+            if args.delta != 0.0 and args.delta >= r:
+                raise ValueError("--delta must stay below the smallest grid radius")
             # density of a d-dimensional plane at distance delta from the center
-            ref = (
-                (1.0 - args.delta**2 / float(r) ** 2) ** (0.5 * args.d)
-                if args.surface == "plane"
-                else 1.0
-            )
-            rows.append([float(r), val, ref, abs(val - ref)])
-        return _checked(header, rows, "plateau", 1e-6)
+            ref = (1.0 - args.delta**2 / r**2) ** (0.5 * args.d) if args.surface == "plane" else 1.0
+            return [ms_density(surface, w0, r, t=0.0), ref]
+
+        return _sequence(args, "r", header, at)
     surface = _surface(args)
     if args.which == "lifted":
         ref = huisken_density(surface, args.t)
-        cells_at = lambda cfg: [lifted_mcf_density(surface, cfg, args.t)]
-        return _checked(header, _lifted_rows(args.n, args.d, ref, cells_at), "converging", 1e-8)
+        lifted = lambda n: lifted_mcf_density(surface, LiftConfig(args.d, n), args.t)
+        return _sequence(args, "n", header, lambda n: [lifted(n), ref])
     flat = (4.0 * math.pi) ** (0.5 * args.d)
-    for t in _parse_grid(args.t_grid, geometric=True):
-        val = huisken_density(surface, float(t))
-        ref = flat * math.exp(-args.c**2 / (4.0 * float(t))) if args.surface == "const" else flat
-        rows.append([float(t), val, ref, abs(val - ref)])
-    return _checked(header, rows, "plateau", 1e-8)
+    ref_at = lambda t: flat * math.exp(-args.c**2 / (4.0 * t)) if args.surface == "const" else flat
+    return _sequence(args, "t", header, lambda t: [huisken_density(surface, t), ref_at(t)])
 
 
 _DEMO_FIELDS = {
@@ -430,17 +412,17 @@ def _run_lift_demo(args):
     if args.which == "frequency":
         u = caloric_polynomial(args.field, args.d)
         limit = 2.0 * poon(u, args.t).L
-        cells_at = lambda cfg: [lifted_frequency(u, cfg, args.t)]
+        lifted = lambda cfg: lifted_frequency(u, cfg, args.t)
     elif args.which == "two-phase":
         u1, u2 = _pair(args.field, args.d)
         limit = caffarelli_Phi(u1, u2, args.t).value
-        cells_at = lambda cfg: [lifted_two_phase(u1, u2, cfg, args.t).value]
+        lifted = lambda cfg: lifted_two_phase(u1, u2, cfg, args.t).value
     elif args.which == "harmonic-map":
         if args.field == "equator" and args.d < 3:
             raise ValueError("the equator map needs --d >= 3")
         umap = _sphere_map(args.field, args.d)
         limit = struwe_Phi(umap, args.t)
-        cells_at = lambda cfg: [lifted_hm_Phi(umap, cfg, args.t)]
+        lifted = lambda cfg: lifted_hm_Phi(umap, cfg, args.t)
     else:
         if args.field == "tilted":
             surface = graph_linear([0.4] * args.d)
@@ -449,9 +431,9 @@ def _run_lift_demo(args):
         else:
             surface = graph_plane(args.d, 0.0)
         limit = huisken_density(surface, args.t)
-        cells_at = lambda cfg: [lifted_mcf_density(surface, cfg, args.t)]
+        lifted = lambda cfg: lifted_mcf_density(surface, cfg, args.t)
     header = ["n", "lifted_value", "limit_value", "abs_error"]
-    return _checked(header, _lifted_rows(args.n, args.d, limit, cells_at), "converging", 1e-8)
+    return _sequence(args, "n", header, lambda n: [lifted(LiftConfig(args.d, n)), limit])
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +564,10 @@ def main(argv=None) -> int:
             args.threads = _default_threads()
         elif args.threads < 1:
             raise ValueError(f"--threads must be a positive integer, got {args.threads}")
+        # every float flag is finite, as every entry of a float list (_parse_list)
+        for key, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"--{key} must be finite, got {value}")
         with _use_threads(args.threads):
             header, rows, ok, worst, max_err = _HANDLERS[args.subcommand](args)
     except (ValueError, UnsupportedConfigError, DegenerateDenominatorError, AccuracyError) as exc:

@@ -52,6 +52,8 @@ def carleman_elliptic_constant(gamma: float, N: int) -> float:
     """
     if N < 1:
         raise ValueError("need N >= 1")
+    if not math.isfinite(gamma):
+        raise ValueError(f"need a finite gamma, got {gamma}")
     ells = np.arange(0, math.ceil(abs(gamma)) + 3 + 16, dtype=float)
     vals = np.abs((0.5 * N + ells + gamma - 2.0) * (0.5 * N + ells - gamma))
     return float(vals.min())
@@ -120,6 +122,8 @@ def carleman_parabolic_check(
     """
     if u.d != d:
         raise ValueError(f"field dimension {u.d} != d = {d}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"need a finite alpha, got {alpha}")
     beta = 2.0 * alpha - 0.5 * d - 1.0
     if beta <= 0.0:
         raise ValueError(f"need beta = 2 alpha - d/2 - 1 > 0, got beta = {beta}")

@@ -8,7 +8,9 @@ Gauss-Jacobi rules (built with numpy, _jacobi) over a Beta law.  A ball,
 annulus or sphere integral is refined as a mean, which stays of the size of
 the integrand for any N, and multiplied once by the measure in closed form.
 A space-time integral stacks its time nodes as leading rows of one such sum,
-so the integrand is called once per block, not once per node.  The angular rule is a tensor product of one-dimensional Gauss rules,
+so the integrand is called once per block, not once per node.
+
+The angular rule is a tensor product of one-dimensional Gauss rules,
 unless the integrand is declared to depend on y only through y_1..y_k and
 |y|: the ball, sphere and annulus integrals then integrate over the
 push-forward of the sphere's measure to those k coordinates, with O(level^k)
@@ -328,6 +330,8 @@ def _sphere_nodes(N: int, level: int, k: int | None = None) -> tuple[np.ndarray,
     proportional to (1 - |z|^2)^((N-k-2)/2) on the ball B^k, so each node is
     omega = (z, sqrt(1 - |z|^2), 0, ..., 0) for a node z of that density.
     """
+    if N < 1:
+        raise ValueError(f"the unit sphere S^(N-1) needs N >= 1, got N = {N}")
     if k is not None:
         return _reduced_sphere_nodes(N, level, k)
     if N == 1:

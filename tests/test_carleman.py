@@ -81,3 +81,13 @@ def test_parabolic_parameter_gates():
         carleman_parabolic_check(bump, 0.5, d=1)  # beta = -0.5 <= 0
     with pytest.raises(ValueError):
         carleman_parabolic_check(bump, 1.875, d=2)  # field dimension mismatch
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_exponents_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite gamma"):
+        carleman_elliptic_constant(bad, 3)
+    with pytest.raises(ValueError, match="finite gamma"):
+        carleman_elliptic_check(ELLIPTIC_BUMPS[0], bad)
+    with pytest.raises(ValueError, match="finite alpha"):
+        carleman_parabolic_check(PARABOLIC_BUMPS[0], bad, d=1)

@@ -1,9 +1,12 @@
 """Command-line front end: exit codes, output files, and reproducibility."""
 
+import argparse
 import csv
 import importlib.metadata
+import importlib.util
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 
 import dimlift.integrate
+from dimlift import cli
 from dimlift.cli import _verdict, main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -154,12 +158,38 @@ def test_verdict_fails_on_a_non_finite_entry(mode, where, bad):
         ["frequency", "--parabolic", "--field", "hk", "--t-grid", "4:0.25:16"],
         ["gn-limit", "--grid", "1:1e400:5"],
         ["pushforward", "--t", "-1"],
+        # dimension 0 has no unit sphere
+        ["two-phase", "--kind", "parabolic", "--d", "0"],
+        ["harmonic-map", "--which", "struwe", "--map", "circle", "--d", "0"],
+        ["mcf", "--which", "huisken", "--d", "0"],
+        ["mcf", "--which", "ms", "--d", "0"],
     ],
 )
 def test_domain_errors_exit_one(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "err"]) == 1
     assert not (tmp_path / "err.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["carleman", "--elliptic", "--gamma", "inf"], "--gamma"),
+        (["carleman", "--elliptic", "--gamma", "0.7,nan"], "--gamma"),
+        (["carleman", "--parabolic", "--alpha", "inf"], "--alpha"),
+        (["gn-limit", "--t", "inf"], "--t"),
+        (["lift-demo", "--t", "1e400"], "--t"),
+        (["mcf", "--which", "ms", "--delta", "nan"], "--delta"),
+        (["mcf", "--which", "ms", "--surface", "tilted", "--a", "0.4,-inf"], "--a"),
+        # the value and the reference would both be 0, and the check would pass
+        (["mcf", "--which", "huisken", "--surface", "const", "--c", "inf"], "--c"),
+    ],
+)
+def test_non_finite_floats_exit_one_and_name_the_flag(argv, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "err"]) == 1
+    assert f"error: {flag} " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -215,6 +245,48 @@ def test_usage_errors_exit_one(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 1
+
+
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_record_reaches_every_choice_and_catalog_field():
+    # tools/cli_golden.py records the CLI bytes that a refactor must keep;
+    # this checks, without running the CLI, that its cases reach every branch
+    golden = _load(REPO / "tools" / "cli_golden.py")
+    assert golden.FAST_ARGS == FAST_ARGS
+    # the benchmark's cli-lowdim cases, with each drawn --t read as "T"
+    lowdim = _load(REPO / "perfbench" / "workloads.py")._cli_cases(random.Random(0))
+    for argv in lowdim:
+        argv[:] = ["T" if key == "--t" else a for key, a in zip([None, *argv], argv)]
+    assert golden.LOWDIM_ARGS == lowdim
+
+    parser = cli._build_parser()
+    parsed = [parser.parse_args(argv) for argv in golden.cases("1.0").values()]
+    reached = {(a.subcommand, key, value) for a in parsed for key, value in vars(a).items()}
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {
+        (name, action.dest, choice)
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        for choice in action.choices or ()
+    }
+    assert choices - reached == set()
+
+    # (lift-demo, family, field) and (frequency, parabolic, field)
+    fields = {
+        (a.subcommand, a.which if a.subcommand == "lift-demo" else a.parabolic, a.field)
+        for a in parsed
+        if "field" in a
+    }
+    catalog = {("lift-demo", which, f) for which, names in cli._DEMO_FIELDS.items() for f in names}
+    catalog |= {("frequency", True, f) for f in cli._CALORIC_DEGREES}
+    catalog |= {("frequency", False, f) for f in cli._HARMONIC_DEGREES}
+    assert catalog - fields == set()
 
 
 def test_csv_numbers_round_trip_and_booleans_are_lowercase(tmp_path, monkeypatch):

@@ -290,6 +290,12 @@ def test_an_integrand_error_in_a_middle_block_propagates(monkeypatch):
             dimlift.integrate._polar_sum(f, r, np.ones(50), omega, wa)
 
 
+def test_sphere_rules_need_a_dimension_of_at_least_one():
+    # N = 0 once recursed past the N = 1 and N = 2 base cases
+    with pytest.raises(ValueError, match="N >= 1"):
+        integrate_sphere(_ones, 0, 1.0)
+
+
 def test_a_single_block_sum_starts_no_pool(monkeypatch):
     created = _record_pools(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)

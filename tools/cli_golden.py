@@ -8,8 +8,8 @@ cases of ``tests/test_cli.py`` (``FAST_ARGS``), the nineteen argv lists of
 the benchmark's ``cli-lowdim`` workload, with every ``--t`` set to one fixed
 value, two ``pushforward`` cases whose Monte Carlo runs in seven batches,
 so that a record at two or more threads covers batches drawn on workers,
-and one case for each handler branch the others miss (``BRANCH_ARGS``),
-failing checks included.
+and one case for each handler branch, ``choices`` value and catalog field
+the others miss (``BRANCH_ARGS``), failing checks included.
 For each case it writes the exit code, the sha256 of the CSV and of the
 summary JSON, and both texts.  The manifest file is left out: it holds
 the wall time and may differ between byte-identical runs.  ``--block`` sets
@@ -81,11 +81,13 @@ MC_ARGS = [
 ]
 
 
-# every handler branch that the lists above leave out, and checks that fail
+# every handler branch, choice and catalog field that the lists above leave
+# out, and checks that fail
 BRANCH_ARGS = [
     ["frequency", "--elliptic", "--field", "x1x2", "--N", "3"],
     ["frequency", "--elliptic", "--field", "re_z3"],
     ["frequency", "--parabolic", "--field", "radial", "--d", "2"],
+    ["frequency", "--parabolic", "--field", "x1"],
     ["two-phase", "--kind", "parabolic", "--pair", "power", "--power", "2"],
     ["harmonic-map", "--which", "struwe", "--map", "equator", "--N", "3"],
     ["harmonic-map", "--which", "lifted", "--map", "equator", "--N", "3"],
@@ -98,6 +100,8 @@ BRANCH_ARGS = [
     ["lift-demo", "--which", "mcf", "--field", "tilted", "--d", "2"],
     ["lift-demo", "--which", "two-phase", "--field", "power"],
     ["lift-demo", "--which", "frequency", "--field", "radial", "--d", "2"],
+    ["lift-demo", "--which", "frequency", "--field", "x1"],
+    ["lift-demo", "--which", "mcf", "--field", "plane"],
     ["carleman", "--elliptic"],
     ["gn-limit", "--n", "64,8"],
     ["lift-demo", "--which", "two-phase", "--field", "power", "--n", "10,10"],
