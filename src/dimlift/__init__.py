@@ -12,10 +12,8 @@ together with their finite-n counterparts.
 
 from .errors import AccuracyError, DegenerateDenominatorError, UnsupportedConfigError
 from .lift import (
-    DomainSpec,
     LiftConfig,
     LiftedDerivatives,
-    SpaceTimePoint,
     lift_point,
     lift_point_time,
     lifted_derivatives,
@@ -54,10 +52,8 @@ __all__ = [
     "AccuracyError",
     "DegenerateDenominatorError",
     "UnsupportedConfigError",
-    "DomainSpec",
     "LiftConfig",
     "LiftedDerivatives",
-    "SpaceTimePoint",
     "lift_point",
     "lift_point_time",
     "lifted_derivatives",

@@ -38,7 +38,6 @@ __all__ = [
     "graph_plane",
     "graph_linear",
     "graph_paraboloid",
-    "graph_catalog",
     "fd_check_scalar",
     "fd_check_spacetime",
     "caloric_residual",
@@ -53,7 +52,6 @@ class ScalarField:
     value: Callable
     grad: Callable
     laplacian: Callable | None = None
-    smoothness: str = "smooth"
     name: str = ""
     support: tuple | None = None  # ("annulus", r_in, r_out) or None for all of R^N
     # k when v(y) depends on y only through y_1..y_k and |y|, that is, v is
@@ -72,8 +70,6 @@ class SpaceTimeField:
     laplacian: Callable
     grad_dt: Callable
     dtt: Callable
-    caloric: bool = False
-    smoothness: str = "smooth"
     name: str = ""
     window: tuple | None = None  # (r_in, r_out, t_in, t_out) support box, or None
 
@@ -83,9 +79,8 @@ class SphereField:
     """A map into a unit sphere, |value| = 1 pointwise."""
 
     dim_domain: int
-    dim_target: int
-    value: Callable  # (..., dim_domain) -> (..., dim_target)
-    jacobian: Callable  # -> (..., dim_target, dim_domain)
+    value: Callable  # (..., dim_domain) -> (..., target dimension)
+    jacobian: Callable  # -> (..., target dimension, dim_domain)
     energy: Callable  # |Dv|^2, the squared Frobenius norm of the jacobian
     dt: Callable | None = None  # None marks a time-independent map
     name: str = ""
@@ -220,7 +215,6 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
             laplacian=_zeros,
             grad_dt=_zeros_vec,
             dtt=_zeros,
-            caloric=True,
             name="x1",
         )
     if kind == "x1sq":
@@ -239,7 +233,6 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
             laplacian=lambda x, t: 2.0 + _zeros(x, t),
             grad_dt=_zeros_vec,
             dtt=_zeros,
-            caloric=True,
             name="x1sq",
         )
     if kind == "x1cube":
@@ -263,7 +256,6 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
             laplacian=lambda x, t: 6.0 * np.asarray(x, float)[..., 0] + 0.0 * np.asarray(t),
             grad_dt=grad_dt,
             dtt=_zeros,
-            caloric=True,
             name="x1cube",
         )
     if kind == "radial":
@@ -280,7 +272,6 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
             laplacian=lambda x, t: 2.0 * d + _zeros(x, t),
             grad_dt=_zeros_vec,
             dtt=_zeros,
-            caloric=True,
             name="radial",
         )
     raise ValueError(f"unknown caloric polynomial kind {kind!r}")
@@ -290,23 +281,29 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
 # heat kernel translates and kernel superpositions
 
 
-def _kernel_terms(z: np.ndarray, s, d: int):
-    """G, grad G, Lap G, grad Lap G, and d2/ds2-related pieces for G(z, s),
+def _kernel_term(z: np.ndarray, s, d: int, term: int) -> np.ndarray:
+    """Term 0..4 of G(z, s): G, grad G, Lap G, grad Lap G and d^2 G / ds^2,
     with s an array that broadcasts against z[..., 0]."""
     rr = np.sum(z * z, axis=-1)
     g = np.exp(-rr / (4.0 * s) - 0.5 * d * np.log(4.0 * math.pi * s))
+    if term == 0:
+        return g
+    if term == 1:
+        return -z / (2.0 * s[..., None]) * g[..., None]
     a = rr / (4.0 * s**2) - d / (2.0 * s)  # Lap G = a G ( = dG/ds)
-    grad = -z / (2.0 * s[..., None]) * g[..., None]
-    lap = a * g
-    # grad(a G) = z G (1/(2 s^2) - a/(2 s))
-    grad_lap = z * (g * (1.0 / (2.0 * s**2) - a / (2.0 * s)))[..., None]
+    if term == 2:
+        return a * g
+    if term == 3:
+        # grad(a G) = z G (1/(2 s^2) - a/(2 s))
+        return z * (g * (1.0 / (2.0 * s**2) - a / (2.0 * s)))[..., None]
     a_s = -rr / (2.0 * s**3) + d / (2.0 * s**2)
-    lap2_like = (a * a + a_s) * g  # d^2 G / ds^2
-    return g, grad, lap, grad_lap, lap2_like
+    return (a * a + a_s) * g
 
 
 def heat_kernel_translate(d: int, x0, s0: float) -> SpaceTimeField:
     """u(x, t) = G(x - x0, s0 - t): backward caloric for t < s0, singular at t = s0."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).reshape(d)
     if not s0 > 0.0:
         raise ValueError("need s0 > 0")
@@ -394,7 +391,7 @@ def _kernel_sum_field(
 
     def kernel_sum(x, t, term: int, vector: bool):
         """sum_m coeff_m K(x - xi_m, T - t) for the kernel term K of
-        _kernel_terms, over the points of x (..., d) and the times t that
+        _kernel_term, over the points of x (..., d) and the times t that
         broadcast against x[..., 0].  Each point's sum is one pairwise sum
         over m, so the bits do not depend on the chunking."""
         t = np.asarray(t, float)
@@ -413,7 +410,7 @@ def _kernel_sum_field(
         out = np.empty((len(pts), d) if vector else len(pts))
         for lo in range(0, len(pts), chunk):
             z = pts[lo : lo + chunk, None, :] - xi  # (chunk, M, d)
-            k = _kernel_terms(z, s if one_time else s[lo : lo + chunk], d)[term]
+            k = _kernel_term(z, s if one_time else s[lo : lo + chunk], d, term)
             del z
             np.sum(k * w, axis=1, out=out[lo : lo + chunk])
         return out.reshape(lead + out.shape[1:])
@@ -445,7 +442,6 @@ def _kernel_sum_field(
         laplacian=laplacian,
         grad_dt=grad_dt,
         dtt=dtt,
-        caloric=True,
         name=name,
     )
 
@@ -485,8 +481,6 @@ def _half_space_field(d: int, sign: float, power: int) -> SpaceTimeField:
         laplacian=laplacian,
         grad_dt=_zeros_vec,
         dtt=_zeros,
-        caloric=(power == 1),
-        smoothness="lipschitz-ae",
         name=f"x1_{side}{tag}",
     )
 
@@ -516,7 +510,6 @@ def half_space_pair(dim: int, kind: str = "parabolic"):
                 value=value,
                 grad=grad,
                 laplacian=_zeros,
-                smoothness="lipschitz-ae",
                 name="y1_plus" if sign > 0 else "y1_minus",
                 symmetry=1,
             )
@@ -563,7 +556,6 @@ def equator_map(N: int) -> SphereField:
 
     return SphereField(
         dim_domain=N,
-        dim_target=N,
         value=value,
         jacobian=jacobian,
         energy=energy,
@@ -591,7 +583,6 @@ def circle_map(d: int = 1) -> SphereField:
 
     return SphereField(
         dim_domain=d,
-        dim_target=2,
         value=value,
         jacobian=jacobian,
         energy=energy,
@@ -628,6 +619,8 @@ def bump_spacetime(d: int, r_in: float, r_out: float, t_in: float, t_out: float,
     at the window center (|x| and t at the midpoints) is exactly 1.  All
     derivatives, hence the caloric residual, are closed-form.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     if not (0.0 < r_in < r_out and 0.0 < t_in < t_out):
         raise ValueError("need 0 < r_in < r_out and 0 < t_in < t_out")
     if k < 3:
@@ -677,8 +670,6 @@ def bump_spacetime(d: int, r_in: float, r_out: float, t_in: float, t_out: float,
         laplacian=laplacian,
         grad_dt=grad_dt,
         dtt=dtt,
-        caloric=False,
-        smoothness=f"C^{k - 1}",
         name=f"bump(r=[{r_in},{r_out}], t=[{t_in},{t_out}], k={k})",
         window=(r_in, r_out, t_in, t_out),
     )
@@ -714,7 +705,6 @@ def bump_radial(N: int, r_in: float, r_out: float, k: int = 4) -> ScalarField:
         value=value,
         grad=grad,
         laplacian=laplacian,
-        smoothness=f"C^{k - 1}",
         name=f"bump_radial([{r_in},{r_out}], k={k})",
         support=("annulus", r_in, r_out),
         symmetry=0,
@@ -764,16 +754,6 @@ def graph_paraboloid(dim: int, eps: float) -> GraphSurface:
         dt=_zeros,
         name=f"paraboloid(eps={eps})",
     )
-
-
-def graph_catalog(kind: str, dim: int, c: float = 0.0, a=None, eps: float = 0.1) -> GraphSurface:
-    if kind == "plane":
-        return graph_plane(dim, c)
-    if kind == "linear":
-        return graph_linear(np.ones(dim) * 0.3 if a is None else a)
-    if kind == "paraboloid_eps":
-        return graph_paraboloid(dim, eps)
-    raise ValueError(f"unknown graph kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

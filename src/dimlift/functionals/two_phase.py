@@ -26,14 +26,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TwoPhaseReport:
-    """Product functional with its two factors; s1/s2 are boundary support fractions."""
+    """Product functional with its two factors."""
 
     param: float
     factor1: float
     factor2: float
     value: float
-    s1: float | None = None
-    s2: float | None = None
 
 
 def psi(s: float) -> float:

@@ -36,7 +36,7 @@ import contextvars
 import math
 import os
 import threading
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -85,14 +85,11 @@ class QuadratureSpec:
     """Node counts and tolerance for deterministic integration."""
 
     radial_nodes: int = 48
-    time_nodes: int = 48
     target_rel_tol: float = 1e-11
 
     def __post_init__(self) -> None:
         if self.radial_nodes < 2:
             raise ValueError("radial_nodes must be >= 2")
-        if self.time_nodes < 2:
-            raise ValueError("time_nodes must be >= 2")
         if not (0.0 < self.target_rel_tol <= 1e-2):
             raise ValueError("target_rel_tol must lie in (0, 1e-2]")
 
@@ -118,20 +115,10 @@ class MonteCarloSpec:
 
 @dataclass(frozen=True)
 class IntegralEstimate:
-    """Value with provenance; std_error is 0 exactly when the method is deterministic."""
+    """A quadrature value and the number of integrand points it took."""
 
     value: float | np.ndarray
-    std_error: float | np.ndarray
-    method: str
     evaluations: int
-
-    def __post_init__(self) -> None:
-        err = np.asarray(self.std_error)
-        if np.any(err < 0.0):
-            raise ValueError("std_error must be nonnegative")
-        deterministic = self.method == "quadrature"
-        if deterministic != bool(np.all(err == 0.0)):
-            raise ValueError("std_error must be 0 iff the method is deterministic")
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +407,7 @@ def _refine(eval_at_level: Callable[[int], tuple], level0: int, tol: float):
 
 def _estimate(eval_at_level: Callable[[int], tuple], spec: QuadratureSpec) -> IntegralEstimate:
     value, count = _refine(eval_at_level, spec.radial_nodes, spec.target_rel_tol)
-    return IntegralEstimate(value=value, std_error=0.0, method="quadrature", evaluations=count)
+    return IntegralEstimate(value=value, evaluations=count)
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +599,6 @@ def integrate_weighted(
     return _estimate(eval_at, spec)
 
 
-def _time_rule(spec: QuadratureSpec, level: int, t0: float, t1: float) -> tuple[np.ndarray, np.ndarray]:
-    # time nodes grow with the radial level
-    return _legendre_rule(spec.time_nodes * max(1, level // spec.radial_nodes), t0, t1)
-
-
 def integrate_spacetime(
     phi,
     weight: str,
@@ -638,7 +620,8 @@ def integrate_spacetime(
         raise ValueError(f"need tau > 0, got tau={tau}")
 
     def eval_at(level: int):
-        ts, wt = _time_rule(spec, level, 0.0, tau)
+        # as many time nodes as radial ones
+        ts, wt = _legendre_rule(level, 0.0, tau)
         values, count = _weighted_sums(phi, weight, d, ts, level, n)
         total = _as_vector(_time_sum(wt, values))
         if total.size == 1:
@@ -808,7 +791,7 @@ def integrate_window(
         omega, wa = _sphere_nodes(d, level)
         rho, wr = _legendre_rule(level, r0, r1, d - 1)
         wr = sphere_area(d) * wr
-        ts, wt = _time_rule(spec, level, t0, t1)
+        ts, wt = _legendre_rule(level, t0, t1)
         shape = (len(ts), len(rho))
         values, count = _polar_sum(f, np.broadcast_to(rho, shape), np.broadcast_to(wr, shape), omega, wa, t=ts)
         return _time_sum(wt, values), count
@@ -1048,32 +1031,19 @@ class PushforwardCheck:
 
 
 # The quadrature side of a check does not depend on the sampling plan, so it
-# is kept for the last few (kind, phi, d, n, t, spec).  phi is matched by
-# identity; an entry holds a reference to its phi, so that id cannot be reused
-# by another object while the entry lives.
-_QUAD_MEMO_SIZE = 32
-_quad_memo: OrderedDict = OrderedDict()
-_quad_memo_lock = threading.Lock()
+# is kept for the last few (kind, phi, d, n, t, spec).  A function hashes by
+# identity, and an entry holds a reference to its phi, so that phi's entry
+# cannot be taken by another object while it lives.
+@lru_cache(maxsize=32)
+def _memo_quad(kind: str, phi, d: int, n: int, t: float, spec: QuadratureSpec):
+    if kind == "sphere":
+        return integrate_weighted(phi, "finite", d, t, spec, n=n).value
+    return integrate_spacetime(phi, "finite", d, t, spec, n=n).value
 
 
 def _pushforward_quad(kind: str, phi, d: int, n: int, t: float, spec: QuadratureSpec):
     """Finite-weight quadrature of a push-forward check, once per (kind, phi, d, n, t, spec)."""
-    key = (kind, id(phi), d, n, t, spec)
-    with _quad_memo_lock:
-        entry = _quad_memo.get(key)
-        if entry is not None:
-            _quad_memo.move_to_end(key)
-    if entry is None:
-        if kind == "sphere":
-            value = integrate_weighted(phi, "finite", d, t, spec, n=n).value
-        else:
-            value = integrate_spacetime(phi, "finite", d, t, spec, n=n).value
-        entry = (phi, value)
-        with _quad_memo_lock:
-            _quad_memo[key] = entry
-            while len(_quad_memo) > _QUAD_MEMO_SIZE:
-                _quad_memo.popitem(last=False)
-    value = entry[1]
+    value = _memo_quad(kind, phi, d, n, t, spec)
     # a copy, so a caller writing into quad_value leaves the memo intact
     return value.copy() if isinstance(value, np.ndarray) else value
 

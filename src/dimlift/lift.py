@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,8 +17,6 @@ from .weights import _log_sphere_area
 
 __all__ = [
     "LiftConfig",
-    "SpaceTimePoint",
-    "DomainSpec",
     "LiftedDerivatives",
     "sphere_area",
     "lift_point",
@@ -43,74 +40,6 @@ class LiftConfig:
     def N(self) -> int:
         """Ambient dimension n*d of the lifted space."""
         return self.n * self.d
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    """A point (x, t) with x in R^d and t > 0."""
-
-    x: np.ndarray
-    t: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        if self.x.ndim != 1:
-            raise ValueError("x must be a 1-d coordinate array")
-        if not self.t > 0.0:
-            raise ValueError(f"need t > 0, got t={self.t}")
-
-
-# Domain kinds:
-#   sphere_Stn: sphere of radius sqrt(2 d t) in R^(n d)
-#   ball_Bnt:   ball of radius sqrt(2 n d t) in R^d
-#   ball_Btn:   ball of radius sqrt(2 d tau) in R^(n d)
-#   cone_Knt:   { (x, t) : |x|^2 <= 2 n d t, 0 < t <= tau } in R^d x (0, tau]
-_DOMAIN_KINDS = ("sphere_Stn", "ball_Bnt", "ball_Btn", "cone_Knt")
-
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """One of the four domains the lift machinery integrates over."""
-
-    kind: str
-    cfg: LiftConfig
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in _DOMAIN_KINDS:
-            raise ValueError(f"unknown domain kind {self.kind!r}; expected one of {_DOMAIN_KINDS}")
-        if not self.t > 0.0:
-            raise ValueError(f"need t > 0, got t={self.t}")
-
-    @property
-    def ambient_dim(self) -> int:
-        if self.kind in ("sphere_Stn", "ball_Btn"):
-            return self.cfg.N
-        return self.cfg.d
-
-    @property
-    def radius(self) -> float:
-        d, n, t = self.cfg.d, self.cfg.n, self.t
-        if self.kind in ("sphere_Stn", "ball_Btn"):
-            return float(np.sqrt(2.0 * d * t))
-        return float(np.sqrt(2.0 * n * d * t))
-
-    def contains(self, p, tol: float = 1e-12) -> np.ndarray:
-        """Membership test; p has shape (..., ambient_dim), or ((..., d), t-array) for the cone."""
-        if self.kind == "cone_Knt":
-            x, tt = p
-            x = np.asarray(x, dtype=float)
-            tt = np.asarray(tt, dtype=float)
-            nd = self.cfg.N
-            inside_slice = np.sum(x * x, axis=-1) <= 2.0 * nd * tt * (1.0 + tol)
-            return inside_slice & (tt > 0.0) & (tt <= self.t * (1.0 + tol))
-        y = np.asarray(p, dtype=float)
-        if y.shape[-1] != self.ambient_dim:
-            raise ValueError(f"point dimension {y.shape[-1]} != {self.ambient_dim}")
-        rr = np.sqrt(np.sum(y * y, axis=-1))
-        if self.kind == "sphere_Stn":
-            return np.abs(rr - self.radius) <= tol * max(self.radius, 1.0)
-        return rr <= self.radius * (1.0 + tol)
 
 
 def sphere_area(N: int) -> float:

@@ -129,6 +129,8 @@ def weight_limit_report(d: int, t: float, x_grid, n_list) -> WeightLimitReport:
     Grid points outside supp G_{t,n} contribute relative error exactly 1,
     since the finite weight vanishes there while G_t does not.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim == 1:
         if d != 1:

@@ -301,8 +301,8 @@ def _cube_pair():
         return g
 
     zero = lambda y: np.zeros(np.asarray(y, float).shape[:-1])
-    v1 = ScalarField(2, cube_val, cube_grad, laplacian=cube_lap, smoothness="lipschitz-ae")
-    v2 = ScalarField(2, neg_val, neg_grad, laplacian=zero, smoothness="lipschitz-ae")
+    v1 = ScalarField(2, cube_val, cube_grad, laplacian=cube_lap)
+    v2 = ScalarField(2, neg_val, neg_grad, laplacian=zero)
     return v1, v2, NonhomTerm(cube_lap), NonhomTerm(zero)
 
 

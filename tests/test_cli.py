@@ -34,6 +34,17 @@ FAST_ARGS = {
 }
 
 
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# tools/cli_golden.py records the CLI bytes that a refactor must keep
+GOLDEN = _load(REPO / "tools" / "cli_golden.py")
+
+
 def _run(tmp, argv):
     return main(argv + ["--out", "run", "--threads", "2"]), tmp / "run"
 
@@ -141,33 +152,50 @@ def test_verdict_fails_on_a_non_finite_entry(mode, where, bad):
     assert not _verdict(mode, values, errs, 1e-8)[0]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["mcf", "--which", "ms", "--surface", "const"],
-        ["two-phase", "--kind", "elliptic", "--pair", "power"],
-        ["frequency", "--elliptic", "--r-grid", "1:2"],
-        ["frequency", "--parabolic", "--field", "nope"],
-        ["harmonic-map", "--which", "lifted", "--map", "equator", "--N", "2"],
-        # empty comma lists
-        ["carleman", "--elliptic", "--gamma", ","],
-        ["gn-limit", "--n", ","],
-        ["lift-demo", "--n", ","],
-        # grids must run from a to a finite b > a
-        ["frequency", "--elliptic", "--r-grid", "2:0.5:8"],
-        ["frequency", "--parabolic", "--field", "hk", "--t-grid", "4:0.25:16"],
-        ["gn-limit", "--grid", "1:1e400:5"],
-        ["pushforward", "--t", "-1"],
-        # dimension 0 has no unit sphere
-        ["two-phase", "--kind", "parabolic", "--d", "0"],
-        ["harmonic-map", "--which", "struwe", "--map", "circle", "--d", "0"],
-        ["mcf", "--which", "huisken", "--d", "0"],
-        ["mcf", "--which", "ms", "--d", "0"],
-    ],
-)
-def test_domain_errors_exit_one(argv, tmp_path, monkeypatch):
+# each argv with the start of the reason it must print
+_DOMAIN_ERRORS = [
+    (["mcf", "--which", "ms", "--surface", "const"], "for the ball density use --surface plane"),
+    (["two-phase", "--kind", "elliptic", "--pair", "power"], "the elliptic product is cataloged"),
+    (["frequency", "--elliptic", "--r-grid", "1:2"], "grid must look like a:b:k"),
+    (["frequency", "--parabolic", "--field", "nope"], "unknown parabolic field 'nope'"),
+    (["harmonic-map", "--which", "lifted", "--map", "equator", "--N", "2"], "equator map needs N >= 3"),
+    # empty comma lists
+    (["carleman", "--elliptic", "--gamma", ","], "--gamma needs a comma list"),
+    (["gn-limit", "--n", ","], "--n needs a comma list"),
+    (["lift-demo", "--n", ","], "--n needs a comma list"),
+    # grids must run from a to a finite b > a
+    (["frequency", "--elliptic", "--r-grid", "2:0.5:8"], "grid needs finite endpoints with b > a"),
+    (["frequency", "--parabolic", "--field", "hk", "--t-grid", "4:0.25:16"], "grid needs finite endpoints"),
+    (["gn-limit", "--grid", "1:1e400:5"], "grid needs finite endpoints with b > a"),
+    (["pushforward", "--t", "-1"], "need radius > 0"),
+    # dimension 0 has no unit sphere
+    (["two-phase", "--kind", "parabolic", "--d", "0"], "the unit sphere S^(N-1) needs N >= 1"),
+    (["harmonic-map", "--which", "struwe", "--map", "circle", "--d", "0"], "the unit sphere S^(N-1) needs N >= 1"),
+    (["mcf", "--which", "huisken", "--d", "0"], "the unit sphere S^(N-1) needs N >= 1"),
+    (["mcf", "--which", "ms", "--d", "0"], "the unit sphere S^(N-1) needs N >= 1"),
+    # and no heat kernel, bump or weight either
+    (["frequency", "--parabolic", "--field", "hk", "--d", "0"], "need d >= 1, got d=0"),
+    (["carleman", "--parabolic", "--d", "0"], "need d >= 1, got d=0"),
+    (["gn-limit", "--d", "0"], "need d >= 1, got d=0"),
+    # grids of one point and geometric grids from 0
+    (["frequency", "--elliptic", "--r-grid", "1:2:1"], "grid needs at least 2 points"),
+    (["frequency", "--parabolic", "--t-grid", "0:1:4"], "geometric grid needs positive endpoints"),
+    # names outside a catalog
+    (["pushforward", "--phi", "x1,nope"], "unknown phi 'nope'"),
+    (["frequency", "--elliptic", "--field", "nope"], "unknown elliptic field 'nope'"),
+    (["harmonic-map", "--which", "phi", "--map", "circle"], "the ball-energy density is cataloged"),
+    (["lift-demo", "--which", "mcf", "--field", "x1"], "--which mcf accepts --field from"),
+    # offsets: on the plane only, and inside the smallest radius
+    (["mcf", "--which", "ms", "--surface", "tilted", "--delta", "0.1"], "offset reference values are cataloged"),
+    (["mcf", "--which", "ms", "--delta", "0.8"], "--delta must stay below the smallest grid radius"),
+]
+
+
+@pytest.mark.parametrize("argv, reason", _DOMAIN_ERRORS, ids=[f"argv{i}" for i in range(len(_DOMAIN_ERRORS))])
+def test_domain_errors_exit_one(argv, reason, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "err"]) == 1
+    assert f"error: {reason}" in capsys.readouterr().err
     assert not (tmp_path / "err.json").exists()
 
 
@@ -240,6 +268,22 @@ def test_checks_beyond_the_default_dimension_pass(argv, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "run.json").read_text())["status"] == "pass"
 
 
+# the benchmark's cli-lowdim cases at --t 1.0, and the elliptic, Monte Carlo
+# and graph branches they leave out
+_LOWDIM_CASES = [["1.0" if a == "T" else a for a in argv] for argv in GOLDEN.LOWDIM_ARGS] + [
+    ["frequency", "--elliptic", "--field", "re_z3"],
+    ["pushforward", "--domain", "ball", "--samples", "20000"],
+    ["mcf", "--which", "huisken", "--surface", "tilted", "--d", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", _LOWDIM_CASES, ids=" ".join)
+def test_low_dimensional_cases_pass(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "run"]) == 0
+    assert json.loads((tmp_path / "run.json").read_text())["status"] == "pass"
+
+
 @pytest.mark.parametrize("argv", [["no-such-command"], ["gn-limit", "--bogus"], []])
 def test_usage_errors_exit_one(argv):
     with pytest.raises(SystemExit) as exc:
@@ -247,26 +291,17 @@ def test_usage_errors_exit_one(argv):
     assert exc.value.code == 1
 
 
-def _load(path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_golden_record_reaches_every_choice_and_catalog_field():
-    # tools/cli_golden.py records the CLI bytes that a refactor must keep;
-    # this checks, without running the CLI, that its cases reach every branch
-    golden = _load(REPO / "tools" / "cli_golden.py")
-    assert golden.FAST_ARGS == FAST_ARGS
+    # without running the CLI, the golden record's cases reach every branch
+    assert GOLDEN.FAST_ARGS == FAST_ARGS
     # the benchmark's cli-lowdim cases, with each drawn --t read as "T"
     lowdim = _load(REPO / "perfbench" / "workloads.py")._cli_cases(random.Random(0))
     for argv in lowdim:
         argv[:] = ["T" if key == "--t" else a for key, a in zip([None, *argv], argv)]
-    assert golden.LOWDIM_ARGS == lowdim
+    assert GOLDEN.LOWDIM_ARGS == lowdim
 
     parser = cli._build_parser()
-    parsed = [parser.parse_args(argv) for argv in golden.cases("1.0").values()]
+    parsed = [parser.parse_args(argv) for argv in GOLDEN.cases("1.0").values()]
     reached = {(a.subcommand, key, value) for a in parsed for key, value in vars(a).items()}
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     choices = {

@@ -20,7 +20,6 @@ from dimlift.fields import (
     equator_map,
     fd_check_scalar,
     fd_check_spacetime,
-    graph_catalog,
     graph_linear,
     graph_paraboloid,
     graph_plane,
@@ -84,7 +83,6 @@ def test_caloric_polynomials(kind, rng):
     ts = rng.uniform(0.1, 2.0, size=100)
     checks = fd_check_spacetime(u, pts, ts)
     assert max(checks["grad"], checks["dt"]) < FD_TOL
-    assert u.caloric
     assert np.max(np.abs(caloric_residual(u, pts, ts))) < 1e-10
 
 
@@ -120,7 +118,6 @@ def test_half_space_pairs_split_the_domain(rng):
     vm = np.asarray(um.value(x, t))
     assert np.all(vp * vm == 0.0)  # disjoint supports
     assert np.allclose(vp - vm, x[:, 0], rtol=0, atol=0)
-    assert up.smoothness == "lipschitz-ae"
 
     cube, lin = half_space_power_pair(1, 3)
     x1 = x[:, 0]
@@ -215,13 +212,13 @@ def test_kernel_fields_evaluate_in_bounded_chunks(d, nodes, rng, monkeypatch):
     assert whole["value"].shape == (7, 5) and whole["grad"].shape == (7, 5, d)
 
     widest = []
-    kernel_terms = dimlift.fields._kernel_terms
+    kernel_term = dimlift.fields._kernel_term
 
-    def recording(z, s, dd):
+    def recording(z, s, dd, term):
         widest.append(z.nbytes)
-        return kernel_terms(z, s, dd)
+        return kernel_term(z, s, dd, term)
 
-    monkeypatch.setattr(dimlift.fields, "_kernel_terms", recording)
+    monkeypatch.setattr(dimlift.fields, "_kernel_term", recording)
     point_bytes = 8 * nodes**d * d
     for per_chunk in (1, 3):
         monkeypatch.setattr(dimlift.fields, "_KERNEL_CHUNK_BYTES", per_chunk * point_bytes)
@@ -273,7 +270,3 @@ def test_graph_surfaces(rng):
     assert np.allclose(np.asarray(par.value(y, 0.0)), 0.2 * np.sum(y * y, axis=-1))
     hess = np.asarray(par.hessian(y, 0.0))
     assert np.allclose(hess, 0.4 * np.eye(2))
-
-    assert graph_catalog("plane", 2, c=0.7).name == plane.name
-    with pytest.raises(ValueError):
-        graph_catalog("sphere", 2)

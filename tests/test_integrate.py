@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from dimlift import (
-    IntegralEstimate,
     MonteCarloSpec,
     QuadratureSpec,
     integrate_annulus,
@@ -49,7 +48,6 @@ def _x1quart(x):
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_gaussian_moments(d, t):
     est = integrate_weighted(_x1sq, "gaussian", d, t)
-    assert est.method == "quadrature" and est.std_error == 0.0
     assert abs(est.value - 2 * t) < 1e-10 * max(1.0, 2 * t)
     quart = integrate_weighted(_x1quart, "gaussian", d, t).value
     assert abs(quart - 12 * t * t) < 1e-9 * max(1.0, 12 * t * t)
@@ -160,7 +158,7 @@ def _per_node_estimate(case, phi, d, n, spec, shapes):
 
     def eval_at(level: int):
         if case == "window":
-            ts, wt = I._time_rule(spec, level, 0.2, 0.9)
+            ts, wt = I._legendre_rule(level, 0.2, 0.9)
             omega, wa = I._sphere_nodes(d, level)
             rho, wr = I._legendre_rule(level, 0.3, 1.4, d - 1)
             wr = sphere_area(d) * wr
@@ -169,7 +167,7 @@ def _per_node_estimate(case, phi, d, n, spec, shapes):
                 return I._polar_sum(phi, rho[None], wr[None], omega, wa, t=ts[q : q + 1])
 
         else:
-            ts, wt = I._time_rule(spec, level, 0.0, 0.7)
+            ts, wt = I._legendre_rule(level, 0.0, 0.7)
 
             def one(q):
                 return I._weighted_sums(phi, case, d, ts[q : q + 1], level, n)
@@ -299,7 +297,7 @@ def test_sphere_rules_need_a_dimension_of_at_least_one():
 def test_a_single_block_sum_starts_no_pool(monkeypatch):
     created = _record_pools(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    small = QuadratureSpec(radial_nodes=24, time_nodes=24)
+    small = QuadratureSpec(radial_nodes=24)
     with _use_threads(4):
         # 24 rows of 48 directions at the first level, 48 of 96 at the next
         value = integrate_ball(_ones, 2, 1.0, small).value
@@ -511,10 +509,6 @@ def test_spacetime_masses():
 
 
 def test_estimate_and_spec_validation():
-    with pytest.raises(ValueError):
-        IntegralEstimate(value=1.0, std_error=0.1, method="quadrature", evaluations=10)
-    with pytest.raises(ValueError):
-        IntegralEstimate(value=1.0, std_error=0.0, method="monte-carlo", evaluations=10)
     with pytest.raises(ValueError):
         MonteCarloSpec(seed=1, samples=10)
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimlift import DomainSpec, LiftConfig, SpaceTimePoint, lift_point, lift_point_time, lifted_derivatives, sphere_area
+from dimlift import LiftConfig, lift_point, lift_point_time, lifted_derivatives, sphere_area
 from dimlift.fields import caloric_polynomial, heat_kernel_translate
 
 
@@ -68,28 +68,8 @@ def test_config_and_point_validation():
         LiftConfig(0, 3)
     with pytest.raises(ValueError):
         LiftConfig(2, 0)
-    with pytest.raises(ValueError):
-        SpaceTimePoint(np.zeros(2), -1.0)
-
-
-def test_domain_spec_radii_and_cone_membership():
-    cfg = LiftConfig(d=2, n=3)
-    t = 1.5
-    assert math.isclose(DomainSpec("sphere_Stn", cfg, t).radius, math.sqrt(2 * 2 * t))
-    assert math.isclose(DomainSpec("ball_Btn", cfg, t).radius, math.sqrt(2 * 2 * t))
-    assert math.isclose(DomainSpec("ball_Bnt", cfg, t).radius, math.sqrt(2 * 3 * 2 * t))
-    assert DomainSpec("sphere_Stn", cfg, t).ambient_dim == 6
-    assert DomainSpec("ball_Bnt", cfg, t).ambient_dim == 2
-
-    cone = DomainSpec("cone_Knt", cfg, tau := 1.0)
-    x = np.array([[0.1, 0.0], [0.1, 0.0], [9.0, 0.0]])
-    ts = np.array([0.5, 2.0, 0.5])  # inside; too late; outside the ball
-    assert list(cone.contains((x, ts))) == [True, False, False]
-
-    with pytest.raises(ValueError):
-        DomainSpec("cube", cfg, t)
-    with pytest.raises(ValueError):
-        DomainSpec("sphere_Stn", cfg, 0.0)
+    with pytest.raises(ValueError, match="expected n\\*d = 6"):
+        lift_point(LiftConfig(2, 3), np.zeros(5))
 
 
 def _composed(u, cfg, y):

@@ -109,8 +109,8 @@ def _elliptic_cube_pair():
         return g
 
     zero = lambda y: np.zeros(np.asarray(y, float).shape[:-1])
-    v1 = ScalarField(2, cube_val, cube_grad, laplacian=cube_lap, smoothness="lipschitz-ae", name="y1_plus_cube")
-    v2 = ScalarField(2, neg_val, neg_grad, laplacian=zero, smoothness="lipschitz-ae", name="y1_minus")
+    v1 = ScalarField(2, cube_val, cube_grad, laplacian=cube_lap, name="y1_plus_cube")
+    v2 = ScalarField(2, neg_val, neg_grad, laplacian=zero, name="y1_minus")
     return v1, v2, NonhomTerm(cube_lap), NonhomTerm(zero)
 
 
