@@ -30,7 +30,6 @@ from .integrate import (
     IntegralEstimate,
     MonteCarloSpec,
     PushforwardCheck,
-    QuadratureSpec,
     integrate_annulus,
     integrate_ball,
     integrate_sphere,
@@ -66,7 +65,6 @@ __all__ = [
     "IntegralEstimate",
     "MonteCarloSpec",
     "PushforwardCheck",
-    "QuadratureSpec",
     "integrate_annulus",
     "integrate_ball",
     "integrate_sphere",

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fields import ScalarField, SpaceTimeField
-from ..integrate import QuadratureSpec, integrate_annulus, integrate_window
+from ..integrate import integrate_annulus, integrate_window
 from .common import dot
 
 __all__ = [
@@ -68,11 +68,7 @@ def _annulus_support(v: ScalarField) -> tuple[float, float]:
     return float(r_in), float(r_out)
 
 
-def carleman_elliptic_check(
-    v: ScalarField,
-    gamma: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> EllipticCarlemanReport:
+def carleman_elliptic_check(v: ScalarField, gamma: float) -> EllipticCarlemanReport:
     """Verify || |y|^(2-gamma) Lap v || >= c(gamma, N) || |y|^(-gamma) v || in L^2.
 
     The field must vanish near the origin so both weighted norms are finite
@@ -88,10 +84,10 @@ def carleman_elliptic_check(
         return np.asarray(v.value(y), float) ** 2
 
     lhs = math.sqrt(
-        integrate_annulus(lap_sq, v.N, (r_in, r_out), spec, radial_power=2.0 * (2.0 - gamma), symmetry=v.symmetry).value
+        integrate_annulus(lap_sq, v.N, (r_in, r_out), radial_power=2.0 * (2.0 - gamma), symmetry=v.symmetry).value
     )
     norm_v = math.sqrt(
-        integrate_annulus(val_sq, v.N, (r_in, r_out), spec, radial_power=-2.0 * gamma, symmetry=v.symmetry).value
+        integrate_annulus(val_sq, v.N, (r_in, r_out), radial_power=-2.0 * gamma, symmetry=v.symmetry).value
     )
     rhs = c * norm_v
     ratio = lhs / rhs if rhs > 0.0 else math.inf
@@ -106,12 +102,7 @@ def carleman_elliptic_check(
     )
 
 
-def carleman_parabolic_check(
-    u: SpaceTimeField,
-    alpha: float,
-    d: int,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> CarlemanReport:
+def carleman_parabolic_check(u: SpaceTimeField, alpha: float, d: int) -> CarlemanReport:
     """Verify the weighted space-time inequality
 
         int t^(-2 alpha) e^(-|x|^2/4t) u^2 <= (8 / eps^2) int t^(-2 alpha + 2) e^(-|x|^2/4t) (Lap u + du/dt)^2
@@ -146,8 +137,8 @@ def carleman_parabolic_check(
         res = np.asarray(u.laplacian(x, t), float) + np.asarray(u.dt(x, t), float)
         return t ** (-2.0 * alpha + 2.0) * np.exp(-rr / (4.0 * t)) * res**2
 
-    lhs = integrate_window(lhs_f, d, (r_in, r_out), (t_in, t_out), spec).value
-    rhs = constant * integrate_window(rhs_f, d, (r_in, r_out), (t_in, t_out), spec).value
+    lhs = integrate_window(lhs_f, d, (r_in, r_out), (t_in, t_out)).value
+    rhs = constant * integrate_window(rhs_f, d, (r_in, r_out), (t_in, t_out)).value
     return CarlemanReport(
         alpha=alpha,
         beta=beta,

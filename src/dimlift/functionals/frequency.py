@@ -18,7 +18,6 @@ import numpy as np
 from ..errors import DegenerateDenominatorError
 from ..fields import NonhomTerm, ScalarField, SpaceTimeField
 from ..integrate import (
-    QuadratureSpec,
     _shell_mean,
     _shell_total,
     integrate_spacetime,
@@ -40,7 +39,7 @@ class FrequencyValues:
     L: float
 
 
-def almgren(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -> FrequencyValues:
+def almgren(v: ScalarField, r: float) -> FrequencyValues:
     """Elliptic frequency r D(r) / H(r) of v centered at the origin.
 
     L = (r^2/N) D_mean / H_mean, from the means of |grad v|^2 on the ball and
@@ -52,21 +51,16 @@ def almgren(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -
     if not r > 0.0:
         raise ValueError("need r > 0")
     N = v.N
-    H_mean = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, N, r, r, spec, symmetry=v.symmetry).value
+    H_mean = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, N, r, r, symmetry=v.symmetry).value
     if H_mean < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"boundary mean H = {H_mean!r} is below the {DENOMINATOR_FLOOR} floor")
-    D_mean = _shell_mean(gradsq(v), N, 0.0, r, spec, symmetry=v.symmetry).value
+    D_mean = _shell_mean(gradsq(v), N, 0.0, r, symmetry=v.symmetry).value
     H = _shell_total(H_mean, N, r, r)
     D = _shell_total(D_mean, N, 0.0, r)
     return FrequencyValues(param=r, H=H, D=D, L=r * r / N * D_mean / H_mean)
 
 
-def almgren_dL_lower_bound(
-    v: ScalarField,
-    h: NonhomTerm,
-    r: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def almgren_dL_lower_bound(v: ScalarField, h: NonhomTerm, r: float) -> float:
     """Lower bound for L'(r) when Lap v = h instead of 0:
 
         L'(r) >= 2 (int_{bd B_r} v (y . grad v) dS) (int_{B_r} h v dy) / H^2
@@ -78,7 +72,7 @@ def almgren_dL_lower_bound(
     """
     if not r > 0.0:
         raise ValueError("need r > 0")
-    H = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, r, spec).value
+    H = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, r).value
     if H < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"boundary mean H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
 
@@ -93,13 +87,13 @@ def almgren_dL_lower_bound(
     def h_v(y):
         return np.asarray(h.value(y), float) * np.asarray(v.value(y), float)
 
-    boundary_term = _shell_mean(v_radial, v.N, r, r, spec).value
-    bulk_hv = _shell_mean(h_v, v.N, 0.0, r, spec).value
-    bulk_hr = _shell_mean(h_radial, v.N, 0.0, r, spec).value
+    boundary_term = _shell_mean(v_radial, v.N, r, r).value
+    bulk_hv = _shell_mean(h_v, v.N, 0.0, r).value
+    bulk_hr = _shell_mean(h_radial, v.N, 0.0, r).value
     return 2.0 * r / v.N * (boundary_term * bulk_hv / H**2 - bulk_hr / H)
 
 
-def poon(u: SpaceTimeField, t: float, spec: QuadratureSpec = QuadratureSpec()) -> FrequencyValues:
+def poon(u: SpaceTimeField, t: float) -> FrequencyValues:
     """Parabolic frequency t D(t) / H(t) with Gaussian-weighted H and D."""
     if not t > 0.0:
         raise ValueError("need t > 0")
@@ -109,19 +103,14 @@ def poon(u: SpaceTimeField, t: float, spec: QuadratureSpec = QuadratureSpec()) -
         g = np.asarray(u.grad(x, t), float)
         return np.stack([val * val, dot(g, g)], axis=-1)
 
-    HD = integrate_weighted(both, "gaussian", u.d, t, spec).value
+    HD = integrate_weighted(both, u.d, t).value
     H, D = float(HD[0]), float(HD[1])
     if H < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"weighted mass H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
     return FrequencyValues(param=t, H=H, D=D, L=t * D / H)
 
 
-def lifted_frequency(
-    u: SpaceTimeField,
-    cfg: LiftConfig,
-    t: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def lifted_frequency(u: SpaceTimeField, cfg: LiftConfig, t: float) -> float:
     """Elliptic frequency of the lift of u, written in base-space integrals.
 
     L_n(t) = [ int u (x . grad u + 2t du/dt) G_{t,n} dx
@@ -143,7 +132,7 @@ def lifted_frequency(
         radial = dot(np.asarray(x, float), g) + 2.0 * t * np.asarray(u.dt(x, t), float)
         return np.stack([val * val, val * radial], axis=-1)
 
-    inst = integrate_weighted(instant, "finite", d, t, spec, n=n).value
+    inst = integrate_weighted(instant, d, t, n=n).value
     denom, numer1 = float(inst[0]), float(inst[1])
     if denom < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"weighted mass {denom!r} is below the {DENOMINATOR_FLOOR} floor")
@@ -154,5 +143,5 @@ def lifted_frequency(
         spatial = dot(np.asarray(x, float), gdt)
         return 2.0 * val * (spatial + s * np.asarray(u.dtt(x, s), float)) * power_ratio(s, t, p)
 
-    numer2 = integrate_spacetime(history, "finite", d, t, spec, n=n).value
+    numer2 = integrate_spacetime(history, d, t, n=n).value
     return (numer1 - numer2) / denom

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import AccuracyError, UnsupportedConfigError
 from ..fields import GraphSurface, NonhomTerm
-from ..integrate import QuadratureSpec, _jacobi, _legendre_rule, _polar_sum, _refine, _sphere_nodes, integrate_weighted
+from ..integrate import _jacobi, _legendre_rule, _polar_sum, _refine, _sphere_nodes, integrate_weighted
 from ..lift import LiftConfig
 from ..weights import _log_sphere_area
 from .common import dot
@@ -69,13 +69,7 @@ def _split_center(surface: GraphSurface, w0) -> tuple[np.ndarray, float]:
     return w0[: surface.dim], float(w0[surface.dim])
 
 
-def ms_density(
-    surface: GraphSurface,
-    w0,
-    r: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-    t: float = 0.0,
-) -> float:
+def ms_density(surface: GraphSurface, w0, r: float, t: float = 0.0) -> float:
     """Area ratio Theta(r) = Area(B_r(w0) cap Sigma) / (omega_N r^N), omega_N the unit-ball volume."""
     if not r > 0.0:
         raise ValueError("need r > 0")
@@ -96,7 +90,7 @@ def ms_density(
         return _polar_sum(area_element, rho, wr, omega, wa, y0)
 
     # the angular rule has sum 1, so the sum is Area / |S^(N-1)|
-    vol, _ = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
+    vol = _refine(eval_at).value
     return vol * N / r**N
 
 
@@ -109,14 +103,7 @@ class MsDensityReport:
     derivative_rhs: float
 
 
-def ms_density_tilde(
-    surface: GraphSurface,
-    h: NonhomTerm | None,
-    w0,
-    r: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-    t: float = 0.0,
-) -> MsDensityReport:
+def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float, t: float = 0.0) -> MsDensityReport:
     """Density adjusted for mean curvature h, with its exact derivative integrand:
 
         Theta~(r) = [ Area(B_r cap Sigma) + (1/N) int_{B_r cap Sigma} h (w - w0) . nu ] / (omega_N r^N),
@@ -189,11 +176,11 @@ def ms_density_tilde(
         rhs = N / r ** (N + 1) * slice_sum
         return np.array([theta_tilde, rhs]), count + omega.shape[0]
 
-    out, _ = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
+    out = _refine(eval_at).value
     return MsDensityReport(r=r, theta_tilde=float(out[0]), derivative_rhs=float(out[1]))
 
 
-def huisken_density(surface: GraphSurface, t: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def huisken_density(surface: GraphSurface, t: float) -> float:
     """Backward Gaussian surface density of a graph flow:
 
         theta(t) = int t^(-d/2) exp(-(|x|^2 + u(x,t)^2) / 4t) sqrt(1 + |grad u|^2) dx.
@@ -209,7 +196,7 @@ def huisken_density(surface: GraphSurface, t: float, spec: QuadratureSpec = Quad
         g = np.asarray(surface.grad(x, t), dtype=float)
         return np.exp(-uu * uu / (4.0 * t)) * np.sqrt(1.0 + dot(g, g))
 
-    base = integrate_weighted(phi, "gaussian", d, t, spec).value
+    base = integrate_weighted(phi, d, t).value
     return (4.0 * math.pi) ** (0.5 * d) * base
 
 
@@ -226,12 +213,7 @@ def mcf_residual(surface: GraphSurface, x, t):
     return np.asarray(surface.dt(x, t), float) + lap - mixed / q
 
 
-def lifted_mcf_density(
-    surface: GraphSurface,
-    cfg: LiftConfig,
-    t: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def lifted_mcf_density(surface: GraphSurface, cfg: LiftConfig, t: float) -> float:
     """Finite-n Gaussian density of a graph:
 
         Phi_n(t) = (4 pi)^(d/2) int sqrt(1 + |grad u|^2) G^u_{t,n}(x) dx,
@@ -278,5 +260,5 @@ def lifted_mcf_density(
         value, count = _polar_sum(integrand, rho, wj[:, None] * (0.5 * rho_star), omega, wa)
         return scale * value, count
 
-    value, _ = _refine(eval_at, spec.radial_nodes, spec.target_rel_tol)
+    value = _refine(eval_at).value
     return value

@@ -6,14 +6,14 @@ import numpy as np
 
 from ..errors import UnsupportedConfigError
 from ..fields import NonhomTerm, SphereField
-from ..integrate import QuadratureSpec, _shell_mean, integrate_ball, integrate_weighted
+from ..integrate import _shell_mean, integrate_ball, integrate_weighted
 from ..lift import LiftConfig, sphere_area
 from .common import dot
 
 __all__ = ["hm_phi", "hm_dphi_lower_bound", "struwe_Phi", "lifted_hm_Phi"]
 
 
-def hm_phi(vmap: SphereField, y0, r: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def hm_phi(vmap: SphereField, y0, r: float) -> float:
     """Scaled local energy phi(r) = r^(2-N) int_{B_r(y0)} |Dv|^2 dy.
 
     Computed as (r^2/N) |S^(N-1)| times the ball mean of |Dv|^2; the factor
@@ -22,17 +22,11 @@ def hm_phi(vmap: SphereField, y0, r: float, spec: QuadratureSpec = QuadratureSpe
     if not r > 0.0:
         raise ValueError("need r > 0")
     N = vmap.dim_domain
-    mean = _shell_mean(lambda y: np.asarray(vmap.energy(y), float), N, 0.0, r, spec, y0, symmetry=vmap.symmetry)
+    mean = _shell_mean(lambda y: np.asarray(vmap.energy(y), float), N, 0.0, r, y0, symmetry=vmap.symmetry)
     return r * r / N * sphere_area(N) * mean.value
 
 
-def hm_dphi_lower_bound(
-    vmap: SphereField,
-    H: NonhomTerm,
-    y0,
-    r: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def hm_dphi_lower_bound(vmap: SphereField, H: NonhomTerm, y0, r: float) -> float:
     """Lower bound for phi'(r) when Lap v + |Dv|^2 v = H:
 
         phi'(r) >= - r^(1-N) int_{B_r(y0)} H . ((y - y0) . Dv) dy.
@@ -49,11 +43,11 @@ def hm_dphi_lower_bound(
         radial = np.einsum("...mk,...k->...m", j, np.asarray(y, float) - c)
         return dot(np.asarray(H.value(y), float), radial)
 
-    bulk = integrate_ball(f, N, r, spec, center=c).value
+    bulk = integrate_ball(f, N, r, center=c).value
     return -(r ** (1 - N)) * bulk
 
 
-def struwe_Phi(umap: SphereField, t: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def struwe_Phi(umap: SphereField, t: float) -> float:
     """Parabolic energy density Phi(t) = t int |Du|^2 G_t dx for a stationary map.
 
     Only time-independent maps are accepted: they solve the flow exactly, so
@@ -64,16 +58,11 @@ def struwe_Phi(umap: SphereField, t: float, spec: QuadratureSpec = QuadratureSpe
     if not t > 0.0:
         raise ValueError("need t > 0")
     d = umap.dim_domain
-    energy = integrate_weighted(lambda x: np.asarray(umap.energy(x), float), "gaussian", d, t, spec).value
+    energy = integrate_weighted(lambda x: np.asarray(umap.energy(x), float), d, t).value
     return t * energy
 
 
-def lifted_hm_Phi(
-    umap: SphereField,
-    cfg: LiftConfig,
-    t: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def lifted_hm_Phi(umap: SphereField, cfg: LiftConfig, t: float) -> float:
     """Finite-n energy density for a time-independent sphere-valued map:
 
         Phi_n(t) = [nd/(nd-2)] t int |Du|^2 G_{t,n} dx
@@ -98,5 +87,5 @@ def lifted_hm_Phi(
         xd = np.einsum("...mk,...k->...m", j, np.asarray(x, float))
         return np.stack([e, dot(xd, xd)], axis=-1)
 
-    vals = integrate_weighted(both, "finite", cfg.d, t, spec, n=cfg.n).value
+    vals = integrate_weighted(both, cfg.d, t, n=cfg.n).value
     return (nd / (nd - 2.0)) * t * float(vals[0]) - float(vals[1]) / (nd - 2.0)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fields import NonhomTerm, ScalarField, SpaceTimeField
-from ..integrate import QuadratureSpec, _shell_mean, integrate_ball, integrate_spacetime
+from ..integrate import _shell_mean, integrate_ball, integrate_spacetime
 from ..lift import LiftConfig
 from .common import dot, gradsq
 
@@ -51,7 +51,7 @@ def psi(s: float) -> float:
     return 2.0 * (1.0 - s)
 
 
-def support_fraction(v: ScalarField, r: float, spec: QuadratureSpec = QuadratureSpec()) -> float:
+def support_fraction(v: ScalarField, r: float) -> float:
     """|{v > 0} on the sphere of radius r| divided by the full sphere measure."""
     if not r > 0.0:
         raise ValueError("need r > 0")
@@ -59,34 +59,22 @@ def support_fraction(v: ScalarField, r: float, spec: QuadratureSpec = Quadrature
     def indicator(y):
         return (np.asarray(v.value(y), float) > 0.0).astype(float)
 
-    return _shell_mean(indicator, v.N, r, r, spec).value
+    return _shell_mean(indicator, v.N, r, r).value
 
 
-def acf_phi(
-    v1: ScalarField,
-    v2: ScalarField,
-    r: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> TwoPhaseReport:
+def acf_phi(v1: ScalarField, v2: ScalarField, r: float) -> TwoPhaseReport:
     """phi(r) = r^-4 prod_i int_{B_r} |grad v_i|^2 |y|^(2-N) dy (the weight is 1 when N = 2)."""
     if v1.N != v2.N:
         raise ValueError("both phases must live on the same R^N")
     if not r > 0.0:
         raise ValueError("need r > 0")
     N = v1.N
-    f1 = integrate_ball(gradsq(v1), N, r, spec, radial_power=2.0 - N, symmetry=v1.symmetry).value
-    f2 = integrate_ball(gradsq(v2), N, r, spec, radial_power=2.0 - N, symmetry=v2.symmetry).value
+    f1 = integrate_ball(gradsq(v1), N, r, radial_power=2.0 - N, symmetry=v1.symmetry).value
+    f2 = integrate_ball(gradsq(v2), N, r, radial_power=2.0 - N, symmetry=v2.symmetry).value
     return TwoPhaseReport(param=r, factor1=f1, factor2=f2, value=f1 * f2 / r**4)
 
 
-def acf_dphi_lower_bound(
-    v1: ScalarField,
-    v2: ScalarField,
-    h1: NonhomTerm,
-    h2: NonhomTerm,
-    r: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1: NonhomTerm, h2: NonhomTerm, r: float) -> float:
     """Lower bound for phi'(r) when Lap v_i >= h_i:
 
         phi'(r) >= (2/r^4) [ psi(s_1) (int v_1 h_1 |y|^(2-N)) (int |grad v_2|^2 |y|^(2-N))
@@ -97,8 +85,8 @@ def acf_dphi_lower_bound(
     if v1.N != v2.N:
         raise ValueError("both phases must live on the same R^N")
     N = v1.N
-    s1 = support_fraction(v1, r, spec)
-    s2 = support_fraction(v2, r, spec)
+    s1 = support_fraction(v1, r)
+    s2 = support_fraction(v2, r)
     if s1 <= 0.0 or s2 <= 0.0:
         raise ValueError("each phase needs positive support on the boundary sphere")
 
@@ -108,10 +96,10 @@ def acf_dphi_lower_bound(
 
         return f
 
-    g1 = integrate_ball(gradsq(v1), N, r, spec, radial_power=2.0 - N).value
-    g2 = integrate_ball(gradsq(v2), N, r, spec, radial_power=2.0 - N).value
-    vh1 = integrate_ball(vh(v1, h1), N, r, spec, radial_power=2.0 - N).value
-    vh2 = integrate_ball(vh(v2, h2), N, r, spec, radial_power=2.0 - N).value
+    g1 = integrate_ball(gradsq(v1), N, r, radial_power=2.0 - N).value
+    g2 = integrate_ball(gradsq(v2), N, r, radial_power=2.0 - N).value
+    vh1 = integrate_ball(vh(v1, h1), N, r, radial_power=2.0 - N).value
+    vh2 = integrate_ball(vh(v2, h2), N, r, radial_power=2.0 - N).value
     return (2.0 / r**4) * (psi(s1) * vh1 * g2 + psi(s2) * g1 * vh2)
 
 
@@ -123,29 +111,18 @@ def _parabolic_energy(u: SpaceTimeField):
     return f
 
 
-def caffarelli_Phi(
-    u1: SpaceTimeField,
-    u2: SpaceTimeField,
-    tau: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> TwoPhaseReport:
+def caffarelli_Phi(u1: SpaceTimeField, u2: SpaceTimeField, tau: float) -> TwoPhaseReport:
     """Phi(tau) = tau^-2 prod_i int_0^tau int |grad u_i|^2 G_t dx dt."""
     if u1.d != u2.d:
         raise ValueError("both phases must live on the same R^d")
     if not tau > 0.0:
         raise ValueError("need tau > 0")
-    f1 = integrate_spacetime(_parabolic_energy(u1), "gaussian", u1.d, tau, spec).value
-    f2 = integrate_spacetime(_parabolic_energy(u2), "gaussian", u2.d, tau, spec).value
+    f1 = integrate_spacetime(_parabolic_energy(u1), u1.d, tau).value
+    f2 = integrate_spacetime(_parabolic_energy(u2), u2.d, tau).value
     return TwoPhaseReport(param=tau, factor1=f1, factor2=f2, value=f1 * f2 / tau**2)
 
 
-def lifted_two_phase(
-    u1: SpaceTimeField,
-    u2: SpaceTimeField,
-    cfg: LiftConfig,
-    tau: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> TwoPhaseReport:
+def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, cfg: LiftConfig, tau: float) -> TwoPhaseReport:
     """Finite-n product functional
 
         Phi_n(tau) = tau^-2 prod_i int_0^tau int ( |grad u_i|^2
@@ -168,6 +145,6 @@ def lifted_two_phase(
 
         return f
 
-    f1 = integrate_spacetime(lifted_energy(u1), "finite", cfg.d, tau, spec, n=cfg.n).value
-    f2 = integrate_spacetime(lifted_energy(u2), "finite", cfg.d, tau, spec, n=cfg.n).value
+    f1 = integrate_spacetime(lifted_energy(u1), cfg.d, tau, n=cfg.n).value
+    f2 = integrate_spacetime(lifted_energy(u2), cfg.d, tau, n=cfg.n).value
     return TwoPhaseReport(param=tau, factor1=f1, factor2=f2, value=f1 * f2 / tau**2)

@@ -16,10 +16,11 @@ unless the integrand is declared to depend on y only through y_1..y_k and
 push-forward of the sphere's measure to those k coordinates, with O(level^k)
 directions for any N instead of O(level^(N-1)).  The blocks of one sum run
 on worker threads and are added in block order, so the bits do not depend on
-the thread count.  Every deterministic estimate is refined by node doubling
-until two successive values agree to the requested relative tolerance; if
-three doublings do not stabilize the value, an AccuracyError is raised with
-the last two estimates, and a non-finite value raises at once.
+the thread count.  Every deterministic estimate starts at level _FIRST_LEVEL
+and is refined by node doubling until two successive values agree to the
+relative tolerance _REL_TOL; if three doublings do not stabilize the value,
+an AccuracyError is raised with the last two estimates, and a non-finite
+value raises at once.
 
 Monte Carlo sampling is counter-based: batch k of a run is a pure function of
 (seed, k), and partial sums are combined in batch order, so results are
@@ -49,7 +50,6 @@ from .lift import LiftConfig, sphere_area
 from .weights import _log_sphere_area
 
 __all__ = [
-    "QuadratureSpec",
     "MonteCarloSpec",
     "IntegralEstimate",
     "PushforwardCheck",
@@ -79,34 +79,28 @@ TAIL_FACTOR = 2.0 * math.sqrt(16.0 * math.log(10.0))
 # larger blocks ran faster on two workers but held more memory in flight.
 _CHUNK_POINTS = 1 << 14
 
+# The first refinement level of every deterministic estimate (its radial,
+# time and polar node counts scale with it), and the relative tolerance at
+# which two successive levels are accepted.  Like _CHUNK_POINTS and
+# _MC_BATCH, they are read when an estimate runs, never bound as defaults,
+# so a test can set them low.
+_FIRST_LEVEL = 48
+_REL_TOL = 1e-11
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node counts and tolerance for deterministic integration."""
-
-    radial_nodes: int = 48
-    target_rel_tol: float = 1e-11
-
-    def __post_init__(self) -> None:
-        if self.radial_nodes < 2:
-            raise ValueError("radial_nodes must be >= 2")
-        if not (0.0 < self.target_rel_tol <= 1e-2):
-            raise ValueError("target_rel_tol must lie in (0, 1e-2]")
+# Samples per Monte Carlo batch; the last batch of a plan holds the rest.
+_MC_BATCH = 16_384
 
 
 @dataclass(frozen=True)
 class MonteCarloSpec:
-    """Seeded sampling plan; estimates are a pure function of (seed, samples, batch)."""
+    """Seeded sampling plan; estimates are a pure function of (seed, samples)."""
 
     seed: int
     samples: int = 100_000
-    batch: int = 16_384
 
     def __post_init__(self) -> None:
         if self.samples < 1_000:
             raise ValueError("samples must be >= 1000")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
         # Philox is keyed with seed + (batch << 64), so a larger seed would
         # replay another seed's batches
         if not 0 <= self.seed < 2**64:
@@ -196,33 +190,28 @@ def _close_pools() -> None:
         pool.shutdown(wait=True)
 
 
-def _ordered_map(fn, items: Iterable, threads: int, window: int | None = None) -> Iterator:
+def _ordered_map(fn, items: Iterable, threads: int) -> Iterator:
     """fn(item) for each item, yielded in item order.
 
-    With threads > 1 the calls run on the process's pool of that many worker
-    threads, built on the first such call and reused by every later one; at
-    most `window` (default `threads`) calls are submitted and not yet
-    yielded, and items are drawn lazily, one per call submitted.  A window
-    wider than `threads` keeps the workers busy past a slow call at the head
-    of the order; calls past the first `threads` wait in the pool's queue.
-    With threads <= 1, or when called from a pool worker (an integrand that
-    runs a sum of its own), the calls run in the calling thread: a worker
-    waiting on calls queued behind its own could wait forever.  An exception
-    raised by fn is raised here when its result is reached.  When the
-    generator is closed early or raises, the calls still queued are
-    cancelled and the running ones are waited for.
+    With threads > 1 every call is submitted at once to the process's pool
+    of that many worker threads, built on the first such call and reused by
+    every later one; the pool runs at most `threads` calls at a time, and the
+    rest wait in its queue, so the workers stay busy past a slow call at the
+    head of the order.  With threads <= 1, or when called from a pool worker
+    (an integrand that runs a sum of its own), the calls run in the calling
+    thread: a worker waiting on calls queued behind its own could wait
+    forever.  An exception raised by fn is raised here when its result is
+    reached.  When the generator is closed early or raises, the calls still
+    queued are cancelled and the running ones are waited for.
     """
     if threads <= 1 or getattr(_in_worker, "active", False):
         yield from map(fn, items)
         return
-    window = threads if window is None else window
     pool = _pool(threads)
     pending = deque()
     try:
         for item in items:
             pending.append(pool.submit(fn, item))
-            if len(pending) >= window:
-                yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
     finally:
@@ -380,34 +369,30 @@ def _as_vector(v) -> np.ndarray:
     return np.atleast_1d(np.asarray(v, dtype=float))
 
 
-def _refine(eval_at_level: Callable[[int], tuple], level0: int, tol: float):
-    """Run eval_at_level at level0, 2*level0, ... until two values agree.
+def _refine(eval_at_level: Callable[[int], tuple]) -> IntegralEstimate:
+    """Run eval_at_level at _FIRST_LEVEL, twice that, ... until two values agree.
 
-    eval_at_level returns (value, evaluation_count).  Convergence test:
-    max |v_new - v_old| <= tol * max(||v_new||_inf, 1).  A non-finite value
-    raises at once, since doubling the nodes cannot repair it.
+    eval_at_level returns (value, evaluation_count); the estimate holds the
+    last value and the count of every level tried.  Convergence test:
+    max |v_new - v_old| <= _REL_TOL * max(||v_new||_inf, 1).  A non-finite
+    value raises at once, since doubling the nodes cannot repair it.
     """
     tried = []
     total = 0
     for k in range(4):
-        level = level0 << k
+        level = _FIRST_LEVEL << k
         cur, cnt = eval_at_level(level)
         total += cnt
         cur_v = _as_vector(cur)
         if not np.all(np.isfinite(cur_v)):
             raise AccuracyError(f"quadrature value is not finite at level {level}: {cur!r}")
-        if tried and np.max(np.abs(cur_v - tried[-1][1])) <= tol * max(float(np.max(np.abs(cur_v))), 1.0):
-            return cur, total
+        if tried and np.max(np.abs(cur_v - tried[-1][1])) <= _REL_TOL * max(float(np.max(np.abs(cur_v))), 1.0):
+            return IntegralEstimate(value=cur, evaluations=total)
         tried.append((cur, cur_v))
     raise AccuracyError(
         "quadrature did not stabilize after three node doublings",
         tuple(v if np.ndim(v) == 0 else v_vec for v, v_vec in tried[-2:]),
     )
-
-
-def _estimate(eval_at_level: Callable[[int], tuple], spec: QuadratureSpec) -> IntegralEstimate:
-    value, count = _refine(eval_at_level, spec.radial_nodes, spec.target_rel_tol)
-    return IntegralEstimate(value=value, evaluations=count)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +475,7 @@ def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarr
 
     acc = [0.0] * T
     threads = 1 if len(blocks) < 2 else _worker_count()
-    # a slice's last piece can be far smaller than a block; a queue of
-    # blocks beyond the ones running keeps every worker busy meanwhile
-    for (i0, _, _, _), partials in zip(blocks, _ordered_map(block, blocks, threads, 4 * threads)):
+    for (i0, _, _, _), partials in zip(blocks, _ordered_map(block, blocks, threads)):
         for i, partial in enumerate(partials, i0):
             acc[i] = acc[i] + partial
     count = T * kr * ka
@@ -532,40 +515,38 @@ def _ball_rule(level: int, d: int, expo: float, r_max: float) -> tuple[np.ndarra
     return r_max * np.sqrt(0.5 * (1.0 + s)), ws
 
 
-def _weighted_rule(weight: str, d: int, t: float, level: int, n: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _weighted_rule(d: int, t: float, level: int, n: int | None) -> tuple[np.ndarray, np.ndarray]:
     """Radial nodes and weights (kr,) of the weight w_t, a probability density:
 
         sum_ij w_i wa_j phi(r_i omega_j) ~ int phi(x) w_t(x) dx
 
-    with (omega, wa) = _sphere_nodes(d, level).  The radial weights are those
-    of the law of |x|.  The finite weight at n = 1 is the uniform law on the
-    sphere |x| = sqrt(2dt), with no density; its rule is that one radius
-    with weight 1.
+    with (omega, wa) = _sphere_nodes(d, level).  w_t is the finite weight
+    G_(t,n) of n steps per coordinate, or its n -> infinity limit, the
+    Gaussian G_t, for n = None.  The radial weights are those of the law of
+    |x|.  The finite weight at n = 1 is the uniform law on the sphere
+    |x| = sqrt(2dt), with no density; its rule is that one radius with
+    weight 1.
     """
-    if weight == "gaussian":
+    if n is None:
         # the density of |x| is |S^(d-1)| r^(d-1) G_t(r), cut where G_t < 1e-16 G_t(0)
         r, radial_w = _legendre_rule(level, 0.0, TAIL_FACTOR * math.sqrt(t), d - 1)
         return r, sphere_area(d) * radial_w * np.exp(-r * r / (4.0 * t) - 0.5 * d * math.log(4.0 * math.pi * t))
-    if weight == "finite":
-        if n is None:
-            raise ValueError("finite weight needs the step count n")
-        if n < 1:
-            raise UnsupportedConfigError(f"finite weight needs n >= 1; got n={n}")
-        if n == 1:
-            # single step per coordinate: the push-forward measure is the
-            # uniform law on the sphere, with no density at all
-            return np.array([math.sqrt(2.0 * d * t)]), np.ones(1)
-        nd = n * d
-        return _ball_rule(level, d, 0.5 * (nd - d - 2), math.sqrt(2.0 * nd * t))
-    raise ValueError(f"unknown weight kind {weight!r}")
+    if n < 1:
+        raise UnsupportedConfigError(f"finite weight needs n >= 1; got n={n}")
+    if n == 1:
+        # single step per coordinate: the push-forward measure is the
+        # uniform law on the sphere, with no density at all
+        return np.array([math.sqrt(2.0 * d * t)]), np.ones(1)
+    nd = n * d
+    return _ball_rule(level, d, 0.5 * (nd - d - 2), math.sqrt(2.0 * nd * t))
 
 
-def _weighted_sums(f, weight: str, d: int, ts: np.ndarray, level: int, n: int | None):
+def _weighted_sums(f, d: int, ts: np.ndarray, level: int, n: int | None):
     """int f(x, t) w_t(x) dx at each time of ts (T,) in one polar sum: the T
     values, shape (T,) or (T, K), and the evaluation count.  f(x, t) gets t
     of shape (rows, 1)."""
     omega, wa = _sphere_nodes(d, level)
-    rules = [_weighted_rule(weight, d, tq, level, n) for tq in ts]
+    rules = [_weighted_rule(d, tq, level, n) for tq in ts]
     return _polar_sum(f, np.stack([r for r, _ in rules]), np.stack([w for _, w in rules]), omega, wa, t=ts)
 
 
@@ -574,15 +555,9 @@ def _time_sum(wt: np.ndarray, values: np.ndarray):
     return np.cumsum(wt.reshape((-1,) + (1,) * (values.ndim - 1)) * values, axis=0)[-1]
 
 
-def integrate_weighted(
-    phi,
-    weight: str,
-    d: int,
-    t: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-    n: int | None = None,
-) -> IntegralEstimate:
-    """int_{R^d} phi(x) w(x) dx for w the Gaussian or a finite weight.
+def integrate_weighted(phi, d: int, t: float, n: int | None = None) -> IntegralEstimate:
+    """int_{R^d} phi(x) w(x) dx for w the finite weight G_(t,n), or for
+    n = None its limit, the Gaussian G_t.
 
     phi must be vectorized over leading axes of x with shape (..., d); it may
     return a trailing component axis to integrate several integrands at once.
@@ -592,22 +567,15 @@ def integrate_weighted(
 
     def eval_at(level: int):
         # the one-time-node case of the time-stacked sum
-        values, count = _weighted_sums(lambda x, _: phi(x), weight, d, np.array([t]), level, n)
+        values, count = _weighted_sums(lambda x, _: phi(x), d, np.array([t]), level, n)
         value = values[0]
         return (float(value) if value.ndim == 0 else value), count
 
-    return _estimate(eval_at, spec)
+    return _refine(eval_at)
 
 
-def integrate_spacetime(
-    phi,
-    weight: str,
-    d: int,
-    tau: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-    n: int | None = None,
-) -> IntegralEstimate:
-    """int_0^tau int_{R^d} phi(x, t) w_t(x) dx dt.
+def integrate_spacetime(phi, d: int, tau: float, n: int | None = None) -> IntegralEstimate:
+    """int_0^tau int_{R^d} phi(x, t) w_t(x) dx dt, with w_t as in integrate_weighted.
 
     Time nodes are Gauss points interior to (0, tau); integrands that blow up
     as t -> 0 are usable as long as they are integrable there.  All time
@@ -622,13 +590,13 @@ def integrate_spacetime(
     def eval_at(level: int):
         # as many time nodes as radial ones
         ts, wt = _legendre_rule(level, 0.0, tau)
-        values, count = _weighted_sums(phi, weight, d, ts, level, n)
+        values, count = _weighted_sums(phi, d, ts, level, n)
         total = _as_vector(_time_sum(wt, values))
         if total.size == 1:
             return float(total[0]), count
         return total, count
 
-    return _estimate(eval_at, spec)
+    return _refine(eval_at)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +612,6 @@ def _shell_mean(
     N: int,
     r0: float,
     r1: float,
-    spec: QuadratureSpec = QuadratureSpec(),
     center=None,
     radial_power: float = 0.0,
     symmetry: int | None = None,
@@ -675,7 +642,7 @@ def _shell_mean(
             wr = wr / wr.sum()
         return _polar_sum(lambda x, _: f(x), rho, wr, omega, wa, c)
 
-    return _estimate(eval_at, spec)
+    return _refine(eval_at)
 
 
 def _shell_total(mean, N: int, r0: float, r1: float, radial_power: float = 0.0):
@@ -718,7 +685,6 @@ def integrate_ball(
     f,
     N: int,
     r: float,
-    spec: QuadratureSpec = QuadratureSpec(),
     center=None,
     radial_power: float = 0.0,
     symmetry: int | None = None,
@@ -734,7 +700,7 @@ def integrate_ball(
         raise ValueError(f"need r > 0, got r={r}")
     if radial_power <= -N:
         raise ValueError("radial_power must exceed -N for an integrable weight")
-    mean = _shell_mean(f, N, 0.0, r, spec, center, radial_power, symmetry)
+    mean = _shell_mean(f, N, 0.0, r, center, radial_power, symmetry)
     return replace(mean, value=_shell_total(mean.value, N, 0.0, r, radial_power))
 
 
@@ -742,7 +708,6 @@ def integrate_annulus(
     f,
     N: int,
     r_range: tuple[float, float],
-    spec: QuadratureSpec = QuadratureSpec(),
     radial_power: float = 0.0,
     symmetry: int | None = None,
 ) -> IntegralEstimate:
@@ -750,32 +715,19 @@ def integrate_annulus(
     r0, r1 = r_range
     if not 0.0 <= r0 < r1:
         raise ValueError("need 0 <= r0 < r1")
-    mean = _shell_mean(f, N, r0, r1, spec, None, radial_power, symmetry)
+    mean = _shell_mean(f, N, r0, r1, None, radial_power, symmetry)
     return replace(mean, value=_shell_total(mean.value, N, r0, r1, radial_power))
 
 
-def integrate_sphere(
-    f,
-    N: int,
-    r: float,
-    spec: QuadratureSpec = QuadratureSpec(),
-    center=None,
-    symmetry: int | None = None,
-) -> IntegralEstimate:
+def integrate_sphere(f, N: int, r: float, center=None, symmetry: int | None = None) -> IntegralEstimate:
     """Surface integral int_{bd B_r(center)} f dS; symmetry as in integrate_ball."""
     if not r > 0.0:
         raise ValueError(f"need r > 0, got r={r}")
-    mean = _shell_mean(f, N, r, r, spec, center, symmetry=symmetry)
+    mean = _shell_mean(f, N, r, r, center, symmetry=symmetry)
     return replace(mean, value=_shell_total(mean.value, N, r, r))
 
 
-def integrate_window(
-    f,
-    d: int,
-    r_range: tuple[float, float],
-    t_range: tuple[float, float],
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> IntegralEstimate:
+def integrate_window(f, d: int, r_range: tuple[float, float], t_range: tuple[float, float]) -> IntegralEstimate:
     """int_{t0}^{t1} int_{r0 <= |x| <= r1} f(x, t) dx dt over a smooth window.
 
     All time nodes go through one polar sum: f(x, t) gets t as an array of
@@ -796,7 +748,7 @@ def integrate_window(
         values, count = _polar_sum(f, np.broadcast_to(rho, shape), np.broadcast_to(wr, shape), omega, wa, t=ts)
         return _time_sum(wt, values), count
 
-    return _estimate(eval_at, spec)
+    return _refine(eval_at)
 
 
 # ---------------------------------------------------------------------------
@@ -809,8 +761,8 @@ def _batch_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _batch_sizes(mc: MonteCarloSpec) -> list[int]:
-    full, rem = divmod(mc.samples, mc.batch)
-    sizes = [mc.batch] * full
+    full, rem = divmod(mc.samples, _MC_BATCH)
+    sizes = [_MC_BATCH] * full
     if rem:
         sizes.append(rem)
     return sizes
@@ -973,19 +925,17 @@ def _merge_moments(parts: Iterable[tuple[np.ndarray, np.ndarray, int]]):
     return mean, se, count
 
 
-def mc_mean(sample_batches: Iterator[np.ndarray], phi, threads: int = 1):
+def mc_mean(sample_batches: Iterator[np.ndarray], phi):
     """Mean and standard error of phi over a batched sample stream.
 
-    Batches are drawn lazily, in the calling thread, so memory holds a
-    bounded number of them.  With threads > 1 (at most the CPU count) at
-    most `threads` batches are reduced at once by worker threads while the
-    next one is drawn; partials are merged in batch order by _merge_moments,
-    so the result is bit-identical for any thread count.  phi maps a batch,
-    such as (m, N), to (m,) or (m, K).  The push-forward checks draw their
-    batches on the workers instead (_drawn_mc_mean), with the bits of
-    mc_mean over the same batches.
+    Batches are drawn lazily and reduced one at a time, in the calling
+    thread, so memory holds one batch; the partials are merged in batch
+    order by _merge_moments.  phi maps a batch, such as (m, N), to (m,) or
+    (m, K).  The push-forward checks draw and reduce their batches on worker
+    threads instead (_drawn_mc_mean), with the bits of mc_mean over the same
+    batches for any thread count.
     """
-    return _merge_moments(_ordered_map(lambda y: _batch_moments(phi(y)), sample_batches, _worker_count(threads)))
+    return _merge_moments(_batch_moments(phi(y)) for y in sample_batches)
 
 
 def _drawn_mc_mean(draw, width: int, mc: MonteCarloSpec, phi, threads: int):
@@ -993,7 +943,7 @@ def _drawn_mc_mean(draw, width: int, mc: MonteCarloSpec, phi, threads: int):
 
     Each batch is drawn, passed to phi and reduced by one call on a worker
     thread.  The call draws into one of a fixed set of buffers of
-    min(mc.batch, mc.samples) rows of `width` numbers, allocated here, one
+    min(_MC_BATCH, mc.samples) rows of `width` numbers, allocated here, one
     per worker, and handed out through a free list: no more calls run at
     once than there are workers, so a buffer is never shared, and the memory
     the workers' allocator arenas keep stays small.  draw gets the first m
@@ -1002,7 +952,7 @@ def _drawn_mc_mean(draw, width: int, mc: MonteCarloSpec, phi, threads: int):
     """
     sizes = _batch_sizes(mc)
     workers = 1 if len(sizes) < 2 else _worker_count(threads)
-    rows = min(mc.batch, mc.samples)
+    rows = min(_MC_BATCH, mc.samples)
     free = deque(np.empty((rows, width)) for _ in range(min(workers, len(sizes))))
 
     def reduce_one(item):
@@ -1031,24 +981,24 @@ class PushforwardCheck:
 
 
 # The quadrature side of a check does not depend on the sampling plan, so it
-# is kept for the last few (kind, phi, d, n, t, spec).  A function hashes by
+# is kept for the last few (kind, phi, d, n, t).  A function hashes by
 # identity, and an entry holds a reference to its phi, so that phi's entry
 # cannot be taken by another object while it lives.
 @lru_cache(maxsize=32)
-def _memo_quad(kind: str, phi, d: int, n: int, t: float, spec: QuadratureSpec):
+def _memo_quad(kind: str, phi, d: int, n: int, t: float):
     if kind == "sphere":
-        return integrate_weighted(phi, "finite", d, t, spec, n=n).value
-    return integrate_spacetime(phi, "finite", d, t, spec, n=n).value
+        return integrate_weighted(phi, d, t, n=n).value
+    return integrate_spacetime(phi, d, t, n=n).value
 
 
-def _pushforward_quad(kind: str, phi, d: int, n: int, t: float, spec: QuadratureSpec):
-    """Finite-weight quadrature of a push-forward check, once per (kind, phi, d, n, t, spec)."""
-    value = _memo_quad(kind, phi, d, n, t, spec)
+def _pushforward_quad(kind: str, phi, d: int, n: int, t: float):
+    """Finite-weight quadrature of a push-forward check, once per (kind, phi, d, n, t)."""
+    value = _memo_quad(kind, phi, d, n, t)
     # a copy, so a caller writing into quad_value leaves the memo intact
     return value.copy() if isinstance(value, np.ndarray) else value
 
 
-def _discrepancy(mean, se, quad, spec: QuadratureSpec):
+def _discrepancy(mean, se, quad):
     """|mean - quad| in standard errors; a standard error of exactly 0 gives 0.
 
     The quadrature is only known to the tolerance _refine accepted it at, so
@@ -1056,24 +1006,34 @@ def _discrepancy(mean, se, quad, spec: QuadratureSpec):
     sampled support up to rounding, is replaced by that tolerance.
     """
     se = np.asarray(se)
-    floor = spec.target_rel_tol * max(float(np.max(np.abs(quad))), 1.0)
+    floor = _REL_TOL * max(float(np.max(np.abs(quad))), 1.0)
     return np.abs(mean - quad) / np.where(se > 0.0, np.maximum(se, floor), np.inf)
 
 
-def pushforward_check_sphere(
-    phi,
-    d: int,
-    n: int,
-    t: float,
-    mc: MonteCarloSpec,
-    spec: QuadratureSpec = QuadratureSpec(),
-    threads: int = 1,
-) -> PushforwardCheck:
+def _pushforward_check(kind: str, phi, d: int, n: int, t: float, mc, threads: int, draw, width: int, batch_phi, scale):
+    """The check of `kind` ("sphere" or "ball"): the Monte Carlo mean and
+    standard error of batch_phi over the batches draw(out, k) of mc, of
+    `width` numbers per sample, times scale, against the memoized quadrature.
+
+    One component gives floats: the sphere check goes by the Monte Carlo
+    side, the ball check by the quadrature side.
+    """
+    mean, se, _ = _drawn_mc_mean(draw, width, mc, batch_phi, threads)
+    mean = np.asarray(mean) * scale
+    se = np.asarray(se) * scale
+    quad = _pushforward_quad(kind, phi, d, n, t)
+    disc = _discrepancy(mean, se, quad)
+    if np.ndim(mean if kind == "sphere" else quad) == 0:
+        mean, se, disc = float(mean), float(se), float(disc)
+    return PushforwardCheck(mc_value=mean, mc_std_error=se, quad_value=quad, discrepancy_in_std_errors=disc)
+
+
+def pushforward_check_sphere(phi, d: int, n: int, t: float, mc: MonteCarloSpec, threads: int = 1) -> PushforwardCheck:
     """Sphere average of phi(step-sum) vs. the finite-weight integral of phi.
 
     phi must be a pure function: its quadrature side is computed once per
-    phi object (and d, n, t, spec) and reused for every later seed.  The
-    Monte Carlo side draws the step sums in the reduced dimension
+    phi object (and d, n, t) and reused for every later seed.  The Monte
+    Carlo side draws the step sums in the reduced dimension
     (_lifted_sphere_batch): d normals and one chi-square per sample, exact
     in law for the uniform sphere of radius sqrt(2 d t) in R^(nd), where
     sample_sphere_uniform draws nd normals.  Batches are drawn and reduced on
@@ -1088,30 +1048,16 @@ def pushforward_check_sphere(
     def draw(out, k):
         return _lifted_sphere_batch(out, mc.seed, k, n, radius)
 
-    mean, se, _ = _drawn_mc_mean(draw, d, mc, phi, threads)
-    quad = _pushforward_quad("sphere", phi, d, n, t, spec)
-    disc = _discrepancy(mean, se, quad, spec)
-    if np.ndim(mean) == 0:
-        disc = float(disc)
-    return PushforwardCheck(mc_value=mean, mc_std_error=se, quad_value=quad, discrepancy_in_std_errors=disc)
+    return _pushforward_check("sphere", phi, d, n, t, mc, threads, draw, width=d, batch_phi=phi, scale=1.0)
 
 
-def pushforward_check_ball(
-    phi,
-    d: int,
-    n: int,
-    tau: float,
-    mc: MonteCarloSpec,
-    spec: QuadratureSpec = QuadratureSpec(),
-    threads: int = 1,
-) -> PushforwardCheck:
+def pushforward_check_ball(phi, d: int, n: int, tau: float, mc: MonteCarloSpec, threads: int = 1) -> PushforwardCheck:
     """Lifted-measure average of phi(lift) times tau vs. the space-time integral.
 
     phi must be a pure function: its quadrature side is computed once per
-    phi object (and d, n, tau, spec) and reused for every later seed.  The
-    Monte Carlo side draws (x, t) of sample_mu_ball's law in the reduced
-    dimension (_lifted_ball_batch), on the workers as in
-    pushforward_check_sphere.
+    phi object (and d, n, tau) and reused for every later seed.  The Monte
+    Carlo side draws (x, t) of sample_mu_ball's law in the reduced dimension
+    (_lifted_ball_batch), on the workers as in pushforward_check_sphere.
     """
     cfg = LiftConfig(d=d, n=n)
     _check_mu_ball_args(cfg.N, tau, d)
@@ -1119,11 +1065,6 @@ def pushforward_check_ball(
     def draw(out, k):
         return _lifted_ball_batch(out, mc.seed, k, n, tau)
 
-    mean, se, _ = _drawn_mc_mean(draw, d + 1, mc, lambda xt: phi(*xt), threads)
-    mean = np.asarray(mean) * tau
-    se = np.asarray(se) * tau
-    quad = _pushforward_quad("ball", phi, d, n, tau, spec)
-    disc = _discrepancy(mean, se, quad, spec)
-    if np.ndim(quad) == 0:
-        mean, se, disc = float(mean), float(se), float(disc)
-    return PushforwardCheck(mc_value=mean, mc_std_error=se, quad_value=quad, discrepancy_in_std_errors=disc)
+    return _pushforward_check(
+        "ball", phi, d, n, tau, mc, threads, draw, width=d + 1, batch_phi=lambda xt: phi(*xt), scale=tau
+    )

@@ -1,6 +1,7 @@
 """Deterministic quadrature against closed-form moments, and seeded sampling."""
 
 import concurrent.futures
+import contextlib
 import math
 import os
 import sys
@@ -12,7 +13,6 @@ import pytest
 
 from dimlift import (
     MonteCarloSpec,
-    QuadratureSpec,
     integrate_annulus,
     integrate_ball,
     integrate_sphere,
@@ -47,9 +47,9 @@ def _x1quart(x):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_gaussian_moments(d, t):
-    est = integrate_weighted(_x1sq, "gaussian", d, t)
+    est = integrate_weighted(_x1sq, d, t)
     assert abs(est.value - 2 * t) < 1e-10 * max(1.0, 2 * t)
-    quart = integrate_weighted(_x1quart, "gaussian", d, t).value
+    quart = integrate_weighted(_x1quart, d, t).value
     assert abs(quart - 12 * t * t) < 1e-9 * max(1.0, 12 * t * t)
 
 
@@ -59,8 +59,8 @@ def test_finite_weight_moments(d, n):
     # from the beta-function moments of (1 - r^2/R^2)^((nd-d-2)/2)
     t = 0.8
     nd = n * d
-    assert abs(integrate_weighted(_x1sq, "finite", d, t, n=n).value - 2 * t) < 1e-10
-    quart = integrate_weighted(_x1quart, "finite", d, t, n=n).value
+    assert abs(integrate_weighted(_x1sq, d, t, n=n).value - 2 * t) < 1e-10
+    quart = integrate_weighted(_x1quart, d, t, n=n).value
     assert abs(quart - 12 * nd * t * t / (nd + 2)) < 1e-9
 
 
@@ -68,8 +68,8 @@ def test_single_step_weight_is_the_sphere_average():
     # n = 1: the push-forward law is uniform on |x| = sqrt(2dt), so the
     # second moment is 2dt/d and the fourth is (2dt)^2 * 3/(d(d+2)) at d = 2
     d, t = 2, 0.7
-    assert abs(integrate_weighted(_x1sq, "finite", d, t, n=1).value - 2 * t) < 1e-12
-    quart = integrate_weighted(_x1quart, "finite", d, t, n=1).value
+    assert abs(integrate_weighted(_x1sq, d, t, n=1).value - 2 * t) < 1e-12
+    quart = integrate_weighted(_x1quart, d, t, n=1).value
     assert abs(quart - (2 * d * t) ** 2 * 3 / (d * (d + 2))) < 1e-12
 
 
@@ -78,15 +78,17 @@ def test_stacked_integrands_share_the_node_sweep():
         x = np.asarray(x, dtype=float)
         return np.stack([np.ones_like(x[..., 0]), x[..., 0] ** 2], axis=-1)
 
-    est = integrate_weighted(both, "gaussian", 2, 1.0)
+    est = integrate_weighted(both, 2, 1.0)
     assert np.asarray(est.value).shape == (2,)
     assert np.allclose(est.value, [1.0, 2.0], atol=1e-10)
 
 
-def test_doubling_radial_nodes_leaves_moments_fixed():
+def test_doubling_radial_nodes_leaves_moments_fixed(monkeypatch):
     t = 1.0
-    a = integrate_weighted(_x1quart, "gaussian", 1, t, QuadratureSpec(radial_nodes=48)).value
-    b = integrate_weighted(_x1quart, "gaussian", 1, t, QuadratureSpec(radial_nodes=96)).value
+    monkeypatch.setattr(dimlift.integrate, "_FIRST_LEVEL", 48)
+    a = integrate_weighted(_x1quart, 1, t).value
+    monkeypatch.setattr(dimlift.integrate, "_FIRST_LEVEL", 96)
+    b = integrate_weighted(_x1quart, 1, t).value
     assert abs(a - b) < 1e-9 * abs(a)
 
 
@@ -95,7 +97,7 @@ def test_jump_integrand_raises_accuracy_error():
         return (np.asarray(x, dtype=float)[..., 0] > 0.3).astype(float)
 
     with pytest.raises(AccuracyError) as exc:
-        integrate_weighted(jump, "gaussian", 1, 1.0)
+        integrate_weighted(jump, 1, 1.0)
     assert exc.value.last_two is not None and len(exc.value.last_two) == 2
     # the last two levels, not the last one twice
     assert exc.value.last_two[0] != exc.value.last_two[1]
@@ -115,14 +117,13 @@ def test_nan_integrand_fails_at_the_first_level():
 
 
 def test_chunked_sums_match_one_block(monkeypatch):
-    spec = QuadratureSpec()
     cases = {
-        "ball": lambda f: integrate_ball(f, 2, 1.3, spec, center=[0.2, -0.1], radial_power=0.5),
-        "annulus": lambda f: integrate_annulus(f, 2, (0.4, 1.2), spec, radial_power=-1.0),
-        "sphere": lambda f: integrate_sphere(f, 2, 1.1, spec, center=[0.3, 0.0]),
-        "gaussian": lambda f: integrate_weighted(f, "gaussian", 2, 0.7, spec),
-        "finite": lambda f: integrate_weighted(f, "finite", 2, 0.7, spec, n=7),
-        "window": lambda f: integrate_window(lambda x, t: f(x) * t[..., None], 2, (0.3, 1.4), (0.2, 0.9), spec),
+        "ball": lambda f: integrate_ball(f, 2, 1.3, center=[0.2, -0.1], radial_power=0.5),
+        "annulus": lambda f: integrate_annulus(f, 2, (0.4, 1.2), radial_power=-1.0),
+        "sphere": lambda f: integrate_sphere(f, 2, 1.1, center=[0.3, 0.0]),
+        "gaussian": lambda f: integrate_weighted(f, 2, 0.7),
+        "finite": lambda f: integrate_weighted(f, 2, 0.7, n=7),
+        "window": lambda f: integrate_window(lambda x, t: f(x) * t[..., None], 2, (0.3, 1.4), (0.2, 0.9)),
     }
 
     def run(case, budget, threads):
@@ -150,7 +151,7 @@ def test_chunked_sums_match_one_block(monkeypatch):
             assert chunked[threads].tobytes() == chunked[1].tobytes(), (case, threads)
 
 
-def _per_node_estimate(case, phi, d, n, spec, shapes):
+def _per_node_estimate(case, phi, d, n, shapes):
     """The estimate of the time-axis case with the engine called once per
     time node, and the weighted slices added one node at a time; shapes gets
     (time nodes, radial nodes, directions) of each level tried."""
@@ -170,7 +171,7 @@ def _per_node_estimate(case, phi, d, n, spec, shapes):
             ts, wt = I._legendre_rule(level, 0.0, 0.7)
 
             def one(q):
-                return I._weighted_sums(phi, case, d, ts[q : q + 1], level, n)
+                return I._weighted_sums(phi, d, ts[q : q + 1], level, n)
 
         ka = I._sphere_nodes(d, level)[0].shape[0]
         total, count = None, 0
@@ -181,7 +182,7 @@ def _per_node_estimate(case, phi, d, n, spec, shapes):
         shapes.append((len(ts), cnt // ka, ka))
         return total, count
 
-    return I._estimate(eval_at, spec)
+    return I._refine(eval_at)
 
 
 def _block_count(T: int, kr: int, ka: int, budget: int) -> int:
@@ -195,7 +196,6 @@ def _block_count(T: int, kr: int, ka: int, budget: int) -> int:
 )
 @pytest.mark.parametrize("d", [1, 2])
 def test_time_axis_matches_the_per_node_loop(case, n, d, monkeypatch):
-    spec = QuadratureSpec()
     calls = []
 
     def phi(x, t):
@@ -208,15 +208,15 @@ def test_time_axis_matches_the_per_node_loop(case, n, d, monkeypatch):
 
     def stacked():
         if case == "window":
-            return integrate_window(phi, d, (0.3, 1.4), (0.2, 0.9), spec)
-        return integrate_spacetime(phi, case, d, 0.7, spec, n=n)
+            return integrate_window(phi, d, (0.3, 1.4), (0.2, 0.9))
+        return integrate_spacetime(phi, d, 0.7, n=n)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for budget in (dimlift.integrate._CHUNK_POINTS, 1000):
         monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", budget)
         shapes = []
         with _use_threads(1):
-            ref = _per_node_estimate(case, phi, d, n, spec, shapes)
+            ref = _per_node_estimate(case, phi, d, n, shapes)
         for threads in (1, 2, 4):
             calls.clear()
             with _use_threads(threads):
@@ -270,6 +270,13 @@ def _ones(x):
     return np.ones(x.shape[:-1])
 
 
+@contextlib.contextmanager
+def _first_level(level):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimlift.integrate, "_FIRST_LEVEL", level)
+        yield
+
+
 def test_an_integrand_error_in_a_middle_block_propagates(monkeypatch):
     # 50 radial rows of 100 directions in blocks of 10 rows: the error is in block 2 of 0..4
     monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", 1000)
@@ -297,35 +304,35 @@ def test_sphere_rules_need_a_dimension_of_at_least_one():
 def test_a_single_block_sum_starts_no_pool(monkeypatch):
     created = _record_pools(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    small = QuadratureSpec(radial_nodes=24)
     with _use_threads(4):
         # 24 rows of 48 directions at the first level, 48 of 96 at the next
-        value = integrate_ball(_ones, 2, 1.0, small).value
+        with _first_level(24):
+            value = integrate_ball(_ones, 2, 1.0).value
         # one row of 24 x 96, then of 48 x 192 directions
         integrate_sphere(_ones, 3, 1.0)
         # 24 rows of 2 directions, then 48 of 2
-        integrate_weighted(_x1sq, "finite", 1, 0.7, n=7)
+        integrate_weighted(_x1sq, 1, 0.7, n=7)
         # 24 time nodes of 24 rows of 2 directions, then 48 of 48 of 2
-        mass = integrate_spacetime(lambda x, t: np.ones(x.shape[:-1]), "gaussian", 1, 0.8, small).value
+        with _first_level(24):
+            mass = integrate_spacetime(lambda x, t: np.ones(x.shape[:-1]), 1, 0.8).value
     assert abs(value - math.pi) < 1e-11
     assert abs(mass - 0.8) < 1e-10
     assert created == []
 
 
-def test_ordered_map_queues_a_window_of_calls_past_the_running_ones(monkeypatch):
-    created = _record_pools(monkeypatch)
-    drawn = []
+def test_the_first_level_is_read_at_call_time(monkeypatch):
+    # bound as a default when a function is defined, it would not follow a patch
+    # 48 radial rows of 96 directions, then 96 of 192
+    assert integrate_ball(_ones, 2, 1.0).evaluations == 48 * 96 + 96 * 192
+    monkeypatch.setattr(dimlift.integrate, "_FIRST_LEVEL", 8)
+    # 8 rows of 16 directions, then 16 of 32
+    assert integrate_ball(_ones, 2, 1.0).evaluations == 8 * 16 + 16 * 32
 
-    def items():
-        for k in range(20):
-            drawn.append(k)
-            yield k
 
-    out = dimlift.integrate._ordered_map(lambda k: k * k, items(), 2, 8)
-    assert next(out) == 0
-    assert len(drawn) == 8  # eight calls submitted before the first result is taken
-    assert list(out) == [k * k for k in range(1, 20)]
-    assert created == [2]
+def test_the_batch_size_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(dimlift.integrate, "_MC_BATCH", 1024)
+    batches = list(sample_sphere_uniform(3, 1.0, MonteCarloSpec(seed=1, samples=5000)))
+    assert [len(b) for b in batches] == [1024] * 4 + [904]
 
 
 def test_thread_count_is_clamped_to_the_cpu_count(monkeypatch):
@@ -339,7 +346,7 @@ def test_thread_count_is_clamped_to_the_cpu_count(monkeypatch):
         requested = integrate_ball(_x1sq, 2, 1.0)
     assert created and set(created) == {3}
     assert requested.value == serial.value
-    # the DIMLIFT_THREADS default and mc_mean's count are clamped the same way
+    # the DIMLIFT_THREADS default and a push-forward check's count are clamped the same way
     # a pool is built once per count, so drop it to see the next count chosen
     dimlift.integrate._close_pools()
     created.clear()
@@ -348,7 +355,8 @@ def test_thread_count_is_clamped_to_the_cpu_count(monkeypatch):
     assert created and set(created) == {3}
     dimlift.integrate._close_pools()
     created.clear()
-    mc_mean(sample_sphere_uniform(3, 1.0, MonteCarloSpec(seed=1, samples=4096, batch=1024)), _x1sq, threads=10**6)
+    monkeypatch.setattr(dimlift.integrate, "_MC_BATCH", 1024)
+    pushforward_check_sphere(_x1sq, 1, 3, 0.5, MonteCarloSpec(seed=1, samples=4096), threads=10**6)
     assert created == [3]
 
 
@@ -437,8 +445,8 @@ def _assert_nothing_queued_ran(started):
 
 def test_a_closed_ordered_map_cancels_its_queued_calls(monkeypatch):
     call, started = _held_calls(monkeypatch, lambda: 0)
-    out = dimlift.integrate._ordered_map(call, range(20), 2, 8)
-    assert next(out) == 0  # eight calls are submitted by now
+    out = dimlift.integrate._ordered_map(call, range(20), 2)
+    assert next(out) == 0  # all twenty calls are submitted by now
     out.close()
     _assert_nothing_queued_ran(started)
 
@@ -448,7 +456,7 @@ def test_an_ordered_map_that_raises_cancels_its_queued_calls(monkeypatch):
         raise RuntimeError("first call")
 
     call, started = _held_calls(monkeypatch, fail)
-    out = dimlift.integrate._ordered_map(call, range(20), 2, 8)
+    out = dimlift.integrate._ordered_map(call, range(20), 2)
     with pytest.raises(RuntimeError, match="first call"):
         next(out)
     _assert_nothing_queued_ran(started)
@@ -499,12 +507,12 @@ def test_window_integral_is_separable():
 
 def test_spacetime_masses():
     tau = 0.8
-    mass = integrate_spacetime(lambda x, t: np.ones(x.shape[:-1]), "gaussian", 1, tau).value
+    mass = integrate_spacetime(lambda x, t: np.ones(x.shape[:-1]), 1, tau).value
     assert abs(mass - tau) < 1e-10
-    mass_n = integrate_spacetime(lambda x, t: np.ones(x.shape[:-1]), "finite", 2, tau, n=5).value
+    mass_n = integrate_spacetime(lambda x, t: np.ones(x.shape[:-1]), 2, tau, n=5).value
     assert abs(mass_n - tau) < 1e-10
     # int_0^tau int x1^2 G_t dx dt = int_0^tau 2t dt = tau^2
-    sq = integrate_spacetime(lambda x, t: _x1sq(x), "finite", 1, tau, n=4).value
+    sq = integrate_spacetime(lambda x, t: _x1sq(x), 1, tau, n=4).value
     assert abs(sq - tau * tau) < 1e-10
 
 
@@ -523,15 +531,20 @@ def test_estimate_and_spec_validation():
 # seeded Monte Carlo
 
 
-def test_sphere_sampler_is_a_pure_function_of_seed():
-    mc = MonteCarloSpec(seed=42, samples=5000, batch=1024)
+def test_sphere_sampler_is_a_pure_function_of_seed(monkeypatch):
+    monkeypatch.setattr(dimlift.integrate, "_MC_BATCH", 1024)
+    mc = MonteCarloSpec(seed=42, samples=5000)
     a = np.concatenate(list(sample_sphere_uniform(5, 2.0, mc)))
     b = np.concatenate(list(sample_sphere_uniform(5, 2.0, mc)))
     assert np.array_equal(a, b)
     assert a.shape == (5000, 5)
     assert np.allclose(np.linalg.norm(a, axis=1), 2.0, rtol=1e-12)
-    c = np.concatenate(list(sample_sphere_uniform(5, 2.0, MonteCarloSpec(seed=43, samples=5000, batch=1024))))
+    c = np.concatenate(list(sample_sphere_uniform(5, 2.0, MonteCarloSpec(seed=43, samples=5000))))
     assert not np.array_equal(a, c)
+    # E x1^2 on the unit sphere in R^6 is 1/6
+    monkeypatch.setattr(dimlift.integrate, "_MC_BATCH", 4096)
+    m, s, _ = mc_mean(sample_sphere_uniform(6, 1.0, MonteCarloSpec(seed=7, samples=50_000)), _x1sq)
+    assert abs(m - 1 / 6) < 4 * s
 
 
 def test_mu_ball_sampler_radial_law():
@@ -543,19 +556,6 @@ def test_mu_ball_sampler_radial_law():
     assert np.max(r2) <= 2 * d * tau * (1 + 1e-12)
     se = np.std(r2) / math.sqrt(len(r2))
     assert abs(np.mean(r2) - d * tau) < 4 * se
-
-
-def test_mc_mean_is_thread_count_invariant():
-    mc = MonteCarloSpec(seed=7, samples=50_000, batch=4096)
-
-    def phi(y):
-        return np.asarray(y, dtype=float)[:, 0] ** 2
-
-    m1, s1, c1 = mc_mean(sample_sphere_uniform(6, 1.0, mc), phi, threads=1)
-    m4, s4, c4 = mc_mean(sample_sphere_uniform(6, 1.0, mc), phi, threads=4)
-    assert (m1, s1, c1) == (m4, s4, c4)
-    # E x1^2 on the unit sphere in R^6 is 1/6
-    assert abs(m1 - 1 / 6) < 4 * s1
 
 
 def test_mc_mean_variance_keeps_precision_at_a_large_mean():
@@ -570,11 +570,11 @@ def test_mc_mean_variance_keeps_precision_at_a_large_mean():
     assert abs(se - two_pass) <= 1e-10 * two_pass
 
 
-def test_mc_mean_draws_batches_as_it_reduces_them():
-    threads = 2
+def test_mc_mean_draws_batches_as_it_reduces_them(monkeypatch):
     lock = threading.Lock()
     state = {"drawn": 0, "reduced": 0, "most_ahead": 0}
-    mc = MonteCarloSpec(seed=1, samples=40 * 1024, batch=1024)
+    monkeypatch.setattr(dimlift.integrate, "_MC_BATCH", 1024)
+    mc = MonteCarloSpec(seed=1, samples=40 * 1024)
 
     def batches():
         for y in sample_sphere_uniform(3, 1.0, mc):
@@ -588,10 +588,10 @@ def test_mc_mean_draws_batches_as_it_reduces_them():
             state["reduced"] += 1
         return y[:, 0] ** 2
 
-    mean, _, count = mc_mean(batches(), phi, threads=threads)
+    mean, _, count = mc_mean(batches(), phi)
     assert state["drawn"] == state["reduced"] == 40 and count == 40 * 1024
-    assert state["most_ahead"] <= 2 * threads
-    streamed = mc_mean(sample_sphere_uniform(3, 1.0, mc), lambda y: y[:, 0] ** 2, threads=1)
+    assert state["most_ahead"] == 1
+    streamed = mc_mean(sample_sphere_uniform(3, 1.0, mc), lambda y: y[:, 0] ** 2)
     assert streamed[0] == mean
 
 
@@ -693,7 +693,8 @@ def test_pushforward_checks_draw_on_workers_with_the_bits_of_the_samplers(monkey
     # match mc_mean over the reduced-dimension batches drawn one by one
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     d, n, t = 2, 5, 0.7
-    mc = MonteCarloSpec(seed=11, samples=20 * 1024 - 300, batch=1024)
+    monkeypatch.setattr(dimlift.integrate, "_MC_BATCH", 1024)
+    mc = MonteCarloSpec(seed=11, samples=20 * 1024 - 300)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -705,16 +706,16 @@ def test_pushforward_checks_draw_on_workers_with_the_bits_of_the_samplers(monkey
         assert _check_bits(results[2]) == _check_bits(results[1])
         assert _check_bits(results[4]) == _check_bits(results[1])
 
-    mean, se, count = mc_mean(_lifted_sphere_batches(d, n, math.sqrt(2 * d * t), mc), _stack, threads=2)
+    mean, se, count = mc_mean(_lifted_sphere_batches(d, n, math.sqrt(2 * d * t), mc), _stack)
     assert count == mc.samples
     assert sphere[1].mc_value.tobytes() == mean.tobytes()
     assert sphere[1].mc_std_error.tobytes() == se.tobytes()
-    assert sphere[1].quad_value.tobytes() == integrate_weighted(_stack, "finite", d, t, n=n).value.tobytes()
+    assert sphere[1].quad_value.tobytes() == integrate_weighted(_stack, d, t, n=n).value.tobytes()
 
-    mean, se, _ = mc_mean(_lifted_ball_batches(d, n, t, mc), lambda xt: _stack(*xt), threads=1)
+    mean, se, _ = mc_mean(_lifted_ball_batches(d, n, t, mc), lambda xt: _stack(*xt))
     assert ball[1].mc_value.tobytes() == (mean * t).tobytes()
     assert ball[1].mc_std_error.tobytes() == (se * t).tobytes()
-    assert ball[1].quad_value.tobytes() == integrate_spacetime(_stack, "finite", d, t, n=n).value.tobytes()
+    assert ball[1].quad_value.tobytes() == integrate_spacetime(_stack, d, t, n=n).value.tobytes()
 
 
 def test_pushforward_checks_draw_into_one_buffer_per_worker(monkeypatch):
@@ -731,7 +732,8 @@ def test_pushforward_checks_draw_into_one_buffer_per_worker(monkeypatch):
             return draw(out, *args)
 
         monkeypatch.setattr(dimlift.integrate, name, recorded)
-    mc = MonteCarloSpec(seed=3, samples=20 * 1000, batch=1000)
+    monkeypatch.setattr(dimlift.integrate, "_MC_BATCH", 1000)
+    mc = MonteCarloSpec(seed=3, samples=20 * 1000)
     d = 1
     for threads in (1, 2, 4):
         # one row of d numbers per sample on the sphere, and d + 1 (x, t) in the ball
@@ -750,7 +752,8 @@ def test_pushforward_checks_reject_bad_arguments_before_drawing(monkeypatch):
 
     for name in ("_sphere_batch", "_mu_ball_batch", "_lifted_sphere_batch", "_lifted_ball_batch"):
         monkeypatch.setattr(dimlift.integrate, name, draw)
-    mc = MonteCarloSpec(seed=1, samples=5000, batch=1000)
+    monkeypatch.setattr(dimlift.integrate, "_MC_BATCH", 1000)
+    mc = MonteCarloSpec(seed=1, samples=5000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^need radius > 0$"):
@@ -767,7 +770,7 @@ def test_pushforward_checks_reject_bad_arguments_before_drawing(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 5, 20])
-def test_reduced_draw_has_the_law_of_the_lifted_samplers(d, n):
+def test_reduced_draw_has_the_law_of_the_lifted_samplers(d, n, monkeypatch):
     # the checks draw (x, t) from d normals and one chi-square(nd - d); the
     # public samplers draw nd normals and lift them: the means of _stack must
     # agree within 4 combined standard errors, plus 1e-12 for the columns that
@@ -781,12 +784,12 @@ def test_reduced_draw_has_the_law_of_the_lifted_samplers(d, n):
     pairs = [
         (
             pushforward_check_sphere(_stack, d, n, t, reduced, threads=2),
-            mc_mean(sample_sphere_uniform(cfg.N, radius, full), lambda y: _stack(lift_point_time(cfg, y)[0]), threads=2),
+            mc_mean(sample_sphere_uniform(cfg.N, radius, full), lambda y: _stack(lift_point_time(cfg, y)[0])),
             1.0,
         ),
         (
             pushforward_check_ball(_stack, d, n, t, reduced, threads=2),
-            mc_mean(sample_mu_ball(cfg.N, t, d, full), lambda y: _stack(*lift_point_time(cfg, y)), threads=2),
+            mc_mean(sample_mu_ball(cfg.N, t, d, full), lambda y: _stack(*lift_point_time(cfg, y))),
             t,
         ),
     ]
@@ -797,7 +800,8 @@ def test_reduced_draw_has_the_law_of_the_lifted_samplers(d, n):
     # exact structure of the reduced batches: sphere points lie in the ball
     # |x|^2 <= 2 n d t of R^d, on its boundary at n = 1; ball points lie in
     # |x|^2 <= 2 n d t at their time t, which lies in [0, tau)
-    mc = MonteCarloSpec(seed=7, samples=5000, batch=2000)
+    monkeypatch.setattr(dimlift.integrate, "_MC_BATCH", 2000)
+    mc = MonteCarloSpec(seed=7, samples=5000)
     x = np.concatenate(list(_lifted_sphere_batches(d, n, radius, mc)))
     x2 = np.sum(x * x, axis=-1)
     assert x.shape == (5000, d) and np.all(np.isfinite(x))

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import dimlift.integrate
 from dimlift.fields import NonhomTerm, ScalarField, bump_radial, equator_map, half_space_pair, harmonic_polynomial
 from dimlift.functionals import (
     acf_phi,
@@ -19,7 +20,6 @@ from dimlift.functionals import (
 )
 from dimlift.functionals.common import gradsq
 from dimlift.integrate import (
-    QuadratureSpec,
     _shell_mean,
     _shell_total,
     _sphere_nodes,
@@ -29,10 +29,14 @@ from dimlift.integrate import (
 )
 from dimlift.weights import _log_sphere_area
 
-# The reduced rule is exact in the angle for the declared fields at every
-# level, and so is the tensor rule for these integrands, so a coarse spec
-# compares the two as well as the default one and keeps the N=4 tensor rule cheap.
-SPEC = QuadratureSpec(radial_nodes=8)
+
+@pytest.fixture
+def coarse(monkeypatch):
+    # The reduced rule is exact in the angle for the declared fields at every
+    # level, and so is the tensor rule for these integrands, so a coarse first
+    # level compares the two as well as the default one and keeps the N=4
+    # tensor rule cheap.
+    monkeypatch.setattr(dimlift.integrate, "_FIRST_LEVEL", 8)
 
 
 def _undeclared(field):
@@ -61,18 +65,12 @@ def test_radial_rule_is_one_node():
 
 
 CASES = {
-    "hm_phi equator": lambda N, undeclare: hm_phi(undeclare(equator_map(N)), np.zeros(N), 1.3, SPEC),
-    "almgren x1": lambda N, undeclare: almgren(undeclare(harmonic_polynomial("x1", N)), 1.3, SPEC),
-    "almgren x1x2": lambda N, undeclare: almgren(undeclare(harmonic_polynomial("x1x2", N)), 0.7, SPEC),
-    "acf_phi half-space": lambda N, undeclare: acf_phi(
-        *map(undeclare, half_space_pair(N, kind="elliptic")), 1.3, SPEC
-    ),
-    "carleman bump k=5": lambda N, undeclare: carleman_elliptic_check(
-        undeclare(bump_radial(N, 0.5, 1.5, 5)), 0.7, SPEC
-    ),
-    "carleman bump k=4": lambda N, undeclare: carleman_elliptic_check(
-        undeclare(bump_radial(N, 1.0, 2.0, 4)), 2.25, SPEC
-    ),
+    "hm_phi equator": lambda N, undeclare: hm_phi(undeclare(equator_map(N)), np.zeros(N), 1.3),
+    "almgren x1": lambda N, undeclare: almgren(undeclare(harmonic_polynomial("x1", N)), 1.3),
+    "almgren x1x2": lambda N, undeclare: almgren(undeclare(harmonic_polynomial("x1x2", N)), 0.7),
+    "acf_phi half-space": lambda N, undeclare: acf_phi(*map(undeclare, half_space_pair(N, kind="elliptic")), 1.3),
+    "carleman bump k=5": lambda N, undeclare: carleman_elliptic_check(undeclare(bump_radial(N, 0.5, 1.5, 5)), 0.7),
+    "carleman bump k=4": lambda N, undeclare: carleman_elliptic_check(undeclare(bump_radial(N, 1.0, 2.0, 4)), 2.25),
 }
 
 
@@ -82,6 +80,7 @@ def _numbers(result) -> list[float]:
     return [v for v in dataclasses.astuple(result) if isinstance(v, float)]
 
 
+@pytest.mark.usefixtures("coarse")
 @pytest.mark.parametrize("N", [3, 4])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_declared_fields_match_the_tensor_rule(case, N):
@@ -92,47 +91,52 @@ def test_declared_fields_match_the_tensor_rule(case, N):
         assert abs(a - b) <= 1e-13 * abs(b)
 
 
+@pytest.mark.usefixtures("coarse")
 def test_an_off_span_center_falls_back_to_the_tensor_rule():
     # the ball avoids the origin, so the equator energy is smooth on it
     vmap = equator_map(4)
     center = (0.1, 0.0, 0.0, 0.0)
-    spec = QuadratureSpec(radial_nodes=8, target_rel_tol=1e-8)
-    assert hm_phi(vmap, center, 0.05, spec) == hm_phi(_undeclared(vmap), center, 0.05, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dimlift.integrate, "_REL_TOL", 1e-8)
+        assert hm_phi(vmap, center, 0.05) == hm_phi(_undeclared(vmap), center, 0.05)
 
     def f(y):
         return np.sum(y * y, axis=-1)
 
     # about a center off the span of e_1, |y| depends on omega_2 too
     off = (0.0, 0.2, 0.0)
-    assert integrate_ball(f, 3, 1.0, SPEC, center=off, symmetry=1).value == integrate_ball(f, 3, 1.0, SPEC, center=off).value
+    assert integrate_ball(f, 3, 1.0, center=off, symmetry=1).value == integrate_ball(f, 3, 1.0, center=off).value
     on = (0.2, 0.0, 0.0)
-    reduced = integrate_ball(f, 3, 1.0, SPEC, center=on, symmetry=1)
-    tensor = integrate_ball(f, 3, 1.0, SPEC, center=on)
+    reduced = integrate_ball(f, 3, 1.0, center=on, symmetry=1)
+    tensor = integrate_ball(f, 3, 1.0, center=on)
     assert reduced.evaluations < tensor.evaluations
     assert math.isclose(reduced.value, tensor.value, rel_tol=1e-13)
 
 
+@pytest.mark.usefixtures("coarse")
 def test_a_declaration_that_reduces_no_dimension_keeps_the_tensor_rule():
     # k = N - 1 would need the Gauss-Jacobi parameter -1/2, which loses precision
     v = harmonic_polynomial("x1x2", 3)
-    assert almgren(v, 1.3, SPEC) == almgren(_undeclared(v), 1.3, SPEC)
+    assert almgren(v, 1.3) == almgren(_undeclared(v), 1.3)
 
 
+@pytest.mark.usefixtures("coarse")
 def test_an_undeclared_field_uses_the_tensor_rule():
     v = ScalarField(3, lambda y: np.asarray(y)[..., 0], lambda y: np.eye(3)[0] + 0.0 * np.asarray(y))
-    fv = almgren(v, 1.3, SPEC)
-    assert fv.H == integrate_sphere(lambda y: np.asarray(y)[..., 0] ** 2, 3, 1.3, SPEC).value
-    assert fv.D == integrate_ball(gradsq(v), 3, 1.3, SPEC).value
+    fv = almgren(v, 1.3)
+    assert fv.H == integrate_sphere(lambda y: np.asarray(y)[..., 0] ** 2, 3, 1.3).value
+    assert fv.D == integrate_ball(gradsq(v), 3, 1.3).value
 
 
+@pytest.mark.usefixtures("coarse")
 def test_integrals_with_a_nonhomogeneous_term_use_the_tensor_rule():
     vmap = equator_map(3)
     H = NonhomTerm(lambda y: 0.1 * np.asarray(y, float), vector=True)
-    bound = hm_dphi_lower_bound(vmap, H, np.zeros(3), 1.0, SPEC)
-    assert bound == hm_dphi_lower_bound(_undeclared(vmap), H, np.zeros(3), 1.0, SPEC)
+    bound = hm_dphi_lower_bound(vmap, H, np.zeros(3), 1.0)
+    assert bound == hm_dphi_lower_bound(_undeclared(vmap), H, np.zeros(3), 1.0)
     v = harmonic_polynomial("x1", 3)
     h = NonhomTerm(lambda y: np.asarray(y, float)[..., 1] ** 2)
-    assert almgren_dL_lower_bound(v, h, 1.0, SPEC) == almgren_dL_lower_bound(_undeclared(v), h, 1.0, SPEC)
+    assert almgren_dL_lower_bound(v, h, 1.0) == almgren_dL_lower_bound(_undeclared(v), h, 1.0)
 
 
 def test_a_radial_energy_costs_a_radial_rule():

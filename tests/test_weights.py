@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimlift import (
-    QuadratureSpec,
     finite_weight,
     gaussian_weight,
     integrate_weighted,
@@ -25,14 +24,14 @@ def _ones(x):
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
 def test_gaussian_weight_is_a_probability_density(d, t):
-    assert abs(integrate_weighted(_ones, "gaussian", d, t).value - 1.0) < 1e-10
+    assert abs(integrate_weighted(_ones, d, t).value - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("n", [2, 5, 20])
 @pytest.mark.parametrize("t", [0.25, 1.0, 4.0])
 def test_finite_weight_is_a_probability_density(d, n, t):
-    assert abs(integrate_weighted(_ones, "finite", d, t, n=n).value - 1.0) < 1e-10
+    assert abs(integrate_weighted(_ones, d, t, n=n).value - 1.0) < 1e-10
 
 
 def test_gaussian_weight_closed_form():
@@ -110,9 +109,3 @@ def test_weight_limit_report_error_halves_with_n():
     assert np.all(np.diff(rep.sup_rel_error) < 0.0)
     assert np.all((rep.successive_ratios >= 1.6) & (rep.successive_ratios <= 2.4))
 
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(radial_nodes=1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(target_rel_tol=0.5)
