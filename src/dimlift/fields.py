@@ -110,15 +110,30 @@ class NonhomTerm:
     name: str = ""
 
 
+def _lead_shape(x: np.ndarray, t) -> tuple:
+    """The shape of x[..., 0] broadcast against t.  A t that fits in it, as
+    a scalar or the (rows, 1) times of a space-time sum do, skips
+    np.broadcast_shapes, which costs more than a small field call."""
+    lead, ts = x.shape[:-1], np.shape(t)
+    skip = len(lead) - len(ts)
+    if skip >= 0:
+        for a, b in zip(lead[skip:], ts):
+            if b != 1 and b != a:
+                break
+        else:
+            return lead
+    return np.broadcast_shapes(lead, ts)
+
+
 def _zeros(x, t=0.0) -> np.ndarray:
     """Zeros of the shape of x[..., 0] broadcast against t."""
-    return np.zeros(np.broadcast_shapes(np.shape(np.asarray(x)[..., 0]), np.shape(t)))
+    return np.zeros(_lead_shape(np.asarray(x), t))
 
 
 def _zeros_vec(x, t=0.0) -> np.ndarray:
     """Zeros of the shape of x[..., 0] broadcast against t, times x's last axis."""
     x = np.asarray(x)
-    return np.zeros(np.broadcast_shapes(np.shape(x[..., 0]), np.shape(t)) + x.shape[-1:])
+    return np.zeros(_lead_shape(x, t) + x.shape[-1:])
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +475,11 @@ def _half_space_field(d: int, sign: float, power: int) -> SpaceTimeField:
 
     def grad(x, t):
         x = np.asarray(x, float)
-        g = _zeros_vec(x, t)
         p = part(x)
-        g[..., 0] = sign * power * p ** (power - 1) * (p > 0.0)  # kill the 0^0 = 1 artifact at the interface
+        g = _zeros_vec(x, t)
+        # power 1: the mask kills the 0^0 = 1 artifact at the interface, and
+        # sign times it is the column; above, 0^(power-1) is 0 unmasked
+        g[..., 0] = sign * (p > 0.0) if power == 1 else (sign * power) * p ** (power - 1)
         return g
 
     def laplacian(x, t):

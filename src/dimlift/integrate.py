@@ -15,12 +15,13 @@ unless the integrand is declared to depend on y only through y_1..y_k and
 |y|: the ball, sphere and annulus integrals then integrate over the
 push-forward of the sphere's measure to those k coordinates, with O(level^k)
 directions for any N instead of O(level^(N-1)).  The blocks of one sum run
-on worker threads and are added in block order, so the bits do not depend on
-the thread count.  Every deterministic estimate starts at level _FIRST_LEVEL
-and is refined by node doubling until two successive values agree to the
-relative tolerance _REL_TOL; if three doublings do not stabilize the value,
-an AccuracyError is raised with the last two estimates, and a non-finite
-value raises at once.
+on worker threads when the first block shows that the integrand costs enough
+per point to pay for the handoff, and are added in block order wherever they
+ran, so the bits do not depend on the thread count.  Every deterministic
+estimate starts at level _FIRST_LEVEL and is refined by node doubling until
+two successive values agree to the relative tolerance _REL_TOL; if three
+doublings do not stabilize the value, an AccuracyError is raised with the
+last two estimates, and a non-finite value raises at once.
 
 Monte Carlo sampling is counter-based: batch k of a run is a pure function of
 (seed, k), and partial sums are combined in batch order, so results are
@@ -37,6 +38,7 @@ import contextvars
 import math
 import os
 import threading
+import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
@@ -71,13 +73,25 @@ TAIL_FACTOR = 2.0 * math.sqrt(16.0 * math.log(10.0))
 
 # Most points one integrand call receives, and so the size of one block of a
 # polar sum.  Radial rows are never split, so a single row (one angular rule)
-# larger than this still goes in one call.  Up to `threads` blocks are in
-# flight at once; the block size does not depend on the thread count, which
-# keeps the sums bit-identical for any count.  At 2^14 points a block's
-# coordinates and the integrand's temporaries stay in a core's L2 cache, and
-# the time-stacked sums of d <= 2 split into enough blocks for every worker;
-# larger blocks ran faster on two workers but held more memory in flight.
+# larger than this still goes in one call.  The block size does not depend on
+# the thread count, which keeps the sums bit-identical for any count; when a
+# sum is threaded, up to `threads` blocks are in flight at once.  At 2^14
+# points a block's coordinates and the integrand's temporaries stay in a
+# core's L2 cache, and the time-stacked sums of d <= 2 split into enough
+# blocks for every worker; larger blocks ran faster on two workers but held
+# more memory in flight.
 _CHUNK_POINTS = 1 << 14
+
+# Least cost per point, in nanoseconds, of a sum's first block (points,
+# integrand and contraction, timed on the calling thread) at which the other
+# blocks go to the worker threads.  Below it the handoffs and the page faults
+# of a worker's fresh memory cost more than a second core saves: on 2 cores
+# the half-space two-phase energies and the shell means of the tensor rule
+# (about 20-70 ns per point) ran slower threaded, and the x1cube frequency
+# history and the moment integrands of the push-forward checks (about
+# 140-450 ns) faster.  Read when a sum runs, like _CHUNK_POINTS, so a test
+# can set it to 0.
+_THREAD_NS_PER_POINT = 80
 
 # The first refinement level of every deterministic estimate (its radial,
 # time and polar node counts scale with it), and the relative tolerance at
@@ -197,12 +211,14 @@ def _ordered_map(fn, items: Iterable, threads: int) -> Iterator:
     of that many worker threads, built on the first such call and reused by
     every later one; the pool runs at most `threads` calls at a time, and the
     rest wait in its queue, so the workers stay busy past a slow call at the
-    head of the order.  With threads <= 1, or when called from a pool worker
-    (an integrand that runs a sum of its own), the calls run in the calling
-    thread: a worker waiting on calls queued behind its own could wait
-    forever.  An exception raised by fn is raised here when its result is
-    reached.  When the generator is closed early or raises, the calls still
-    queued are cancelled and the running ones are waited for.
+    head of the order.  The caller chooses `threads`: _polar_sum passes 1
+    for an integrand too cheap to pay for the handoff.  With threads <= 1,
+    or when called from a pool worker (an integrand that runs a sum of its
+    own), the calls run in the calling thread: a worker waiting on calls
+    queued behind its own could wait forever.  An exception raised by fn is
+    raised here when its result is reached.  When the generator is closed
+    early or raises, the calls still queued are cancelled and the running
+    ones are waited for.
     """
     if threads <= 1 or getattr(_in_worker, "active", False):
         yield from map(fn, items)
@@ -369,6 +385,13 @@ def _as_vector(v) -> np.ndarray:
     return np.atleast_1d(np.asarray(v, dtype=float))
 
 
+def _unwrap_one(v):
+    """A float for a value of one number, a scalar or a component axis of
+    length 1, as the Monte Carlo means give; else the array."""
+    v = _as_vector(v)
+    return float(v[0]) if v.size == 1 else v
+
+
 def _refine(eval_at_level: Callable[[int], tuple]) -> IntegralEstimate:
     """Run eval_at_level at _FIRST_LEVEL, twice that, ... until two values agree.
 
@@ -444,11 +467,14 @@ def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarr
     holds whole slices (the rows of one time node) or, when a slice is larger
     than a block, one piece of a slice, cut every _CHUNK_POINTS // ka rows.
     Each slice is contracted on its own and its pieces are added in order, so
-    its sum has the same bits whatever other slices share its blocks.  A sum
-    of several blocks evaluates them on _worker_count() threads, each block's
-    points, f and contraction on one thread, and adds the partials in block
-    order, so the bits do not depend on the thread count either.  f must be
-    safe to call from several threads at once.
+    its sum has the same bits whatever other slices share its blocks.  The
+    first block runs on the calling thread and is timed.  If the sum has more
+    blocks and the first cost at least _THREAD_NS_PER_POINT nanoseconds per
+    point, the rest run on _worker_count() threads, each block's points, f
+    and contraction on one thread; otherwise they run on the calling thread
+    too.  The partials are added in block order either way, so the bits do
+    not depend on where a block ran or on the thread count.  f must be safe
+    to call from several threads at once.
     """
     ka = omega.shape[0]
     step = max(1, _CHUNK_POINTS // ka)
@@ -474,10 +500,19 @@ def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarr
         return [_contract(wr[i, lo:hi], wa, vals[(i - i0) * m : (i - i0 + 1) * m]) for i in range(i0, i1)]
 
     acc = [0.0] * T
-    threads = 1 if len(blocks) < 2 else _worker_count()
-    for (i0, _, _, _), partials in zip(blocks, _ordered_map(block, blocks, threads)):
-        for i, partial in enumerate(partials, i0):
+
+    def add(bounds, partials):
+        for i, partial in enumerate(partials, bounds[0]):
             acc[i] = acc[i] + partial
+
+    first, rest = blocks[0], blocks[1:]
+    start = time.perf_counter_ns()
+    add(first, block(first))
+    i0, i1, lo, hi = first
+    ns_per_point = (time.perf_counter_ns() - start) / ((i1 - i0) * (hi - lo) * ka)
+    threads = _worker_count() if rest and ns_per_point >= _THREAD_NS_PER_POINT else 1
+    for bounds, partials in zip(rest, _ordered_map(block, rest, threads)):
+        add(bounds, partials)
     count = T * kr * ka
     if timed:
         return np.array(acc), count
@@ -561,6 +596,8 @@ def integrate_weighted(phi, d: int, t: float, n: int | None = None) -> IntegralE
 
     phi must be vectorized over leading axes of x with shape (..., d); it may
     return a trailing component axis to integrate several integrands at once.
+    A result of one number, with or without a component axis of length 1,
+    is a float, as in integrate_spacetime.
     """
     if not t > 0.0:
         raise ValueError(f"need t > 0, got t={t}")
@@ -568,8 +605,7 @@ def integrate_weighted(phi, d: int, t: float, n: int | None = None) -> IntegralE
     def eval_at(level: int):
         # the one-time-node case of the time-stacked sum
         values, count = _weighted_sums(lambda x, _: phi(x), d, np.array([t]), level, n)
-        value = values[0]
-        return (float(value) if value.ndim == 0 else value), count
+        return _unwrap_one(values[0]), count
 
     return _refine(eval_at)
 
@@ -591,10 +627,7 @@ def integrate_spacetime(phi, d: int, tau: float, n: int | None = None) -> Integr
         # as many time nodes as radial ones
         ts, wt = _legendre_rule(level, 0.0, tau)
         values, count = _weighted_sums(phi, d, ts, level, n)
-        total = _as_vector(_time_sum(wt, values))
-        if total.size == 1:
-            return float(total[0]), count
-        return total, count
+        return _unwrap_one(_time_sum(wt, values)), count
 
     return _refine(eval_at)
 

@@ -127,6 +127,24 @@ def test_half_space_pairs_split_the_domain(rng):
     assert np.all(res >= 0.0)
 
 
+def test_half_space_derivatives_broadcast_against_the_time(rng):
+    x = rng.uniform(-2.0, 2.0, size=(3, 5, 2))
+    x[0, :2, 0] = [0.0, -0.0]  # the interface, where the mask applies
+    for t in (0.5, rng.uniform(0.1, 1.0, size=(3, 1)), rng.uniform(0.1, 1.0, size=(4, 3, 5)), np.ones((2, 3, 1))):
+        lead = np.broadcast_shapes(x.shape[:-1], np.shape(t))
+        for u in half_space_pair(2) + half_space_power_pair(2, 3):
+            assert np.shape(u.dt(x, t)) == lead
+            assert np.shape(u.grad_dt(x, t)) == lead + (2,)
+            g = np.asarray(u.grad(x, t))
+            assert g.shape == lead + (2,)
+            assert np.all(g[..., 1] == 0.0)
+    # (x1)_+^3 has gradient 3 (x1)_+^2 e1, and (x1)_- has -e1 on x1 < 0 and 0 elsewhere
+    cube, lin = half_space_power_pair(2, 3)
+    x1 = x[..., 0]
+    np.testing.assert_array_equal(cube.grad(x, 0.5)[..., 0], 3.0 * np.maximum(x1, 0.0) ** 2)
+    np.testing.assert_array_equal(lin.grad(x, 0.5)[..., 0], np.where(x1 < 0.0, -1.0, 0.0))
+
+
 def test_quadrature_generated_caloric_field(rng):
     u = caloric_from_data(lambda x: np.exp(-np.asarray(x, float)[..., 0] ** 2), T=2.0, d=1)
     pts = rng.uniform(-1.0, 1.0, size=(50, 1))

@@ -137,8 +137,10 @@ def test_chunked_sums_match_one_block(monkeypatch):
         with _use_threads(threads):
             return np.asarray(cases[case](f).value), max(largest)
 
-    # counts are clamped to the CPU count; with 4 CPUs, 2 and 4 threads both run
+    # counts are clamped to the CPU count; with 4 CPUs, 2 and 4 threads both
+    # run, and with no cost cutoff every sum of several blocks is threaded
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(dimlift.integrate, "_THREAD_NS_PER_POINT", 0)
     for case in cases:
         whole, whole_max = run(case, 1 << 21, 1)
         assert whole_max > 1000 or case == "sphere", case  # a sphere rule has one radial row
@@ -212,6 +214,7 @@ def test_time_axis_matches_the_per_node_loop(case, n, d, monkeypatch):
         return integrate_spacetime(phi, d, 0.7, n=n)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(dimlift.integrate, "_THREAD_NS_PER_POINT", 0)
     for budget in (dimlift.integrate._CHUNK_POINTS, 1000):
         monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", budget)
         shapes = []
@@ -278,8 +281,10 @@ def _first_level(level):
 
 
 def test_an_integrand_error_in_a_middle_block_propagates(monkeypatch):
-    # 50 radial rows of 100 directions in blocks of 10 rows: the error is in block 2 of 0..4
+    # 50 radial rows of 100 directions in blocks of 10 rows: the error is in
+    # block 2 of 0..4, which runs on a worker with no cost cutoff
     monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", 1000)
+    monkeypatch.setattr(dimlift.integrate, "_THREAD_NS_PER_POINT", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     omega, wa = dimlift.integrate._sphere_nodes(2, 50)
     assert omega.shape[0] == 100
@@ -339,6 +344,7 @@ def test_thread_count_is_clamped_to_the_cpu_count(monkeypatch):
     created = _record_pools(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", 1000)
+    monkeypatch.setattr(dimlift.integrate, "_THREAD_NS_PER_POINT", 0)
     with _use_threads(1):
         serial = integrate_ball(_x1sq, 2, 1.0)
     assert created == []
@@ -371,6 +377,7 @@ def _two_block_sum(threads, f=None):
 
 def test_consecutive_threaded_sums_share_one_pool(monkeypatch):
     monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", 1000)
+    monkeypatch.setattr(dimlift.integrate, "_THREAD_NS_PER_POINT", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     built = []
     real = dimlift.integrate.ThreadPoolExecutor
@@ -387,6 +394,7 @@ def test_a_sum_nested_in_a_threaded_integrand_runs_inline(monkeypatch):
     # with one shared pool, an inner sum that queued its blocks behind the
     # outer ones would wait on the workers that are waiting on it
     monkeypatch.setattr(dimlift.integrate, "_CHUNK_POINTS", 1000)
+    monkeypatch.setattr(dimlift.integrate, "_THREAD_NS_PER_POINT", 0)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     inner_threads = []
 
@@ -407,8 +415,82 @@ def test_a_sum_nested_in_a_threaded_integrand_runs_inline(monkeypatch):
     assert not runner.is_alive(), "nested sum deadlocked"
     assert np.asarray(done[0][0]).tobytes() == np.asarray(serial[0]).tobytes()
     assert done[0][1] == serial[1]
-    assert inner_threads and all(name.startswith("dimlift") for name in inner_threads)
+    # the first outer block runs on the calling thread, the other four on workers
+    assert len(inner_threads) == 5 and inner_threads[0] == runner.name
+    assert all(name.startswith("dimlift") for name in inner_threads[1:])
     assert list(dimlift.integrate._pools) == [2]
+
+
+class _Clock:
+    """Stands in for the time module of dimlift.integrate: every
+    perf_counter_ns call reads `step` nanoseconds later than the last."""
+
+    def __init__(self, step):
+        self.now, self.step = 0, step
+
+    def perf_counter_ns(self):
+        self.now += self.step
+        return self.now
+
+
+def _block_threads(monkeypatch, threads, cutoff, f, ns_per_point=None):
+    """The value of a sum of five blocks of 16,000 points, the thread each
+    block ran on, in block order, and the max_workers of each pool built.
+    With ns_per_point the first block is timed at that cost per point."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(dimlift.integrate, "_THREAD_NS_PER_POINT", cutoff)
+    if ns_per_point is not None:
+        monkeypatch.setattr(dimlift.integrate, "time", _Clock(ns_per_point * 16_000))
+    built = []
+    real = dimlift.integrate.ThreadPoolExecutor
+    monkeypatch.setattr(dimlift.integrate, "ThreadPoolExecutor", lambda **kw: built.append(kw) or real(**kw))
+    # 200 radial rows of 400 directions, in blocks of 40 rows
+    omega, wa = dimlift.integrate._sphere_nodes(2, 200)
+    r = np.linspace(0.01, 2.0, 200)
+    ran = {}
+
+    def g(x, rho):
+        ran[float(rho[0])] = threading.current_thread().name
+        return f(x)
+
+    with _use_threads(threads):
+        value, count = dimlift.integrate._polar_sum(g, r, np.full(200, 0.01), omega, wa)
+    assert count == 200 * 400
+    return value, [ran[float(r[i])] for i in range(0, 200, 40)], [kw["max_workers"] for kw in built]
+
+
+def _cheap(x):
+    return x[..., 0] * x[..., 1]
+
+
+def test_a_cheap_integrand_runs_every_block_on_the_calling_thread(monkeypatch):
+    # a product per point: this sum took 5-11 ns per point on 2 cores, but
+    # the clock is stubbed, so that a loaded machine cannot make it look dear
+    cutoff = dimlift.integrate._THREAD_NS_PER_POINT
+    _, ran, built = _block_threads(monkeypatch, 2, cutoff, _cheap, ns_per_point=cutoff - 1)
+    assert ran == [threading.current_thread().name] * 5
+    assert built == []
+
+
+def test_a_first_block_at_the_cutoff_sends_the_rest_to_workers(monkeypatch):
+    cutoff = dimlift.integrate._THREAD_NS_PER_POINT
+    for ns_per_point, pool_cutoff in ((cutoff, cutoff), (None, 0)):
+        dimlift.integrate._close_pools()
+        _, ran, built = _block_threads(monkeypatch, 2, pool_cutoff, _cheap, ns_per_point)
+        assert ran[0] == threading.current_thread().name
+        assert all(name.startswith("dimlift") for name in ran[1:])
+        assert built == [2]
+
+
+def test_where_the_blocks_run_moves_no_bit(monkeypatch):
+    def f(x):
+        return np.stack([np.cos(x[..., 0]) * np.exp(-np.sum(x * x, axis=-1)), x[..., 1] ** 2], axis=-1)
+
+    serial, ran, _ = _block_threads(monkeypatch, 1, 0, f)
+    assert len(set(ran)) == 1
+    for cutoff in (0, float("inf")):
+        value, _, _ = _block_threads(monkeypatch, 2, cutoff, f)
+        assert value.tobytes() == serial.tobytes(), cutoff
 
 
 def _held_calls(monkeypatch, first):
@@ -833,6 +915,19 @@ def test_pushforward_ball_single_seed():
     )
     assert abs(chk.quad_value - 0.5) < 1e-10  # total mass of the lifted measure is tau
     assert chk.discrepancy_in_std_errors < 5.0
+
+
+def test_a_component_axis_of_length_one_gives_floats_in_both_checks():
+    mc = MonteCarloSpec(seed=5, samples=20_000)
+    # E x1^2 = 2t under the finite weight; int_0^tau 2t dt = tau^2
+    assert integrate_weighted(lambda x: x[..., :1] ** 2, 1, 0.7, n=5).value == integrate_weighted(_x1sq, 1, 0.7, n=5).value
+    sphere = pushforward_check_sphere(lambda x: x[..., :1] ** 2, 1, 5, 0.7, mc)
+    ball = pushforward_check_ball(lambda x, t: x[..., :1] ** 2, 1, 5, 0.7, mc)
+    for chk, exact in ((sphere, 1.4), (ball, 0.49)):
+        fields = (chk.mc_value, chk.mc_std_error, chk.quad_value, chk.discrepancy_in_std_errors)
+        assert all(type(v) is float for v in fields), fields
+        assert abs(chk.quad_value - exact) < 1e-10
+        assert chk.discrepancy_in_std_errors < 5.0
 
 
 @pytest.mark.parametrize(
