@@ -55,7 +55,11 @@ class ScalarField:
     name: str = ""
     support: tuple | None = None  # ("annulus", r_in, r_out) or None for all of R^N
     # k when v(y) depends on y only through y_1..y_k and |y|, that is, v is
-    # unchanged by every rotation fixing e_1..e_k; None declares nothing
+    # unchanged by every rotation fixing e_1..e_k; None declares nothing.  A
+    # field that declares k reads only y_1..y_k and |y|: it accepts points of
+    # any width of at least k + 1, such as the (k + 1)-wide points of the
+    # reduced rule, returns a gradient of the width it was given, and takes N
+    # from the field, never from the width of y
     symmetry: int | None = None
 
 
@@ -85,7 +89,9 @@ class SphereField:
     dt: Callable | None = None  # None marks a time-independent map
     name: str = ""
     # k when the energy |Dv|^2 depends on y only through y_1..y_k and |y|;
-    # None declares nothing
+    # None declares nothing.  A map that declares k accepts points of any
+    # width of at least k + 1 in energy, as a ScalarField does; value and
+    # jacobian stay N wide
     symmetry: int | None = None
 
 
@@ -511,27 +517,19 @@ def half_space_pair(dim: int, kind: str = "parabolic"):
     if kind == "parabolic":
         return _half_space_field(dim, +1.0, 1), _half_space_field(dim, -1.0, 1)
     if kind == "elliptic":
-
-        def mk(sign: float) -> ScalarField:
-            def value(y):
-                return np.maximum(sign * np.asarray(y, float)[..., 0], 0.0)
-
-            def grad(y):
-                y = np.asarray(y, float)
-                g = _zeros_vec(y)
-                g[..., 0] = sign * (sign * y[..., 0] > 0.0)
-                return g
-
+        # the parabolic pair read at t = 0; it does not depend on t
+        def at_rest(sign: float) -> ScalarField:
+            u = _half_space_field(dim, sign, 1)
             return ScalarField(
                 N=dim,
-                value=value,
-                grad=grad,
+                value=lambda y: u.value(y, 0.0),
+                grad=lambda y: u.grad(y, 0.0),
                 laplacian=_zeros,
                 name="y1_plus" if sign > 0 else "y1_minus",
                 symmetry=1,
             )
 
-        return mk(+1.0), mk(-1.0)
+        return at_rest(+1.0), at_rest(-1.0)
     raise ValueError(f"unknown kind {kind!r}")
 
 

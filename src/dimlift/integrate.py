@@ -14,14 +14,16 @@ The angular rule is a tensor product of one-dimensional Gauss rules,
 unless the integrand is declared to depend on y only through y_1..y_k and
 |y|: the ball, sphere and annulus integrals then integrate over the
 push-forward of the sphere's measure to those k coordinates, with O(level^k)
-directions for any N instead of O(level^(N-1)).  The blocks of one sum run
-on worker threads when the first block shows that the integrand costs enough
-per point to pay for the handoff, and are added in block order wherever they
-ran, so the bits do not depend on the thread count.  Every deterministic
-estimate starts at level _FIRST_LEVEL and is refined by node doubling until
-two successive values agree to the relative tolerance _REL_TOL; if three
-doublings do not stabilize the value, an AccuracyError is raised with the
-last two estimates, and a non-finite value raises at once.
+directions for any N instead of O(level^(N-1)), on points k + 1 wide instead
+of N (see integrate_ball for what a declared integrand must then accept).
+The blocks of one sum run on worker threads when the first block shows that
+the integrand costs enough per point to pay for the handoff, and are added
+in block order wherever they ran, so the bits do not depend on the thread
+count.  Every deterministic estimate starts at level _FIRST_LEVEL and is
+refined by node doubling until two successive values agree to the relative
+tolerance _REL_TOL; if three doublings do not stabilize the value, an
+AccuracyError is raised with the last two estimates, and a non-finite value
+raises at once.
 
 Monte Carlo sampling is counter-based: batch k of a run is a pure function of
 (seed, k), and partial sums are combined in batch order, so results are
@@ -320,7 +322,10 @@ def _sphere_nodes(N: int, level: int, k: int | None = None) -> tuple[np.ndarray,
     reduced rule, exact only for integrands of omega_1..omega_k alone: the
     uniform law on S^(N-1) pushed forward to those coordinates has density
     proportional to (1 - |z|^2)^((N-k-2)/2) on the ball B^k, so each node is
-    omega = (z, sqrt(1 - |z|^2), 0, ..., 0) for a node z of that density.
+    the unit vector omega = (z, sqrt(1 - |z|^2)) of R^(k+1) for a node z of
+    that density, and the nodes are (m, k + 1).  The coordinates past k + 1,
+    which would all be 0, are left out: an integrand of omega_1..omega_k and
+    |omega| reads the same value from the shorter vector.
     """
     if N < 1:
         raise ValueError(f"the unit sphere S^(N-1) needs N >= 1, got N = {N}")
@@ -345,36 +350,37 @@ def _sphere_nodes(N: int, level: int, k: int | None = None) -> tuple[np.ndarray,
 
 def _reduced_sphere_nodes(N: int, level: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k == 0:
-        omega = np.zeros((1, N))
-        omega[0, 0] = 1.0
-        return omega, np.ones(1)
+        return np.ones((1, 1)), np.ones(1)
     # z = |z| theta: the push-forward density in |z|, with as many nodes as
     # the tensor rule's polar factor, times a rule on S^(k-1)
     rz, wz = _ball_rule(_polar_count(level), k, 0.5 * (N - k - 2), 1.0)
     theta, wt = _sphere_nodes(k, level)
-    omega = np.zeros((len(rz), len(wt), N))
+    omega = np.empty((len(rz), len(wt), k + 1))
     omega[..., :k] = rz[:, None, None] * theta
     omega[..., k] = np.sqrt(np.maximum(0.0, 1.0 - rz * rz))[:, None]
-    return omega.reshape(-1, N), (wz[:, None] * wt).reshape(-1)
+    return omega.reshape(-1, k + 1), (wz[:, None] * wt).reshape(-1)
 
 
-def _reduced_k(N: int, symmetry: int | None, center) -> int | None:
+def _reduced_k(N: int, symmetry: int | None, center) -> tuple[int | None, np.ndarray | None]:
     """The k of the reduced angular rule for an integrand declared to depend
-    on y only through y_1..y_k and |y|, or None for the tensor rule.
+    on y only through y_1..y_k and |y|, or None for the tensor rule, and the
+    center the rule's points are offset by: for the reduced rule, whose
+    points are k + 1 wide, the first k + 1 entries of the center.
 
     The reduction needs a center in the span of e_1..e_k, so that the
     integrand is still a function of omega_1..omega_k on every sphere about
-    the center.  It is used for k <= N - 2 only: at k = N - 1 it saves at most
-    half the directions, and its Gauss-Jacobi parameter -1/2 loses 1e-14 to
-    7e-14 in the moments of omega_1 up to degree 6 at level 96 (N = 3..5),
-    against at most 6e-15 at k <= N - 2.  At N <= 2 the tensor rule is a
-    single circle rule and is kept.
+    the center, and the entries cut off are 0.  It is used for k <= N - 2
+    only: at k = N - 1 it saves at most half the directions, and its
+    Gauss-Jacobi parameter -1/2 loses 1e-14 to 7e-14 in the moments of
+    omega_1 up to degree 6 at level 96 (N = 3..5), against at most 6e-15 at
+    k <= N - 2.  At N <= 2 the tensor rule is a single circle rule and is
+    kept.
     """
     if symmetry is None or N < 3 or not 0 <= symmetry <= N - 2:
-        return None
-    if center is not None and np.any(np.asarray(center)[symmetry:] != 0.0):
-        return None
-    return symmetry
+        return None, center
+    if center is not None and np.any(center[symmetry:] != 0.0):
+        return None, center
+    return symmetry, (None if center is None else center[: symmetry + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +661,7 @@ def _shell_mean(
     those of integrate_ball and integrate_sphere, which check them."""
     c = None if center is None else np.asarray(center, dtype=float)
     power = N - 1 + radial_power
-    k = _reduced_k(N, symmetry, c)
+    k, c = _reduced_k(N, symmetry, c)
 
     def eval_at(level: int):
         omega, wa = _sphere_nodes(N, level, k)
@@ -727,7 +733,11 @@ def integrate_ball(
     The power can be as singular as 1 - N; it is folded into the radial rule.
     symmetry = k declares that f depends on y only through y_1..y_k and |y|;
     the reduced angular rule of _sphere_nodes is then used where it applies
-    (see _reduced_k), and the tensor rule everywhere else.
+    (see _reduced_k), and the tensor rule everywhere else.  Under the reduced
+    rule f gets points y of width k + 1, not N, as the (k + 1)-wide image
+    (y_1..y_k, |(y_(k+1), ..., y_N)|) of an N-wide point, so a declared f
+    must accept any width of at least k + 1 and read N, where it needs it,
+    from its own closure, never from the width of y.
     """
     if not r > 0.0:
         raise ValueError(f"need r > 0, got r={r}")

@@ -188,6 +188,10 @@ _DOMAIN_ERRORS = [
     # offsets: on the plane only, and inside the smallest radius
     (["mcf", "--which", "ms", "--surface", "tilted", "--delta", "0.1"], "offset reference values are cataloged"),
     (["mcf", "--which", "ms", "--delta", "0.8"], "--delta must stay below the smallest grid radius"),
+    # a tilted plane needs one slope per coordinate, and the equator map a
+    # domain of 3 or more dimensions
+    (["mcf", "--which", "huisken", "--surface", "tilted", "--d", "2", "--a", "0.4"], "--a needs at least 2 entries"),
+    (["lift-demo", "--which", "harmonic-map", "--field", "equator", "--d", "2"], "the equator map needs --d >= 3"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Reduced angular rules for fields that declare a symmetry: the rules
-themselves, agreement with the tensor rule, the cases that fall back to the
+themselves and the width of their points, the fields' contract for that
+width, agreement with the tensor rule, the cases that fall back to the
 tensor rule, and the node count they save."""
 
 import dataclasses
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 
 import dimlift.integrate
-from dimlift.fields import NonhomTerm, ScalarField, bump_radial, equator_map, half_space_pair, harmonic_polynomial
+from dimlift.fields import (
+    NonhomTerm,
+    ScalarField,
+    SphereField,
+    bump_radial,
+    equator_map,
+    half_space_pair,
+    harmonic_polynomial,
+)
 from dimlift.functionals import (
     acf_phi,
     almgren,
@@ -18,7 +27,7 @@ from dimlift.functionals import (
     hm_dphi_lower_bound,
     hm_phi,
 )
-from dimlift.functionals.common import gradsq
+from dimlift.functionals.common import dot, gradsq
 from dimlift.integrate import (
     _shell_mean,
     _shell_total,
@@ -47,7 +56,7 @@ def _undeclared(field):
 def test_reduced_rule_integrates_moments_of_the_first_k_coordinates(N, k):
     omega, wa = _sphere_nodes(N, 48, k)
     assert np.allclose(np.linalg.norm(omega, axis=-1), 1.0, rtol=0.0, atol=1e-15)
-    assert np.all(omega[:, k + 1 :] == 0.0)
+    assert omega.shape[1] == k + 1
     # the weights are those of the uniform probability law on the sphere
     assert math.isclose(wa.sum(), 1.0, rel_tol=1e-13)
     # E[w1^2] = 1/N, E[w1^4] = 3/(N(N+2)), E[w1^2 w2^2] = 1/(N(N+2))
@@ -60,8 +69,61 @@ def test_reduced_rule_integrates_moments_of_the_first_k_coordinates(N, k):
 
 def test_radial_rule_is_one_node():
     omega, wa = _sphere_nodes(5, 48, 0)
-    assert omega.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0]]
+    assert omega.tolist() == [[1.0]]
     assert wa.tolist() == [1.0]
+
+
+def _image(y, k):
+    # the (k + 1)-wide point (y_1..y_k, |(y_(k+1), ..., y_N)|) with the same
+    # y_1..y_k and |y| as y
+    return np.concatenate([y[..., :k], np.linalg.norm(y[..., k:], axis=-1, keepdims=True)], axis=-1)
+
+
+DECLARED = {
+    "x1": lambda N: harmonic_polynomial("x1", N),
+    "x1x2": lambda N: harmonic_polynomial("x1x2", N),
+    "y1_plus": lambda N: half_space_pair(N, kind="elliptic")[0],
+    "y1_minus": lambda N: half_space_pair(N, kind="elliptic")[1],
+    "bump_radial": lambda N: bump_radial(N, 0.5, 1.5),
+    "equator energy": equator_map,
+}
+
+
+def _terms(field, y):
+    if isinstance(field, SphereField):
+        return [field.energy(y)]
+    g = field.grad(y)
+    assert g.shape == y.shape
+    return [field.value(y), dot(g, g), dot(y, g), field.laplacian(y)]
+
+
+@pytest.mark.parametrize("N", [5, 40])
+@pytest.mark.parametrize("name", sorted(DECLARED))
+def test_a_declared_field_reads_a_point_through_its_k_plus_one_wide_image(name, N):
+    # the reduced rule hands a field declaring symmetry = k points of width
+    # k + 1; the field must give there what it gives at every N-wide point
+    # with the same y_1..y_k and |y|
+    field = DECLARED[name](N)
+    rng = np.random.default_rng(N)
+    y = rng.standard_normal((3, 4, N))
+    # radii inside the bump's annulus, and both signs of y_1
+    y *= (rng.uniform(0.6, 1.4, (3, 4)) / np.linalg.norm(y, axis=-1))[..., None]
+    for wide, narrow in zip(_terms(field, y), _terms(field, _image(y, field.symmetry))):
+        assert np.shape(narrow) == (3, 4)
+        np.testing.assert_allclose(narrow, wide, rtol=1e-13, atol=1e-15)
+
+
+def test_a_sphere_mean_at_480_dimensions_runs_on_four_wide_points():
+    # E[1 + w1^2 + w2 w3 + w3^4] = 1 + 1/N + 0 + 3/(N(N+2)) on S^(N-1)
+    N, widths = 480, set()
+
+    def f(y):
+        widths.add(y.shape[-1])
+        return 1.0 + y[..., 0] ** 2 + y[..., 1] * y[..., 2] + y[..., 2] ** 4
+
+    mean = _shell_mean(f, N, 1.0, 1.0, symmetry=3).value
+    assert widths == {4}
+    assert abs(mean - (1.0 + 1.0 / N + 3.0 / (N * (N + 2)))) <= 1e-13
 
 
 CASES = {
