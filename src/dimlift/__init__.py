@@ -13,10 +13,9 @@ together with their finite-n counterparts.
 from .errors import AccuracyError, DegenerateDenominatorError, UnsupportedConfigError
 from .lift import (
     LiftConfig,
-    LiftedDerivatives,
     lift_point,
     lift_point_time,
-    lifted_derivatives,
+    lifted_field,
     sphere_area,
 )
 from .weights import (
@@ -52,10 +51,9 @@ __all__ = [
     "DegenerateDenominatorError",
     "UnsupportedConfigError",
     "LiftConfig",
-    "LiftedDerivatives",
     "lift_point",
     "lift_point_time",
-    "lifted_derivatives",
+    "lifted_field",
     "sphere_area",
     "WeightLimitReport",
     "finite_weight",

@@ -204,7 +204,7 @@ def _run_gn_limit(args):
     header = ["n", "sup_rel_error", "ratio_to_previous"]
     rows = []
     for i, n in enumerate(n_list):
-        ratio = "" if i == 0 else errs[i - 1] / errs[i]
+        ratio = "" if i == 0 else report.successive_ratios[i - 1]
         rows.append([n, float(errs[i]), ratio])
     return (header, rows, *_verdict("converging", errs, errs, 0.0))
 
@@ -231,13 +231,11 @@ def _run_pushforward(args):
     for name in names:
         base = _PHI_CATALOG[name]
         if args.domain == "sphere":
-            res = pushforward_check_sphere(base, args.d, args.n, args.t, mc, threads=args.threads)
+            res = pushforward_check_sphere(base, args.d, args.n, args.t, mc)
         else:
             # the ball identity integrates space-time functions; spatial phi
             # just ignores the time argument
-            res = pushforward_check_ball(
-                lambda x, tt, f=base: f(x), args.d, args.n, args.t, mc, threads=args.threads
-            )
+            res = pushforward_check_ball(lambda x, tt, f=base: f(x), args.d, args.n, args.t, mc)
         rows.append(
             [name, res.mc_value, res.mc_std_error, res.quad_value, res.discrepancy_in_std_errors]
         )

@@ -1071,7 +1071,9 @@ def _pushforward_check(kind: str, phi, d: int, n: int, t: float, mc, threads: in
     return PushforwardCheck(mc_value=mean, mc_std_error=se, quad_value=quad, discrepancy_in_std_errors=disc)
 
 
-def pushforward_check_sphere(phi, d: int, n: int, t: float, mc: MonteCarloSpec, threads: int = 1) -> PushforwardCheck:
+def pushforward_check_sphere(
+    phi, d: int, n: int, t: float, mc: MonteCarloSpec, threads: int | None = None
+) -> PushforwardCheck:
     """Sphere average of phi(step-sum) vs. the finite-weight integral of phi.
 
     phi must be a pure function: its quadrature side is computed once per
@@ -1081,7 +1083,8 @@ def pushforward_check_sphere(phi, d: int, n: int, t: float, mc: MonteCarloSpec, 
     in law for the uniform sphere of radius sqrt(2 d t) in R^(nd), where
     sample_sphere_uniform draws nd normals.  Batches are drawn and reduced on
     `threads` workers (_drawn_mc_mean), with the bits of mc_mean over the
-    same batches for any thread count.
+    same batches for any thread count; None takes the count every
+    quadrature sum reads (_worker_count).
     """
     cfg = LiftConfig(d=d, n=n)
     # t <= 0 (or NaN) fails the radius check rather than the square root
@@ -1094,7 +1097,9 @@ def pushforward_check_sphere(phi, d: int, n: int, t: float, mc: MonteCarloSpec, 
     return _pushforward_check("sphere", phi, d, n, t, mc, threads, draw, width=d, batch_phi=phi, scale=1.0)
 
 
-def pushforward_check_ball(phi, d: int, n: int, tau: float, mc: MonteCarloSpec, threads: int = 1) -> PushforwardCheck:
+def pushforward_check_ball(
+    phi, d: int, n: int, tau: float, mc: MonteCarloSpec, threads: int | None = None
+) -> PushforwardCheck:
     """Lifted-measure average of phi(lift) times tau vs. the space-time integral.
 
     phi must be a pure function: its quadrature side is computed once per

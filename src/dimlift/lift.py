@@ -3,7 +3,8 @@
 A lifted point y is read as n steps of d coordinates each, stored row-major:
 ``y[(i-1)*n + (j-1)]`` is step j of coordinate i for i in 1..d, j in 1..n.
 The lift map sends y to the pair (x, t) with ``x_i = sum_j y_{i,j}`` and
-``t = |y|^2 / (2d)``.
+``t = |y|^2 / (2d)``; ``lifted_field`` pulls a space-time field back along
+it to a field on R^(n*d) that the elliptic functionals read.
 """
 
 from __future__ import annotations
@@ -13,15 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import ScalarField
 from .weights import _log_sphere_area
 
 __all__ = [
     "LiftConfig",
-    "LiftedDerivatives",
     "sphere_area",
     "lift_point",
     "lift_point_time",
-    "lifted_derivatives",
+    "lifted_field",
 ]
 
 
@@ -84,52 +85,53 @@ def lift_point_time(cfg: LiftConfig, y: np.ndarray):
     return x, t
 
 
-@dataclass(frozen=True)
-class LiftedDerivatives:
-    """Derivatives of v(y) = u(lift(y)) at a single lifted point."""
+def lifted_field(u, cfg: LiftConfig) -> ScalarField:
+    """The lift v(y) = u(x, t) of u, a field on R^(nd) in rotated coordinates.
 
-    grad_v: np.ndarray
-    laplacian_v: float
-    radial_v: float
-    gradsq_v: float
+    The field reads w = Q y for an orthogonal Q whose first d rows are the
+    unit step-sum directions, so x = sqrt(n) w_1..d and t = |w|^2 / (2d).
+    It depends on w only through w_1..w_d and |w|: it declares
+    symmetry = d, accepts points of any width of at least d + 1, and
+    returns a gradient of the width it was given.  With the derivatives of
+    u taken at (x, t):
 
+    * grad v = sqrt(n) u_x on w_1..w_d, plus (w/d) u_t on every column
+    * Lap v  = n (Lap u + u_t) + (2/d) (x . grad u_t + t u_tt)
 
-def lifted_derivatives(cfg: LiftConfig, u, y: np.ndarray) -> LiftedDerivatives:
-    """Chain-rule package for v(y) = u(x, t) with (x, t) = lift(y).
-
-    ``u`` must provide vectorized ``grad``, ``dt``, ``laplacian``, and
-    ``grad_dt`` evaluators (a SpaceTimeField does).  Requires t > 0, i.e.
-    y != 0.
-
-    Identities used, with y_{i,j} the j-th step of coordinate i:
-
-    * dv/dy_{i,j}   = u_{x_i} + (y_{i,j}/d) u_t
-    * Lap_y v       = n (Lap_x u + u_t) + (2/d) (x . grad u_t + t u_tt)
-    * y . grad_y v  = x . grad_x u + 2 t u_t
-    * |grad_y v|^2  = n |grad_x u|^2 + (2/d) (x . grad u + t u_t) u_t
+    ``u`` must provide vectorized ``value``, ``grad``, ``dt``,
+    ``laplacian``, ``grad_dt`` and ``dtt`` evaluators (a SpaceTimeField
+    does).
     """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("lifted_derivatives expects a single point")
-    x, t = lift_point_time(cfg, y)
-    if not t > 0.0:
-        raise ValueError("lifted derivatives need t = |y|^2/(2d) > 0; got y = 0")
-
     d, n = cfg.d, cfg.n
-    ux = np.asarray(u.grad(x, t), dtype=float).reshape(d)
-    ut = float(u.dt(x, t))
-    lap_u = float(u.laplacian(x, t))
-    grad_ut = np.asarray(u.grad_dt(x, t), dtype=float).reshape(d)
-    utt = float(u.dtt(x, t))
+    if u.d != d:
+        raise ValueError(f"field lives on R^{u.d}, but the lift has d = {d}")
+    root_n = math.sqrt(n)
 
-    steps = _steps(cfg, y)  # (d, n)
-    grad_v = (ux[:, None] + steps * (ut / d)).reshape(cfg.N)
-    lap_v = n * (lap_u + ut) + (2.0 / d) * (float(x @ grad_ut) + t * utt)
-    radial_v = float(x @ ux) + 2.0 * t * ut
-    gradsq_v = n * float(ux @ ux) + (2.0 / d) * (float(x @ ux) + t * ut) * ut
-    return LiftedDerivatives(
-        grad_v=grad_v,
-        laplacian_v=float(lap_v),
-        radial_v=radial_v,
-        gradsq_v=float(gradsq_v),
+    def base(w):
+        w = np.asarray(w, dtype=float)
+        return w, root_n * w[..., :d], np.sum(w * w, axis=-1) / (2.0 * d)
+
+    def value(w):
+        _, x, t = base(w)
+        return u.value(x, t)
+
+    def grad(w):
+        w, x, t = base(w)
+        g = w * (np.asarray(u.dt(x, t), float) / d)[..., None]
+        g[..., :d] += root_n * np.asarray(u.grad(x, t), float)
+        return g
+
+    def laplacian(w):
+        _, x, t = base(w)
+        x_grad_ut = np.sum(x * np.asarray(u.grad_dt(x, t), float), axis=-1)
+        heat = np.asarray(u.laplacian(x, t), float) + np.asarray(u.dt(x, t), float)
+        return n * heat + (2.0 / d) * (x_grad_ut + t * np.asarray(u.dtt(x, t), float))
+
+    return ScalarField(
+        N=cfg.N,
+        value=value,
+        grad=grad,
+        laplacian=laplacian,
+        name=f"lift of {u.name} (d={d}, n={n})",
+        symmetry=d,
     )

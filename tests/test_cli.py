@@ -281,11 +281,109 @@ _LOWDIM_CASES = [["1.0" if a == "T" else a for a in argv] for argv in GOLDEN.LOW
 ]
 
 
+# sha256 of each case's CSV and summary JSON, as tools/cli_golden.py hashes
+# them, recorded under numpy 2.4.6.  A change that moves these bytes on
+# purpose updates this table and lists every moved value in CHANGES.md
+# (tools/cli_golden.py diff gives them).
+_LOWDIM_SHA256 = {
+    "gn-limit --d 1": (
+        "560b7e2f9964613f90c20661e8c265db43dfb9d9bfca5fc564515b52f9d77ed0",
+        "06862a8f781555a30f82168941686964111695a0fdee50e6032b471ae11b3a91",
+    ),
+    "gn-limit --d 2": (
+        "b290a0f4658de05937252cf8772884f5880169d690964aa26f0a8870d10b35d3",
+        "50a3e79057b0f60ecf8b1020b515e87ee3f7bb9646d3b7f2e0c3f082620e297e",
+    ),
+    "frequency --parabolic --field x1sq --d 1": (
+        "cba34e531523759b31a3ca6c953dfd3257d4f740dbd2a6fe91d901de32ceda59",
+        "11e02f9a3b60d631ea25450d7a91714ca35c7d16b11638ffacbfa95bec54dc4f",
+    ),
+    "frequency --parabolic --field x1cube --d 2": (
+        "972196307a2518ee5d08de3a88adf60195614e0be9afca9506d649564e42fecf",
+        "26088380eecab3800d01e497c7ecd3445933a1a106230fb6e8b5cdfeb7cd4ce9",
+    ),
+    "frequency --parabolic --field hk --d 2": (
+        "d3bbd2d9c9e7045a692496a1e37851127a95547417a70a855d1d6dce616f87fc",
+        "83918d6b98ef4d291bbe0371962b84bc3822589b708dff70e54fe80b7e395f27",
+    ),
+    "carleman --parabolic --d 1": (
+        "b40a2ebcf944d17186bc53b6a549faf68c1183be9d1594ec2d435d84591372ce",
+        "cad2a15306c4330745d2c45d3f1bd85883df7e847d98acca7472bae3cae1bad4",
+    ),
+    "two-phase --kind parabolic --pair half --d 1": (
+        "87c846e3f859a438257ed8f8f504750d18cbd8648cc4de3767f79a56caa00dd4",
+        "b682f48f21c6fa85420e854e0357bd3dd32d0669178eb8ba442eceb504b28c25",
+    ),
+    "two-phase --kind parabolic --pair power --d 2": (
+        "9f1c0cb3266c379b85d0759c5414216d098dd28a65f7823dd2f8e61df95938c9",
+        "78941d0379023bf0dedbfa52cb27c80d1488a818cf4ab0a7861c726eb1db2f8e",
+    ),
+    "two-phase --kind lifted --pair half --d 1 --t 1.0": (
+        "03bc275bd82b2cfdf2d7e1a116892d38d4eaed38a621b82903273efe90e72197",
+        "a807dcc21d140afee149ecc1e0d1ddf2c97eac13bb756050a55930eea464bb5f",
+    ),
+    "two-phase --kind lifted --pair power --d 2 --t 1.0": (
+        "a0c01c26bdb46dd190aef43401d43b88427320e6deb5452b4d9515bd2be8d669",
+        "a8c5c54d314050dd6923b7ca7ad6b5ddf3936a316a8eeedf9fd3c33ab4e9c98c",
+    ),
+    "harmonic-map --which struwe --map circle --d 2": (
+        "538952e1042866fa16dfa6bfdfef2e82d4cb26cd3f952ad29466f7d37d9c99ca",
+        "19f4941a2b1ce9769f4678dd30a80690cd98fd0deb1bcf57e3a2ebed253507de",
+    ),
+    "harmonic-map --which lifted --map circle --d 2 --t 1.0": (
+        "d8c2a1ae91fb4a8c785f3d1c9df8fb9f02bb56a5ded1f99bb6fec98cdcf1ab87",
+        "08463f7ce5e2e4f4f29cdbf15031d8d065649bde0f66aa4bb7d22cb581b77289",
+    ),
+    "mcf --which huisken --surface const --d 2": (
+        "aff65f8c36107abacdef697123abd02a613b6805c21a5256b8b9f70a11bb1cd6",
+        "c0f3327b51606067997d16e19d77153e9317d48685cfa69aa2b6ab6594c1cfbe",
+    ),
+    "mcf --which lifted --d 1 --t 1.0": (
+        "8ecda2623a41028784a0206ad289b2d8ed372d7c14a558e8f1d9c74dc4140659",
+        "ce64aceb41a2ab273b731822d0421ea0b285dcb1e962168d75c30e34c539abca",
+    ),
+    "mcf --which lifted --d 2": (
+        "6e4df78a04f956bd434b8b6177ef60a6178f2fafeeebc5dab2ab6592a488e214",
+        "783ef2acf7b13c92b86d2ff56f2e75a5ab7dd240b4131187952fee201e307a1d",
+    ),
+    "lift-demo --which frequency --field x1cube --d 2 --t 1.0": (
+        "2367c19d12e6fc7fe0bf07472e6dac76477f371667e66bd7451be79a3ce71f93",
+        "0d01bb9a88acd715a1f528fc6ce6be014148b73b2e2b0bafcf1ab61537491a22",
+    ),
+    "lift-demo --which two-phase --field half --d 2 --t 1.0": (
+        "6bd4d1b5442677437ae4f7cc05f05827fd766e5fb0064da24f1f0211bc2d39cb",
+        "1e265e3eb71c34986a0ae5928f6dbd9707272db9dc4ac93cacda2130bb1fb162",
+    ),
+    "lift-demo --which harmonic-map --field circle --d 1 --t 1.0": (
+        "8b35ef082606a2d37899b5d16cf0e590dbe1c5b89beeb75b299705261a603919",
+        "b8fff1f30c9c85fbb1503d033746d7f22a87f67cca3e861a0bd528263d081157",
+    ),
+    "lift-demo --which mcf --field const --d 1 --t 1.0": (
+        "70a1b07a73bf52aa8d6ec62683dad2a67ed752040d91d7fb48ac5ec5ce10acb0",
+        "061ce8354c7c02d9517590bb900f59579ab54f822b612d95afb9a7af222b68b0",
+    ),
+    "frequency --elliptic --field re_z3": (
+        "b10aba728d82d5d82a7e181dae4222502b34eac7afde24690c691497445ba5fa",
+        "b137d465f0e7f77d3c44c2f35755aa91e62553e22f5a8b4dc84715ec37e91f79",
+    ),
+    "pushforward --domain ball --samples 20000": (
+        "01355bb891f0bb346fb96d31bd77f3ab9bad0577d5749e49ddfbb0c1cfe4ae39",
+        "6920b57be0d3ae78a636fc39bf910a184bec79e72f23027e060a2ad05c6955ab",
+    ),
+    "mcf --which huisken --surface tilted --d 2": (
+        "dde35a8e062fdfbbb364ad3316de8b425d67ee018600d4f45060490a2246659e",
+        "5a1ffbae3161dcc51892d908e00e313e342604ed3ca87a88f1f57766747cce98",
+    ),
+}
+
+
 @pytest.mark.parametrize("argv", _LOWDIM_CASES, ids=" ".join)
 def test_low_dimensional_cases_pass(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "run"]) == 0
     assert json.loads((tmp_path / "run.json").read_text())["status"] == "pass"
+    hashes = tuple(GOLDEN._sha((tmp_path / f"run.{ext}").read_text()) for ext in ("csv", "json"))
+    assert hashes == _LOWDIM_SHA256[" ".join(argv)]
 
 
 @pytest.mark.parametrize("argv", [["no-such-command"], ["gn-limit", "--bogus"], []])

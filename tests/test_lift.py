@@ -1,4 +1,6 @@
-"""Lifting map contract: coordinate sums, lifted time, and the chain rule."""
+"""Lifting map contract: coordinate sums, lifted time, the lifted field, and
+the finite-n agreement of the elliptic functionals on it with the hand-reduced
+lifted formulas."""
 
 import math
 
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimlift import LiftConfig, lift_point, lift_point_time, lifted_derivatives, sphere_area
+from dimlift import LiftConfig, integrate_ball, lift_point, lift_point_time, lifted_field, sphere_area
 from dimlift.fields import caloric_polynomial, heat_kernel_translate
+from dimlift.functionals import almgren, lifted_frequency, lifted_two_phase
+from dimlift.functionals.common import dot, gradsq
 
 
 def test_row_major_flattening_is_the_contract():
@@ -77,17 +81,31 @@ def _composed(u, cfg, y):
     return float(u.value(x, t))
 
 
+def test_lifted_field_declares_the_base_dimension():
+    cfg = LiftConfig(d=2, n=7)
+    v = lifted_field(caloric_polynomial("x1cube", 2), cfg)
+    assert (v.N, v.symmetry) == (14, 2)
+    with pytest.raises(ValueError, match="R\\^1"):
+        lifted_field(caloric_polynomial("x1", 1), cfg)
+
+
 @pytest.mark.parametrize("field_name", ["x1", "x1sq", "x1cube", "radial"])
-def test_chain_rule_matches_finite_differences(field_name, rng):
-    # modest N keeps the FD Laplacian affordable; acceptance runs the full matrix
+def test_chain_rule_matches_finite_differences(field_name, rng, step_sum_rotation):
+    # modest N keeps the FD Laplacian affordable; acceptance runs the full
+    # matrix.  The reference differences the row-major composition in y; the
+    # field is read at w = Q y, so its y-gradient is Q^T grad v(w)
     d, n = 2, 3
     cfg = LiftConfig(d=d, n=n)
     u = caloric_polynomial(field_name, d)
+    v = lifted_field(u, cfg)
+    Q = step_sum_rotation(cfg)
     h, h2 = 1e-5, 1e-3
     for _ in range(10):
         y = rng.uniform(-1.0, 1.0, size=cfg.N)
         y *= math.sqrt(2 * d * rng.uniform(0.3, 1.5)) / np.linalg.norm(y)
-        got = lifted_derivatives(cfg, u, y)
+        w = Q @ y
+        grad_w = v.grad(w)
+        lap_v = float(v.laplacian(w))
 
         grad_fd = np.empty(cfg.N)
         lap_fd = 0.0
@@ -98,28 +116,67 @@ def test_chain_rule_matches_finite_differences(field_name, rng):
             grad_fd[k] = (_composed(u, cfg, y + h * e) - _composed(u, cfg, y - h * e)) / (2 * h)
             lap_fd += (_composed(u, cfg, y + h2 * e) - 2 * f0 + _composed(u, cfg, y - h2 * e)) / h2**2
 
+        radial_v = float(dot(w, grad_w))
+        gradsq_v = float(dot(grad_w, grad_w))
         scale = max(1.0, float(np.max(np.abs(grad_fd))))
-        assert np.max(np.abs(got.grad_v - grad_fd)) < 1e-6 * scale
-        assert abs(got.laplacian_v - lap_fd) < 1e-4 * max(1.0, abs(lap_fd))
-        assert abs(got.radial_v - float(y @ grad_fd)) < 1e-6 * max(1.0, abs(got.radial_v))
-        assert abs(got.gradsq_v - float(grad_fd @ grad_fd)) < 1e-5 * max(1.0, got.gradsq_v)
+        assert abs(float(v.value(w)) - f0) < 1e-12 * max(1.0, abs(f0))
+        assert np.max(np.abs(Q.T @ grad_w - grad_fd)) < 1e-6 * scale
+        assert abs(lap_v - lap_fd) < 1e-4 * max(1.0, abs(lap_fd))
+        assert abs(radial_v - float(y @ grad_fd)) < 1e-6 * max(1.0, abs(radial_v))
+        assert abs(gradsq_v - float(grad_fd @ grad_fd)) < 1e-5 * max(1.0, gradsq_v)
 
 
-def test_lifted_laplacian_closed_form(rng):
+def test_lifted_laplacian_closed_form(rng, step_sum_rotation):
     # Lap v = n (Lap u + du/dt) + (2/d) x . grad(du/dt) + (2t/d) d^2u/dt^2;
     # for caloric u only the two 1/n-order correction terms survive
     d, n = 1, 7
     cfg = LiftConfig(d=d, n=n)
     u = heat_kernel_translate(d, np.array([1.5]), 2.0)
+    v = lifted_field(u, cfg)
+    Q = step_sum_rotation(cfg)
     for _ in range(20):
         y = rng.uniform(-0.8, 0.8, size=cfg.N)
         if np.linalg.norm(y) < 1e-3:
             continue
         x, t = lift_point_time(cfg, y)
-        got = lifted_derivatives(cfg, u, y)
+        got = float(v.laplacian(Q @ y))
         expected = (
             n * (float(u.laplacian(x, t)) + float(u.dt(x, t)))
             + (2.0 / d) * float(np.dot(x, np.atleast_1d(u.grad_dt(x, t))))
             + (2.0 * t / d) * float(u.dtt(x, t))
         )
-        assert abs(got.laplacian_v - expected) < 1e-12 * max(1.0, abs(expected))
+        assert abs(got - expected) < 1e-12 * max(1.0, abs(expected))
+
+
+# The elliptic functionals on the lifted field against the hand-reduced
+# lifted formulas, at each finite n.  On the sphere of radius sqrt(2dt) the
+# frequency is the same number; the two-phase ball integral with weight
+# |w|^(2-nd) on the ball of radius sqrt(2d tau) is nd |S^(nd-1)| times each
+# factor of lifted_two_phase.  x1sq and radial have u_t != 0, which the
+# 2/nd term of the two-phase energy reads; x1cube and the heat kernel have
+# grad u_t != 0, which the frequency's history term reads.
+_ORACLE_FIELDS = {
+    "x1sq": lambda d: caloric_polynomial("x1sq", d),
+    "x1cube": lambda d: caloric_polynomial("x1cube", d),
+    "radial": lambda d: caloric_polynomial("radial", d),
+    "heat kernel": lambda d: heat_kernel_translate(d, [0.5], 3.0),
+}
+_ORACLE_CASES = [(name, 1, n) for name in _ORACLE_FIELDS for n in (4, 10, 40, 160, 320)] + [
+    (name, 2, n) for name in ("x1sq", "x1cube") for n in (4, 40, 160)
+]
+
+
+@pytest.mark.parametrize("name,d,n", _ORACLE_CASES)
+def test_elliptic_functionals_of_the_lift_match_the_lifted_formulas(name, d, n):
+    cfg = LiftConfig(d=d, n=n)
+    u = _ORACLE_FIELDS[name](d)
+    v = lifted_field(u, cfg)
+    t, tau = 1.0, 0.7
+
+    elliptic = almgren(v, math.sqrt(2 * d * t)).L
+    assert abs(elliptic - lifted_frequency(u, cfg, t)) <= 1e-10 * abs(elliptic)
+
+    N = cfg.N
+    energy = integrate_ball(gradsq(v), N, math.sqrt(2 * d * tau), radial_power=2 - N, symmetry=d).value
+    factor = lifted_two_phase(u, u, cfg, tau).factor1
+    assert abs(energy - N * sphere_area(N) * factor) <= 1e-10 * abs(energy)
