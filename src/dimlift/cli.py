@@ -68,8 +68,6 @@ from .weights import weight_limit_report
 
 __all__ = ["main"]
 
-SWEEP_TOL = 1e-8
-
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -121,8 +119,8 @@ def _cell(value) -> str:
 
 def _decrease_margin(values) -> float:
     """Worst monotonicity violation: positive when some step falls by more
-    than SWEEP_TOL relative to the local scale, 0 otherwise; NaN if a value is."""
-    return float(np.max(_step_margins(np.asarray(values, dtype=float), SWEEP_TOL), initial=0.0))
+    than sweeps.SWEEP_TOL relative to the local scale, 0 otherwise; NaN if a value is."""
+    return float(np.max(_step_margins(np.asarray(values, dtype=float)), initial=0.0))
 
 
 def _increase_margin(values) -> float:
@@ -381,7 +379,7 @@ def _run_mcf(args):
                 raise ValueError("--delta must stay below the smallest grid radius")
             # density of a d-dimensional plane at distance delta from the center
             ref = (1.0 - args.delta**2 / r**2) ** (0.5 * args.d) if args.surface == "plane" else 1.0
-            return [ms_density(surface, w0, r, t=0.0), ref]
+            return [ms_density(surface, w0, r), ref]
 
         return _sequence(args, "r", header, at)
     surface = _surface(args)

@@ -53,7 +53,7 @@ class ScalarField:
     grad: Callable
     laplacian: Callable | None = None
     name: str = ""
-    support: tuple | None = None  # ("annulus", r_in, r_out) or None for all of R^N
+    support: tuple | None = None  # (r_in, r_out) of an annulus, or None for all of R^N
     # k when v(y) depends on y only through y_1..y_k and |y|, that is, v is
     # unchanged by every rotation fixing e_1..e_k; None declares nothing.  A
     # field that declares k reads only y_1..y_k and |y|: it accepts points of
@@ -86,7 +86,6 @@ class SphereField:
     value: Callable  # (..., dim_domain) -> (..., target dimension)
     jacobian: Callable  # -> (..., target dimension, dim_domain)
     energy: Callable  # |Dv|^2, the squared Frobenius norm of the jacobian
-    dt: Callable | None = None  # None marks a time-independent map
     name: str = ""
     # k when the energy |Dv|^2 depends on y only through y_1..y_k and |y|;
     # None declares nothing.  A map that declares k accepts points of any
@@ -721,7 +720,7 @@ def bump_radial(N: int, r_in: float, r_out: float, k: int = 4) -> ScalarField:
         grad=grad,
         laplacian=laplacian,
         name=f"bump_radial([{r_in},{r_out}], k={k})",
-        support=("annulus", r_in, r_out),
+        support=(r_in, r_out),
         symmetry=0,
     )
 
@@ -779,8 +778,9 @@ def _rel(err: np.ndarray, ref: np.ndarray) -> float:
     return float(np.max(np.abs(err) / np.maximum(np.abs(ref), 1.0)))
 
 
-def fd_check_scalar(field: ScalarField, points: np.ndarray, h: float = 1e-5) -> float:
-    """Max relative mismatch between field.grad and central differences of field.value."""
+def fd_check_scalar(field: ScalarField, points: np.ndarray) -> float:
+    """Max relative mismatch between field.grad and central differences of field.value, step 1e-5."""
+    h = 1e-5
     points = np.asarray(points, dtype=float)
     an = np.asarray(field.grad(points), float)
     fd = np.empty_like(an)
@@ -791,14 +791,15 @@ def fd_check_scalar(field: ScalarField, points: np.ndarray, h: float = 1e-5) -> 
     return _rel(fd - an, an)
 
 
-def fd_check_spacetime(u: SpaceTimeField, points: np.ndarray, ts: np.ndarray, h: float = 1e-5, h2: float = 1e-3) -> dict:
+def fd_check_spacetime(u: SpaceTimeField, points: np.ndarray, ts: np.ndarray) -> dict:
     """Relative FD mismatches for all stored derivatives of a space-time field.
 
     ts broadcasts against points[..., 0], and each stencil offset is one call
-    of u.value on all points.  First derivatives use step h; the Laplacian
-    and dtt use the larger step h2 to keep the second-difference roundoff
-    below the check tolerance.
+    of u.value on all points.  First derivatives use step h = 1e-5; the
+    Laplacian and dtt use the larger step h2 = 1e-3 to keep the
+    second-difference roundoff below the check tolerance.
     """
+    h, h2 = 1e-5, 1e-3
     x = np.asarray(points, dtype=float)
     t = np.asarray(ts, dtype=float)
     steps = np.eye(u.d)

@@ -22,8 +22,6 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EllipticCarlemanReport:
-    gamma: float
-    N: int
     constant_used: float
     lhs: float
     rhs: float
@@ -35,7 +33,6 @@ class EllipticCarlemanReport:
 class CarlemanReport:
     """Space-time inequality report; the constant is the n -> infinity value 8/eps^2."""
 
-    alpha: float
     beta: float
     epsilon: float
     lhs: float
@@ -60,9 +57,9 @@ def carleman_elliptic_constant(gamma: float, N: int) -> float:
 
 
 def _annulus_support(v: ScalarField) -> tuple[float, float]:
-    if v.support is None or v.support[0] != "annulus":
+    if v.support is None:
         raise ValueError("the weighted inequality needs a field supported in an annulus")
-    _, r_in, r_out = v.support
+    r_in, r_out = v.support
     if not r_in > 0.0:
         raise ValueError("support must stay away from the origin")
     return float(r_in), float(r_out)
@@ -92,13 +89,7 @@ def carleman_elliptic_check(v: ScalarField, gamma: float) -> EllipticCarlemanRep
     rhs = c * norm_v
     ratio = lhs / rhs if rhs > 0.0 else math.inf
     return EllipticCarlemanReport(
-        gamma=gamma,
-        N=v.N,
-        constant_used=c,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        satisfied=lhs >= rhs * (1.0 - 1e-9),
+        constant_used=c, lhs=lhs, rhs=rhs, ratio=ratio, satisfied=lhs >= rhs * (1.0 - 1e-9)
     )
 
 
@@ -140,7 +131,6 @@ def carleman_parabolic_check(u: SpaceTimeField, alpha: float, d: int) -> Carlema
     lhs = integrate_window(lhs_f, d, (r_in, r_out), (t_in, t_out)).value
     rhs = constant * integrate_window(rhs_f, d, (r_in, r_out), (t_in, t_out)).value
     return CarlemanReport(
-        alpha=alpha,
         beta=beta,
         epsilon=eps,
         lhs=lhs,

@@ -33,7 +33,6 @@ __all__ = ["FrequencyValues", "almgren", "almgren_dL_lower_bound", "poon", "lift
 class FrequencyValues:
     """Frequency L with its numerator energy D and denominator mass H."""
 
-    param: float  # radius r (elliptic) or time t (parabolic)
     H: float
     D: float
     L: float
@@ -57,7 +56,7 @@ def almgren(v: ScalarField, r: float) -> FrequencyValues:
     D_mean = _shell_mean(gradsq(v), N, 0.0, r, symmetry=v.symmetry).value
     H = _shell_total(H_mean, N, r, r)
     D = _shell_total(D_mean, N, 0.0, r)
-    return FrequencyValues(param=r, H=H, D=D, L=r * r / N * D_mean / H_mean)
+    return FrequencyValues(H=H, D=D, L=r * r / N * D_mean / H_mean)
 
 
 def almgren_dL_lower_bound(v: ScalarField, h: NonhomTerm, r: float) -> float:
@@ -107,7 +106,7 @@ def poon(u: SpaceTimeField, t: float) -> FrequencyValues:
     H, D = float(HD[0]), float(HD[1])
     if H < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"weighted mass H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
-    return FrequencyValues(param=t, H=H, D=D, L=t * D / H)
+    return FrequencyValues(H=H, D=D, L=t * D / H)
 
 
 def lifted_frequency(u: SpaceTimeField, cfg: LiftConfig, t: float) -> float:

@@ -4,7 +4,9 @@ All hypersurfaces here are graphs x_{N+1} = v(y).  Ball intersections are
 parametrized in polar form around the center's base point: the projected
 region {y : |y - y0|^2 + (v(y) - v0)^2 <= r^2} is assumed star-shaped, and
 its boundary radius along each direction is found by bisection (exact to
-~80 bits, so quadrature error dominates).
+~80 bits, so quadrature error dominates).  The elliptic quantities
+(``graph_mean_curvature``, ``ms_density``, ``ms_density_tilde``) read the
+graph at time 0.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ __all__ = [
 ]
 
 
-def graph_mean_curvature(surface: GraphSurface, y, t: float = 0.0):
+def graph_mean_curvature(surface: GraphSurface, y):
     """Mean curvature (trace of the shape operator) of a graph at base points y:
 
         H = Lap v / sqrt(1 + |grad v|^2) - (grad v . Hess v . grad v) / (1 + |grad v|^2)^(3/2).
     """
-    g = np.asarray(surface.grad(y, t), dtype=float)
-    hess = np.asarray(surface.hessian(y, t), dtype=float)
+    g = np.asarray(surface.grad(y, 0.0), dtype=float)
+    hess = np.asarray(surface.hessian(y, 0.0), dtype=float)
     q = 1.0 + dot(g, g)
     lap = np.trace(hess, axis1=-2, axis2=-1)
     mixed = np.einsum("...i,...ij,...j->...", g, hess, g)
@@ -69,22 +71,22 @@ def _split_center(surface: GraphSurface, w0) -> tuple[np.ndarray, float]:
     return w0[: surface.dim], float(w0[surface.dim])
 
 
-def ms_density(surface: GraphSurface, w0, r: float, t: float = 0.0) -> float:
+def ms_density(surface: GraphSurface, w0, r: float) -> float:
     """Area ratio Theta(r) = Area(B_r(w0) cap Sigma) / (omega_N r^N), omega_N the unit-ball volume."""
     if not r > 0.0:
         raise ValueError("need r > 0")
     N = surface.dim
     y0, v0 = _split_center(surface, w0)
-    gap = float(surface.value(y0, t)) - v0
+    gap = float(surface.value(y0, 0.0)) - v0
     if gap * gap >= r * r:
         return 0.0  # the ball misses the sheet above the center
 
     def eval_at(level: int):
         omega, wa = _sphere_nodes(N, level)
-        rho, wr = _legendre_rule(level, 0.0, _graph_radii(surface, t, y0, v0, r * r, omega), N - 1)
+        rho, wr = _legendre_rule(level, 0.0, _graph_radii(surface, 0.0, y0, v0, r * r, omega), N - 1)
 
         def area_element(x, _):
-            grad = np.asarray(surface.grad(x, t), dtype=float)
+            grad = np.asarray(surface.grad(x, 0.0), dtype=float)
             return np.sqrt(1.0 + dot(grad, grad))
 
         return _polar_sum(area_element, rho, wr, omega, wa, y0)
@@ -98,12 +100,11 @@ def ms_density(surface: GraphSurface, w0, r: float, t: float = 0.0) -> float:
 class MsDensityReport:
     """Adjusted density and the boundary integral its derivative is equal to."""
 
-    r: float
     theta_tilde: float
     derivative_rhs: float
 
 
-def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float, t: float = 0.0) -> MsDensityReport:
+def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float) -> MsDensityReport:
     """Density adjusted for mean curvature h, with its exact derivative integrand:
 
         Theta~(r) = [ Area(B_r cap Sigma) + (1/N) int_{B_r cap Sigma} h (w - w0) . nu ] / (omega_N r^N),
@@ -122,7 +123,7 @@ def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float, 
     if N < 2:
         raise ValueError("slice integrals need surface dimension >= 2")
     y0, v0 = _split_center(surface, w0)
-    gap = float(surface.value(y0, t)) - v0
+    gap = float(surface.value(y0, 0.0)) - v0
     if gap * gap >= r * r:
         raise ValueError("the ball does not reach the sheet above its center")
 
@@ -136,14 +137,14 @@ def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float, 
 
         def bulk(x, _):
             # area element and the curvature correction, in base coordinates
-            grad = np.asarray(surface.grad(x, t), dtype=float)
-            vdiff = np.asarray(surface.value(x, t), float) - v0
+            grad = np.asarray(surface.grad(x, 0.0), dtype=float)
+            vdiff = np.asarray(surface.value(x, 0.0), float) - v0
             area_el = np.sqrt(1.0 + dot(grad, grad))
             # ((w - w0) . nu) sqrt(1 + |grad v|^2) = v - v0 - (y - y0) . grad v
             wnu_area = vdiff - np.einsum("...k,...k->...", x - y0, grad)
             return np.stack([area_el, hval(x) * wnu_area], axis=-1)
 
-        rho_star = _graph_radii(surface, t, y0, v0, r * r, omega)
+        rho_star = _graph_radii(surface, 0.0, y0, v0, r * r, omega)
         rho, wr = _legendre_rule(level, 0.0, rho_star, N - 1)
         # the angular rule has sum 1, so the sums are divided by |S^(N-1)|
         (vol, correction), count = _polar_sum(bulk, rho, wr, omega, wa, y0)
@@ -151,8 +152,8 @@ def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float, 
 
         # slice: polar parametrization of {|w - w0| = r} on the graph
         ys = y0 + rho_star[:, None] * omega
-        vs = np.asarray(surface.value(ys, t), float) - v0
-        gs = np.asarray(surface.grad(ys, t), dtype=float)
+        vs = np.asarray(surface.value(ys, 0.0), float) - v0
+        gs = np.asarray(surface.grad(ys, 0.0), dtype=float)
         qroot = np.sqrt(1.0 + dot(gs, gs))
         wnu = (vs - np.einsum("...k,...k->...", ys - y0, gs)) / qroot  # (w - w0) . nu
         tang_sq = r * r - wnu * wnu
@@ -177,7 +178,7 @@ def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float, 
         return np.array([theta_tilde, rhs]), count + omega.shape[0]
 
     out = _refine(eval_at).value
-    return MsDensityReport(r=r, theta_tilde=float(out[0]), derivative_rhs=float(out[1]))
+    return MsDensityReport(theta_tilde=float(out[0]), derivative_rhs=float(out[1]))
 
 
 def huisken_density(surface: GraphSurface, t: float) -> float:

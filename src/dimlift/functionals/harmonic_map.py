@@ -53,8 +53,6 @@ def struwe_Phi(umap: SphereField, t: float) -> float:
     Only time-independent maps are accepted: they solve the flow exactly, so
     Phi is constant in t and equals the lifted limit.
     """
-    if umap.dt is not None:
-        raise ValueError("struwe_Phi is defined here for time-independent maps only")
     if not t > 0.0:
         raise ValueError("need t > 0")
     d = umap.dim_domain
@@ -71,8 +69,6 @@ def lifted_hm_Phi(umap: SphereField, cfg: LiftConfig, t: float) -> float:
     which converges to struwe_Phi as n -> infinity (for stationary maps the
     history term of the general formula vanishes identically).
     """
-    if umap.dt is not None:
-        raise ValueError("lifted_hm_Phi is defined here for time-independent maps only")
     if umap.dim_domain != cfg.d:
         raise ValueError("map domain and lift config must share the same base dimension")
     nd = cfg.N

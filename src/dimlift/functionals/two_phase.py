@@ -28,7 +28,6 @@ __all__ = [
 class TwoPhaseReport:
     """Product functional with its two factors."""
 
-    param: float
     factor1: float
     factor2: float
     value: float
@@ -71,7 +70,7 @@ def acf_phi(v1: ScalarField, v2: ScalarField, r: float) -> TwoPhaseReport:
     N = v1.N
     f1 = integrate_ball(gradsq(v1), N, r, radial_power=2.0 - N, symmetry=v1.symmetry).value
     f2 = integrate_ball(gradsq(v2), N, r, radial_power=2.0 - N, symmetry=v2.symmetry).value
-    return TwoPhaseReport(param=r, factor1=f1, factor2=f2, value=f1 * f2 / r**4)
+    return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / r**4)
 
 
 def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1: NonhomTerm, h2: NonhomTerm, r: float) -> float:
@@ -119,7 +118,7 @@ def caffarelli_Phi(u1: SpaceTimeField, u2: SpaceTimeField, tau: float) -> TwoPha
         raise ValueError("need tau > 0")
     f1 = integrate_spacetime(_parabolic_energy(u1), u1.d, tau).value
     f2 = integrate_spacetime(_parabolic_energy(u2), u2.d, tau).value
-    return TwoPhaseReport(param=tau, factor1=f1, factor2=f2, value=f1 * f2 / tau**2)
+    return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / tau**2)
 
 
 def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, cfg: LiftConfig, tau: float) -> TwoPhaseReport:
@@ -147,4 +146,4 @@ def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, cfg: LiftConfig, ta
 
     f1 = integrate_spacetime(lifted_energy(u1), cfg.d, tau, n=cfg.n).value
     f2 = integrate_spacetime(lifted_energy(u2), cfg.d, tau, n=cfg.n).value
-    return TwoPhaseReport(param=tau, factor1=f1, factor2=f2, value=f1 * f2 / tau**2)
+    return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / tau**2)

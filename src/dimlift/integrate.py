@@ -144,7 +144,7 @@ def _default_threads() -> int:
     env = os.environ.get("DIMLIFT_THREADS")
     if not env:
         return os.cpu_count() or 1
-    threads = int(env) if env.strip().isdigit() else 0
+    threads = int(env) if env.strip().isdecimal() else 0
     if threads < 1:
         raise ValueError(f"DIMLIFT_THREADS must be a positive integer, got {env!r}")
     return threads
@@ -1058,15 +1058,14 @@ def _pushforward_check(kind: str, phi, d: int, n: int, t: float, mc, threads: in
     standard error of batch_phi over the batches draw(out, k) of mc, of
     `width` numbers per sample, times scale, against the memoized quadrature.
 
-    One component gives floats: the sphere check goes by the Monte Carlo
-    side, the ball check by the quadrature side.
+    One component gives floats: the two sides are 0-d together.
     """
     mean, se, _ = _drawn_mc_mean(draw, width, mc, batch_phi, threads)
     mean = np.asarray(mean) * scale
     se = np.asarray(se) * scale
     quad = _pushforward_quad(kind, phi, d, n, t)
     disc = _discrepancy(mean, se, quad)
-    if np.ndim(mean if kind == "sphere" else quad) == 0:
+    if np.ndim(quad) == 0:
         mean, se, disc = float(mean), float(se), float(disc)
     return PushforwardCheck(mc_value=mean, mc_std_error=se, quad_value=quad, discrepancy_in_std_errors=disc)
 

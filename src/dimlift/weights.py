@@ -114,11 +114,7 @@ def ratio_bound(d: int, n: int) -> float:
 class WeightLimitReport:
     """Grid comparison of G_{t,n} against G_t for several n."""
 
-    d: int
-    t: float
-    x_grid: np.ndarray
     n_list: tuple
-    rel_errors: np.ndarray  # shape (len(n_list), grid size)
     sup_rel_error: np.ndarray  # shape (len(n_list),)
     successive_ratios: np.ndarray  # shape (len(n_list) - 1,)
 
@@ -149,12 +145,4 @@ def weight_limit_report(d: int, t: float, x_grid, n_list) -> WeightLimitReport:
         rel[k] = np.abs(gn / g - 1.0)
     sup = rel.max(axis=1)
     ratios = sup[:-1] / sup[1:]
-    return WeightLimitReport(
-        d=d,
-        t=t,
-        x_grid=x_grid,
-        n_list=n_list,
-        rel_errors=rel,
-        sup_rel_error=sup,
-        successive_ratios=ratios,
-    )
+    return WeightLimitReport(n_list=n_list, sup_rel_error=sup, successive_ratios=ratios)

@@ -229,7 +229,7 @@ def test_criterion_4_frequency():
         for t in (0.25, 1.0):
             _check(problems, abs(poon(u, t).L - val) < 1e-8, f"{u.name} script-L at t={t}")
     hk = heat_kernel_translate(1, np.array([1.5]), 2.0)
-    sweep = monotonicity_sweep(lambda t: poon(hk, t).L, np.linspace(0.1, 1.0, 16), tol=1e-8)
+    sweep = monotonicity_sweep(lambda t: poon(hk, t).L, np.linspace(0.1, 1.0, 16))
     _check(problems, sweep.violations == 0, f"{sweep.violations} monotonicity violations")
     cube = caloric_polynomial("x1cube", 1)
     errs = [abs(lifted_frequency(cube, LiftConfig(1, n), 1.0) - 3.0) for n in (10, 40, 160)]

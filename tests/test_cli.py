@@ -230,6 +230,8 @@ def test_non_finite_floats_exit_one_and_name_the_flag(argv, flag, tmp_path, monk
         pytest.param("abc", [], "DIMLIFT_THREADS must be a positive integer", id="abc"),
         pytest.param("0", [], "DIMLIFT_THREADS must be a positive integer", id="0"),
         pytest.param("-2", [], "DIMLIFT_THREADS must be a positive integer", id="-2"),
+        # a Unicode digit that int() does not read
+        pytest.param("²", [], "DIMLIFT_THREADS must be a positive integer", id="superscript-two"),
         pytest.param(None, ["--threads", "0"], "--threads must be a positive integer", id="threads=0"),
         pytest.param(None, ["--threads", "-3"], "--threads must be a positive integer", id="threads=-3"),
     ],

@@ -62,7 +62,7 @@ def test_harmonic_polynomials_are_harmonic(kind, k, rng):
 
 def test_radial_bump_support(rng):
     field = bump_radial(3, 1.0, 2.0, 4)
-    assert field.support == ("annulus", 1.0, 2.0)
+    assert field.support == (1.0, 2.0)
     outside = np.concatenate([rng.uniform(-0.5, 0.5, (50, 3)), 3.0 * rng.normal(size=(50, 3))])
     r = np.linalg.norm(outside, axis=1)
     outside = outside[(r < 0.9) | (r > 2.1)]
@@ -135,6 +135,7 @@ def test_half_space_derivatives_broadcast_against_the_time(rng):
         for u in half_space_pair(2) + half_space_power_pair(2, 3):
             assert np.shape(u.dt(x, t)) == lead
             assert np.shape(u.grad_dt(x, t)) == lead + (2,)
+            assert np.shape(u.laplacian(x, t)) == lead
             g = np.asarray(u.grad(x, t))
             assert g.shape == lead + (2,)
             assert np.all(g[..., 1] == 0.0)
@@ -143,6 +144,9 @@ def test_half_space_derivatives_broadcast_against_the_time(rng):
     x1 = x[..., 0]
     np.testing.assert_array_equal(cube.grad(x, 0.5)[..., 0], 3.0 * np.maximum(x1, 0.0) ** 2)
     np.testing.assert_array_equal(lin.grad(x, 0.5)[..., 0], np.where(x1 < 0.0, -1.0, 0.0))
+    # the linear pair is harmonic off the interface, and at it
+    for u in half_space_pair(2):
+        np.testing.assert_array_equal(u.laplacian(x, 0.5), np.zeros(x.shape[:-1]))
 
 
 def test_quadrature_generated_caloric_field(rng):

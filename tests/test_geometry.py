@@ -86,6 +86,8 @@ def test_density_domain_gates():
     # center two units above the sheet, ball of radius one misses it
     with pytest.raises(ValueError):
         ms_density_tilde(plane, None, np.array([0.0, 0.0, 2.0]), 1.0)
+    # where the adjusted density raises, the plain area ratio is 0
+    assert ms_density(plane, np.array([0.0, 0.0, 2.0]), 1.0) == 0.0
     with pytest.raises(ValueError):
         huisken_density(plane, 0.0)
 
@@ -138,6 +140,11 @@ def test_lifted_density_converges_on_the_constant_graph():
     assert 3.0 < errs[0] / errs[1] < 5.0
     assert 3.0 < errs[1] / errs[2] < 5.0
     assert errs[2] < 0.05 * limit
+
+
+def test_lifted_density_is_zero_where_the_weight_misses_the_graph():
+    # the sheet at height 10 lies outside the support |x|^2 + u^2 <= 2ndt = 8
+    assert lifted_mcf_density(graph_plane(1, 10.0), LiftConfig(1, 4), 1.0) == 0.0
 
 
 def test_lifted_density_rejects_degenerate_lift():

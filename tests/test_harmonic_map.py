@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dimlift import LiftConfig
-from dimlift.fields import NonhomTerm, circle_map, equator_map
+from dimlift.fields import NonhomTerm, SphereField, circle_map, equator_map
 from dimlift.functionals import (
     hm_dphi_lower_bound,
     hm_phi,
@@ -61,6 +61,34 @@ def test_lifted_values_match_at_every_n():
         for t in (0.5, 1.0):
             assert abs(lifted_hm_Phi(umap, LiftConfig(1, n), t) - t) < 1e-8
         assert abs(lifted_hm_Phi(emap, LiftConfig(3, n), 1.0) - 1.0) < 1e-8
+
+
+def _phase_map():
+    """u(x) = (cos x1^2, sin x1^2) on R^1: |Du|^2 = 4 x1^2 and |x . Du|^2 = 4 x1^4."""
+
+    def value(x):
+        s = np.asarray(x, float)[..., 0] ** 2
+        return np.stack([np.cos(s), np.sin(s)], axis=-1)
+
+    def jacobian(x):
+        x1 = np.asarray(x, float)[..., 0]
+        return (2.0 * x1)[..., None, None] * np.stack([-np.sin(x1 * x1), np.cos(x1 * x1)], axis=-1)[..., None]
+
+    return SphereField(
+        dim_domain=1, value=value, jacobian=jacobian, energy=lambda x: 4.0 * np.asarray(x, float)[..., 0] ** 2
+    )
+
+
+@pytest.mark.parametrize("t", [0.7, 1.0])
+@pytest.mark.parametrize("n", [4, 5, 10, 40, 160, 320])
+def test_lifted_phase_map_density_in_closed_form(n, t):
+    # under G_{t,n}, E x^2 = 2t and E x^4 = 12 t^2 n / (n + 2), so
+    # Phi_n = [n/(n-2)] t 8t - [1/(n-2)] 48 t^2 n / (n + 2); unlike the
+    # circle and equator maps, this value moves with n
+    want = 8.0 * t * t * n * (n - 4) / ((n - 2) * (n + 2))
+    got = lifted_hm_Phi(_phase_map(), LiftConfig(1, n), t)
+    # at n = 4 the value is 0, so the miss there is absolute
+    assert abs(got - want) <= 1e-12 * (abs(want) if n != 4 else 1.0)
 
 
 def test_nonhomogeneous_derivative_bound_with_zero_tension():

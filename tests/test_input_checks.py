@@ -1,0 +1,285 @@
+"""Every library input check raises its own error, with its own reason.
+
+Each row below is one ``raise`` of the library that no other test reaches.
+They are safety code: a row here keeps a later simplification from dropping
+one of them unnoticed.
+"""
+
+import dataclasses
+import re
+
+import numpy as np
+import pytest
+
+from dimlift import LiftConfig
+from dimlift.errors import AccuracyError, DegenerateDenominatorError, UnsupportedConfigError
+from dimlift.fields import (
+    GraphSurface,
+    NonhomTerm,
+    bump_radial,
+    bump_spacetime,
+    caloric_from_csv,
+    caloric_from_data,
+    caloric_polynomial,
+    circle_map,
+    equator_map,
+    graph_plane,
+    half_space_pair,
+    half_space_power_pair,
+    harmonic_polynomial,
+    heat_kernel_translate,
+)
+from dimlift.functionals import (
+    acf_dphi_lower_bound,
+    acf_phi,
+    almgren,
+    almgren_dL_lower_bound,
+    caffarelli_Phi,
+    carleman_elliptic_check,
+    carleman_elliptic_constant,
+    carleman_parabolic_check,
+    hm_dphi_lower_bound,
+    hm_phi,
+    lifted_frequency,
+    lifted_hm_Phi,
+    lifted_mcf_density,
+    lifted_two_phase,
+    ms_density,
+    ms_density_tilde,
+    poon,
+    struwe_Phi,
+    support_fraction,
+)
+from dimlift.integrate import (
+    MonteCarloSpec,
+    integrate_annulus,
+    integrate_ball,
+    integrate_sphere,
+    integrate_spacetime,
+    integrate_weighted,
+    integrate_window,
+    sample_mu_ball,
+    sample_sphere_uniform,
+)
+from dimlift.lift import sphere_area
+from dimlift.weights import finite_weight, gaussian_weight, ratio_bound, weight_limit_report
+
+MC = MonteCarloSpec(samples=1000, seed=1)
+
+
+def _one(x, *_):
+    return np.ones(np.shape(x)[:-1])
+
+
+def _csv(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    return path
+
+
+def _sphere_band_sheet():
+    """A graph over R^2 with a flat top at height 1/2 that joins the unit
+    sphere around the origin and follows it down: over that band the sheet
+    lies on the sphere, so |(w - w0)^T| vanishes on the slice."""
+
+    def value(y, t):
+        s = np.sum(np.asarray(y, float) ** 2, axis=-1)
+        return np.minimum(0.5, np.sqrt(np.maximum(1.0 - s, 0.0)))
+
+    def grad(y, t):
+        y = np.asarray(y, float)
+        h = np.sqrt(np.maximum(1.0 - np.sum(y * y, axis=-1), 1e-300))
+        return np.where((h < 0.5)[..., None], -y / h[..., None], 0.0)
+
+    return GraphSurface(dim=2, value=value, grad=grad, hessian=None, dt=None)
+
+
+ZERO_H = NonhomTerm(lambda y: np.zeros(np.shape(y)[:-1]))
+ZERO_H_VEC = NonhomTerm(lambda y: np.zeros(np.shape(y)), vector=True)
+X1 = harmonic_polynomial("x1", 2)
+U1 = caloric_polynomial("x1", 1)
+# 0 on the sphere of radius 0.5, and 0 at every time outside [1, 2]
+HOLLOW = bump_radial(3, 1.0, 2.0)
+LATE = bump_spacetime(1, 1.0, 2.0, 1.0, 2.0)
+
+CASES = [
+    # fields
+    ("x1 on R^0", lambda p: harmonic_polynomial("x1", 0), ValueError, "need N >= 1"),
+    ("x1x2 on R^1", lambda p: harmonic_polynomial("x1x2", 1), ValueError, "x1x2 needs N >= 2"),
+    ("re_zk on R^3", lambda p: harmonic_polynomial("re_zk", 3, 2), ValueError, "re_zk lives on R^2"),
+    ("re_zk without k", lambda p: harmonic_polynomial("re_zk", 2), ValueError, "re_zk needs a degree k >= 1"),
+    ("harmonic kind", lambda p: harmonic_polynomial("x9", 2), ValueError, "unknown harmonic polynomial kind 'x9'"),
+    ("caloric on R^0", lambda p: caloric_polynomial("x1", 0), ValueError, "need d >= 1"),
+    ("caloric kind", lambda p: caloric_polynomial("x9", 1), ValueError, "unknown caloric polynomial kind 'x9'"),
+    ("kernel s0", lambda p: heat_kernel_translate(1, None, 0.0), ValueError, "need s0 > 0"),
+    ("data time", lambda p: caloric_from_data(lambda x: x[..., 0], 0.0), ValueError, "need T > 0"),
+    (
+        "csv header",
+        lambda p: caloric_from_csv(_csv(p, "x1,v\n0,1\n1,2\n"), 1.0),
+        ValueError,
+        "expected CSV header x1,...,xd,value",
+    ),
+    (
+        "csv one level",
+        lambda p: caloric_from_csv(_csv(p, "x1,x2,value\n0,0,1\n1,0,2\n"), 1.0),
+        ValueError,
+        "axis x2 needs at least two grid levels",
+    ),
+    (
+        "csv missing row",
+        lambda p: caloric_from_csv(_csv(p, "x1,x2,value\n0,0,1\n1,0,1\n0,1,1\n"), 1.0),
+        ValueError,
+        "grid rows do not form a full tensor product",
+    ),
+    ("half-space kind", lambda p: half_space_pair(2, kind="other"), ValueError, "unknown kind 'other'"),
+    ("power pair", lambda p: half_space_power_pair(1, 1), ValueError, "power >= 2"),
+    ("equator at 0", lambda p: equator_map(3).energy(np.zeros(3)), ValueError, "equator map is undefined at the origin"),
+    (
+        "window order",
+        lambda p: bump_spacetime(1, 2.0, 1.0, 1.0, 2.0),
+        ValueError,
+        "need 0 < r_in < r_out and 0 < t_in < t_out",
+    ),
+    ("window k", lambda p: bump_spacetime(1, 1.0, 2.0, 1.0, 2.0, k=2), ValueError, "need smoothness k >= 3"),
+    ("annulus order", lambda p: bump_radial(3, 0.0, 1.0), ValueError, "need 0 < r_in < r_out"),
+    ("annulus k", lambda p: bump_radial(3, 1.0, 2.0, k=2), ValueError, "need smoothness k >= 3"),
+    # integrate
+    ("finite n = 0", lambda p: integrate_weighted(_one, 1, 1.0, n=0), UnsupportedConfigError, "needs n >= 1; got n=0"),
+    ("weighted t", lambda p: integrate_weighted(_one, 1, 0.0), ValueError, "need t > 0, got t=0.0"),
+    ("spacetime tau", lambda p: integrate_spacetime(_one, 1, 0.0), ValueError, "need tau > 0, got tau=0.0"),
+    ("ball r", lambda p: integrate_ball(_one, 2, 0.0), ValueError, "need r > 0, got r=0.0"),
+    (
+        "ball power",
+        lambda p: integrate_ball(_one, 2, 1.0, radial_power=-2.0),
+        ValueError,
+        "radial_power must exceed -N",
+    ),
+    ("annulus radii", lambda p: integrate_annulus(_one, 2, (1.0, 1.0)), ValueError, "need 0 <= r0 < r1"),
+    ("sphere r", lambda p: integrate_sphere(_one, 2, 0.0), ValueError, "need r > 0, got r=0.0"),
+    (
+        "window times",
+        lambda p: integrate_window(_one, 1, (0.0, 1.0), (1.0, 1.0)),
+        ValueError,
+        "need 0 <= r0 < r1 and 0 < t0 < t1",
+    ),
+    ("sphere sampler N", lambda p: sample_sphere_uniform(0, 1.0, MC), ValueError, "need N >= 1"),
+    ("ball sampler N", lambda p: sample_mu_ball(0, 1.0, 1, MC), ValueError, "need N >= 1 and d >= 1"),
+    # weights and lift
+    ("gaussian t", lambda p: gaussian_weight(1, 0.0, [0.0]), ValueError, "need t > 0, got t=0.0"),
+    ("gaussian width", lambda p: gaussian_weight(2, 1.0, np.zeros(3)), ValueError, "point dimension 3 != d = 2"),
+    ("finite width", lambda p: finite_weight(1, 4, 1.0, np.zeros((2, 2))), ValueError, "point dimension 2 != d = 1"),
+    ("ratio nd", lambda p: ratio_bound(1, 3), UnsupportedConfigError, "ratio bound needs n*d >= d + 3"),
+    (
+        "flat grid d",
+        lambda p: weight_limit_report(2, 1.0, np.linspace(0.0, 1.0, 5), [4]),
+        ValueError,
+        "flat grid only valid for d = 1",
+    ),
+    ("empty grid", lambda p: weight_limit_report(1, 1.0, [], [4]), ValueError, "empty evaluation grid"),
+    (
+        "grid width",
+        lambda p: weight_limit_report(2, 1.0, np.zeros((3, 3)), [4]),
+        ValueError,
+        "grid dimension 3 != d = 2",
+    ),
+    ("sphere area", lambda p: sphere_area(0), ValueError, "need N >= 1, got N=0"),
+    # carleman
+    ("constant N", lambda p: carleman_elliptic_constant(0.5, 0), ValueError, "need N >= 1"),
+    (
+        "annulus at 0",
+        lambda p: carleman_elliptic_check(dataclasses.replace(HOLLOW, support=(0.0, 2.0)), 0.5),
+        ValueError,
+        "support must stay away from the origin",
+    ),
+    (
+        "no window",
+        lambda p: carleman_parabolic_check(U1, 1.0, 1),
+        ValueError,
+        "needs a field supported in a window away from t = 0",
+    ),
+    # frequency
+    ("almgren r", lambda p: almgren(X1, 0.0), ValueError, "need r > 0"),
+    ("almgren bound r", lambda p: almgren_dL_lower_bound(X1, ZERO_H, 0.0), ValueError, "need r > 0"),
+    (
+        "almgren bound H",
+        lambda p: almgren_dL_lower_bound(HOLLOW, ZERO_H, 0.5),
+        DegenerateDenominatorError,
+        "boundary mean H = 0.0 is below",
+    ),
+    ("poon t", lambda p: poon(U1, 0.0), ValueError, "need t > 0"),
+    ("poon H", lambda p: poon(LATE, 0.5), DegenerateDenominatorError, "weighted mass H = 0.0 is below"),
+    ("lifted frequency t", lambda p: lifted_frequency(U1, LiftConfig(1, 4), 0.0), ValueError, "need t > 0"),
+    (
+        "lifted frequency mass",
+        lambda p: lifted_frequency(LATE, LiftConfig(1, 4), 0.5),
+        DegenerateDenominatorError,
+        "weighted mass 0.0 is below",
+    ),
+    # geometry
+    ("center width", lambda p: ms_density(graph_plane(2), np.zeros(2), 1.0), ValueError, "center must live in R^3"),
+    ("tilde r", lambda p: ms_density_tilde(graph_plane(2), None, np.zeros(3), 0.0), ValueError, "need r > 0"),
+    (
+        "tangent slice",
+        lambda p: ms_density_tilde(_sphere_band_sheet(), None, np.zeros(3), 1.0),
+        AccuracyError,
+        "slice integrand blows up",
+    ),
+    ("mcf t", lambda p: lifted_mcf_density(graph_plane(1), LiftConfig(1, 4), 0.0), ValueError, "need t > 0"),
+    # harmonic maps
+    ("hm_phi r", lambda p: hm_phi(equator_map(3), np.zeros(3), 0.0), ValueError, "need r > 0"),
+    (
+        "hm bound r",
+        lambda p: hm_dphi_lower_bound(equator_map(3), ZERO_H_VEC, np.zeros(3), 0.0),
+        ValueError,
+        "need r > 0",
+    ),
+    ("struwe t", lambda p: struwe_Phi(circle_map(), 0.0), ValueError, "need t > 0"),
+    (
+        "lifted map d",
+        lambda p: lifted_hm_Phi(equator_map(3), LiftConfig(1, 4), 1.0),
+        ValueError,
+        "must share the same base dimension",
+    ),
+    (
+        "lifted map nd = 2",
+        lambda p: lifted_hm_Phi(circle_map(), LiftConfig(1, 2), 1.0),
+        UnsupportedConfigError,
+        "needs n*d >= 3, got n*d = 2",
+    ),
+    ("lifted map t", lambda p: lifted_hm_Phi(circle_map(), LiftConfig(1, 4), 0.0), ValueError, "need t > 0"),
+    # two-phase
+    ("support r", lambda p: support_fraction(X1, 0.0), ValueError, "need r > 0"),
+    (
+        "acf N",
+        lambda p: acf_phi(X1, harmonic_polynomial("x1", 3), 1.0),
+        ValueError,
+        "both phases must live on the same R^N",
+    ),
+    ("acf r", lambda p: acf_phi(X1, X1, 0.0), ValueError, "need r > 0"),
+    (
+        "acf bound N",
+        lambda p: acf_dphi_lower_bound(X1, harmonic_polynomial("x1", 3), ZERO_H, ZERO_H, 1.0),
+        ValueError,
+        "both phases must live on the same R^N",
+    ),
+    (
+        "caffarelli d",
+        lambda p: caffarelli_Phi(U1, caloric_polynomial("x1", 2), 1.0),
+        ValueError,
+        "both phases must live on the same R^d",
+    ),
+    ("caffarelli tau", lambda p: caffarelli_Phi(U1, U1, 0.0), ValueError, "need tau > 0"),
+    (
+        "lifted two-phase d",
+        lambda p: lifted_two_phase(U1, U1, LiftConfig(2, 4), 1.0),
+        ValueError,
+        "must share the same base dimension",
+    ),
+    ("lifted two-phase tau", lambda p: lifted_two_phase(U1, U1, LiftConfig(1, 4), 0.0), ValueError, "need tau > 0"),
+]
+
+
+@pytest.mark.parametrize("call, error, reason", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_input_check_raises_its_reason(call, error, reason, tmp_path):
+    with pytest.raises(error, match=re.escape(reason)):
+        call(tmp_path)

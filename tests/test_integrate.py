@@ -558,6 +558,18 @@ def test_ball_and_sphere_closed_forms():
     assert abs(sing - sphere_area(3) / 2) < 1e-9
 
 
+def test_annulus_total_past_the_float_range_at_q_zero():
+    # |S^479| underflows to 0.0, so with |y|^-480 (q = N + power = 0) the
+    # total 1e300 |S^479| log 2 is formed in logs
+    assert sphere_area(480) == 0.0
+    got = integrate_annulus(
+        lambda y: np.full(np.shape(y)[:-1], 1e300), 480, (1.0, 2.0), radial_power=-480.0, symmetry=0
+    ).value
+    log_area = math.log(2.0) + 240.0 * math.log(math.pi) - math.lgamma(240.0)
+    want = math.exp(math.log(1e300) + log_area + math.log(math.log(2.0)))
+    assert abs(got - want) <= 1e-13 * want
+
+
 def test_ball_with_a_non_integer_radial_power():
     # int_{-1.3}^{1.3} |y|^0.5 dy: the total radial power is not an integer,
     # so no Legendre rule resolves rho^0.5 at the origin to 1e-11
