@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from .errors import AccuracyError, DegenerateDenominatorError, UnsupportedConfigError
+from .errors import AccuracyError, DegenerateDenominatorError
 from .fields import (
     caloric_polynomial,
     circle_map,
@@ -566,7 +566,7 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{key} must be finite, got {value}")
         with _use_threads(args.threads):
             header, rows, ok, worst, max_err = _HANDLERS[args.subcommand](args)
-    except (ValueError, UnsupportedConfigError, DegenerateDenominatorError, AccuracyError) as exc:
+    except (ValueError, DegenerateDenominatorError, AccuracyError) as exc:
         print(f"dimlift {args.subcommand}: error: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - started

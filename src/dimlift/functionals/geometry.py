@@ -4,7 +4,10 @@ All hypersurfaces here are graphs x_{N+1} = v(y).  Ball intersections are
 parametrized in polar form around the center's base point: the projected
 region {y : |y - y0|^2 + (v(y) - v0)^2 <= r^2} is assumed star-shaped, and
 its boundary radius along each direction is found by bisection (exact to
-~80 bits, so quadrature error dominates).  The elliptic quantities
+~80 bits, so quadrature error dominates).  ``ms_density`` and
+``ms_density_tilde`` share that bulk rule, and the slice integral of the
+derivative identity is taken on its rays by the coarea formula, so the
+slice needs no parametrization of its own.  The elliptic quantities
 (``graph_mean_curvature``, ``ms_density``, ``ms_density_tilde``) read the
 graph at time 0.
 """
@@ -34,16 +37,22 @@ __all__ = [
 ]
 
 
+def _curvature_terms(surface: GraphSurface, y, t):
+    """1 + |grad v|^2, Lap v and grad v . Hess v . grad v of a graph at base points y and time t."""
+    g = np.asarray(surface.grad(y, t), dtype=float)
+    hess = np.asarray(surface.hessian(y, t), dtype=float)
+    q = 1.0 + dot(g, g)
+    lap = np.trace(hess, axis1=-2, axis2=-1)
+    mixed = np.einsum("...i,...ij,...j->...", g, hess, g)
+    return q, lap, mixed
+
+
 def graph_mean_curvature(surface: GraphSurface, y):
     """Mean curvature (trace of the shape operator) of a graph at base points y:
 
         H = Lap v / sqrt(1 + |grad v|^2) - (grad v . Hess v . grad v) / (1 + |grad v|^2)^(3/2).
     """
-    g = np.asarray(surface.grad(y, 0.0), dtype=float)
-    hess = np.asarray(surface.hessian(y, 0.0), dtype=float)
-    q = 1.0 + dot(g, g)
-    lap = np.trace(hess, axis1=-2, axis2=-1)
-    mixed = np.einsum("...i,...ij,...j->...", g, hess, g)
+    q, lap, mixed = _curvature_terms(surface, y, 0.0)
     return lap / np.sqrt(q) - mixed / q**1.5
 
 
@@ -71,6 +80,21 @@ def _split_center(surface: GraphSurface, w0) -> tuple[np.ndarray, float]:
     return w0[: surface.dim], float(w0[surface.dim])
 
 
+def _graph_ball_sum(surface: GraphSurface, y0, v0: float, r: float, level: int, f):
+    """One level of the bulk rule of B_r(w0) cap Sigma, in polar form around y0.
+
+    Returns the directions omega (m, N) and their weights wa (sum 1), the
+    graph radii rho* along them, and _polar_sum's (value, count) of f over
+    the Gauss-Legendre rule in rho^(N-1) d rho on [0, rho*].  Since wa has
+    sum 1, the value is the integral over the projected region divided by
+    |S^(N-1)|.
+    """
+    omega, wa = _sphere_nodes(surface.dim, level)
+    rho_star = _graph_radii(surface, 0.0, y0, v0, r * r, omega)
+    rho, wr = _legendre_rule(level, 0.0, rho_star, surface.dim - 1)
+    return omega, wa, rho_star, _polar_sum(f, rho, wr, omega, wa, y0)
+
+
 def ms_density(surface: GraphSurface, w0, r: float) -> float:
     """Area ratio Theta(r) = Area(B_r(w0) cap Sigma) / (omega_N r^N), omega_N the unit-ball volume."""
     if not r > 0.0:
@@ -81,18 +105,11 @@ def ms_density(surface: GraphSurface, w0, r: float) -> float:
     if gap * gap >= r * r:
         return 0.0  # the ball misses the sheet above the center
 
-    def eval_at(level: int):
-        omega, wa = _sphere_nodes(N, level)
-        rho, wr = _legendre_rule(level, 0.0, _graph_radii(surface, 0.0, y0, v0, r * r, omega), N - 1)
+    def area_element(x, _):
+        grad = np.asarray(surface.grad(x, 0.0), dtype=float)
+        return np.sqrt(1.0 + dot(grad, grad))
 
-        def area_element(x, _):
-            grad = np.asarray(surface.grad(x, 0.0), dtype=float)
-            return np.sqrt(1.0 + dot(grad, grad))
-
-        return _polar_sum(area_element, rho, wr, omega, wa, y0)
-
-    # the angular rule has sum 1, so the sum is Area / |S^(N-1)|
-    vol = _refine(eval_at).value
+    vol = _refine(lambda level: _graph_ball_sum(surface, y0, v0, r, level, area_element)[3]).value
     return vol * N / r**N
 
 
@@ -109,19 +126,27 @@ def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float) 
 
         Theta~(r) = [ Area(B_r cap Sigma) + (1/N) int_{B_r cap Sigma} h (w - w0) . nu ] / (omega_N r^N),
 
-        d Theta~/dr = [N / (|S^(N-1)| r^(N+1))] int_{bd B_r cap Sigma}
-                      ( |(w - w0)^perp|^2 + (1/N) h ((w - w0) . nu) |w - w0|^2 ) / |(w - w0)^T| dS.
+        d Theta~/dr = [N / (|S^(N-1)| r^(N+1))] int_{bd B_r cap Sigma} g / |(w - w0)^T| dS,
+
+        g = |(w - w0)^perp|^2 + (1/N) h ((w - w0) . nu) |w - w0|^2.
 
     h is evaluated at the base coordinates y; pass None for a minimal surface.
-    The slice integral is computed from the polar parametrization; directions
-    where the tangential part |(w - w0)^T| vanishes make the integrand blow
-    up, so a near-tangent slice raises an AccuracyError.
+    The slice integral is taken on the directions omega and graph radii rho*
+    of the bulk rule, by the coarea formula for |w - w0| on Sigma:
+
+        int_{bd B_r cap Sigma} g / |(w - w0)^T| dS
+            = int_{S^(N-1)} g sqrt(1 + |grad v|^2) rho*^(N-1) (2 / psi_rho) d omega,
+
+    where psi(rho) = rho^2 + (v - v0)^2 along omega, so psi_rho / 2 =
+    rho* + (v - v0) grad v . omega and d rho*/dr = 2r / psi_rho.  This holds
+    for every N >= 1.  |(w - w0)^T| vanishes only where psi_rho does, and
+    psi_rho also vanishes where a ray grazes the slice, so one check covers
+    both: |psi_rho / 2| <= 1e-9 r along some direction raises an
+    AccuracyError, since the integrand blows up there.
     """
     if not r > 0.0:
         raise ValueError("need r > 0")
     N = surface.dim
-    if N < 2:
-        raise ValueError("slice integrals need surface dimension >= 2")
     y0, v0 = _split_center(surface, w0)
     gap = float(surface.value(y0, 0.0)) - v0
     if gap * gap >= r * r:
@@ -132,48 +157,32 @@ def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float) 
             return np.zeros(pts.shape[:-1])
         return np.asarray(h.value(pts), float)
 
+    def bulk(x, _):
+        # area element and the curvature correction, in base coordinates
+        grad = np.asarray(surface.grad(x, 0.0), dtype=float)
+        vdiff = np.asarray(surface.value(x, 0.0), float) - v0
+        area_el = np.sqrt(1.0 + dot(grad, grad))
+        # ((w - w0) . nu) sqrt(1 + |grad v|^2) = v - v0 - (y - y0) . grad v
+        wnu_area = vdiff - np.einsum("...k,...k->...", x - y0, grad)
+        return np.stack([area_el, hval(x) * wnu_area], axis=-1)
+
     def eval_at(level: int):
-        omega, wa = _sphere_nodes(N, level)
-
-        def bulk(x, _):
-            # area element and the curvature correction, in base coordinates
-            grad = np.asarray(surface.grad(x, 0.0), dtype=float)
-            vdiff = np.asarray(surface.value(x, 0.0), float) - v0
-            area_el = np.sqrt(1.0 + dot(grad, grad))
-            # ((w - w0) . nu) sqrt(1 + |grad v|^2) = v - v0 - (y - y0) . grad v
-            wnu_area = vdiff - np.einsum("...k,...k->...", x - y0, grad)
-            return np.stack([area_el, hval(x) * wnu_area], axis=-1)
-
-        rho_star = _graph_radii(surface, 0.0, y0, v0, r * r, omega)
-        rho, wr = _legendre_rule(level, 0.0, rho_star, N - 1)
+        omega, wa, rho_star, ((vol, correction), count) = _graph_ball_sum(surface, y0, v0, r, level, bulk)
         # the angular rule has sum 1, so the sums are divided by |S^(N-1)|
-        (vol, correction), count = _polar_sum(bulk, rho, wr, omega, wa, y0)
         theta_tilde = (vol + correction / N) * N / r**N
 
-        # slice: polar parametrization of {|w - w0| = r} on the graph
+        # the slice, on the same rays
         ys = y0 + rho_star[:, None] * omega
         vs = np.asarray(surface.value(ys, 0.0), float) - v0
         gs = np.asarray(surface.grad(ys, 0.0), dtype=float)
-        qroot = np.sqrt(1.0 + dot(gs, gs))
-        wnu = (vs - np.einsum("...k,...k->...", ys - y0, gs)) / qroot  # (w - w0) . nu
-        tang_sq = r * r - wnu * wnu
-        if np.any(tang_sq <= (1e-9 * r) ** 2):
+        slope = dot(gs, omega)
+        half_psi_rho = rho_star + vs * slope
+        if np.any(np.abs(half_psi_rho) <= 1e-9 * r):
             raise AccuracyError("slice integrand blows up: |(w - w0)^T| vanishes along some direction")
-        tang = np.sqrt(tang_sq)
-
-        grad_psi = 2.0 * (ys - y0) + 2.0 * vs[:, None] * gs
-        psi_rho = np.einsum("...k,...k->...", grad_psi, omega)
-        if np.any(np.abs(psi_rho) < 1e-12):
-            raise AccuracyError("slice parametrization degenerates: radial derivative vanishes")
-        perp = grad_psi - psi_rho[:, None] * omega
-        grad_s_rho = -rho_star[:, None] * perp / psi_rho[:, None]
-        nhat = grad_psi / np.linalg.norm(grad_psi, axis=-1, keepdims=True)
-        gtang = gs - np.einsum("...k,...k->...", gs, nhat)[:, None] * nhat
-        lift_factor = np.sqrt(1.0 + dot(gtang, gtang))
-        measure = rho_star ** (N - 2) * np.sqrt(rho_star**2 + dot(grad_s_rho, grad_s_rho)) * lift_factor
-
-        integrand = (wnu * wnu + hval(ys) * wnu * r * r / N) / tang
-        slice_sum = float(np.sum(wa * measure * integrand))
+        wnu_area = vs - rho_star * slope
+        # g sqrt(1 + |grad v|^2), with wnu_area as in bulk
+        g_area = wnu_area * wnu_area / np.sqrt(1.0 + dot(gs, gs)) + hval(ys) * wnu_area * r * r / N
+        slice_sum = float(np.sum(wa * g_area * rho_star ** (N - 1) / half_psi_rho))
         rhs = N / r ** (N + 1) * slice_sum
         return np.array([theta_tilde, rhs]), count + omega.shape[0]
 
@@ -206,11 +215,7 @@ def mcf_residual(surface: GraphSurface, x, t):
 
         du/dt + Lap u - (grad u . Hess u . grad u) / (1 + |grad u|^2).
     """
-    g = np.asarray(surface.grad(x, t), dtype=float)
-    hess = np.asarray(surface.hessian(x, t), dtype=float)
-    q = 1.0 + dot(g, g)
-    lap = np.trace(hess, axis1=-2, axis2=-1)
-    mixed = np.einsum("...i,...ij,...j->...", g, hess, g)
+    q, lap, mixed = _curvature_terms(surface, x, t)
     return np.asarray(surface.dt(x, t), float) + lap - mixed / q
 
 

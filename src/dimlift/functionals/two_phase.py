@@ -81,13 +81,12 @@ def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1: NonhomTerm, h2: N
 
     with s_i the boundary support fractions.  Zero support fraction is an error.
     """
-    if v1.N != v2.N:
-        raise ValueError("both phases must live on the same R^N")
-    N = v1.N
     s1 = support_fraction(v1, r)
     s2 = support_fraction(v2, r)
     if s1 <= 0.0 or s2 <= 0.0:
         raise ValueError("each phase needs positive support on the boundary sphere")
+    energy = acf_phi(v1, v2, r)  # checks that both phases live on one R^N
+    N = v1.N
 
     def vh(v, h):
         def f(y):
@@ -95,11 +94,9 @@ def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1: NonhomTerm, h2: N
 
         return f
 
-    g1 = integrate_ball(gradsq(v1), N, r, radial_power=2.0 - N).value
-    g2 = integrate_ball(gradsq(v2), N, r, radial_power=2.0 - N).value
     vh1 = integrate_ball(vh(v1, h1), N, r, radial_power=2.0 - N).value
     vh2 = integrate_ball(vh(v2, h2), N, r, radial_power=2.0 - N).value
-    return (2.0 / r**4) * (psi(s1) * vh1 * g2 + psi(s2) * g1 * vh2)
+    return (2.0 / r**4) * (psi(s1) * vh1 * energy.factor2 + psi(s2) * energy.factor1 * vh2)
 
 
 def _parabolic_energy(u: SpaceTimeField):

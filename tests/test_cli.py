@@ -21,19 +21,6 @@ from dimlift.cli import _verdict, main
 
 REPO = Path(__file__).resolve().parents[1]
 
-# one fast invocation per subcommand
-FAST_ARGS = {
-    "gn-limit": ["gn-limit"],
-    "pushforward": ["pushforward", "--samples", "20000"],
-    "frequency": ["frequency", "--elliptic", "--field", "x1"],
-    "carleman": ["carleman", "--elliptic", "--gamma", "0.7"],
-    "two-phase": ["two-phase"],
-    "harmonic-map": ["harmonic-map"],
-    "mcf": ["mcf"],
-    "lift-demo": ["lift-demo"],
-}
-
-
 def _load(path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
@@ -49,10 +36,10 @@ def _run(tmp, argv):
     return main(argv + ["--out", "run", "--threads", "2"]), tmp / "run"
 
 
-@pytest.mark.parametrize("name", sorted(FAST_ARGS))
+@pytest.mark.parametrize("name", sorted(GOLDEN.FAST_ARGS))
 def test_subcommand_writes_three_files_with_the_summary_schema(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    rc, _ = _run(tmp_path, FAST_ARGS[name])
+    rc, _ = _run(tmp_path, GOLDEN.FAST_ARGS[name])
     assert rc == 0
     for ext in (".csv", ".json", ".manifest.json"):
         assert (tmp_path / f"run{ext}").exists()
@@ -85,12 +72,12 @@ def test_reruns_and_thread_counts_are_byte_identical(tmp_path, monkeypatch):
         d = tmp_path / label
         d.mkdir()
         monkeypatch.chdir(d)
-        for name, argv in FAST_ARGS.items():
+        for name, argv in GOLDEN.FAST_ARGS.items():
             assert main(argv + ["--out", "run", "--threads", str(threads)]) == 0
             payloads[label, name] = ((d / "run.csv").read_bytes(), (d / "run.json").read_bytes())
             (d / "run.csv").unlink()
             (d / "run.json").unlink()
-    for name in FAST_ARGS:
+    for name in GOLDEN.FAST_ARGS:
         assert payloads["a", name] == payloads["b", name]
         assert payloads["a", name] == payloads["c", name]
         assert payloads["small4", name] == payloads["small1", name]
@@ -274,12 +261,14 @@ def test_checks_beyond_the_default_dimension_pass(argv, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "run.json").read_text())["status"] == "pass"
 
 
-# the benchmark's cli-lowdim cases at --t 1.0, and the elliptic, Monte Carlo
-# and graph branches they leave out
+# the benchmark's cli-lowdim cases at --t 1.0, and the elliptic, Monte Carlo,
+# graph and lifted-surface branches they leave out
 _LOWDIM_CASES = [["1.0" if a == "T" else a for a in argv] for argv in GOLDEN.LOWDIM_ARGS] + [
     ["frequency", "--elliptic", "--field", "re_z3"],
     ["pushforward", "--domain", "ball", "--samples", "20000"],
     ["mcf", "--which", "huisken", "--surface", "tilted", "--d", "2"],
+    ["lift-demo", "--which", "mcf", "--field", "tilted", "--d", "2"],
+    ["lift-demo", "--which", "mcf", "--field", "plane"],
 ]
 
 
@@ -376,6 +365,14 @@ _LOWDIM_SHA256 = {
         "dde35a8e062fdfbbb364ad3316de8b425d67ee018600d4f45060490a2246659e",
         "5a1ffbae3161dcc51892d908e00e313e342604ed3ca87a88f1f57766747cce98",
     ),
+    "lift-demo --which mcf --field tilted --d 2": (
+        "862015055b04c37d00715b45e8e46bad03ccd41e12401e208830185d86f78358",
+        "b887fd566157770cea6896aa698d26df7a97d249480036461cb343fc0b35d07d",
+    ),
+    "lift-demo --which mcf --field plane": (
+        "758b381d6369f7a23cfe25d8d2ba01c93b3cbe2195a0f92e137994e42ecfbb96",
+        "8001705b8699453a8d6c7654aa2a18c38856dd1fbc648cea4b74e966924a6ccf",
+    ),
 }
 
 
@@ -397,7 +394,6 @@ def test_usage_errors_exit_one(argv):
 
 def test_golden_record_reaches_every_choice_and_catalog_field():
     # without running the CLI, the golden record's cases reach every branch
-    assert GOLDEN.FAST_ARGS == FAST_ARGS
     # the benchmark's cli-lowdim cases, with each drawn --t read as "T"
     lowdim = _load(REPO / "perfbench" / "workloads.py")._cli_cases(random.Random(0))
     for argv in lowdim:

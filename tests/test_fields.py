@@ -149,6 +149,19 @@ def test_half_space_derivatives_broadcast_against_the_time(rng):
         np.testing.assert_array_equal(u.laplacian(x, 0.5), np.zeros(x.shape[:-1]))
 
 
+def test_a_time_array_may_widen_the_points_leading_shape(rng):
+    # t (5, 4) widens the length-1 axis of x (5, 1, 2): the same as broadcasting x first
+    x = rng.uniform(-2.0, 2.0, size=(5, 1, 2))
+    t = rng.uniform(0.1, 1.0, size=(5, 4))
+    wide = np.broadcast_to(x, (5, 4, 2))
+    fields = [caloric_polynomial(kind, 2) for kind in ("x1sq", "x1cube", "radial")] + list(half_space_pair(2))
+    for u in fields:
+        for part in ("value", "grad", "dt", "laplacian", "grad_dt", "dtt"):
+            got = getattr(u, part)(x, t)
+            assert np.shape(got)[:2] == (5, 4)
+            np.testing.assert_array_equal(got, getattr(u, part)(wide, t))
+
+
 def test_quadrature_generated_caloric_field(rng):
     u = caloric_from_data(lambda x: np.exp(-np.asarray(x, float)[..., 0] ** 2), T=2.0, d=1)
     pts = rng.uniform(-1.0, 1.0, size=(50, 1))

@@ -53,6 +53,41 @@ def test_offset_plane_derivative_identity():
     assert abs(fd - rep.derivative_rhs) < 1e-4
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_offset_plane_derivative_closed_form(dim):
+    # Theta = (1 - delta^2/r^2)^(d/2), so Theta' = d delta^2 r^-3 (1 - delta^2/r^2)^(d/2 - 1);
+    # at d = 1 the slice is two points
+    delta = 0.4
+    center = np.zeros(dim + 1)
+    center[-1] = delta
+    for r in (0.6, 1.0, 1.5):
+        want = dim * delta**2 / r**3 * (1.0 - delta**2 / r**2) ** (dim / 2 - 1)
+        got = ms_density_tilde(graph_plane(dim, 0.0), None, center, r).derivative_rhs
+        assert abs(got - want) <= 1e-12 * want
+
+
+def _with_mean_curvature(surf):
+    return surf, NonhomTerm(lambda y: graph_mean_curvature(surf, y))
+
+
+@pytest.mark.parametrize(
+    "surf, h, w0, r, want",
+    [
+        (graph_linear([0.3, -0.2]), None, [0.1, 0.0, 0.3], 1.1, 0.09693955572694693),
+        (*_with_mean_curvature(graph_paraboloid(2, 0.3)), [0.0, 0.0, 0.0], 0.7, -0.02892510139457889),
+        (*_with_mean_curvature(graph_paraboloid(2, 0.3)), [0.0, 0.0, 0.0], 1.0, -0.03802974033007765),
+        (*_with_mean_curvature(graph_paraboloid(3, 0.2)), [0.0, 0.0, 0.0, 0.0], 0.9, -0.025513281285123493),
+        (*_with_mean_curvature(graph_paraboloid(2, 0.3)), [0.2, -0.1, 0.05], 0.8, -0.024982438134274566),
+    ],
+    ids=["tilted plane", "paraboloid r=0.7", "paraboloid r=1", "paraboloid d=3", "paraboloid off center"],
+)
+def test_derivative_rhs_is_pinned(surf, h, w0, r, want):
+    # values recorded from an independent parametrization of the slice, with its own
+    # surface measure; a slip in the ray measure rho*^(N-1) 2/psi_rho moves them far past 1e-14
+    got = ms_density_tilde(surf, h, np.array(w0), r).derivative_rhs
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_paraboloid_derivative_identity_with_curvature_term():
     surf = graph_paraboloid(2, 0.3)
     h = NonhomTerm(lambda y: graph_mean_curvature(surf, y))
@@ -81,8 +116,6 @@ def test_density_domain_gates():
     plane = graph_plane(2, 0.0)
     with pytest.raises(ValueError):
         ms_density(plane, np.zeros(3), 0.0)
-    with pytest.raises(ValueError):
-        ms_density_tilde(graph_plane(1, 0.0), None, np.zeros(2), 1.0)
     # center two units above the sheet, ball of radius one misses it
     with pytest.raises(ValueError):
         ms_density_tilde(plane, None, np.array([0.0, 0.0, 2.0]), 1.0)
@@ -140,6 +173,19 @@ def test_lifted_density_converges_on_the_constant_graph():
     assert 3.0 < errs[0] / errs[1] < 5.0
     assert 3.0 < errs[1] / errs[2] < 5.0
     assert errs[2] < 0.05 * limit
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lifted_density_of_the_constant_graph_in_closed_form(d):
+    # Phi_n = (4 pi)^(d/2) (1 - c^2/(2ndt))^((nd-2)/2) exactly; the worst case, about
+    # 2.7e-13 at nd = 320, is the finite weight's normalizer losing digits to cancellation
+    for c in (0.3, 1.0):
+        for n in (4, 10, 40, 160):
+            for t in (0.7, 1.0):
+                nd = n * d
+                want = (4 * math.pi) ** (d / 2) * (1.0 - c * c / (2 * nd * t)) ** ((nd - 2) / 2)
+                got = lifted_mcf_density(graph_plane(d, c), LiftConfig(d, n), t)
+                assert abs(got - want) <= 1e-12 * want
 
 
 def test_lifted_density_is_zero_where_the_weight_misses_the_graph():

@@ -40,7 +40,7 @@ import struct
 import sys
 import tempfile
 
-# the quick cases of tests/test_cli.py
+# one fast invocation per subcommand; tests/test_cli.py runs these
 FAST_ARGS = {
     "gn-limit": ["gn-limit"],
     "pushforward": ["pushforward", "--samples", "20000"],
