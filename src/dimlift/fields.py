@@ -76,6 +76,12 @@ class SpaceTimeField:
     dtt: Callable
     name: str = ""
     window: tuple | None = None  # (r_in, r_out, t_in, t_out) support box, or None
+    # k when u(x, t) depends on x only through x_1..x_k; None declares
+    # nothing.  Unlike symmetry, |x| is not allowed.  A field that declares k
+    # reads only x_1..x_k: it accepts points of any width of at least k, such
+    # as the k-wide points of the weighted rule in R^k, and returns a
+    # gradient of the width it was given
+    coords: int | None = None
 
 
 @dataclass(frozen=True)
@@ -236,6 +242,7 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
             grad_dt=_zeros_vec,
             dtt=_zeros,
             name="x1",
+            coords=1,
         )
     if kind == "x1sq":
 
@@ -254,6 +261,7 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
             grad_dt=_zeros_vec,
             dtt=_zeros,
             name="x1sq",
+            coords=1,
         )
     if kind == "x1cube":
 
@@ -277,6 +285,7 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
             grad_dt=grad_dt,
             dtt=_zeros,
             name="x1cube",
+            coords=1,
         )
     if kind == "radial":
 
@@ -504,6 +513,7 @@ def _half_space_field(d: int, sign: float, power: int) -> SpaceTimeField:
         grad_dt=_zeros_vec,
         dtt=_zeros,
         name=f"x1_{side}{tag}",
+        coords=1,
     )
 
 

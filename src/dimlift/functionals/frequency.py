@@ -102,7 +102,7 @@ def poon(u: SpaceTimeField, t: float) -> FrequencyValues:
         g = np.asarray(u.grad(x, t), float)
         return np.stack([val * val, dot(g, g)], axis=-1)
 
-    HD = integrate_weighted(both, u.d, t).value
+    HD = integrate_weighted(both, u.d, t, coords=u.coords).value
     H, D = float(HD[0]), float(HD[1])
     if H < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"weighted mass H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
@@ -131,7 +131,7 @@ def lifted_frequency(u: SpaceTimeField, cfg: LiftConfig, t: float) -> float:
         radial = dot(np.asarray(x, float), g) + 2.0 * t * np.asarray(u.dt(x, t), float)
         return np.stack([val * val, val * radial], axis=-1)
 
-    inst = integrate_weighted(instant, d, t, n=n).value
+    inst = integrate_weighted(instant, d, t, n=n, coords=u.coords).value
     denom, numer1 = float(inst[0]), float(inst[1])
     if denom < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"weighted mass {denom!r} is below the {DENOMINATOR_FLOOR} floor")
@@ -142,5 +142,5 @@ def lifted_frequency(u: SpaceTimeField, cfg: LiftConfig, t: float) -> float:
         spatial = dot(np.asarray(x, float), gdt)
         return 2.0 * val * (spatial + s * np.asarray(u.dtt(x, s), float)) * power_ratio(s, t, p)
 
-    numer2 = integrate_spacetime(history, d, t, n=n).value
+    numer2 = integrate_spacetime(history, d, t, n=n, coords=u.coords).value
     return (numer1 - numer2) / denom

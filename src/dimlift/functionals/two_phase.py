@@ -113,8 +113,8 @@ def caffarelli_Phi(u1: SpaceTimeField, u2: SpaceTimeField, tau: float) -> TwoPha
         raise ValueError("both phases must live on the same R^d")
     if not tau > 0.0:
         raise ValueError("need tau > 0")
-    f1 = integrate_spacetime(_parabolic_energy(u1), u1.d, tau).value
-    f2 = integrate_spacetime(_parabolic_energy(u2), u2.d, tau).value
+    f1 = integrate_spacetime(_parabolic_energy(u1), u1.d, tau, coords=u1.coords).value
+    f2 = integrate_spacetime(_parabolic_energy(u2), u2.d, tau, coords=u2.coords).value
     return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / tau**2)
 
 
@@ -141,6 +141,6 @@ def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, cfg: LiftConfig, ta
 
         return f
 
-    f1 = integrate_spacetime(lifted_energy(u1), cfg.d, tau, n=cfg.n).value
-    f2 = integrate_spacetime(lifted_energy(u2), cfg.d, tau, n=cfg.n).value
+    f1 = integrate_spacetime(lifted_energy(u1), cfg.d, tau, n=cfg.n, coords=u1.coords).value
+    f2 = integrate_spacetime(lifted_energy(u2), cfg.d, tau, n=cfg.n, coords=u2.coords).value
     return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / tau**2)

@@ -8,7 +8,11 @@ Gauss-Jacobi rules (built with numpy, _jacobi) over a Beta law.  A ball,
 annulus or sphere integral is refined as a mean, which stays of the size of
 the integrand for any N, and multiplied once by the measure in closed form.
 A space-time integral stacks its time nodes as leading rows of one such sum,
-so the integrand is called once per block, not once per node.
+so the integrand is called once per block, not once per node.  A weighted
+integral on R^d whose integrand is declared to read x only through x_1..x_k
+(coords = k < d) runs that sum in R^k instead, against the k-marginal of the
+weight, on k-wide points; the finite weight at n = 1, a law on a sphere with
+no density, keeps the rule of R^d (see integrate_spacetime).
 
 The angular rule is a tensor product of one-dimensional Gauss rules,
 unless the integrand is declared to depend on y only through y_1..y_k and
@@ -556,22 +560,27 @@ def _ball_rule(level: int, d: int, expo: float, r_max: float) -> tuple[np.ndarra
     return r_max * np.sqrt(0.5 * (1.0 + s)), ws
 
 
-def _weighted_rule(d: int, t: float, level: int, n: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes and weights (kr,) of the weight w_t, a probability density:
+def _weighted_rule(d: int, t: float, level: int, n: int | None, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radial nodes and weights (kr,) of the marginal of the weight w_t on
+    x_1..x_k, a probability density on R^k:
 
-        sum_ij w_i wa_j phi(r_i omega_j) ~ int phi(x) w_t(x) dx
+        sum_ij w_i wa_j phi(r_i omega_j) ~ int phi(x_1..x_k) w_t(x) dx
 
-    with (omega, wa) = _sphere_nodes(d, level).  w_t is the finite weight
-    G_(t,n) of n steps per coordinate, or its n -> infinity limit, the
-    Gaussian G_t, for n = None.  The radial weights are those of the law of
-    |x|.  The finite weight at n = 1 is the uniform law on the sphere
+    with (omega, wa) = _sphere_nodes(k, level); k = d gives w_t itself.
+    w_t is the finite weight G_(t,n) of n steps per coordinate, or its
+    n -> infinity limit, the Gaussian G_t, for n = None.  The radial weights
+    are those of the law of |(x_1..x_k)|.  The marginal of G_t is G_t on
+    R^k.  For n >= 2 the marginal of G_(t,n), as of the uniform law on the
+    sphere of R^(nd), has density proportional to
+    (1 - |z|^2/2ndt)^((nd-k-2)/2) on the ball of radius sqrt(2ndt) in R^k.
+    The finite weight at n = 1 is the uniform law on the sphere
     |x| = sqrt(2dt), with no density; its rule is that one radius with
-    weight 1.
+    weight 1, a rule of R^d only, so k < d needs n None or n >= 2.
     """
     if n is None:
-        # the density of |x| is |S^(d-1)| r^(d-1) G_t(r), cut where G_t < 1e-16 G_t(0)
-        r, radial_w = _legendre_rule(level, 0.0, TAIL_FACTOR * math.sqrt(t), d - 1)
-        return r, sphere_area(d) * radial_w * np.exp(-r * r / (4.0 * t) - 0.5 * d * math.log(4.0 * math.pi * t))
+        # the density of |x| is |S^(k-1)| r^(k-1) G_t(r), cut where G_t < 1e-16 G_t(0)
+        r, radial_w = _legendre_rule(level, 0.0, TAIL_FACTOR * math.sqrt(t), k - 1)
+        return r, sphere_area(k) * radial_w * np.exp(-r * r / (4.0 * t) - 0.5 * k * math.log(4.0 * math.pi * t))
     if n < 1:
         raise UnsupportedConfigError(f"finite weight needs n >= 1; got n={n}")
     if n == 1:
@@ -579,15 +588,22 @@ def _weighted_rule(d: int, t: float, level: int, n: int | None) -> tuple[np.ndar
         # uniform law on the sphere, with no density at all
         return np.array([math.sqrt(2.0 * d * t)]), np.ones(1)
     nd = n * d
-    return _ball_rule(level, d, 0.5 * (nd - d - 2), math.sqrt(2.0 * nd * t))
+    return _ball_rule(level, k, 0.5 * (nd - k - 2), math.sqrt(2.0 * nd * t))
 
 
-def _weighted_sums(f, d: int, ts: np.ndarray, level: int, n: int | None):
+def _weighted_sums(f, d: int, ts: np.ndarray, level: int, n: int | None, coords: int | None = None):
     """int f(x, t) w_t(x) dx at each time of ts (T,) in one polar sum: the T
     values, shape (T,) or (T, K), and the evaluation count.  f(x, t) gets t
-    of shape (rows, 1)."""
-    omega, wa = _sphere_nodes(d, level)
-    rules = [_weighted_rule(d, tq, level, n) for tq in ts]
+    of shape (rows, 1).
+
+    coords = k with 1 <= k < d declares that f reads x only through
+    x_1..x_k: the sum then runs in R^k against the k-marginal of w_t
+    (_weighted_rule), and f gets k-wide points.  At n = 1, and for any other
+    coords, the sum runs in R^d.
+    """
+    k = coords if coords is not None and 1 <= coords < d and (n is None or n >= 2) else d
+    omega, wa = _sphere_nodes(k, level)
+    rules = [_weighted_rule(d, tq, level, n, k) for tq in ts]
     return _polar_sum(f, np.stack([r for r, _ in rules]), np.stack([w for _, w in rules]), omega, wa, t=ts)
 
 
@@ -596,27 +612,28 @@ def _time_sum(wt: np.ndarray, values: np.ndarray):
     return np.cumsum(wt.reshape((-1,) + (1,) * (values.ndim - 1)) * values, axis=0)[-1]
 
 
-def integrate_weighted(phi, d: int, t: float, n: int | None = None) -> IntegralEstimate:
+def integrate_weighted(phi, d: int, t: float, n: int | None = None, coords: int | None = None) -> IntegralEstimate:
     """int_{R^d} phi(x) w(x) dx for w the finite weight G_(t,n), or for
     n = None its limit, the Gaussian G_t.
 
     phi must be vectorized over leading axes of x with shape (..., d); it may
     return a trailing component axis to integrate several integrands at once.
     A result of one number, with or without a component axis of length 1,
-    is a float, as in integrate_spacetime.
+    is a float, as in integrate_spacetime.  coords = k declares that phi
+    reads x only through x_1..x_k, as in integrate_spacetime.
     """
     if not t > 0.0:
         raise ValueError(f"need t > 0, got t={t}")
 
     def eval_at(level: int):
         # the one-time-node case of the time-stacked sum
-        values, count = _weighted_sums(lambda x, _: phi(x), d, np.array([t]), level, n)
+        values, count = _weighted_sums(lambda x, _: phi(x), d, np.array([t]), level, n, coords)
         return _unwrap_one(values[0]), count
 
     return _refine(eval_at)
 
 
-def integrate_spacetime(phi, d: int, tau: float, n: int | None = None) -> IntegralEstimate:
+def integrate_spacetime(phi, d: int, tau: float, n: int | None = None, coords: int | None = None) -> IntegralEstimate:
     """int_0^tau int_{R^d} phi(x, t) w_t(x) dx dt, with w_t as in integrate_weighted.
 
     Time nodes are Gauss points interior to (0, tau); integrands that blow up
@@ -625,6 +642,16 @@ def integrate_spacetime(phi, d: int, tau: float, n: int | None = None) -> Integr
     several nodes at once, shape (rows, ka, d), and t as an array of shape
     (rows, 1) that broadcasts against x[..., 0]; an integrand with a
     component axis needs t[..., None] to broadcast against that axis.
+
+    coords = k declares that phi depends on x only through x_1..x_k, as
+    SpaceTimeField.coords does (|x| is not allowed).  For 1 <= k < d and
+    n None or n >= 2 the integral then runs in R^k, against the k-marginal
+    of w_t, and phi gets points of width k instead of d.  The k = 1
+    marginal of the finite weight depends on n and d only through nd, so
+    the integral of a phi of x_1 alone at (d, n) is, bit for bit, its
+    d = 1 integral at nd steps.  At n = 1 the weight is a law on the
+    sphere, whose marginal the rule does not take, so there, and for any
+    other k, the rule of R^d is used.
     """
     if not tau > 0.0:
         raise ValueError(f"need tau > 0, got tau={tau}")
@@ -632,7 +659,7 @@ def integrate_spacetime(phi, d: int, tau: float, n: int | None = None) -> Integr
     def eval_at(level: int):
         # as many time nodes as radial ones
         ts, wt = _legendre_rule(level, 0.0, tau)
-        values, count = _weighted_sums(phi, d, ts, level, n)
+        values, count = _weighted_sums(phi, d, ts, level, n, coords)
         return _unwrap_one(_time_sum(wt, values)), count
 
     return _refine(eval_at)

@@ -290,8 +290,8 @@ _LOWDIM_SHA256 = {
         "11e02f9a3b60d631ea25450d7a91714ca35c7d16b11638ffacbfa95bec54dc4f",
     ),
     "frequency --parabolic --field x1cube --d 2": (
-        "972196307a2518ee5d08de3a88adf60195614e0be9afca9506d649564e42fecf",
-        "26088380eecab3800d01e497c7ecd3445933a1a106230fb6e8b5cdfeb7cd4ce9",
+        "7b410631f7341b08eca7f6a31cc72d70d069a11ee30cb8aba73c08bae18da06a",
+        "bde0b6d139832da6cb8fe04bc7120b466fdcc28d2b6070e2e3448dadfcc7c2ce",
     ),
     "frequency --parabolic --field hk --d 2": (
         "d3bbd2d9c9e7045a692496a1e37851127a95547417a70a855d1d6dce616f87fc",
@@ -306,16 +306,16 @@ _LOWDIM_SHA256 = {
         "b682f48f21c6fa85420e854e0357bd3dd32d0669178eb8ba442eceb504b28c25",
     ),
     "two-phase --kind parabolic --pair power --d 2": (
-        "9f1c0cb3266c379b85d0759c5414216d098dd28a65f7823dd2f8e61df95938c9",
-        "78941d0379023bf0dedbfa52cb27c80d1488a818cf4ab0a7861c726eb1db2f8e",
+        "3560dc536307e84d108133610233884c2f6f1e2511b138137f61d83ad43fe75a",
+        "3286195982e80c126061b52a2f0f4754fc09fb4fe937967bda5afa6c286265ce",
     ),
     "two-phase --kind lifted --pair half --d 1 --t 1.0": (
         "03bc275bd82b2cfdf2d7e1a116892d38d4eaed38a621b82903273efe90e72197",
         "a807dcc21d140afee149ecc1e0d1ddf2c97eac13bb756050a55930eea464bb5f",
     ),
     "two-phase --kind lifted --pair power --d 2 --t 1.0": (
-        "a0c01c26bdb46dd190aef43401d43b88427320e6deb5452b4d9515bd2be8d669",
-        "a8c5c54d314050dd6923b7ca7ad6b5ddf3936a316a8eeedf9fd3c33ab4e9c98c",
+        "62053cbf85e5f4abb369648c6b44441fb72309717c81ea614d40397d25df2257",
+        "d6c4adc7aecea86bf747883f7812c38f9f29f22bcee966690d37b1a2d8cd026b",
     ),
     "harmonic-map --which struwe --map circle --d 2": (
         "538952e1042866fa16dfa6bfdfef2e82d4cb26cd3f952ad29466f7d37d9c99ca",
@@ -338,12 +338,12 @@ _LOWDIM_SHA256 = {
         "783ef2acf7b13c92b86d2ff56f2e75a5ab7dd240b4131187952fee201e307a1d",
     ),
     "lift-demo --which frequency --field x1cube --d 2 --t 1.0": (
-        "2367c19d12e6fc7fe0bf07472e6dac76477f371667e66bd7451be79a3ce71f93",
-        "0d01bb9a88acd715a1f528fc6ce6be014148b73b2e2b0bafcf1ab61537491a22",
+        "30f3aa6d198d8c02fa129907140e0b00769f58bf068bfe3cfb646e2cd9210448",
+        "b3a5cc6589bef71f34b0e6d349df4ed0ed4d84bf50c59d8dff43dde8378d1493",
     ),
     "lift-demo --which two-phase --field half --d 2 --t 1.0": (
-        "6bd4d1b5442677437ae4f7cc05f05827fd766e5fb0064da24f1f0211bc2d39cb",
-        "1e265e3eb71c34986a0ae5928f6dbd9707272db9dc4ac93cacda2130bb1fb162",
+        "d3a27e53c21c8c8ebeff0cb3f5dd4de81c26a23ec543e7cab252bbe43dcae9d0",
+        "bef94fbe5088c3bfc2e28756bcadd62c9a16647cfbab23e28d08bdf9a9a199a5",
     ),
     "lift-demo --which harmonic-map --field circle --d 1 --t 1.0": (
         "8b35ef082606a2d37899b5d16cf0e590dbe1c5b89beeb75b299705261a603919",
