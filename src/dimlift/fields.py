@@ -222,70 +222,64 @@ def harmonic_polynomial(kind: str, N: int, k: int | None = None) -> ScalarField:
     raise ValueError(f"unknown harmonic polynomial kind {kind!r}")
 
 
+def _x1_field(d: int, name: str, value, dx, dt=None, dxx=None, dxt=None) -> SpaceTimeField:
+    """The field u(x, t) = f(x_1, t) on R^d, declared coords = 1.
+
+    value, dx, dt, dxx and dxt are f and its derivatives d/dx_1, d/dt,
+    d^2/dx_1^2 and d^2/dx_1 dt.  Each is a callable of (x_1, t), a constant,
+    or None for 0; d^2 f/dt^2 is 0.  The gradients are zeros of x's width
+    with column 0 written, so a point of any width of at least 1 is read.
+    """
+
+    def scalar(term):
+        if term is None:
+            return _zeros
+        if callable(term):
+            return lambda x, t: term(np.asarray(x, float)[..., 0], np.asarray(t))
+        return lambda x, t: term + _zeros(x, t)
+
+    def column(term):
+        if term is None:
+            return _zeros_vec
+
+        def g(x, t):
+            x = np.asarray(x, float)
+            out = _zeros_vec(x, t)
+            out[..., 0] = term(x[..., 0], np.asarray(t)) if callable(term) else term
+            return out
+
+        return g
+
+    return SpaceTimeField(
+        d=d,
+        value=scalar(value),
+        grad=column(dx),
+        dt=scalar(dt),
+        laplacian=scalar(dxx),
+        grad_dt=column(dxt),
+        dtt=_zeros,
+        name=name,
+        coords=1,
+    )
+
+
 def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
     """Backward caloric polynomials: x1, x1^2 - 2t, x1^3 - 6 x1 t, |x|^2 - 2dt."""
     if d < 1:
         raise ValueError("need d >= 1")
-
-    def e1(x, t):
-        g = _zeros_vec(x, t)
-        g[..., 0] = 1.0
-        return g
-
     if kind == "x1":
-        return SpaceTimeField(
-            d=d,
-            value=lambda x, t: np.asarray(x, float)[..., 0] + 0.0 * np.asarray(t),
-            grad=e1,
-            dt=_zeros,
-            laplacian=_zeros,
-            grad_dt=_zeros_vec,
-            dtt=_zeros,
-            name="x1",
-            coords=1,
-        )
+        return _x1_field(d, "x1", lambda x1, t: x1 + 0.0 * t, 1.0)
     if kind == "x1sq":
-
-        def grad_x1sq(x, t):
-            x = np.asarray(x, float)
-            g = _zeros_vec(x, t)
-            g[..., 0] = 2.0 * x[..., 0]
-            return g
-
-        return SpaceTimeField(
-            d=d,
-            value=lambda x, t: np.asarray(x, float)[..., 0] ** 2 - 2.0 * np.asarray(t),
-            grad=grad_x1sq,
-            dt=lambda x, t: -2.0 + _zeros(x, t),
-            laplacian=lambda x, t: 2.0 + _zeros(x, t),
-            grad_dt=_zeros_vec,
-            dtt=_zeros,
-            name="x1sq",
-            coords=1,
-        )
+        return _x1_field(d, "x1sq", lambda x1, t: x1**2 - 2.0 * t, lambda x1, t: 2.0 * x1, dt=-2.0, dxx=2.0)
     if kind == "x1cube":
-
-        def grad(x, t):
-            x = np.asarray(x, float)
-            g = _zeros_vec(x, t)
-            g[..., 0] = 3.0 * x[..., 0] ** 2 - 6.0 * np.asarray(t)
-            return g
-
-        def grad_dt(x, t):
-            g = _zeros_vec(x, t)
-            g[..., 0] = -6.0
-            return g
-
-        return SpaceTimeField(
-            d=d,
-            value=lambda x, t: np.asarray(x, float)[..., 0] ** 3 - 6.0 * np.asarray(x, float)[..., 0] * np.asarray(t),
-            grad=grad,
-            dt=lambda x, t: -6.0 * np.asarray(x, float)[..., 0] + 0.0 * np.asarray(t),
-            laplacian=lambda x, t: 6.0 * np.asarray(x, float)[..., 0] + 0.0 * np.asarray(t),
-            grad_dt=grad_dt,
-            dtt=_zeros,
-            name="x1cube",
-            coords=1,
+        return _x1_field(
+            d,
+            "x1cube",
+            lambda x1, t: x1**3 - 6.0 * x1 * t,
+            lambda x1, t: 3.0 * x1**2 - 6.0 * t,
+            dt=lambda x1, t: -6.0 * x1 + 0.0 * t,
+            dxx=lambda x1, t: 6.0 * x1 + 0.0 * t,
+            dxt=-6.0,
         )
     if kind == "radial":
 
@@ -355,16 +349,12 @@ def caloric_from_data(g, T: float, d: int = 1, radius: float | None = None, node
     xs, ws = np.polynomial.legendre.leggauss(nodes)
     axis = radius * xs
     waxis = radius * ws
-    if d == 1:
-        xi = axis[:, None]
-        w = waxis
-    else:
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        xi = np.stack([gg.ravel() for gg in grids], axis=-1)
-        wg = np.meshgrid(*([waxis] * d), indexing="ij")
-        w = np.ones(xi.shape[0])
-        for gg in wg:
-            w = w * gg.ravel()
+    grids = np.meshgrid(*([axis] * d), indexing="ij")
+    xi = np.stack([gg.ravel() for gg in grids], axis=-1)
+    wg = np.meshgrid(*([waxis] * d), indexing="ij")
+    w = np.ones(xi.shape[0])
+    for gg in wg:
+        w = w * gg.ravel()
     coeff = w * np.asarray(g(xi), float)  # (M,)
     return _kernel_sum_field(xi, coeff, T, d, name=f"caloric_from_data(T={T})")
 
@@ -384,7 +374,7 @@ def caloric_from_csv(path, T: float) -> SpaceTimeField:
     d = len(header) - 1
     data = np.array([[float(c) for c in row] for row in rows[1:]], dtype=float)
     xi, vals = data[:, :d], data[:, d]
-    cell = 1.0
+    cell, expected = 1.0, 1
     for i in range(d):
         levels = np.unique(xi[:, i])
         if len(levels) < 2:
@@ -393,9 +383,7 @@ def caloric_from_csv(path, T: float) -> SpaceTimeField:
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
             raise ValueError(f"axis x{i + 1} is not uniformly spaced")
         cell *= steps[0]
-    expected = 1
-    for i in range(d):
-        expected *= len(np.unique(xi[:, i]))
+        expected *= len(levels)
     if len(xi) != expected:
         raise ValueError("grid rows do not form a full tensor product")
     return _kernel_sum_field(xi, cell * vals, T, d, name=f"caloric_from_csv(T={T})")
@@ -481,40 +469,20 @@ def _kernel_sum_field(
 
 def _half_space_field(d: int, sign: float, power: int) -> SpaceTimeField:
     # sign +1: supported on x1 > 0; sign -1: on x1 < 0.  u = (sign * x1)_+ ^ power.
-    def part(x):
-        return np.maximum(sign * np.asarray(x, float)[..., 0], 0.0)
+    def part(x1):
+        return np.maximum(sign * x1, 0.0)
 
-    def value(x, t):
-        return part(x) ** power + 0.0 * np.asarray(t)
-
-    def grad(x, t):
-        x = np.asarray(x, float)
-        p = part(x)
-        g = _zeros_vec(x, t)
-        # power 1: the mask kills the 0^0 = 1 artifact at the interface, and
-        # sign times it is the column; above, 0^(power-1) is 0 unmasked
-        g[..., 0] = sign * (p > 0.0) if power == 1 else (sign * power) * p ** (power - 1)
-        return g
-
-    def laplacian(x, t):
-        if power == 1:
-            return _zeros(x, t)
-        p = part(x)
-        return power * (power - 1) * p ** (power - 2) * (p > 0.0) + 0.0 * np.asarray(t)
-
+    if power == 1:
+        # the mask kills the 0^0 = 1 artifact at the interface, and sign
+        # times it is the column
+        dx, dxx = (lambda x1, t: sign * (part(x1) > 0.0)), None
+    else:
+        # 0^(power-1) is 0 unmasked
+        dx = lambda x1, t: (sign * power) * part(x1) ** (power - 1)
+        dxx = lambda x1, t: power * (power - 1) * part(x1) ** (power - 2) * (part(x1) > 0.0) + 0.0 * t
     tag = {1: "", 2: "sq", 3: "cube"}.get(power, f"^{power}")
     side = "plus" if sign > 0 else "minus"
-    return SpaceTimeField(
-        d=d,
-        value=value,
-        grad=grad,
-        dt=_zeros,
-        laplacian=laplacian,
-        grad_dt=_zeros_vec,
-        dtt=_zeros,
-        name=f"x1_{side}{tag}",
-        coords=1,
-    )
+    return _x1_field(d, f"x1_{side}{tag}", lambda x1, t: part(x1) ** power + 0.0 * t, dx, dxx=dxx)
 
 
 def half_space_pair(dim: int, kind: str = "parabolic"):
@@ -636,6 +604,29 @@ def _bump_profile(a: float, b: float, k: int):
     return parts
 
 
+def _radial_bump(rho, N: int):
+    """value, grad and laplacian of rho(|x|) on R^N for the profile rho of
+    _bump_profile, each times a factor s that defaults to 1.  grad and
+    laplacian divide by |x| only where it is positive."""
+
+    def value(x, s=1.0):
+        return rho(np.linalg.norm(np.asarray(x, float), axis=-1))[0] * s
+
+    def grad(x, s=1.0):
+        x = np.asarray(x, float)
+        r = np.linalg.norm(x, axis=-1)
+        safe = np.where(r > 0.0, r, 1.0)
+        return (s * rho(r)[1] / safe)[..., None] * x
+
+    def laplacian(x, s=1.0):
+        r = np.linalg.norm(np.asarray(x, float), axis=-1)
+        _, dp, ddp = rho(r)
+        safe = np.where(r > 0.0, r, 1.0)
+        return s * (ddp + (N - 1) * dp / safe)
+
+    return value, grad, laplacian
+
+
 def bump_spacetime(d: int, r_in: float, r_out: float, t_in: float, t_out: float, k: int = 4) -> SpaceTimeField:
     """Separable bump rho(|x|) sigma(t) supported on the annulus-window away from the origin.
 
@@ -649,51 +640,16 @@ def bump_spacetime(d: int, r_in: float, r_out: float, t_in: float, t_out: float,
         raise ValueError("need 0 < r_in < r_out and 0 < t_in < t_out")
     if k < 3:
         raise ValueError("need smoothness k >= 3")
-    rho = _bump_profile(r_in, r_out, k)
+    value, grad, laplacian = _radial_bump(_bump_profile(r_in, r_out, k), d)
     sig = _bump_profile(t_in, t_out, k)
-
-    def radial(x):
-        x = np.asarray(x, float)
-        return x, np.linalg.norm(x, axis=-1)
-
-    def value(x, t):
-        x, r = radial(x)
-        return rho(r)[0] * sig(t)[0]
-
-    def grad(x, t):
-        x, r = radial(x)
-        p, dp, _ = rho(r)
-        safe = np.where(r > 0.0, r, 1.0)
-        return (sig(t)[0] * dp / safe)[..., None] * x
-
-    def laplacian(x, t):
-        x, r = radial(x)
-        p, dp, ddp = rho(r)
-        safe = np.where(r > 0.0, r, 1.0)
-        return sig(t)[0] * (ddp + (d - 1) * dp / safe)
-
-    def dt(x, t):
-        _, r = radial(x)
-        return rho(r)[0] * sig(t)[1]
-
-    def grad_dt(x, t):
-        x, r = radial(x)
-        _, dp, _ = rho(r)
-        safe = np.where(r > 0.0, r, 1.0)
-        return (sig(t)[1] * dp / safe)[..., None] * x
-
-    def dtt(x, t):
-        _, r = radial(x)
-        return rho(r)[0] * sig(t)[2]
-
     return SpaceTimeField(
         d=d,
-        value=value,
-        grad=grad,
-        dt=dt,
-        laplacian=laplacian,
-        grad_dt=grad_dt,
-        dtt=dtt,
+        value=lambda x, t: value(x, sig(t)[0]),
+        grad=lambda x, t: grad(x, sig(t)[0]),
+        dt=lambda x, t: value(x, sig(t)[1]),
+        laplacian=lambda x, t: laplacian(x, sig(t)[0]),
+        grad_dt=lambda x, t: grad(x, sig(t)[1]),
+        dtt=lambda x, t: value(x, sig(t)[2]),
         name=f"bump(r=[{r_in},{r_out}], t=[{t_in},{t_out}], k={k})",
         window=(r_in, r_out, t_in, t_out),
     )
@@ -705,25 +661,7 @@ def bump_radial(N: int, r_in: float, r_out: float, k: int = 4) -> ScalarField:
         raise ValueError("need 0 < r_in < r_out")
     if k < 3:
         raise ValueError("need smoothness k >= 3")
-    rho = _bump_profile(r_in, r_out, k)
-
-    def value(y):
-        return rho(np.linalg.norm(np.asarray(y, float), axis=-1))[0]
-
-    def grad(y):
-        y = np.asarray(y, float)
-        r = np.linalg.norm(y, axis=-1)
-        _, dp, _ = rho(r)
-        safe = np.where(r > 0.0, r, 1.0)
-        return (dp / safe)[..., None] * y
-
-    def laplacian(y):
-        y = np.asarray(y, float)
-        r = np.linalg.norm(y, axis=-1)
-        _, dp, ddp = rho(r)
-        safe = np.where(r > 0.0, r, 1.0)
-        return ddp + (N - 1) * dp / safe
-
+    value, grad, laplacian = _radial_bump(_bump_profile(r_in, r_out, k), N)
     return ScalarField(
         N=N,
         value=value,

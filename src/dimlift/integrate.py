@@ -42,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import operator
 import os
 import threading
 import time
@@ -54,7 +55,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import AccuracyError, UnsupportedConfigError
-from .lift import LiftConfig, sphere_area
+from .lift import LiftConfig, _is_integer, sphere_area
 from .weights import _log_sphere_area
 
 __all__ = [
@@ -119,11 +120,13 @@ class MonteCarloSpec:
     samples: int = 100_000
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.samples):
+            raise ValueError(f"samples must be an integer; got {self.samples!r}")
         if self.samples < 1_000:
             raise ValueError("samples must be >= 1000")
         # Philox is keyed with seed + (batch << 64), so a larger seed would
-        # replay another seed's batches
-        if not 0 <= self.seed < 2**64:
+        # replay another seed's batches, and a float one would round there
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2**64); got {self.seed}")
 
 
@@ -826,8 +829,9 @@ def integrate_window(f, d: int, r_range: tuple[float, float], t_range: tuple[flo
 
 
 def _batch_rng(seed: int, index: int) -> np.random.Generator:
-    # pure function of (seed, index); Philox keys are 128-bit counters
-    return np.random.Generator(np.random.Philox(key=seed + (index << 64)))
+    # pure function of (seed, index); Philox keys are 128-bit counters.  A
+    # numpy integer seed is made a Python int first: it cannot hold the key
+    return np.random.Generator(np.random.Philox(key=operator.index(seed) + (index << 64)))
 
 
 def _batch_sizes(mc: MonteCarloSpec) -> list[int]:

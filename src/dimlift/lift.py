@@ -10,6 +10,7 @@ it to a field on R^(n*d) that the elliptic functionals read.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ class LiftConfig:
     n: int
 
     def __post_init__(self) -> None:
+        if not (_is_integer(self.d) and _is_integer(self.n)):
+            raise ValueError(f"d and n must be integers, got d={self.d!r}, n={self.n!r}")
         if self.d < 1 or self.n < 1:
             raise ValueError(f"need d >= 1 and n >= 1, got d={self.d}, n={self.n}")
 
@@ -41,6 +44,15 @@ class LiftConfig:
     def N(self) -> int:
         """Ambient dimension n*d of the lifted space."""
         return self.n * self.d
+
+
+def _is_integer(value) -> bool:
+    """Whether operator.index takes value: an int or a numpy integer, not a float."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def sphere_area(N: int) -> float:

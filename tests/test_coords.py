@@ -146,6 +146,7 @@ DECLARED = {
     "x1_minus": lambda d: half_space_pair(d)[1],
     "x1_plussq": lambda d: half_space_power_pair(d, 2)[0],
     "x1_pluscube": lambda d: half_space_power_pair(d, 3)[0],
+    "x1_plus^5": lambda d: half_space_power_pair(d, 5)[0],
 }
 
 

@@ -1,6 +1,7 @@
 """Catalog fields: derivative self-checks, caloric residuals, supports."""
 
 import csv
+import hashlib
 import dataclasses
 import math
 
@@ -305,3 +306,76 @@ def test_graph_surfaces(rng):
     assert np.allclose(np.asarray(par.value(y, 0.0)), 0.2 * np.sum(y * y, axis=-1))
     hess = np.asarray(par.hessian(y, 0.0))
     assert np.allclose(hess, 0.4 * np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# pinned bits of the catalog's one-variable profiles
+
+
+def _bits_points(width: int) -> np.ndarray:
+    """(3, 4, width) points: signed zeros in every column, the origin and
+    the signed-zero point, and radii inside and outside the annulus 1 < |x| < 2."""
+    vals = np.array([0.0, -0.0, 0.35, -0.8, 1.2, -1.45, 1.7, -1.95, 0.6, -0.25, 2.3, -1.1])
+    x = np.stack([np.roll(vals, 5 * i) for i in range(width)], axis=-1) / np.sqrt(width)
+    x[0] = 0.0
+    x[1] = -0.0
+    return x.reshape(3, 4, width)
+
+
+# a scalar time, one time per row and one per point, inside and outside (1, 2)
+_BITS_TIMES = (1.3, np.array([[0.9], [1.4], [1.75]]), np.linspace(0.95, 2.05, 12).reshape(3, 4))
+
+_BITS_FIELDS = {
+    "x1": lambda d: [caloric_polynomial("x1", d)],
+    "x1sq": lambda d: [caloric_polynomial("x1sq", d)],
+    "x1cube": lambda d: [caloric_polynomial("x1cube", d)],
+    "x1_plus": lambda d: [half_space_pair(d)[0]],
+    "x1_minus": lambda d: [half_space_pair(d)[1]],
+    "x1_plus^p": lambda d: [half_space_power_pair(d, p)[0] for p in (2, 3, 5)],
+    "bump_spacetime": lambda d: [bump_spacetime(d, 1.0, 2.0, 1.0, 2.0, k) for k in (3, 4)],
+    "bump_radial": lambda d: [bump_radial(d, 1.0, 2.0, k) for k in (3, 4)],
+    "y1_pair": lambda d: list(half_space_pair(d, kind="elliptic")),
+}
+
+
+def _field_bits(name: str) -> str:
+    """sha256 of the shape and bytes of every part of the named fields, at
+    d in {1, 2, 3}, at widths 1 and d, and at each of _BITS_TIMES."""
+    h = hashlib.sha256()
+
+    def put(out):
+        out = np.asarray(out)
+        h.update(f"{out.dtype}{out.shape}".encode())
+        h.update(np.ascontiguousarray(out).tobytes())
+
+    for d in (1, 2, 3):
+        for u in _BITS_FIELDS[name](d):
+            for width in sorted({1, d}):
+                x = _bits_points(width)
+                if isinstance(u, dimlift.fields.ScalarField):
+                    for part in ("value", "grad", "laplacian"):
+                        put(getattr(u, part)(x))
+                    continue
+                for t in _BITS_TIMES:
+                    for part in ("value", "grad", "dt", "laplacian", "grad_dt", "dtt"):
+                        put(getattr(u, part)(x, t))
+    return h.hexdigest()
+
+
+# recorded under numpy 2.4.6; a rewrite of these constructors keeps the bits
+_FIELD_BITS_SHA256 = {
+    "bump_radial": "e01787b897a261289cb61e7e6deff36094696994e9af90b6dbba15dfeb7250a7",
+    "bump_spacetime": "1d92679fcfbd3d4959b3166997561ac21a2682d43fb708d7f3dc1d916355d2b6",
+    "x1": "115b09d73ec4a3879d0e95bf076e19972fd93a18e7eed71fdbd44e36a0e033aa",
+    "x1_minus": "abd8421b06a354e335d76c718857602cb0b57564a70886359c5bd62ed603ecab",
+    "x1_plus": "bc14044012ee7ba9407cc358db34a2da03645970b2f127effd1b1deccb03f3f0",
+    "x1_plus^p": "e7227aa356202005c1755e1a868c306e952ad130b468696e67ea2d28ffad258a",
+    "x1cube": "0097a7de2adec4ab2da8bd82b60f4204205d7729ccea53179ad4555ee9416915",
+    "x1sq": "99c99fbd05102cf21e183213d087ae405b7f48ae8f984074aa312050d0fb68ea",
+    "y1_pair": "aa5f26e4b24654668eae60322ed9c3919301741c3409e3636258859054d2744c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BITS_FIELDS))
+def test_one_variable_profiles_keep_their_bits(name):
+    assert _field_bits(name) == _FIELD_BITS_SHA256[name]

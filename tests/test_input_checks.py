@@ -162,6 +162,8 @@ CASES = [
         ValueError,
         "need 0 <= r0 < r1 and 0 < t0 < t1",
     ),
+    ("mc float samples", lambda p: MonteCarloSpec(seed=1, samples=1e5), ValueError, "samples must be an integer"),
+    ("mc float seed", lambda p: MonteCarloSpec(seed=1.5), ValueError, "seed must be an integer in [0, 2**64)"),
     ("sphere sampler N", lambda p: sample_sphere_uniform(0, 1.0, MC), ValueError, "need N >= 1"),
     ("ball sampler N", lambda p: sample_mu_ball(0, 1.0, 1, MC), ValueError, "need N >= 1 and d >= 1"),
     # weights and lift
@@ -183,6 +185,8 @@ CASES = [
         "grid dimension 3 != d = 2",
     ),
     ("sphere area", lambda p: sphere_area(0), ValueError, "need N >= 1, got N=0"),
+    ("lift float n", lambda p: LiftConfig(1, 10.5), ValueError, "d and n must be integers, got d=1, n=10.5"),
+    ("lift float d", lambda p: LiftConfig(2.0, 4), ValueError, "d and n must be integers, got d=2.0, n=4"),
     # carleman
     ("constant N", lambda p: carleman_elliptic_constant(0.5, 0), ValueError, "need N >= 1"),
     (

@@ -635,6 +635,9 @@ def test_sphere_sampler_is_a_pure_function_of_seed(monkeypatch):
     assert np.allclose(np.linalg.norm(a, axis=1), 2.0, rtol=1e-12)
     c = np.concatenate(list(sample_sphere_uniform(5, 2.0, MonteCarloSpec(seed=43, samples=5000))))
     assert not np.array_equal(a, c)
+    # a numpy integer seed draws every batch of the same int seed
+    n = np.concatenate(list(sample_sphere_uniform(5, 2.0, MonteCarloSpec(seed=np.uint64(42), samples=5000))))
+    assert np.array_equal(a, n)
     # E x1^2 on the unit sphere in R^6 is 1/6
     monkeypatch.setattr(dimlift.integrate, "_MC_BATCH", 4096)
     m, s, _ = mc_mean(sample_sphere_uniform(6, 1.0, MonteCarloSpec(seed=7, samples=50_000)), _x1sq)

@@ -90,6 +90,7 @@ BRANCH_ARGS = [
     ["frequency", "--parabolic", "--field", "x1"],
     ["two-phase", "--kind", "parabolic", "--pair", "power", "--power", "2"],
     ["two-phase", "--kind", "parabolic", "--pair", "half", "--d", "3"],
+    ["two-phase", "--kind", "parabolic", "--pair", "power", "--power", "5", "--d", "2"],
     ["harmonic-map", "--which", "struwe", "--map", "equator", "--N", "3"],
     ["harmonic-map", "--which", "lifted", "--map", "equator", "--N", "3"],
     ["mcf", "--which", "ms", "--delta", "0.4"],
