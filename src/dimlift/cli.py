@@ -378,7 +378,7 @@ def _run_mcf(args):
             if args.delta != 0.0 and args.delta >= r:
                 raise ValueError("--delta must stay below the smallest grid radius")
             # density of a d-dimensional plane at distance delta from the center
-            ref = (1.0 - args.delta**2 / r**2) ** (0.5 * args.d) if args.surface == "plane" else 1.0
+            ref = (1.0 - (args.delta / r) ** 2) ** (0.5 * args.d) if args.surface == "plane" else 1.0
             return [ms_density(surface, w0, r), ref]
 
         return _sequence(args, "r", header, at)

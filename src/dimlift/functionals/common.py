@@ -49,10 +49,11 @@ def dot(a, b):
 
 
 def gradsq(field):
-    """Integrand y -> |grad v(y)|^2 of a field with a grad callable."""
+    """Integrand |grad v|^2 of a field with a grad callable, taking the
+    arguments of grad: y -> |grad v(y)|^2, or (x, t) -> |grad u(x, t)|^2."""
 
-    def f(y):
-        g = np.asarray(field.grad(y), dtype=float)
+    def f(*args):
+        g = np.asarray(field.grad(*args), dtype=float)
         return dot(g, g)
 
     return f

@@ -4,10 +4,12 @@ All hypersurfaces here are graphs x_{N+1} = v(y).  Ball intersections are
 parametrized in polar form around the center's base point: the projected
 region {y : |y - y0|^2 + (v(y) - v0)^2 <= r^2} is assumed star-shaped, and
 its boundary radius along each direction is found by bisection (exact to
-~80 bits, so quadrature error dominates).  ``ms_density`` and
-``ms_density_tilde`` share that bulk rule, and the slice integral of the
-derivative identity is taken on its rays by the coarea formula, so the
-slice needs no parametrization of its own.  The elliptic quantities
+~80 bits, so quadrature error dominates).  ``ms_density``,
+``ms_density_tilde`` and ``lifted_mcf_density`` share that bulk rule
+(``_graph_ball_rule``), which works in units of the ball radius, so no
+length is raised to a power.  The slice integral of the derivative identity
+is taken on the rule's rays by the coarea formula, so the slice needs no
+parametrization of its own.  The elliptic quantities
 (``graph_mean_curvature``, ``ms_density``, ``ms_density_tilde``) read the
 graph at time 0.
 """
@@ -21,7 +23,7 @@ import numpy as np
 
 from ..errors import AccuracyError, UnsupportedConfigError
 from ..fields import GraphSurface, NonhomTerm
-from ..integrate import _jacobi, _legendre_rule, _polar_sum, _refine, _sphere_nodes, integrate_weighted
+from ..integrate import _jacobi, _polar_sum, _refine, _sphere_nodes, integrate_weighted
 from ..lift import LiftConfig
 from ..weights import _log_sphere_area
 from .common import dot
@@ -56,61 +58,61 @@ def graph_mean_curvature(surface: GraphSurface, y):
     return lap / np.sqrt(q) - mixed / q**1.5
 
 
-def _graph_radii(surface: GraphSurface, t: float, y0, v0: float, r_sq: float, omega: np.ndarray) -> np.ndarray:
-    """Per-direction radius of the star-shaped region {y : |y - y0|^2 + (v(y) - v0)^2 <= r_sq}.
+def _graph_ball_rule(surface: GraphSurface, t: float, y0, v0: float, r: float, level: int, expo: float = 0.0):
+    """One level of the polar rule of {y : |y - y0|^2 + (v(y, t) - v0)^2 <= r^2}, in units of r.
 
-    Bisection on [0, sqrt(r_sq)] along each direction omega, assuming the
-    center lies inside; 80 halvings leave no error above the last bit.
+    Returns the directions omega (m, N) and their weights wa (sum 1), the
+    graph radii s* = rho*/r along them, and radial nodes s (k, m) in units of
+    r with weights wz s* s^(N-1): rho = r s, s = s* (1 + z)/2, and (z, wz)
+    the Gauss-Jacobi rule (sum 1) for (1 - z)^expo on [-1, 1].  At expo = 0,
+    sum_ij w_ij wa_j f(y0 + s_ij r omega_j), which _polar_sum forms from s
+    and r omega, is the integral of f over the region divided by
+    |S^(N-1)| r^N.  Every power is of a ratio in [0, 1], so no r overflows or
+    underflows.  s* comes from bisection on [0, 1], which assumes the center
+    lies inside and the region is star-shaped about y0; 80 halvings leave no
+    error above the last bit.
     """
-    lo = np.zeros(omega.shape[0])
-    hi = np.full(omega.shape[0], math.sqrt(r_sq))
+    omega, wa = _sphere_nodes(surface.dim, level)
+    lo, hi = np.zeros(len(wa)), np.ones(len(wa))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        dv = np.asarray(surface.value(y0 + mid[:, None] * omega, t), float) - v0
-        inside = mid * mid + dv * dv - r_sq <= 0.0
+        dv = (np.asarray(surface.value(y0 + (r * mid)[:, None] * omega, t), float) - v0) / r
+        inside = mid * mid + dv * dv <= 1.0
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
-    return 0.5 * (lo + hi)
+    s_star = 0.5 * (lo + hi)
+    z, wz = _jacobi(level, expo, 0.0)
+    s = 0.5 * (1.0 + z)[:, None] * s_star
+    return omega, wa, s_star, s, wz[:, None] * s_star * s ** (surface.dim - 1)
 
 
-def _split_center(surface: GraphSurface, w0) -> tuple[np.ndarray, float]:
+def _ball_center(surface: GraphSurface, w0, r: float) -> tuple[np.ndarray, float, bool]:
+    """Base point y0 and height v0 of the center w0, and whether B_r(w0) misses the sheet above y0."""
+    if not r > 0.0:
+        raise ValueError("need r > 0")
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (surface.dim + 1,):
         raise ValueError(f"center must live in R^{surface.dim + 1}")
-    return w0[: surface.dim], float(w0[surface.dim])
-
-
-def _graph_ball_sum(surface: GraphSurface, y0, v0: float, r: float, level: int, f):
-    """One level of the bulk rule of B_r(w0) cap Sigma, in polar form around y0.
-
-    Returns the directions omega (m, N) and their weights wa (sum 1), the
-    graph radii rho* along them, and _polar_sum's (value, count) of f over
-    the Gauss-Legendre rule in rho^(N-1) d rho on [0, rho*].  Since wa has
-    sum 1, the value is the integral over the projected region divided by
-    |S^(N-1)|.
-    """
-    omega, wa = _sphere_nodes(surface.dim, level)
-    rho_star = _graph_radii(surface, 0.0, y0, v0, r * r, omega)
-    rho, wr = _legendre_rule(level, 0.0, rho_star, surface.dim - 1)
-    return omega, wa, rho_star, _polar_sum(f, rho, wr, omega, wa, y0)
+    y0, v0 = w0[: surface.dim], float(w0[surface.dim])
+    return y0, v0, abs(float(surface.value(y0, 0.0)) - v0) >= r
 
 
 def ms_density(surface: GraphSurface, w0, r: float) -> float:
     """Area ratio Theta(r) = Area(B_r(w0) cap Sigma) / (omega_N r^N), omega_N the unit-ball volume."""
-    if not r > 0.0:
-        raise ValueError("need r > 0")
-    N = surface.dim
-    y0, v0 = _split_center(surface, w0)
-    gap = float(surface.value(y0, 0.0)) - v0
-    if gap * gap >= r * r:
+    y0, v0, misses = _ball_center(surface, w0, r)
+    if misses:
         return 0.0  # the ball misses the sheet above the center
 
     def area_element(x, _):
         grad = np.asarray(surface.grad(x, 0.0), dtype=float)
         return np.sqrt(1.0 + dot(grad, grad))
 
-    vol = _refine(lambda level: _graph_ball_sum(surface, y0, v0, r, level, area_element)[3]).value
-    return vol * N / r**N
+    def eval_at(level: int):
+        omega, wa, _, s, w = _graph_ball_rule(surface, 0.0, y0, v0, r, level)
+        return _polar_sum(area_element, s, w, r * omega, wa, y0)
+
+    # the rule's sum is Area / (|S^(N-1)| r^N), and |S^(N-1)| = N omega_N
+    return _refine(eval_at).value * surface.dim
 
 
 @dataclass(frozen=True)
@@ -144,12 +146,9 @@ def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float) 
     both: |psi_rho / 2| <= 1e-9 r along some direction raises an
     AccuracyError, since the integrand blows up there.
     """
-    if not r > 0.0:
-        raise ValueError("need r > 0")
     N = surface.dim
-    y0, v0 = _split_center(surface, w0)
-    gap = float(surface.value(y0, 0.0)) - v0
-    if gap * gap >= r * r:
+    y0, v0, misses = _ball_center(surface, w0, r)
+    if misses:
         raise ValueError("the ball does not reach the sheet above its center")
 
     def hval(pts):
@@ -167,24 +166,25 @@ def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float) 
         return np.stack([area_el, hval(x) * wnu_area], axis=-1)
 
     def eval_at(level: int):
-        omega, wa, rho_star, ((vol, correction), count) = _graph_ball_sum(surface, y0, v0, r, level, bulk)
-        # the angular rule has sum 1, so the sums are divided by |S^(N-1)|
-        theta_tilde = (vol + correction / N) * N / r**N
+        omega, wa, s_star, s, w = _graph_ball_rule(surface, 0.0, y0, v0, r, level)
+        (vol, correction), count = _polar_sum(bulk, s, w, r * omega, wa, y0)
+        # the sums are divided by |S^(N-1)| r^N = N omega_N r^N
+        theta_tilde = (vol + correction / N) * N
 
-        # the slice, on the same rays
-        ys = y0 + rho_star[:, None] * omega
-        vs = np.asarray(surface.value(ys, 0.0), float) - v0
+        # the slice, on the same rays, in units of r: vs = (v - v0)/r and
+        # half_psi_rho = psi_rho / 2r
+        ys = y0 + (r * s_star)[:, None] * omega
+        vs = (np.asarray(surface.value(ys, 0.0), float) - v0) / r
         gs = np.asarray(surface.grad(ys, 0.0), dtype=float)
         slope = dot(gs, omega)
-        half_psi_rho = rho_star + vs * slope
-        if np.any(np.abs(half_psi_rho) <= 1e-9 * r):
+        half_psi_rho = s_star + vs * slope
+        if np.any(np.abs(half_psi_rho) <= 1e-9):
             raise AccuracyError("slice integrand blows up: |(w - w0)^T| vanishes along some direction")
-        wnu_area = vs - rho_star * slope
-        # g sqrt(1 + |grad v|^2), with wnu_area as in bulk
-        g_area = wnu_area * wnu_area / np.sqrt(1.0 + dot(gs, gs)) + hval(ys) * wnu_area * r * r / N
-        slice_sum = float(np.sum(wa * g_area * rho_star ** (N - 1) / half_psi_rho))
-        rhs = N / r ** (N + 1) * slice_sum
-        return np.array([theta_tilde, rhs]), count + omega.shape[0]
+        wnu_area = vs - s_star * slope
+        # g sqrt(1 + |grad v|^2) / r^2, with wnu_area / r as in bulk
+        g_area = wnu_area * wnu_area / np.sqrt(1.0 + dot(gs, gs)) + hval(ys) * r * wnu_area / N
+        slice_sum = float(np.sum(wa * g_area * s_star ** (N - 1) / half_psi_rho))
+        return np.array([theta_tilde, N * slice_sum / r]), count + omega.shape[0]
 
     out = _refine(eval_at).value
     return MsDensityReport(theta_tilde=float(out[0]), derivative_rhs=float(out[1]))
@@ -236,35 +236,34 @@ def lifted_mcf_density(surface: GraphSurface, cfg: LiftConfig, t: float) -> floa
     nd = cfg.N
     if nd <= d + 1:
         raise UnsupportedConfigError(f"finite weight needs n*d >= d + 2; got d={d}, n={cfg.n}")
-    rmax_sq = 2.0 * nd * t
+    R = math.sqrt(2.0 * nd * t)
     expo = 0.5 * (nd - d - 2)
-    u_center = float(surface.value(np.zeros(d), t))
-    if u_center * u_center >= rmax_sq:
+    y0 = np.zeros(d)
+    if abs(float(surface.value(y0, t))) >= R:
         return 0.0  # weight support is empty along every direction
-    # the rim factor (1 - (|x|^2 + u^2)/R^2)^expo = ((rho* - rho) q / R^2)^expo
-    # is split into (1 - z)^expo, absorbed by the Gauss-Jacobi rule in z, and
-    # (0.5 rho* q / R^2)^expo, whose base lies in [0, 1] so no n overflows it.
-    # The angular and Jacobi rules have sum 1; their measures |S^(d-1)| and
-    # int (1 - z)^expo dz = 2^(expo+1)/(expo+1) are folded in here
-    log_pref = _log_sphere_area(nd - d) + _log_sphere_area(d) - _log_sphere_area(nd) - 0.5 * d * math.log(rmax_sq)
-    log_pref += (expo + 1.0) * math.log(2.0) - math.log(expo + 1.0)
+    # in units of R, with s = rho/R and uu = u/R, the rim factor
+    # (1 - s^2 - uu^2)^expo = ((s* - s) q)^expo is split into (1 - z)^expo,
+    # absorbed by the rule's Gauss-Jacobi factor, and (0.5 s* q)^expo, whose
+    # base lies in [0, 1] so no n overflows it.  The rule's sum of f, times
+    # |S^(d-1)| R^d 2^expo/(expo+1), is the integral of f (1 - z)^expo over
+    # the region (ds = s* dz/2, and (1 - z)^expo has integral
+    # 2^(expo+1)/(expo+1)); R^d cancels the weight's (2ndt)^(-d/2), and the
+    # rest is folded in here
+    log_pref = _log_sphere_area(nd - d) + _log_sphere_area(d) - _log_sphere_area(nd)
+    log_pref += expo * math.log(2.0) - math.log(expo + 1.0)
     scale = (4.0 * math.pi) ** (0.5 * d) * math.exp(log_pref)
 
     def eval_at(level: int):
-        omega, wa = _sphere_nodes(d, level)
-        rho_star = _graph_radii(surface, t, np.zeros(d), 0.0, rmax_sq, omega)
-        z, wj = _jacobi(level, expo, 0.0)
+        omega, wa, s_star, s_nodes, w = _graph_ball_rule(surface, t, y0, 0.0, R, level, expo)
 
-        def integrand(x, rho):
-            uu = np.asarray(surface.value(x, t), float)
+        def integrand(x, s):
+            uu = np.asarray(surface.value(x, t), float) / R
             grad = np.asarray(surface.grad(x, t), dtype=float)
             area_el = np.sqrt(1.0 + dot(grad, grad))
-            q = (rmax_sq - rho * rho - uu * uu) / (rho_star - rho)  # smooth across the rim
-            return area_el * rho ** (d - 1) * (0.5 * rho_star * q / rmax_sq) ** expo
+            q = (1.0 - s * s - uu * uu) / (s_star - s)  # smooth across the rim
+            return area_el * (0.5 * s_star * q) ** expo
 
-        rho = 0.5 * (1.0 + z)[:, None] * rho_star  # (kr, ka)
-        value, count = _polar_sum(integrand, rho, wj[:, None] * (0.5 * rho_star), omega, wa)
+        value, count = _polar_sum(integrand, s_nodes, w, R * omega, wa)
         return scale * value, count
 
-    value = _refine(eval_at).value
-    return value
+    return _refine(eval_at).value

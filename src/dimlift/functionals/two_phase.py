@@ -99,22 +99,14 @@ def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1: NonhomTerm, h2: N
     return (2.0 / r**4) * (psi(s1) * vh1 * energy.factor2 + psi(s2) * energy.factor1 * vh2)
 
 
-def _parabolic_energy(u: SpaceTimeField):
-    def f(x, t):
-        g = np.asarray(u.grad(x, t), dtype=float)
-        return dot(g, g)
-
-    return f
-
-
 def caffarelli_Phi(u1: SpaceTimeField, u2: SpaceTimeField, tau: float) -> TwoPhaseReport:
     """Phi(tau) = tau^-2 prod_i int_0^tau int |grad u_i|^2 G_t dx dt."""
     if u1.d != u2.d:
         raise ValueError("both phases must live on the same R^d")
     if not tau > 0.0:
         raise ValueError("need tau > 0")
-    f1 = integrate_spacetime(_parabolic_energy(u1), u1.d, tau, coords=u1.coords).value
-    f2 = integrate_spacetime(_parabolic_energy(u2), u2.d, tau, coords=u2.coords).value
+    f1 = integrate_spacetime(gradsq(u1), u1.d, tau, coords=u1.coords).value
+    f2 = integrate_spacetime(gradsq(u2), u2.d, tau, coords=u2.coords).value
     return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / tau**2)
 
 

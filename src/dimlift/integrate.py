@@ -55,8 +55,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import AccuracyError, UnsupportedConfigError
-from .lift import LiftConfig, _is_integer, sphere_area
-from .weights import _log_sphere_area
+from .lift import LiftConfig, sphere_area
+from .weights import _is_integer, _log_sphere_area
 
 __all__ = [
     "MonteCarloSpec",
@@ -435,16 +435,10 @@ def _refine(eval_at_level: Callable[[int], tuple]) -> IntegralEstimate:
 # polar rules: a radial rule times an angular rule
 
 
-def _legendre_rule(k: int, a: float, b, power: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes on [a, b] and weights times node**power.
-
-    b may be an array of per-direction upper limits (ka,); nodes and weights
-    are then (k, ka).
-    """
+def _legendre_rule(k: int, a: float, b: float, power: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes on [a, b] and weights times node**power."""
     xs, wleg = _leggauss(k)
     half = 0.5 * (b - a)
-    if np.ndim(b):
-        xs, wleg = xs[:, None], wleg[:, None]
     nodes = half * (xs + 1.0) + a
     return nodes, half * wleg * nodes**power
 
@@ -457,9 +451,11 @@ def _contract(w: np.ndarray, wa: np.ndarray, vals: np.ndarray):
         # last bits (BLAS treats output columns in groups)
         ang = np.dot(wa[None, :], vals.swapaxes(0, 1).reshape(len(wa), -1))
         return np.dot(w[None, :], ang.reshape(len(w), -1)).reshape(vals.shape[2:])
-    # per-direction weights: one pairwise sum over the block
-    wb = (w * wa).reshape(w.shape + (1,) * (vals.ndim - 2))
-    return np.sum(wb * vals, axis=(0, 1))
+    # per-direction weights: one pairwise sum over the block per component,
+    # taken on a contiguous copy, since numpy adds the rows of a strided
+    # reduction one by one
+    wv = np.moveaxis((w * wa).reshape(w.shape + (1,) * (vals.ndim - 2)) * vals, (0, 1), (-2, -1))
+    return np.sum(np.ascontiguousarray(wv).reshape(wv.shape[:-2] + (-1,)), axis=-1)
 
 
 def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarray, center=None, t=None):

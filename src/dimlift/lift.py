@@ -10,13 +10,12 @@ it to a field on R^(n*d) that the elliptic functionals read.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField
-from .weights import _log_sphere_area
+from .weights import _check_integers, _log_sphere_area
 
 __all__ = [
     "LiftConfig",
@@ -35,8 +34,7 @@ class LiftConfig:
     n: int
 
     def __post_init__(self) -> None:
-        if not (_is_integer(self.d) and _is_integer(self.n)):
-            raise ValueError(f"d and n must be integers, got d={self.d!r}, n={self.n!r}")
+        _check_integers(self.d, self.n)
         if self.d < 1 or self.n < 1:
             raise ValueError(f"need d >= 1 and n >= 1, got d={self.d}, n={self.n}")
 
@@ -44,15 +42,6 @@ class LiftConfig:
     def N(self) -> int:
         """Ambient dimension n*d of the lifted space."""
         return self.n * self.d
-
-
-def _is_integer(value) -> bool:
-    """Whether operator.index takes value: an int or a numpy integer, not a float."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 def sphere_area(N: int) -> float:

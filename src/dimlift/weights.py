@@ -9,6 +9,7 @@ R^(n*d) forward through the step-sum map.  It is supported on the closed ball
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,20 @@ __all__ = [
 def _log_sphere_area(N: int) -> float:
     # log |S^(N-1)| = log(2 pi^(N/2) / Gamma(N/2))
     return math.log(2.0) + 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N)
+
+
+def _is_integer(value) -> bool:
+    """Whether operator.index takes value: an int or a numpy integer, not a float."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _check_integers(d, n) -> None:
+    if not (_is_integer(d) and _is_integer(n)):
+        raise ValueError(f"d and n must be integers, got d={d!r}, n={n!r}")
 
 
 def _check_t(t: float) -> None:
@@ -55,8 +70,9 @@ def finite_weight(d: int, n: int, t: float, x) -> np.ndarray:
 
     On the rim |x|^2 = 2ndt the value is 0 when the exponent is positive and
     A when the exponent is 0 (the smallest supported case nd = d + 2).
-    Requires nd >= d + 2.
+    Requires integers d and n with nd >= d + 2.
     """
+    _check_integers(d, n)
     _check_t(t)
     nd = n * d
     if nd <= d + 1:
@@ -93,8 +109,10 @@ def ratio_bound(d: int, n: int) -> float:
         C = [|S^(nd-1-d)| / |S^(nd-1)|] (4 pi / 2nd)^(d/2)
             * (1 - (d+2)/nd)^((nd-d-2)/2) * e^(d/2+1).
 
-    Requires nd >= d + 3 so the maximizer sits inside the support.
+    Requires integers d and n with nd >= d + 3, so the maximizer sits inside
+    the support.
     """
+    _check_integers(d, n)
     nd = n * d
     if nd < d + 3:
         raise UnsupportedConfigError(
@@ -137,12 +155,11 @@ def weight_limit_report(d: int, t: float, x_grid, n_list) -> WeightLimitReport:
     if x_grid.shape[-1] != d:
         raise ValueError(f"grid dimension {x_grid.shape[-1]} != d = {d}")
 
-    n_list = tuple(int(n) for n in n_list)
     g = gaussian_weight(d, t, x_grid)
     rel = np.empty((len(n_list), x_grid.shape[0]))
     for k, n in enumerate(n_list):
-        gn = finite_weight(d, n, t, x_grid)
+        gn = finite_weight(d, n, t, x_grid)  # refuses an n that is not an integer
         rel[k] = np.abs(gn / g - 1.0)
     sup = rel.max(axis=1)
     ratios = sup[:-1] / sup[1:]
-    return WeightLimitReport(n_list=n_list, sup_rel_error=sup, successive_ratios=ratios)
+    return WeightLimitReport(n_list=tuple(int(n) for n in n_list), sup_rel_error=sup, successive_ratios=ratios)

@@ -114,6 +114,23 @@ def test_lifted_errors_must_fall_or_stay_below_tolerance(argv, rc, tmp_path, mon
 @pytest.mark.parametrize(
     "argv",
     [
+        ["mcf", "--which", "ms", "--d", "3", "--r-grid", "1e-120:2e-120:2"],
+        ["mcf", "--which", "ms", "--d", "2", "--r-grid", "1e-200:2e-200:2"],
+        ["mcf", "--which", "ms", "--d", "2", "--r-grid", "1e160:2e160:2"],
+        ["mcf", "--which", "ms", "--d", "2", "--delta", "4e-201", "--r-grid", "1e-200:2e-200:2"],
+    ],
+)
+def test_ball_density_passes_at_radii_far_from_one(argv, tmp_path, monkeypatch):
+    # the density and its reference are formed from ratios of lengths, so
+    # r^N neither underflows to 0 nor overflows
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "run"]) == 0
+    assert json.loads((tmp_path / "run.json").read_text())["status"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         # the Gaussian underflows to 0 far out, so every relative error is NaN
         ["--grid=-60:60:5"],
         # the grid reaches past every finite weight's support: errors all 1.0
@@ -330,12 +347,12 @@ _LOWDIM_SHA256 = {
         "c0f3327b51606067997d16e19d77153e9317d48685cfa69aa2b6ab6594c1cfbe",
     ),
     "mcf --which lifted --d 1 --t 1.0": (
-        "8ecda2623a41028784a0206ad289b2d8ed372d7c14a558e8f1d9c74dc4140659",
-        "ce64aceb41a2ab273b731822d0421ea0b285dcb1e962168d75c30e34c539abca",
+        "fe6d1a9f4bed79f20b62d007da5d6a0da6bd04598fa8054409d16f8b5d6f9fea",
+        "fb586379e59d8f34d020192f3f99e3a821c3ba081b3a6060adf6763c401439a0",
     ),
     "mcf --which lifted --d 2": (
-        "6e4df78a04f956bd434b8b6177ef60a6178f2fafeeebc5dab2ab6592a488e214",
-        "783ef2acf7b13c92b86d2ff56f2e75a5ab7dd240b4131187952fee201e307a1d",
+        "158c8569a7ae671f318d519cfd5e32da5b73040202ff2e79039a2f9cd4da17df",
+        "5b985bcf5ab5bfba7be61ecc571c9c08dfe56c84c3e41ce79b5448603547fb86",
     ),
     "lift-demo --which frequency --field x1cube --d 2 --t 1.0": (
         "30f3aa6d198d8c02fa129907140e0b00769f58bf068bfe3cfb646e2cd9210448",
@@ -350,8 +367,8 @@ _LOWDIM_SHA256 = {
         "b8fff1f30c9c85fbb1503d033746d7f22a87f67cca3e861a0bd528263d081157",
     ),
     "lift-demo --which mcf --field const --d 1 --t 1.0": (
-        "70a1b07a73bf52aa8d6ec62683dad2a67ed752040d91d7fb48ac5ec5ce10acb0",
-        "061ce8354c7c02d9517590bb900f59579ab54f822b612d95afb9a7af222b68b0",
+        "e2dada99b2e884d317832414f46a359ce119a10a0b59a86bb7494a8c37e2949f",
+        "dc90a9a4998f102be6e3083ea495a5d8c34a6fd3af7a08ac1d8c43247be7fae1",
     ),
     "frequency --elliptic --field re_z3": (
         "b10aba728d82d5d82a7e181dae4222502b34eac7afde24690c691497445ba5fa",
@@ -366,12 +383,12 @@ _LOWDIM_SHA256 = {
         "5a1ffbae3161dcc51892d908e00e313e342604ed3ca87a88f1f57766747cce98",
     ),
     "lift-demo --which mcf --field tilted --d 2": (
-        "862015055b04c37d00715b45e8e46bad03ccd41e12401e208830185d86f78358",
-        "b887fd566157770cea6896aa698d26df7a97d249480036461cb343fc0b35d07d",
+        "aab696fd304a07815f7df13d1781d3c4ea2db1665e2fb4b73d8b46f0d037ce2c",
+        "16237b706f0db57b1e6f1190f442ad0afe46fa8f5e6f78c5edcc47fa7399bef4",
     ),
     "lift-demo --which mcf --field plane": (
-        "758b381d6369f7a23cfe25d8d2ba01c93b3cbe2195a0f92e137994e42ecfbb96",
-        "8001705b8699453a8d6c7654aa2a18c38856dd1fbc648cea4b74e966924a6ccf",
+        "798d343b15fd57ea2621e682ebb3124d4b22c4797a95031452971682c64ce521",
+        "675b3f122e3141340ac959beb730e270b5aa32cd0f9703e81e557fe9b2569052",
     ),
 }
 

@@ -66,6 +66,28 @@ def test_offset_plane_derivative_closed_form(dim):
         assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1.0, 1e100, 1e200])
+def test_plane_densities_hold_at_every_length_scale(dim, scale):
+    # Theta and Theta' are functions of delta/r alone, times 1/r for Theta';
+    # the rule works in units of r, so no power of r leaves the float range
+    plane = graph_plane(dim, 0.0)
+    for r0 in (0.6, 1.0, 1.5):
+        r = scale * r0
+        assert abs(ms_density(plane, np.zeros(dim + 1), r) - 1.0) <= 1e-14
+        center = np.zeros(dim + 1)
+        center[-1] = delta = scale * 0.4
+        q = 1.0 - (delta / r) ** 2
+        want = q ** (dim / 2)
+        assert abs(ms_density(plane, center, r) - want) <= 1e-12 * want
+        rep = ms_density_tilde(plane, None, center, r)
+        # with h = 0 the adjusted density is Theta; its rule sums two
+        # components per point, each of which must be summed pairwise
+        assert abs(rep.theta_tilde - want) <= 1e-14 * want
+        want = dim * (delta / r) ** 2 / r * q ** (dim / 2 - 1)
+        assert abs(rep.derivative_rhs - want) <= 1e-12 * want
+
+
 def _with_mean_curvature(surf):
     return surf, NonhomTerm(lambda y: graph_mean_curvature(surf, y))
 
@@ -185,6 +207,19 @@ def test_lifted_density_of_the_constant_graph_in_closed_form(d):
                 nd = n * d
                 want = (4 * math.pi) ** (d / 2) * (1.0 - c * c / (2 * nd * t)) ** ((nd - 2) / 2)
                 got = lifted_mcf_density(graph_plane(d, c), LiftConfig(d, n), t)
+                assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+def test_lifted_density_of_the_constant_graph_is_scale_free(scale):
+    # Phi_n depends on (c, t) only through c^2/t, so (c, t) -> (lambda c, lambda^2 t)
+    # keeps the closed form, with R = sqrt(2ndt) far outside [1e-100, 1e100]
+    for d in (1, 2):
+        for c in (0.3, 1.0):
+            for n in (4, 40, 160):
+                nd = n * d
+                want = (4 * math.pi) ** (d / 2) * (1.0 - c * c / (2 * nd * 0.7)) ** ((nd - 2) / 2)
+                got = lifted_mcf_density(graph_plane(d, scale * c), LiftConfig(d, n), scale * scale * 0.7)
                 assert abs(got - want) <= 1e-12 * want
 
 

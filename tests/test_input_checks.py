@@ -184,6 +184,19 @@ CASES = [
         ValueError,
         "grid dimension 3 != d = 2",
     ),
+    (
+        "finite float n",
+        lambda p: finite_weight(1, 10.5, 1.0, [0.0]),
+        ValueError,
+        "d and n must be integers, got d=1, n=10.5",
+    ),
+    ("ratio float n", lambda p: ratio_bound(1, 10.5), ValueError, "d and n must be integers, got d=1, n=10.5"),
+    (
+        "report float n",
+        lambda p: weight_limit_report(1, 1.0, np.linspace(0.0, 1.0, 5), [10.5, 20]),
+        ValueError,
+        "d and n must be integers, got d=1, n=10.5",
+    ),
     ("sphere area", lambda p: sphere_area(0), ValueError, "need N >= 1, got N=0"),
     ("lift float n", lambda p: LiftConfig(1, 10.5), ValueError, "d and n must be integers, got d=1, n=10.5"),
     ("lift float d", lambda p: LiftConfig(2.0, 4), ValueError, "d and n must be integers, got d=2.0, n=4"),

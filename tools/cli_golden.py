@@ -95,6 +95,7 @@ BRANCH_ARGS = [
     ["harmonic-map", "--which", "lifted", "--map", "equator", "--N", "3"],
     ["mcf", "--which", "ms", "--delta", "0.4"],
     ["mcf", "--which", "ms", "--surface", "tilted", "--d", "2"],
+    ["mcf", "--which", "ms", "--d", "3", "--r-grid", "1e-120:2e-120:2"],
     ["mcf", "--which", "huisken", "--surface", "tilted", "--d", "2"],
     ["mcf", "--which", "lifted", "--surface", "tilted", "--d", "1"],
     ["mcf", "--which", "lifted", "--n", "10,10"],
