@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
-from ..errors import UnsupportedConfigError
+from ..errors import AccuracyError, UnsupportedConfigError
 from ..fields import NonhomTerm, SphereField
 from ..integrate import _shell_mean, integrate_ball, integrate_weighted
 from ..lift import LiftConfig, sphere_area
@@ -17,13 +20,20 @@ def hm_phi(vmap: SphereField, y0, r: float) -> float:
     """Scaled local energy phi(r) = r^(2-N) int_{B_r(y0)} |Dv|^2 dy.
 
     Computed as (r^2/N) |S^(N-1)| times the ball mean of |Dv|^2; the factor
-    |S^(N-1)| underflows to 0 near N = 480, and the value with it.
+    |S^(N-1)| underflows to 0 near N = 480, and the value with it.  Where
+    the product is not finite (r^2 overflows) or the mean is subnormal
+    (|Dv|^2 of size r^-2 underflows), AccuracyError is raised.
     """
     if not r > 0.0:
         raise ValueError("need r > 0")
     N = vmap.dim_domain
-    mean = _shell_mean(lambda y: np.asarray(vmap.energy(y), float), N, 0.0, r, y0, symmetry=vmap.symmetry)
-    return r * r / N * sphere_area(N) * mean.value
+    mean = _shell_mean(lambda y: np.asarray(vmap.energy(y), float), N, 0.0, r, y0, symmetry=vmap.symmetry).value
+    phi = r * r / N * sphere_area(N) * mean
+    if not math.isfinite(phi) or 0.0 < abs(mean) < sys.float_info.min:
+        raise AccuracyError(
+            f"hm_phi at r = {r:g} is out of floating-point range: r^2 = {r * r:g}, ball mean of |Dv|^2 = {mean:g}"
+        )
+    return phi
 
 
 def hm_dphi_lower_bound(vmap: SphereField, H: NonhomTerm, y0, r: float) -> float:

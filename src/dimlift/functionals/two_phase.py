@@ -70,7 +70,9 @@ def acf_phi(v1: ScalarField, v2: ScalarField, r: float) -> TwoPhaseReport:
     N = v1.N
     f1 = integrate_ball(gradsq(v1), N, r, radial_power=2.0 - N, symmetry=v1.symmetry).value
     f2 = integrate_ball(gradsq(v2), N, r, radial_power=2.0 - N, symmetry=v2.symmetry).value
-    return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / r**4)
+    # each factor is of size r^2: divided one at a time, neither r^4 nor the
+    # product under- or overflows at radii far from 1
+    return TwoPhaseReport(factor1=f1, factor2=f2, value=(f1 / (r * r)) * (f2 / (r * r)))
 
 
 def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1: NonhomTerm, h2: NonhomTerm, r: float) -> float:
@@ -96,7 +98,8 @@ def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1: NonhomTerm, h2: N
 
     vh1 = integrate_ball(vh(v1, h1), N, r, radial_power=2.0 - N).value
     vh2 = integrate_ball(vh(v2, h2), N, r, radial_power=2.0 - N).value
-    return (2.0 / r**4) * (psi(s1) * vh1 * energy.factor2 + psi(s2) * energy.factor1 * vh2)
+    r2 = r * r
+    return 2.0 * (psi(s1) * (vh1 / r2) * (energy.factor2 / r2) + psi(s2) * (energy.factor1 / r2) * (vh2 / r2))
 
 
 def caffarelli_Phi(u1: SpaceTimeField, u2: SpaceTimeField, tau: float) -> TwoPhaseReport:

@@ -23,11 +23,19 @@ of N (see integrate_ball for what a declared integrand must then accept).
 The blocks of one sum run on worker threads when the first block shows that
 the integrand costs enough per point to pay for the handoff, and are added
 in block order wherever they ran, so the bits do not depend on the thread
-count.  Every deterministic estimate starts at level _FIRST_LEVEL and is
-refined by node doubling until two successive values agree to the relative
-tolerance _REL_TOL; if three doublings do not stabilize the value, an
-AccuracyError is raised with the last two estimates, and a non-finite value
-raises at once.
+count.  Every deterministic estimate starts at level _FIRST_LEVEL (24) and
+is refined by node doubling until two successive values agree to the
+relative tolerance _REL_TOL; if four doublings (to level 384) do not
+stabilize the value, an AccuracyError is raised with every level tried and
+the last two estimates, and a non-finite value raises at once.
+
+Two levels can agree on a wrong value when a feature of the integrand is
+narrower than the node spacing of both, so the first pair sets the width of
+the narrowest feature that is resolved or refused rather than missed.  With
+the Gaussian weight at t = 1 in d = 1, a bump exp(-(x_1 - 1.3)^2/2 sigma^2)
+is resolved at sigma >= 0.07, refused at 0.02 <= sigma <= 0.05, and returned
+wrong at sigma <= 0.01; a first level of 48 missed it at sigma <= 0.005 and
+refused it at 0.01 (tests/test_integrate.py).
 
 Monte Carlo sampling is counter-based: batch k of a run is a pure function of
 (seed, k), and partial sums are combined in batch order, so results are
@@ -104,8 +112,11 @@ _THREAD_NS_PER_POINT = 80
 # time and polar node counts scale with it), and the relative tolerance at
 # which two successive levels are accepted.  Like _CHUNK_POINTS and
 # _MC_BATCH, they are read when an estimate runs, never bound as defaults,
-# so a test can set them low.
-_FIRST_LEVEL = 48
+# so a test can set them low.  _refine tries five levels, 24 to 384: every
+# pair that levels 48 to 384 tried, and (24, 48) first.  Where that pair
+# agrees, the confirming sum has 2^-m of the points of a level-96 one, for a
+# rule with m node axes.
+_FIRST_LEVEL = 24
 _REL_TOL = 1e-11
 
 # Samples per Monte Carlo batch; the last batch of a plan holds the rest.
@@ -410,24 +421,33 @@ def _refine(eval_at_level: Callable[[int], tuple]) -> IntegralEstimate:
 
     eval_at_level returns (value, evaluation_count); the estimate holds the
     last value and the count of every level tried.  Convergence test:
-    max |v_new - v_old| <= _REL_TOL * max(||v_new||_inf, 1).  A non-finite
-    value raises at once, since doubling the nodes cannot repair it.
+    max |v_new - v_old| <= _REL_TOL * max(||v_new||_inf, 1).  At most five
+    levels are tried (24 to 384 at the default first level).  A
+    non-finite value raises at once, since doubling the nodes cannot repair
+    it; a value that never settles raises with every level tried, its node
+    count and the last |delta| against its bound.
     """
     tried = []
     total = 0
-    for k in range(4):
+    delta = bound = math.nan
+    for k in range(5):
         level = _FIRST_LEVEL << k
         cur, cnt = eval_at_level(level)
         total += cnt
         cur_v = _as_vector(cur)
         if not np.all(np.isfinite(cur_v)):
             raise AccuracyError(f"quadrature value is not finite at level {level}: {cur!r}")
-        if tried and np.max(np.abs(cur_v - tried[-1][1])) <= _REL_TOL * max(float(np.max(np.abs(cur_v))), 1.0):
-            return IntegralEstimate(value=cur, evaluations=total)
-        tried.append((cur, cur_v))
+        if tried:
+            delta = float(np.max(np.abs(cur_v - tried[-1][3])))
+            bound = _REL_TOL * max(float(np.max(np.abs(cur_v))), 1.0)
+            if delta <= bound:
+                return IntegralEstimate(value=cur, evaluations=total)
+        tried.append((level, cnt, cur, cur_v))
+    levels = ", ".join(f"{level} ({cnt} points)" for level, cnt, _, _ in tried)
     raise AccuracyError(
-        "quadrature did not stabilize after three node doublings",
-        tuple(v if np.ndim(v) == 0 else v_vec for v, v_vec in tried[-2:]),
+        f"quadrature did not stabilize after {len(tried) - 1} node doublings: levels {levels};"
+        f" last |delta| {delta:.3g} > tol*scale {bound:.3g}",
+        tuple(v if np.ndim(v) == 0 else v_vec for _, _, v, v_vec in tried[-2:]),
     )
 
 
@@ -965,8 +985,10 @@ def _batch_moments(vals) -> tuple[np.ndarray, np.ndarray, int]:
         vals = vals[:, None]
     m = vals.shape[0]
     p1 = vals.sum(axis=0)
-    dev = vals - p1 / m
-    return p1, (dev * dev).sum(axis=0), m
+    # one (m, K) temporary, squared in place
+    dev = np.subtract(vals, p1 / m)
+    np.multiply(dev, dev, out=dev)
+    return p1, dev.sum(axis=0), m
 
 
 def _merge_moments(parts: Iterable[tuple[np.ndarray, np.ndarray, int]]):

@@ -128,6 +128,15 @@ def test_ball_density_passes_at_radii_far_from_one(argv, tmp_path, monkeypatch):
     assert json.loads((tmp_path / "run.json").read_text())["status"] == "pass"
 
 
+@pytest.mark.parametrize("grid", ["1e-120:2e-120:2", "1e100:2e100:2"])
+def test_two_phase_product_passes_at_radii_far_from_one(grid, tmp_path, monkeypatch):
+    # each factor is divided by r^2 on its own, so neither r^4 nor the
+    # product of the factors under- or overflows
+    monkeypatch.chdir(tmp_path)
+    assert main(["two-phase", "--kind", "elliptic", "--r-grid", grid, "--out", "run"]) == 0
+    assert json.loads((tmp_path / "run.json").read_text())["status"] == "pass"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -196,6 +205,8 @@ _DOMAIN_ERRORS = [
     # domain of 3 or more dimensions
     (["mcf", "--which", "huisken", "--surface", "tilted", "--d", "2", "--a", "0.4"], "--a needs at least 2 entries"),
     (["lift-demo", "--which", "harmonic-map", "--field", "equator", "--d", "2"], "the equator map needs --d >= 3"),
+    # r^2 overflows, and the energy mean underflows
+    (["harmonic-map", "--which", "phi", "--r-grid", "1e160:2e160:2"], "hm_phi at r = 1e+160 is out of floating-point range"),
 ]
 
 
@@ -303,92 +314,92 @@ _LOWDIM_SHA256 = {
         "50a3e79057b0f60ecf8b1020b515e87ee3f7bb9646d3b7f2e0c3f082620e297e",
     ),
     "frequency --parabolic --field x1sq --d 1": (
-        "cba34e531523759b31a3ca6c953dfd3257d4f740dbd2a6fe91d901de32ceda59",
-        "11e02f9a3b60d631ea25450d7a91714ca35c7d16b11638ffacbfa95bec54dc4f",
+        "fe3a1a94550016892efc1c77a142b57d912829016c8f3b5d04d91dec1e32c4a1",
+        "0826ab5125cfaba856e83a9d0fe3c6785eab289fe40b1ee0a239d918fd960c5b",
     ),
     "frequency --parabolic --field x1cube --d 2": (
-        "7b410631f7341b08eca7f6a31cc72d70d069a11ee30cb8aba73c08bae18da06a",
-        "bde0b6d139832da6cb8fe04bc7120b466fdcc28d2b6070e2e3448dadfcc7c2ce",
+        "65514cbf2ea74b6473c54ccd200ba476aa1e0a443ce67ad1e8156e9918806064",
+        "011c0d65897676b12e7a8627c3855b786978a9f2720bae7d44c6513cb48fd83f",
     ),
     "frequency --parabolic --field hk --d 2": (
-        "d3bbd2d9c9e7045a692496a1e37851127a95547417a70a855d1d6dce616f87fc",
+        "cb8ee6c7dad0fdd01e3bd010b54a224e1d5ce18eb4f08beb79105ebe2ff2212b",
         "83918d6b98ef4d291bbe0371962b84bc3822589b708dff70e54fe80b7e395f27",
     ),
     "carleman --parabolic --d 1": (
-        "b40a2ebcf944d17186bc53b6a549faf68c1183be9d1594ec2d435d84591372ce",
+        "c368377ff056fd1311f984d24fd6d2f249f337b960cd18ede6953fa645254b6a",
         "cad2a15306c4330745d2c45d3f1bd85883df7e847d98acca7472bae3cae1bad4",
     ),
     "two-phase --kind parabolic --pair half --d 1": (
-        "87c846e3f859a438257ed8f8f504750d18cbd8648cc4de3767f79a56caa00dd4",
-        "b682f48f21c6fa85420e854e0357bd3dd32d0669178eb8ba442eceb504b28c25",
+        "cd7e8b4939ed4613d674795df029d2666a4e0fac19c2b69a30a52e4cdc1b6f3b",
+        "8b8ff52b0c842bb14c246ec36dcfb7489e706c57d8a5816e4695126abd7e3fe4",
     ),
     "two-phase --kind parabolic --pair power --d 2": (
-        "3560dc536307e84d108133610233884c2f6f1e2511b138137f61d83ad43fe75a",
-        "3286195982e80c126061b52a2f0f4754fc09fb4fe937967bda5afa6c286265ce",
+        "314747b299f596973c5c15e85e56ec3e2d4d98c7300f14161c932cc0a83ba90a",
+        "2a296c0e725fffbf5ec6e3af1b19fbd693b30a4933a78944baa7fa8b47201e70",
     ),
     "two-phase --kind lifted --pair half --d 1 --t 1.0": (
-        "03bc275bd82b2cfdf2d7e1a116892d38d4eaed38a621b82903273efe90e72197",
-        "a807dcc21d140afee149ecc1e0d1ddf2c97eac13bb756050a55930eea464bb5f",
+        "4f3d778105dab3caa39652738fa3d6b50e783e2014f3e3c24bb737ae2b8412f5",
+        "0f796757a62342a74cca6204ed16ecacae7fa4b444afa89aafd54f216d7fdfcc",
     ),
     "two-phase --kind lifted --pair power --d 2 --t 1.0": (
-        "62053cbf85e5f4abb369648c6b44441fb72309717c81ea614d40397d25df2257",
-        "d6c4adc7aecea86bf747883f7812c38f9f29f22bcee966690d37b1a2d8cd026b",
+        "0381903d00975275852f375056a489ff3cc91991f095d872ce70f40ff3fac786",
+        "13e67a2e08e183a7f27d58a26d1286d791af19a8a219033f8460309b83dd7e1a",
     ),
     "harmonic-map --which struwe --map circle --d 2": (
-        "538952e1042866fa16dfa6bfdfef2e82d4cb26cd3f952ad29466f7d37d9c99ca",
-        "19f4941a2b1ce9769f4678dd30a80690cd98fd0deb1bcf57e3a2ebed253507de",
+        "309e8fd48bb6564896fb4e07bbe49b5506121b56b83628684b69da8b56626eff",
+        "24042b32e1056a14bb5dca55fc23d80d94d1fae798d4aebc157f7d05bf88c759",
     ),
     "harmonic-map --which lifted --map circle --d 2 --t 1.0": (
-        "d8c2a1ae91fb4a8c785f3d1c9df8fb9f02bb56a5ded1f99bb6fec98cdcf1ab87",
-        "08463f7ce5e2e4f4f29cdbf15031d8d065649bde0f66aa4bb7d22cb581b77289",
+        "f6c5dcaf641d1044e650dfcd35f6fea28c7505572cea14c0bf4d8484cf099a3a",
+        "16b6fc95472f1af57dd9676d9cf3acced78c80e2feb8fa6de27521ff42f353e0",
     ),
     "mcf --which huisken --surface const --d 2": (
-        "aff65f8c36107abacdef697123abd02a613b6805c21a5256b8b9f70a11bb1cd6",
+        "d34f4c5db928eafd4a9bab595c808ab0fb6867d33c603708c2a6732709c7dcc2",
         "c0f3327b51606067997d16e19d77153e9317d48685cfa69aa2b6ab6594c1cfbe",
     ),
     "mcf --which lifted --d 1 --t 1.0": (
-        "fe6d1a9f4bed79f20b62d007da5d6a0da6bd04598fa8054409d16f8b5d6f9fea",
-        "fb586379e59d8f34d020192f3f99e3a821c3ba081b3a6060adf6763c401439a0",
+        "21b86fbb375b4224cb1f61a35ac09a4f0226462386a4acdbaf5c02906a5d65b1",
+        "729cbd9b26da4880f39c5993040fea65fe28b003b4bc62a0191185f04da29e5b",
     ),
     "mcf --which lifted --d 2": (
-        "158c8569a7ae671f318d519cfd5e32da5b73040202ff2e79039a2f9cd4da17df",
-        "5b985bcf5ab5bfba7be61ecc571c9c08dfe56c84c3e41ce79b5448603547fb86",
+        "ba07d725961c886f0b7ae78422471ebca59770c32d4a536abf0cf69666100fa1",
+        "e8000b6ddff17e498bdc28ef3e5e77da831eb5205bf48ec2c2104d1a07a5ddba",
     ),
     "lift-demo --which frequency --field x1cube --d 2 --t 1.0": (
-        "30f3aa6d198d8c02fa129907140e0b00769f58bf068bfe3cfb646e2cd9210448",
-        "b3a5cc6589bef71f34b0e6d349df4ed0ed4d84bf50c59d8dff43dde8378d1493",
+        "4b1b7b9bac4bdddff6892bd4885eb688d93691d66b910c13724f6069151ba479",
+        "0712d431bfff02305c52e9dfc18698c667150742c85befc3a266042020f9fc8f",
     ),
     "lift-demo --which two-phase --field half --d 2 --t 1.0": (
-        "d3a27e53c21c8c8ebeff0cb3f5dd4de81c26a23ec543e7cab252bbe43dcae9d0",
-        "bef94fbe5088c3bfc2e28756bcadd62c9a16647cfbab23e28d08bdf9a9a199a5",
+        "bbe78d5aded077a400723749916cd9faa8ea1e3ce15a11d81a00f20b3e7e5b5e",
+        "23993a596609cba3ff4f1d82cced8d44ac6e474cba368adc1053f558fd8770aa",
     ),
     "lift-demo --which harmonic-map --field circle --d 1 --t 1.0": (
-        "8b35ef082606a2d37899b5d16cf0e590dbe1c5b89beeb75b299705261a603919",
-        "b8fff1f30c9c85fbb1503d033746d7f22a87f67cca3e861a0bd528263d081157",
+        "d57a448f24731f7eca76a06258007fb18ad26f7976d96b1330c363129c5cec63",
+        "b2e33f99f74b46fd7576860cdf1c267585c10090f8ae1cfdf59eebd4f3da61b8",
     ),
     "lift-demo --which mcf --field const --d 1 --t 1.0": (
-        "e2dada99b2e884d317832414f46a359ce119a10a0b59a86bb7494a8c37e2949f",
-        "dc90a9a4998f102be6e3083ea495a5d8c34a6fd3af7a08ac1d8c43247be7fae1",
+        "de8a0891f83479ff64e0e06cc230bd5dfdb92c2d00be06abe374875c70b3e239",
+        "a70875b70feb95599d0b3fb7ac4d37c4e4ab1c5e634630fd4f5120a2b0ba6246",
     ),
     "frequency --elliptic --field re_z3": (
-        "b10aba728d82d5d82a7e181dae4222502b34eac7afde24690c691497445ba5fa",
-        "b137d465f0e7f77d3c44c2f35755aa91e62553e22f5a8b4dc84715ec37e91f79",
+        "fd2abb2cb686a25211b4cf36052a5ba4bd031a319e689b929bb683001c323610",
+        "197394e8b89f5a135e8e74670b719d00234d93cbb6f5b5240ae2d7678f1e779d",
     ),
     "pushforward --domain ball --samples 20000": (
-        "01355bb891f0bb346fb96d31bd77f3ab9bad0577d5749e49ddfbb0c1cfe4ae39",
-        "6920b57be0d3ae78a636fc39bf910a184bec79e72f23027e060a2ad05c6955ab",
+        "5d6db9594fbb5c7b437e2b4158f3669090ab9e7d78891f3dc76c8dbb2730f0f3",
+        "7fc640af679491e7ab574f3c8d91fc104e1b14230da6b688e83b145701ab80e1",
     ),
     "mcf --which huisken --surface tilted --d 2": (
-        "dde35a8e062fdfbbb364ad3316de8b425d67ee018600d4f45060490a2246659e",
-        "5a1ffbae3161dcc51892d908e00e313e342604ed3ca87a88f1f57766747cce98",
+        "9eee0090fb0d492a95590a7c3b3bf50e14111e4d9858ee24aafb56ccf81de8aa",
+        "91e8d88e7fe10bdebcf0de9d04f2e863e79b93f206dc4ab6a6a6418b9c2c5f27",
     ),
     "lift-demo --which mcf --field tilted --d 2": (
-        "aab696fd304a07815f7df13d1781d3c4ea2db1665e2fb4b73d8b46f0d037ce2c",
-        "16237b706f0db57b1e6f1190f442ad0afe46fa8f5e6f78c5edcc47fa7399bef4",
+        "92c8ef8aef999343fd60323bf5f9dd01856a28e650e8643a2a190d144428afaf",
+        "7189b3e98c7d83d6ad399cb176266f0343a454a04e5ef24fbe5d783b1d905d9d",
     ),
     "lift-demo --which mcf --field plane": (
-        "798d343b15fd57ea2621e682ebb3124d4b22c4797a95031452971682c64ce521",
-        "675b3f122e3141340ac959beb730e270b5aa32cd0f9703e81e557fe9b2569052",
+        "1e7e170291e644c9a52b028e95255c697b4ef8515502cbcc219a950efd8d665e",
+        "4e97ef0dea94985257d640936add4a74f31e6a3d61db66a53c917ac17edd941e",
     ),
 }
 
@@ -439,6 +450,24 @@ def test_golden_record_reaches_every_choice_and_catalog_field():
     catalog |= {("frequency", True, f) for f in cli._CALORIC_DEGREES}
     catalog |= {("frequency", False, f) for f in cli._HARMONIC_DEGREES}
     assert catalog - fields == set()
+
+
+def test_golden_diff_ends_with_the_largest_value_move(tmp_path, capsys):
+    # an error column and a value that is zero up to rounding move by more
+    # than the value cell, and neither is named
+    def record(path, value, error, odd):
+        csv_text = f"phi,quad_value,abs_error\none,{value},{error}\nx1,{odd},0.0\n"
+        case = {"argv": ["pushforward"], "rc": 0, "csv": csv_text, "csv_sha256": GOLDEN._sha(csv_text)}
+        path.write_text(json.dumps({"cases": {"mc": case}}))
+        return str(path)
+
+    old = record(tmp_path / "old.json", 1.0, 1e-16, -5e-17)
+    new = record(tmp_path / "new.json", 1.0000000000001, 1e-13, -7e-17)
+    assert GOLDEN.diff(old, new) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last == "largest value move: relative 1e-13 in mc: csv row 0 quad_value: 1.0 -> 1.0000000000001"
+    assert GOLDEN.diff(old, old) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["0 of 1 cases differ", "largest value move: none"]
 
 
 def test_csv_numbers_round_trip_and_booleans_are_lowercase(tmp_path, monkeypatch):

@@ -15,10 +15,10 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # updates this table and lists the line in CHANGES.md.
 _DEMO_SHA256 = {
     "carleman_inequalities.py": "1d45a20b28002dfc06c673c7df2e8d360c9cb1010f3a4683ec82648dc25e23f6",
-    "frequency_functions.py": "12ff4e4b8c7959e6b8e920cee00286111550dd137cd7e748bffec631ed57df04",
+    "frequency_functions.py": "bb8308d1d5a2ec8ece05f13d064e745da606c76e8a7134f1bb309d37259c563a",
     "lifting_basics.py": "39b88aa810b283cf3f2f03676d38722859fdfeb44fa2e74f0c3238f3abb3e9fc",
-    "map_and_surface_densities.py": "06341ae7474764f391aa1c7c6ae19c7e278a2d14d6db54e89baf272d8b951b8b",
-    "two_phase_products.py": "069c5c502d469df68a0b93329594dedf1afea25dd1a447fc1d9161e03a396bd7",
+    "map_and_surface_densities.py": "69145bb40f2ab41939fd4b595e0c0b6c1af5064bcf5cc1ab8513343ec5c346c5",
+    "two_phase_products.py": "9d8cf2db7e26bc606fe000ddfdadf8365619072230eadbed854989c9ac0d6851",
     "weight_limit.py": "6888154cfcf4b18a31ecfcf379ff856e7618c1c8aebdaa9e16f469869a3e76e8",
 }
 

@@ -1,12 +1,14 @@
 """Sphere-valued maps: scaled energy of the equator map, its parabolic
 counterpart on the circle map, and the finite-n lifted family."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dimlift import LiftConfig
+from dimlift.errors import AccuracyError
 from dimlift.fields import NonhomTerm, SphereField, circle_map, equator_map
 from dimlift.functionals import (
     hm_dphi_lower_bound,
@@ -27,6 +29,23 @@ def test_equator_energy_plateau(N):
     y0 = np.zeros(N)
     for r in (0.5, 1.0, 2.0):
         assert abs(hm_phi(vmap, y0, r) - EQUATOR_PHI[N]) < 1e-6
+
+
+def test_equator_energy_out_of_range_raises():
+    # r^2 overflows at r = 1e160 while |Dv|^2 ~ r^-2 underflows; at 1e150
+    # both are in range and the plateau holds
+    vmap = equator_map(3)
+    assert abs(hm_phi(vmap, np.zeros(3), 1e150) - EQUATOR_PHI[3]) < 1e-6
+    with pytest.raises(AccuracyError, match="hm_phi at r = 1e\\+160 is out of floating-point range"):
+        hm_phi(vmap, np.zeros(3), 1e160)
+    # a subnormal mean has lost digits even where the product is finite
+    for tiny, ok in ((1e-300, True), (1e-310, False)):
+        faint = dataclasses.replace(circle_map(2), energy=lambda y, e=tiny: np.full(y.shape[:-1], e))
+        if ok:
+            assert math.isclose(hm_phi(faint, np.zeros(2), 1.0), math.pi * tiny, rel_tol=1e-12)
+        else:
+            with pytest.raises(AccuracyError, match="ball mean of \\|Dv\\|\\^2 = 1e-310"):
+                hm_phi(faint, np.zeros(2), 1.0)
 
 
 def test_equator_energy_sweep_has_no_violations():

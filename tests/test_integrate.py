@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import math
 import os
+import re
 import sys
 import threading
 import warnings
@@ -101,6 +102,79 @@ def test_jump_integrand_raises_accuracy_error():
     assert exc.value.last_two is not None and len(exc.value.last_two) == 2
     # the last two levels, not the last one twice
     assert exc.value.last_two[0] != exc.value.last_two[1]
+    # every level with its node count (L radial nodes times 2 directions),
+    # and the last |delta| against its bound
+    assert str(exc.value).startswith(
+        "quadrature did not stabilize after 4 node doublings: levels 24 (48 points), 48 (96 points),"
+        " 96 (192 points), 192 (384 points), 384 (768 points); last |delta| "
+    )
+    delta, bound = re.search(r"last \|delta\| (\S+) > tol\*scale (\S+) ", str(exc.value)).groups()
+    assert float(delta) == pytest.approx(abs(exc.value.last_two[1] - exc.value.last_two[0]), rel=1e-2)
+    assert float(bound) == 1e-11
+
+
+def _stub_levels(values: dict):
+    """An eval_at_level that returns values[level], counts level points and
+    records the levels asked for."""
+    asked = []
+
+    def eval_at(level):
+        asked.append(level)
+        return values[level], level
+
+    return eval_at, asked
+
+
+def test_refine_returns_at_the_first_agreeing_pair():
+    # (24, 48) and (48, 96) differ by more than 1e-11; (96, 192) agree
+    values = {24: 1.0, 48: 1.0 + 1e-6, 96: 1.0 + 2e-12, 192: 1.0 + 3e-12, 384: 1.0}
+    eval_at, asked = _stub_levels(values)
+    est = dimlift.integrate._refine(eval_at)
+    assert asked == [24, 48, 96, 192]
+    assert est.value == values[192] and est.evaluations == 24 + 48 + 96 + 192
+
+
+@pytest.mark.parametrize("accept", [48, 96, 192])
+def test_refine_keeps_the_value_of_a_pair_from_level_48(accept, monkeypatch):
+    # a stub that settles at the pair (accept, 2 accept) and not before: the
+    # first level 24 returns the level-2L value bit for bit, as the schedule
+    # from level 48 does, and only adds the level-24 points
+    values = {24: 0.5, 48: 0.7, 96: 0.9, 192: 1.1, 384: 1.3}
+    for level in values:
+        if level > accept:
+            values[level] = values[accept] + 1e-13 * (level // accept)
+    eval_at, _ = _stub_levels(values)
+    est = dimlift.integrate._refine(eval_at)
+    monkeypatch.setattr(dimlift.integrate, "_FIRST_LEVEL", 48)
+    eval_at, _ = _stub_levels(values)
+    old = dimlift.integrate._refine(eval_at)
+    assert np.float64(est.value).tobytes() == np.float64(old.value).tobytes() == np.float64(values[2 * accept]).tobytes()
+    assert est.evaluations == old.evaluations + 24
+
+
+def _narrow_bump_expected(sigma, c, t):
+    s2 = sigma * sigma + 2.0 * t
+    return sigma / math.sqrt(s2) * math.exp(-c * c / (2.0 * s2))
+
+
+# int exp(-(x1 - c)^2 / 2 sigma^2) G_t dx at d = 1, t = 1, against the closed
+# form: a bump at least 0.1 wide is resolved; one of 0.02 to 0.05 is resolved
+# or refused.  Narrower ones (sigma <= 0.01 at c = 1.3) fall between the nodes
+# of the levels 24 and 48 and are returned wrong (README, "Resolution").
+@pytest.mark.parametrize("c", [0.0, 1.3])
+@pytest.mark.parametrize("sigma", [1.0, 0.5, 0.2, 0.1, 0.05, 0.04, 0.03, 0.02])
+def test_a_narrow_gaussian_bump_is_resolved_or_refused(sigma, c):
+    expected = _narrow_bump_expected(sigma, c, 1.0)
+
+    def bump(x):
+        return np.exp(-((x[..., 0] - c) ** 2) / (2.0 * sigma * sigma))
+
+    try:
+        value = integrate_weighted(bump, 1, 1.0).value
+    except AccuracyError:
+        assert sigma <= 0.05
+        return
+    assert abs(value - expected) <= 1e-10 * expected
 
 
 def test_nan_integrand_fails_at_the_first_level():
@@ -110,10 +184,10 @@ def test_nan_integrand_fails_at_the_first_level():
         shapes.append(y.shape)
         return np.full(y.shape[:-1], np.nan)
 
-    with pytest.raises(AccuracyError, match="not finite at level 48"):
+    with pytest.raises(AccuracyError, match="not finite at level 24"):
         integrate_ball(nan, 3, 1.0)
-    # one level: 48 radial rows, each of the 24 x 96 product-gauss directions
-    assert sum(math.prod(s[:-1]) for s in shapes) == 48 * 24 * 96
+    # one level: 24 radial rows, each of the 12 x 48 product-gauss directions
+    assert sum(math.prod(s[:-1]) for s in shapes) == 24 * 12 * 48
 
 
 def test_chunked_sums_match_one_block(monkeypatch):
@@ -313,9 +387,9 @@ def test_a_single_block_sum_starts_no_pool(monkeypatch):
         # 24 rows of 48 directions at the first level, 48 of 96 at the next
         with _first_level(24):
             value = integrate_ball(_ones, 2, 1.0).value
-        # one row of 24 x 96, then of 48 x 192 directions
+        # one row of 12 x 48, then of 24 x 96 directions
         integrate_sphere(_ones, 3, 1.0)
-        # 24 rows of 2 directions, then 48 of 2
+        # 12 rows of 2 directions, then 24 of 2
         integrate_weighted(_x1sq, 1, 0.7, n=7)
         # 24 time nodes of 24 rows of 2 directions, then 48 of 48 of 2
         with _first_level(24):
@@ -327,8 +401,8 @@ def test_a_single_block_sum_starts_no_pool(monkeypatch):
 
 def test_the_first_level_is_read_at_call_time(monkeypatch):
     # bound as a default when a function is defined, it would not follow a patch
-    # 48 radial rows of 96 directions, then 96 of 192
-    assert integrate_ball(_ones, 2, 1.0).evaluations == 48 * 96 + 96 * 192
+    # 24 radial rows of 48 directions, then 48 of 96
+    assert integrate_ball(_ones, 2, 1.0).evaluations == 24 * 48 + 48 * 96
     monkeypatch.setattr(dimlift.integrate, "_FIRST_LEVEL", 8)
     # 8 rows of 16 directions, then 16 of 32
     assert integrate_ball(_ones, 2, 1.0).evaluations == 8 * 16 + 16 * 32

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dimlift import LiftConfig
-from dimlift.fields import NonhomTerm, ScalarField, half_space_pair, half_space_power_pair
+from dimlift.fields import NonhomTerm, ScalarField, half_space_pair, half_space_power_pair, harmonic_polynomial
 from dimlift.functionals import (
     acf_dphi_lower_bound,
     acf_phi,
@@ -48,6 +48,20 @@ def test_acf_plateau_at_pi_squared_over_four():
         assert math.isclose(rep.value, rep.factor1 * rep.factor2 / r**4, rel_tol=1e-12)
     sweep = monotonicity_sweep(lambda r: acf_phi(vp, vn, r).value, np.geomspace(0.5, 2.0, 8))
     assert sweep.violations == 0
+
+
+@pytest.mark.parametrize("lam", [1e-150, 1e-100, 1e100, 1e150])
+def test_elliptic_product_and_its_bound_are_scale_free(lam):
+    # phi of the half-space pair is pi^2/4 at every r.  With v = y1 and
+    # h = y1/|y|^2 every integral in the bound is of size r^2, so the bound
+    # is the same at every r.  r^4 under- or overflows at these radii.
+    vp, vn = half_space_pair(2, kind="elliptic")
+    assert abs(acf_phi(vp, vn, lam).value - math.pi**2 / 4) < 1e-6
+    v = harmonic_polynomial("x1", 2)
+    h = NonhomTerm(lambda y: np.asarray(y, float)[..., 0] / np.sum(np.asarray(y, float) ** 2, axis=-1))
+    ref = acf_dphi_lower_bound(v, v, h, h, 1.0)
+    assert ref > 0.0
+    assert math.isclose(acf_dphi_lower_bound(v, v, h, h, lam), ref, rel_tol=1e-12)
 
 
 def test_caffarelli_plateau_at_one_quarter():

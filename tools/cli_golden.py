@@ -22,8 +22,12 @@ number that moved it prints the old and new value, the relative change and
 the distance in units in the last place.  For a ``pushforward`` case it then
 says whether any ``quad_value`` moved and gives the worst
 ``discrepancy_in_std_errors`` of the new record, so a moved Monte Carlo
-stream reads as one line per case.  It exits 0 when the records match and 1
-otherwise.  Only the standard library and dimlift are used.
+stream reads as one line per case.  Its last line gives the largest relative
+move among value cells, with its case and cell.  Error columns (a name with
+"error" or "violation" in it) are left out there, and so is a value that is
+zero up to rounding: at most 1e-12 of the largest magnitude of its column in
+that case, as an odd moment's quadrature is.  It exits 0 when the records
+match and 1 otherwise.  Only the standard library and dimlift are used.
 """
 
 from __future__ import annotations
@@ -96,6 +100,8 @@ BRANCH_ARGS = [
     ["mcf", "--which", "ms", "--delta", "0.4"],
     ["mcf", "--which", "ms", "--surface", "tilted", "--d", "2"],
     ["mcf", "--which", "ms", "--d", "3", "--r-grid", "1e-120:2e-120:2"],
+    ["two-phase", "--kind", "elliptic", "--r-grid", "1e-120:2e-120:2"],
+    ["two-phase", "--kind", "elliptic", "--r-grid", "1e100:2e100:2"],
     ["mcf", "--which", "huisken", "--surface", "tilted", "--d", "2"],
     ["mcf", "--which", "lifted", "--surface", "tilted", "--d", "1"],
     ["mcf", "--which", "lifted", "--n", "10,10"],
@@ -215,12 +221,46 @@ def _monte_carlo_summary(ca: dict, cb: dict) -> str:
     return f"{quad}; worst discrepancy now {max(discs, default=math.nan):.3g} standard errors"
 
 
+# a value at most this share of its column's largest magnitude is zero up to rounding
+_ZERO_SHARE = 1e-12
+
+
+def _column(loc: str) -> str:
+    """The column of a CSV cell ("csv row 3 value" -> "value"), else the JSON location."""
+    return loc.rsplit(" ", 1)[-1] if loc.startswith("csv row ") else loc
+
+
+def _largest_value_move(ca: dict, cb: dict) -> tuple[float, str] | None:
+    """(relative move, "loc: old -> new") of the value cell of one case that
+    moved most, leaving out error columns and values zero up to rounding."""
+    scale: dict[str, float] = {}
+    for cells in (ca, cb):
+        for loc, cell in cells.items():
+            x = _number(cell)
+            if x is not None and math.isfinite(x):
+                col = _column(loc)
+                scale[col] = max(scale.get(col, 0.0), abs(x))
+    best = None
+    for loc in ca:
+        fa, fb = _number(ca[loc]), _number(cb.get(loc))
+        col = _column(loc)
+        if fa is None or fb is None or fa == fb or "error" in col or "violation" in col:
+            continue
+        if not (math.isfinite(fa) and math.isfinite(fb)) or max(abs(fa), abs(fb)) <= _ZERO_SHARE * scale[col]:
+            continue
+        rel = abs(fa - fb) / max(abs(fa), abs(fb))
+        if best is None or rel > best[0]:
+            best = (rel, f"{loc}: {ca[loc]} -> {cb[loc]}")
+    return best
+
+
 def diff(old_path: str, new_path: str) -> int:
     with open(old_path) as f:
         old = json.load(f)["cases"]
     with open(new_path) as f:
         new = json.load(f)["cases"]
     differing = 0
+    largest = None
     for name in list(old) + [n for n in new if n not in old]:
         a, b = old.get(name), new.get(name)
         if a is None or b is None:
@@ -245,7 +285,14 @@ def diff(old_path: str, new_path: str) -> int:
             print(f"  {loc}: {va} -> {vb} (relative {rel:.2g}, {_ulps(fa, fb)} ulp)")
         if b["argv"][0] == "pushforward":
             print("  " + _monte_carlo_summary(ca, cb))
+        move = _largest_value_move(ca, cb)
+        if move is not None and (largest is None or move[0] > largest[0]):
+            largest = (move[0], f"{name}: {move[1]}")
     print(f"{differing} of {len(set(old) | set(new))} cases differ")
+    if largest is None:
+        print("largest value move: none")
+    else:
+        print(f"largest value move: relative {largest[0]:.2g} in {largest[1]}")
     return 1 if differing else 0
 
 
