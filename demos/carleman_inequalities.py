@@ -47,12 +47,12 @@ print("rescaled annulus, gamma = 1.5: ratio =", f"{rep.ratio:.6f}")
 
 for alpha in (1.0, 1.875, 2.3):
     u = bump_spacetime(1, 0.5, 1.5, 0.25, 1.0, k=4)
-    rep = carleman_parabolic_check(u, alpha, d=1)
+    rep = carleman_parabolic_check(u, alpha)
     print(f"alpha = {alpha}: eps = {rep.epsilon}  constant = {rep.constant_used}  "
           f"lhs = {rep.lhs:.4e}  rhs = {rep.rhs:.4e}  satisfied = {rep.satisfied}")
 
 # beta integer (alpha = 1.25, d = 1) is rejected: the constant blows up
 try:
-    carleman_parabolic_check(bump_spacetime(1, 0.5, 1.5, 0.25, 1.0), 1.25, d=1)
+    carleman_parabolic_check(bump_spacetime(1, 0.5, 1.5, 0.25, 1.0), 1.25)
 except ValueError as exc:
     print("alpha = 1.25 rejected:", exc)

@@ -10,7 +10,6 @@ frequency L_n converges to twice the parabolic frequency.
 
 import numpy as np
 
-from dimlift import LiftConfig
 from dimlift.fields import caloric_polynomial, harmonic_polynomial, heat_kernel_translate
 from dimlift.functionals import almgren, lifted_frequency, monotonicity_sweep, poon
 
@@ -46,11 +45,11 @@ print("heat-kernel translate: violations =", sweep.violations,
 u = caloric_polynomial("x1sq", 1)
 print("\nx1sq: 2*script-L =", 2 * poon(u, 1.0).L)
 for n in [10, 40]:
-    print(f"  L_{n} =", lifted_frequency(u, LiftConfig(1, n), 1.0))
+    print(f"  L_{n} =", lifted_frequency(u, n, 1.0))
 
 u = caloric_polynomial("x1cube", 1)
 limit = 2 * poon(u, 1.0).L
 print("x1cube: 2*script-L =", limit)
 for n in [10, 40, 160]:
-    ln = lifted_frequency(u, LiftConfig(1, n), 1.0)
+    ln = lifted_frequency(u, n, 1.0)
     print(f"  L_{n} = {ln:.10f}   error {abs(ln - limit):.2e}")

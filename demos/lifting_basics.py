@@ -11,16 +11,16 @@ uniform sphere measure with the matching weighted quadrature.
 
 import numpy as np
 
-from dimlift import LiftConfig, MonteCarloSpec, lift_point_time, lifted_field
+from dimlift import MonteCarloSpec, lift_point_time, lifted_field
 from dimlift import pushforward_check_sphere
 from dimlift.fields import caloric_polynomial, fd_check_scalar, fd_check_spacetime
 
 # ---------------------------------------------------------------------------
 # the step map on a concrete point: d = 2 coordinates, n = 2 steps each
 
-cfg = LiftConfig(d=2, n=2)
+n = 2
 y = np.array([1.0, 1.0, 2.0, -2.0])  # rows (1,1) and (2,-2)
-x, t = lift_point_time(cfg, y)
+x, t = lift_point_time(y, n)
 print("lifted point:", x, "time:", t)  # x = (2, 0), t = |y|^2/4
 
 # ---------------------------------------------------------------------------
@@ -28,13 +28,13 @@ print("lifted point:", x, "time:", t)  # x = (2, 0), t = |y|^2/4
 # coordinates w whose first d axes are the unit step-sum directions
 
 u = caloric_polynomial("x1cube", 2)  # x1^3 - 6 t x1, backward caloric
-v = lifted_field(u, cfg)
+v = lifted_field(u, n)
 rng = np.random.default_rng(7)
-w = rng.standard_normal((25, cfg.N))
+w = rng.standard_normal((25, v.N))
 
 # finite differences of v directly in the lifted variable
 h = 1e-3
-lap_fd = sum((v.value(w + h * e) - 2 * v.value(w) + v.value(w - h * e)) / h**2 for e in np.eye(cfg.N))
+lap_fd = sum((v.value(w + h * e) - 2 * v.value(w) + v.value(w - h * e)) / h**2 for e in np.eye(v.N))
 worst = {"grad": fd_check_scalar(v, w), "laplacian": np.max(np.abs(v.laplacian(w) - lap_fd))}
 print("lifted field vs finite differences:", {k: f"{e:.2e}" for k, e in worst.items()})
 

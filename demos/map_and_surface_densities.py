@@ -16,7 +16,6 @@ exact at every n, the constant graph converges at rate 1/n.
 
 import numpy as np
 
-from dimlift import LiftConfig
 from dimlift.fields import circle_map, equator_map, graph_linear, graph_plane
 from dimlift.functionals import (
     hm_phi,
@@ -40,9 +39,9 @@ print("equator map, N = 4: phi(1) =", hm_phi(equator_map(4), np.zeros(4), 1.0),
 cm = circle_map(1)
 print("circle map: Phi(t) =", [struwe_Phi(cm, t) for t in (0.5, 1.0, 2.0)])
 print("lifted circle map at t = 0.9:",
-      [lifted_hm_Phi(cm, LiftConfig(1, n), 0.9) for n in (5, 50)])
+      [lifted_hm_Phi(cm, n, 0.9) for n in (5, 50)])
 print("lifted equator map, d = 3 (exactly 1 at every n):",
-      [lifted_hm_Phi(em, LiftConfig(3, n), 0.7) for n in (4, 40)])
+      [lifted_hm_Phi(em, n, 0.7) for n in (4, 40)])
 
 # ---------------------------------------------------------------------------
 # minimal surfaces: plane densities and the offset-plane closed form
@@ -79,8 +78,8 @@ const = graph_plane(1, 0.7)
 limit = huisken_density(const, 1.0)
 print("\nlifted density of the constant graph (limit", f"{limit:.8f})")
 for n in [10, 40, 160]:
-    v = lifted_mcf_density(const, LiftConfig(1, n), 1.0)
+    v = lifted_mcf_density(const, n, 1.0)
     print(f"  n = {n:3d}   Phi_n = {v:.8f}   error {abs(v - limit):.2e}")
 print("tilted graph is exact at every n:",
-      lifted_mcf_density(graph_linear([0.4]), LiftConfig(1, 25), 1.0),
+      lifted_mcf_density(graph_linear([0.4]), 25, 1.0),
       "vs", huisken_density(graph_linear([0.4]), 1.0))

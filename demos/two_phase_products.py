@@ -12,7 +12,6 @@ pair, and converges at rate 1/n for the cubic pair.
 
 import numpy as np
 
-from dimlift import LiftConfig
 from dimlift.fields import half_space_pair, half_space_power_pair
 from dimlift.functionals import (
     acf_phi,
@@ -47,12 +46,12 @@ for tau in (0.5, 1.0, 2.0):
 
 print("\nlifted half-space pair (should be 0.25 at every n):")
 for n in [5, 20, 80]:
-    rep = lifted_two_phase(u1, u2, LiftConfig(1, n), 0.7)
+    rep = lifted_two_phase(u1, u2, n, 0.7)
     print(f"  n = {n:3d}   Phi_n = {rep.value:.15f}")
 
 w1, w2 = half_space_power_pair(1, power=3)
 limit = caffarelli_Phi(w1, w2, 0.7).value
 print("\ncubic pair: Phi =", limit, "(closed form 9 tau^2 =", 9 * 0.49, ")")
 for n in [5, 20, 80, 320]:
-    rep = lifted_two_phase(w1, w2, LiftConfig(1, n), 0.7)
+    rep = lifted_two_phase(w1, w2, n, 0.7)
     print(f"  n = {n:3d}   Phi_n = {rep.value:.10f}   error {abs(rep.value - limit):.2e}")

@@ -19,7 +19,7 @@ from dimlift import finite_weight, gaussian_weight, ratio_bound, weight_limit_re
 d, t = 1, 1.0
 grid = np.linspace(-2.0, 2.0, 201)
 
-report = weight_limit_report(d, t, grid, n_list=[8, 16, 32, 64, 128])
+report = weight_limit_report(t, grid, n_list=[8, 16, 32, 64, 128])
 print("sup relative error of G_{t,n} vs G_t on [-2, 2]:")
 for n, err in zip(report.n_list, report.sup_rel_error):
     print(f"  n = {n:4d}   {err:.6f}")
@@ -27,9 +27,9 @@ print("successive ratios (should hover near 2):", np.round(report.successive_rat
 
 # pointwise values at the origin for a feel of the convergence
 x0 = np.zeros(1)
-print("\nG_t(0) =", gaussian_weight(d, t, x0))
+print("\nG_t(0) =", gaussian_weight(t, x0))
 for n in [8, 32, 128]:
-    print(f"G_(t,{n})(0) =", finite_weight(d, n, t, x0))
+    print(f"G_(t,{n})(0) =", finite_weight(n, t, x0))
 
 # the ratio bound is uniform in x and decreasing in n toward 1
 print("\nuniform ratio bounds sup_x G_(t,n)/G_t:")
@@ -38,4 +38,4 @@ for n in [4, 8, 32, 128, 512]:
 
 # outside the support radius sqrt(2ndt) the finite weight vanishes exactly
 far = np.array([5.0])
-print("\npast the support rim: G_(t,4)(5) =", finite_weight(1, 4, 1.0, far))
+print("\npast the support rim: G_(t,4)(5) =", finite_weight(4, 1.0, far))

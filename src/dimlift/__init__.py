@@ -12,7 +12,6 @@ together with their finite-n counterparts.
 
 from .errors import AccuracyError, DegenerateDenominatorError, UnsupportedConfigError
 from .lift import (
-    LiftConfig,
     lift_point,
     lift_point_time,
     lifted_field,
@@ -50,7 +49,6 @@ __all__ = [
     "AccuracyError",
     "DegenerateDenominatorError",
     "UnsupportedConfigError",
-    "LiftConfig",
     "lift_point",
     "lift_point_time",
     "lifted_field",

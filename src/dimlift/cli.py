@@ -63,7 +63,7 @@ from .integrate import (
     pushforward_check_ball,
     pushforward_check_sphere,
 )
-from .lift import LiftConfig, sphere_area
+from .lift import sphere_area
 from .weights import weight_limit_report
 
 __all__ = ["main"]
@@ -194,10 +194,11 @@ def _sphere_map(name: str, dim: int):
 def _run_gn_limit(args):
     n_list = _parse_list(args, "n")
     grid = _parse_grid(args.grid, geometric=False)
-    pts = np.zeros((grid.size, args.d)) if args.d > 1 else grid
-    if args.d > 1:
-        pts[:, 0] = grid
-    report = weight_limit_report(args.d, args.t, pts, n_list)
+    if args.d < 1:
+        raise ValueError(f"need d >= 1, got d={args.d}")
+    pts = np.zeros((grid.size, args.d))
+    pts[:, 0] = grid
+    report = weight_limit_report(args.t, pts, n_list)
     errs = report.sup_rel_error
     header = ["n", "sup_rel_error", "ratio_to_previous"]
     rows = []
@@ -297,7 +298,7 @@ def _run_carleman(args):
         for alpha in _parse_list(args, "alpha", float):
             for spec_tuple in _PARABOLIC_BUMPS:
                 u = bump_spacetime(args.d, *spec_tuple)
-                rep = carleman_parabolic_check(u, alpha, args.d)
+                rep = carleman_parabolic_check(u, alpha)
                 rows.append(
                     [u.name, alpha, rep.epsilon, rep.lhs, rep.rhs, rep.constant_used, rep.satisfied]
                 )
@@ -326,8 +327,7 @@ def _run_two_phase(args):
     u1, u2 = _pair(args.pair, args.d, args.power)
     if args.kind == "lifted":
         ref = 0.25 if args.pair == "half" else caffarelli_Phi(u1, u2, args.t).value
-        lifted = lambda n: lifted_two_phase(u1, u2, LiftConfig(args.d, n), args.t)
-        return _sequence(args, "n", header, lambda n: cells(lifted(n), ref))
+        return _sequence(args, "n", header, lambda n: cells(lifted_two_phase(u1, u2, n, args.t), ref))
     # closed forms for the half pair and the cubic pair; other powers are
     # compared to themselves (monotonicity is still checked)
     ref_at = lambda tau: 0.25 if args.pair == "half" else (9.0 * tau * tau if args.power == 3 else None)
@@ -346,8 +346,7 @@ def _run_harmonic_map(args):
     umap = _sphere_map(args.map, dim)
     ref_at = lambda t: t if args.map == "circle" else 1.0
     if args.which == "lifted":
-        lifted = lambda n: lifted_hm_Phi(umap, LiftConfig(dim, n), args.t)
-        return _sequence(args, "n", header, lambda n: [lifted(n), ref_at(args.t)])
+        return _sequence(args, "n", header, lambda n: [lifted_hm_Phi(umap, n, args.t), ref_at(args.t)])
     return _sequence(args, "t", header, lambda t: [struwe_Phi(umap, t), ref_at(t)])
 
 
@@ -385,8 +384,7 @@ def _run_mcf(args):
     surface = _surface(args)
     if args.which == "lifted":
         ref = huisken_density(surface, args.t)
-        lifted = lambda n: lifted_mcf_density(surface, LiftConfig(args.d, n), args.t)
-        return _sequence(args, "n", header, lambda n: [lifted(n), ref])
+        return _sequence(args, "n", header, lambda n: [lifted_mcf_density(surface, n, args.t), ref])
     flat = (4.0 * math.pi) ** (0.5 * args.d)
     ref_at = lambda t: flat * math.exp(-args.c**2 / (4.0 * t)) if args.surface == "const" else flat
     return _sequence(args, "t", header, lambda t: [huisken_density(surface, t), ref_at(t)])
@@ -408,17 +406,17 @@ def _run_lift_demo(args):
     if args.which == "frequency":
         u = caloric_polynomial(args.field, args.d)
         limit = 2.0 * poon(u, args.t).L
-        lifted = lambda cfg: lifted_frequency(u, cfg, args.t)
+        lifted = lambda n: lifted_frequency(u, n, args.t)
     elif args.which == "two-phase":
         u1, u2 = _pair(args.field, args.d)
         limit = caffarelli_Phi(u1, u2, args.t).value
-        lifted = lambda cfg: lifted_two_phase(u1, u2, cfg, args.t).value
+        lifted = lambda n: lifted_two_phase(u1, u2, n, args.t).value
     elif args.which == "harmonic-map":
         if args.field == "equator" and args.d < 3:
             raise ValueError("the equator map needs --d >= 3")
         umap = _sphere_map(args.field, args.d)
         limit = struwe_Phi(umap, args.t)
-        lifted = lambda cfg: lifted_hm_Phi(umap, cfg, args.t)
+        lifted = lambda n: lifted_hm_Phi(umap, n, args.t)
     else:
         if args.field == "tilted":
             surface = graph_linear([0.4] * args.d)
@@ -427,9 +425,9 @@ def _run_lift_demo(args):
         else:
             surface = graph_plane(args.d, 0.0)
         limit = huisken_density(surface, args.t)
-        lifted = lambda cfg: lifted_mcf_density(surface, cfg, args.t)
+        lifted = lambda n: lifted_mcf_density(surface, n, args.t)
     header = ["n", "lifted_value", "limit_value", "abs_error"]
-    return _sequence(args, "n", header, lambda n: [lifted(LiftConfig(args.d, n)), limit])
+    return _sequence(args, "n", header, lambda n: [lifted(n), limit])
 
 
 # ---------------------------------------------------------------------------

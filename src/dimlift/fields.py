@@ -528,7 +528,12 @@ def equator_map(N: int) -> SphereField:
 
     def norms(y):
         y = np.asarray(y, float)
-        r = np.linalg.norm(y, axis=-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.linalg.norm(y, axis=-1)
+            if not np.all(np.isfinite(r)):
+                # |y|^2 overflows: there, take the norm of y over its largest entry
+                m = np.max(np.abs(y), axis=-1, keepdims=True)
+                r = np.where(np.isfinite(r), r, m[..., 0] * np.linalg.norm(y / m, axis=-1))
         if np.any(r == 0.0):
             raise ValueError("equator map is undefined at the origin")
         return y, r
@@ -544,7 +549,8 @@ def equator_map(N: int) -> SphereField:
 
     def energy(y):
         _, r = norms(y)
-        return (N - 1) / r**2
+        with np.errstate(over="ignore"):  # 0 where r^2 overflows
+            return (N - 1) / r**2
 
     return SphereField(
         dim_domain=N,

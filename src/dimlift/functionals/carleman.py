@@ -93,17 +93,17 @@ def carleman_elliptic_check(v: ScalarField, gamma: float) -> EllipticCarlemanRep
     )
 
 
-def carleman_parabolic_check(u: SpaceTimeField, alpha: float, d: int) -> CarlemanReport:
+def carleman_parabolic_check(u: SpaceTimeField, alpha: float) -> CarlemanReport:
     """Verify the weighted space-time inequality
 
         int t^(-2 alpha) e^(-|x|^2/4t) u^2 <= (8 / eps^2) int t^(-2 alpha + 2) e^(-|x|^2/4t) (Lap u + du/dt)^2
 
-    for beta = 2 alpha - d/2 - 1 > 0 non-integer and eps = dist(beta, Z>=0).
+    on R^d, d = u.d, for beta = 2 alpha - d/2 - 1 > 0 non-integer and
+    eps = dist(beta, Z>=0).
     The field must be supported in a compact window away from t = 0 so the
     singular time weight stays integrable.
     """
-    if u.d != d:
-        raise ValueError(f"field dimension {u.d} != d = {d}")
+    d = u.d
     if not math.isfinite(alpha):
         raise ValueError(f"need a finite alpha, got {alpha}")
     beta = 2.0 * alpha - 0.5 * d - 1.0

@@ -23,7 +23,7 @@ from ..integrate import (
     integrate_spacetime,
     integrate_weighted,
 )
-from ..lift import LiftConfig
+from ..lift import _lifted_dim
 from .common import DENOMINATOR_FLOOR, dot, gradsq, power_ratio
 
 __all__ = ["FrequencyValues", "almgren", "almgren_dL_lower_bound", "poon", "lifted_frequency"]
@@ -109,8 +109,8 @@ def poon(u: SpaceTimeField, t: float) -> FrequencyValues:
     return FrequencyValues(H=H, D=D, L=t * D / H)
 
 
-def lifted_frequency(u: SpaceTimeField, cfg: LiftConfig, t: float) -> float:
-    """Elliptic frequency of the lift of u, written in base-space integrals.
+def lifted_frequency(u: SpaceTimeField, n: int, t: float) -> float:
+    """Elliptic frequency of the lift of u in n steps, written in base-space integrals.
 
     L_n(t) = [ int u (x . grad u + 2t du/dt) G_{t,n} dx
                - 2 int_0^t int u ((x, s) . grad_{x,s} du/ds) (s/t)^((nd-2)/2) G_{s,n} dx ds ]
@@ -120,10 +120,9 @@ def lifted_frequency(u: SpaceTimeField, cfg: LiftConfig, t: float) -> float:
     (s/t)^((nd-2)/2) underflows to exactly 0 deep inside (0, t) for large nd;
     such nodes are truncated (see power_ratio).
     """
+    p = 0.5 * (_lifted_dim(u.d, n) - 2)
     if not t > 0.0:
         raise ValueError("need t > 0")
-    d, n = cfg.d, cfg.n
-    p = 0.5 * (cfg.N - 2)
 
     def instant(x):
         val = np.asarray(u.value(x, t), float)
@@ -131,7 +130,7 @@ def lifted_frequency(u: SpaceTimeField, cfg: LiftConfig, t: float) -> float:
         radial = dot(np.asarray(x, float), g) + 2.0 * t * np.asarray(u.dt(x, t), float)
         return np.stack([val * val, val * radial], axis=-1)
 
-    inst = integrate_weighted(instant, d, t, n=n, coords=u.coords).value
+    inst = integrate_weighted(instant, u.d, t, n=n, coords=u.coords).value
     denom, numer1 = float(inst[0]), float(inst[1])
     if denom < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"weighted mass {denom!r} is below the {DENOMINATOR_FLOOR} floor")
@@ -142,5 +141,5 @@ def lifted_frequency(u: SpaceTimeField, cfg: LiftConfig, t: float) -> float:
         spatial = dot(np.asarray(x, float), gdt)
         return 2.0 * val * (spatial + s * np.asarray(u.dtt(x, s), float)) * power_ratio(s, t, p)
 
-    numer2 = integrate_spacetime(history, d, t, n=n, coords=u.coords).value
+    numer2 = integrate_spacetime(history, u.d, t, n=n, coords=u.coords).value
     return (numer1 - numer2) / denom

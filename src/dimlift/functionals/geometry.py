@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import AccuracyError, UnsupportedConfigError
 from ..fields import GraphSurface, NonhomTerm
 from ..integrate import _jacobi, _polar_sum, _refine, _sphere_nodes, integrate_weighted
-from ..lift import LiftConfig
+from ..lift import _lifted_dim
 from ..weights import _log_sphere_area
 from .common import dot
 
@@ -219,7 +219,7 @@ def mcf_residual(surface: GraphSurface, x, t):
     return np.asarray(surface.dt(x, t), float) + lap - mixed / q
 
 
-def lifted_mcf_density(surface: GraphSurface, cfg: LiftConfig, t: float) -> float:
+def lifted_mcf_density(surface: GraphSurface, n: int, t: float) -> float:
     """Finite-n Gaussian density of a graph:
 
         Phi_n(t) = (4 pi)^(d/2) int sqrt(1 + |grad u|^2) G^u_{t,n}(x) dx,
@@ -230,12 +230,12 @@ def lifted_mcf_density(surface: GraphSurface, cfg: LiftConfig, t: float) -> floa
     factor is absorbed into a Gauss-Jacobi rule, so the integrand kink costs
     no accuracy.
     """
+    d = surface.dim
+    nd = _lifted_dim(d, n)
     if not t > 0.0:
         raise ValueError("need t > 0")
-    d = cfg.d
-    nd = cfg.N
     if nd <= d + 1:
-        raise UnsupportedConfigError(f"finite weight needs n*d >= d + 2; got d={d}, n={cfg.n}")
+        raise UnsupportedConfigError(f"finite weight needs n*d >= d + 2; got d={d}, n={n}")
     R = math.sqrt(2.0 * nd * t)
     expo = 0.5 * (nd - d - 2)
     y0 = np.zeros(d)

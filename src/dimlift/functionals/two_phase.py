@@ -10,7 +10,7 @@ import numpy as np
 
 from ..fields import NonhomTerm, ScalarField, SpaceTimeField
 from ..integrate import _shell_mean, integrate_ball, integrate_spacetime
-from ..lift import LiftConfig
+from ..lift import _lifted_dim
 from .common import dot, gradsq
 
 __all__ = [
@@ -113,19 +113,19 @@ def caffarelli_Phi(u1: SpaceTimeField, u2: SpaceTimeField, tau: float) -> TwoPha
     return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / tau**2)
 
 
-def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, cfg: LiftConfig, tau: float) -> TwoPhaseReport:
-    """Finite-n product functional
+def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, n: int, tau: float) -> TwoPhaseReport:
+    """Product functional of the lift in n steps
 
         Phi_n(tau) = tau^-2 prod_i int_0^tau int ( |grad u_i|^2
                      + (2/nd) (x . grad u_i + t du_i/dt) du_i/dt ) G_{t,n} dx dt,
 
     which recovers caffarelli_Phi as n -> infinity.
     """
-    if u1.d != u2.d or u1.d != cfg.d:
-        raise ValueError("fields and lift config must share the same base dimension")
+    nd = _lifted_dim(u1.d, n)
+    if u1.d != u2.d:
+        raise ValueError("both phases must live on the same R^d")
     if not tau > 0.0:
         raise ValueError("need tau > 0")
-    nd = cfg.N
 
     def lifted_energy(u: SpaceTimeField):
         def f(x, t):
@@ -136,6 +136,6 @@ def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, cfg: LiftConfig, ta
 
         return f
 
-    f1 = integrate_spacetime(lifted_energy(u1), cfg.d, tau, n=cfg.n, coords=u1.coords).value
-    f2 = integrate_spacetime(lifted_energy(u2), cfg.d, tau, n=cfg.n, coords=u2.coords).value
+    f1 = integrate_spacetime(lifted_energy(u1), u1.d, tau, n=n, coords=u1.coords).value
+    f2 = integrate_spacetime(lifted_energy(u2), u2.d, tau, n=n, coords=u2.coords).value
     return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / tau**2)

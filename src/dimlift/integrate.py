@@ -63,7 +63,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import AccuracyError, UnsupportedConfigError
-from .lift import LiftConfig, sphere_area
+from .lift import _lifted_dim, sphere_area
 from .weights import _is_integer, _log_sphere_area
 
 __all__ = [
@@ -1134,10 +1134,10 @@ def pushforward_check_sphere(
     same batches for any thread count; None takes the count every
     quadrature sum reads (_worker_count).
     """
-    cfg = LiftConfig(d=d, n=n)
+    N = _lifted_dim(d, n)
     # t <= 0 (or NaN) fails the radius check rather than the square root
     radius = math.sqrt(2.0 * d * t) if t > 0.0 else 0.0
-    _check_sphere_args(cfg.N, radius)
+    _check_sphere_args(N, radius)
 
     def draw(out, k):
         return _lifted_sphere_batch(out, mc.seed, k, n, radius)
@@ -1155,8 +1155,7 @@ def pushforward_check_ball(
     Carlo side draws (x, t) of sample_mu_ball's law in the reduced dimension
     (_lifted_ball_batch), on the workers as in pushforward_check_sphere.
     """
-    cfg = LiftConfig(d=d, n=n)
-    _check_mu_ball_args(cfg.N, tau, d)
+    _check_mu_ball_args(_lifted_dim(d, n), tau, d)
 
     def draw(out, k):
         return _lifted_ball_batch(out, mc.seed, k, n, tau)

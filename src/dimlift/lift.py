@@ -5,20 +5,22 @@ A lifted point y is read as n steps of d coordinates each, stored row-major:
 The lift map sends y to the pair (x, t) with ``x_i = sum_j y_{i,j}`` and
 ``t = |y|^2 / (2d)``; ``lifted_field`` pulls a space-time field back along
 it to a field on R^(n*d) that the elliptic functionals read.
+
+A lift is fixed by what it lifts and by its step count n: every function
+here and every ``lifted_*`` functional takes n and reads d from its field,
+map or surface, or, for a lifted point, as its width / n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import ScalarField
-from .weights import _check_integers, _log_sphere_area
+from .weights import _check_integers, _is_integer, _log_sphere_area
 
 __all__ = [
-    "LiftConfig",
     "sphere_area",
     "lift_point",
     "lift_point_time",
@@ -26,22 +28,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LiftConfig:
-    """Base dimension d and number of steps n of a lift."""
-
-    d: int
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_integers(self.d, self.n)
-        if self.d < 1 or self.n < 1:
-            raise ValueError(f"need d >= 1 and n >= 1, got d={self.d}, n={self.n}")
-
-    @property
-    def N(self) -> int:
-        """Ambient dimension n*d of the lifted space."""
-        return self.n * self.d
+def _lifted_dim(d, n) -> int:
+    """The dimension n*d of the lift of R^d in n steps, for integers d, n >= 1."""
+    _check_integers(d, n)
+    if d < 1 or n < 1:
+        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+    return n * d
 
 
 def sphere_area(N: int) -> float:
@@ -59,58 +51,62 @@ def sphere_area(N: int) -> float:
         return float(np.exp(_log_sphere_area(N)))
 
 
-def _steps(cfg: LiftConfig, y: np.ndarray) -> np.ndarray:
-    """Reshape flat lifted coordinates to (..., d, n) step layout."""
+def _steps(y: np.ndarray, n: int) -> np.ndarray:
+    """Reshape flat lifted coordinates to (..., d, n) step layout, d = width / n."""
     y = np.asarray(y, dtype=float)
-    if y.shape[-1] != cfg.N:
-        raise ValueError(f"lifted point has length {y.shape[-1]}, expected n*d = {cfg.N}")
-    return y.reshape(y.shape[:-1] + (cfg.d, cfg.n))
+    width = y.shape[-1]
+    # an n that is not a positive integer fails _lifted_dim, which names the width as d
+    d = width // n if _is_integer(n) and n >= 1 else width
+    if _lifted_dim(d, n) != width:
+        raise ValueError(f"lifted point has width {width}, which is not a multiple of n = {n}")
+    return y.reshape(y.shape[:-1] + (d, n))
 
 
-def lift_point(cfg: LiftConfig, y: np.ndarray) -> np.ndarray:
+def lift_point(y: np.ndarray, n: int) -> np.ndarray:
     """Spatial part of the lift: x_i = sum of the n steps of coordinate i."""
-    return _steps(cfg, y).sum(axis=-1)
+    return _steps(y, n).sum(axis=-1)
 
 
-def lift_point_time(cfg: LiftConfig, y: np.ndarray):
-    """Full lift (x, t) with t = |y|^2 / (2d).
+def lift_point_time(y: np.ndarray, n: int):
+    """Full lift (x, t) with t = |y|^2 / (2d), d = width / n.
 
     t = 0 only at y = 0, which sits on the boundary of every time slab;
     callers that need t > 0 must exclude the origin themselves.
     """
     y = np.asarray(y, dtype=float)
-    x = lift_point(cfg, y)
-    t = np.sum(y * y, axis=-1) / (2.0 * cfg.d)
+    x = lift_point(y, n)
+    t = np.sum(y * y, axis=-1) / (2.0 * x.shape[-1])
     if y.ndim == 1:
         return x, float(t)
     return x, t
 
 
-def lifted_field(u, cfg: LiftConfig) -> ScalarField:
-    """The lift v(y) = u(x, t) of u, a field on R^(nd) in rotated coordinates.
+def lifted_field(u, n: int) -> ScalarField:
+    """The lift v(y) = u(x, t) of u in n steps, a field on R^(nd) in rotated coordinates.
 
     The field reads w = Q y for an orthogonal Q whose first d rows are the
     unit step-sum directions, so x = sqrt(n) w_1..d and t = |w|^2 / (2d).
-    It depends on w only through w_1..w_d and |w|: it declares
-    symmetry = d, accepts points of any width of at least d + 1, and
-    returns a gradient of the width it was given.  With the derivatives of
-    u taken at (x, t):
+    When u declares coords = k with 1 <= k < d it reads x = sqrt(n) w_1..k
+    only; otherwise k = d.  So v depends on w only through w_1..w_k and |w|:
+    it declares symmetry = k, accepts points of any width of at least k + 1,
+    and returns a gradient of the width it was given.  With the derivatives
+    of u taken at (x, t):
 
-    * grad v = sqrt(n) u_x on w_1..w_d, plus (w/d) u_t on every column
+    * grad v = sqrt(n) u_x on w_1..w_k, plus (w/d) u_t on every column
     * Lap v  = n (Lap u + u_t) + (2/d) (x . grad u_t + t u_tt)
 
-    ``u`` must provide vectorized ``value``, ``grad``, ``dt``,
-    ``laplacian``, ``grad_dt`` and ``dtt`` evaluators (a SpaceTimeField
-    does).
+    ``u`` must provide ``d``, ``coords`` and vectorized ``value``,
+    ``grad``, ``dt``, ``laplacian``, ``grad_dt`` and ``dtt`` evaluators (a
+    SpaceTimeField does).
     """
-    d, n = cfg.d, cfg.n
-    if u.d != d:
-        raise ValueError(f"field lives on R^{u.d}, but the lift has d = {d}")
+    d = u.d
+    N = _lifted_dim(d, n)
+    k = u.coords if u.coords is not None and 1 <= u.coords < d else d
     root_n = math.sqrt(n)
 
     def base(w):
         w = np.asarray(w, dtype=float)
-        return w, root_n * w[..., :d], np.sum(w * w, axis=-1) / (2.0 * d)
+        return w, root_n * w[..., :k], np.sum(w * w, axis=-1) / (2.0 * d)
 
     def value(w):
         _, x, t = base(w)
@@ -119,7 +115,7 @@ def lifted_field(u, cfg: LiftConfig) -> ScalarField:
     def grad(w):
         w, x, t = base(w)
         g = w * (np.asarray(u.dt(x, t), float) / d)[..., None]
-        g[..., :d] += root_n * np.asarray(u.grad(x, t), float)
+        g[..., :k] += root_n * np.asarray(u.grad(x, t), float)
         return g
 
     def laplacian(w):
@@ -129,10 +125,10 @@ def lifted_field(u, cfg: LiftConfig) -> ScalarField:
         return n * heat + (2.0 / d) * (x_grad_ut + t * np.asarray(u.dtt(x, t), float))
 
     return ScalarField(
-        N=cfg.N,
+        N=N,
         value=value,
         grad=grad,
         laplacian=laplacian,
         name=f"lift of {u.name} (d={d}, n={n})",
-        symmetry=d,
+        symmetry=k,
     )

@@ -4,6 +4,8 @@ The finite weight of parameters (d, n, t) is the density on R^d obtained by
 pushing the uniform probability measure on the sphere of radius sqrt(2dt) in
 R^(n*d) forward through the step-sum map.  It is supported on the closed ball
 |x|^2 <= 2ndt and converges pointwise to the heat kernel G_t as n grows.
+The weights read d from the last axis of the points they are given;
+ratio_bound, which is given no points, takes d.
 """
 
 from __future__ import annotations
@@ -49,19 +51,18 @@ def _check_t(t: float) -> None:
         raise ValueError(f"need t > 0, got t={t}")
 
 
-def gaussian_weight(d: int, t: float, x) -> np.ndarray:
-    """Heat kernel G_t(x) = (4 pi t)^(-d/2) exp(-|x|^2 / 4t) on R^d."""
+def gaussian_weight(t: float, x) -> np.ndarray:
+    """Heat kernel G_t(x) = (4 pi t)^(-d/2) exp(-|x|^2 / 4t) on R^d, d = x.shape[-1]."""
     _check_t(t)
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != d:
-        raise ValueError(f"point dimension {x.shape[-1]} != d = {d}")
+    d = x.shape[-1]
     rr = np.sum(x * x, axis=-1)
     out = np.exp(-rr / (4.0 * t) - 0.5 * d * np.log(4.0 * np.pi * t))
     return out if out.ndim else float(out)
 
 
-def finite_weight(d: int, n: int, t: float, x) -> np.ndarray:
-    """Finite-n approximant G_{t,n}(x) of the heat kernel.
+def finite_weight(n: int, t: float, x) -> np.ndarray:
+    """Finite-n approximant G_{t,n}(x) of the heat kernel on R^d, d = x.shape[-1].
 
     G_{t,n}(x) = A * (1 - |x|^2 / (2ndt))^((nd-d-2)/2) on |x|^2 <= 2ndt,
     and exactly 0 outside the closed ball, with
@@ -70,8 +71,10 @@ def finite_weight(d: int, n: int, t: float, x) -> np.ndarray:
 
     On the rim |x|^2 = 2ndt the value is 0 when the exponent is positive and
     A when the exponent is 0 (the smallest supported case nd = d + 2).
-    Requires integers d and n with nd >= d + 2.
+    Requires an integer n with nd >= d + 2.
     """
+    x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
     _check_integers(d, n)
     _check_t(t)
     nd = n * d
@@ -79,9 +82,6 @@ def finite_weight(d: int, n: int, t: float, x) -> np.ndarray:
         raise UnsupportedConfigError(
             f"finite weight needs n*d >= d + 2; got d={d}, n={n} (n*d = {nd})"
         )
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != d:
-        raise ValueError(f"point dimension {x.shape[-1]} != d = {d}")
 
     r2max = 2.0 * nd * t
     log_pref = _log_sphere_area(nd - d) - _log_sphere_area(nd) - 0.5 * d * np.log(r2max)
@@ -137,28 +137,25 @@ class WeightLimitReport:
     successive_ratios: np.ndarray  # shape (len(n_list) - 1,)
 
 
-def weight_limit_report(d: int, t: float, x_grid, n_list) -> WeightLimitReport:
-    """Tabulate |G_{t,n}/G_t - 1| over a grid for each n.
+def weight_limit_report(t: float, x_grid, n_list) -> WeightLimitReport:
+    """Tabulate |G_{t,n}/G_t - 1| over a grid of points of R^d for each n.
 
-    Grid points outside supp G_{t,n} contribute relative error exactly 1,
-    since the finite weight vanishes there while G_t does not.
+    d is the grid's last axis; a flat grid holds points of R^1.  Grid points
+    outside supp G_{t,n} contribute relative error exactly 1, since the
+    finite weight vanishes there while G_t does not.
     """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim == 1:
-        if d != 1:
-            raise ValueError("flat grid only valid for d = 1")
         x_grid = x_grid[:, None]
+    if x_grid.shape[-1] < 1:
+        raise ValueError(f"need d >= 1, got d={x_grid.shape[-1]}")
     if x_grid.size == 0:
         raise ValueError("empty evaluation grid")
-    if x_grid.shape[-1] != d:
-        raise ValueError(f"grid dimension {x_grid.shape[-1]} != d = {d}")
 
-    g = gaussian_weight(d, t, x_grid)
+    g = gaussian_weight(t, x_grid)
     rel = np.empty((len(n_list), x_grid.shape[0]))
     for k, n in enumerate(n_list):
-        gn = finite_weight(d, n, t, x_grid)  # refuses an n that is not an integer
+        gn = finite_weight(n, t, x_grid)  # refuses an n that is not an integer
         rel[k] = np.abs(gn / g - 1.0)
     sup = rel.max(axis=1)
     ratios = sup[:-1] / sup[1:]

@@ -7,11 +7,10 @@ def rng():
     return np.random.default_rng(909)
 
 
-def _step_sum_rotation(cfg):
+def _step_sum_rotation(d, n):
     # Helmert's matrix on each coordinate's n steps: its first row is the
     # unit step-sum direction, its other rows orthonormal contrasts.  The d
     # step-sum rows come first, so w = Q y has x = sqrt(n) w_1..d
-    d, n = cfg.d, cfg.n
     helmert = np.zeros((n, n))
     helmert[0] = 1.0 / np.sqrt(n)
     for k in range(1, n):
@@ -24,6 +23,6 @@ def _step_sum_rotation(cfg):
 
 @pytest.fixture
 def step_sum_rotation():
-    """Q(cfg): an orthogonal matrix whose first d rows are the unit step-sum
+    """Q(d, n): an orthogonal matrix whose first d rows are the unit step-sum
     directions of the row-major lift, the rotation lifted_field reads in."""
     return _step_sum_rotation

@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 
-from dimlift import LiftConfig
 from dimlift.cli import main as cli_main
 from dimlift.fields import (
     NonhomTerm,
@@ -132,7 +131,7 @@ def test_criterion_1_push_forward_identities():
 def test_criterion_2_weight_limit():
     started = time.perf_counter()
     problems = []
-    report = weight_limit_report(1, 1.0, np.linspace(-2.0, 2.0, 201), [8, 16, 32, 64, 128])
+    report = weight_limit_report(1.0, np.linspace(-2.0, 2.0, 201), [8, 16, 32, 64, 128])
     errs = np.asarray(report.sup_rel_error)
     _check(problems, np.all(np.diff(errs) < 0.0), f"errors not strictly decreasing: {errs}")
     ratios = errs[:-1] / errs[1:]
@@ -148,9 +147,9 @@ def test_criterion_2_weight_limit():
 # 3. chain-rule lifting
 
 
-def _fd_lifted(cfg, u, y, h=1e-5, h2=1e-3):
+def _fd_lifted(n, u, y, h=1e-5, h2=1e-3):
     def v(z):
-        x, t = lift_point_time(cfg, z)
+        x, t = lift_point_time(z, n)
         return float(u.value(x, t))
 
     N = y.size
@@ -174,18 +173,18 @@ def test_criterion_3_chain_rule_lifting(step_sum_rotation):
     problems = []
     rng = np.random.default_rng(4242)
     fields = [
-        (caloric_polynomial("x1", 2), LiftConfig(2, 5)),
-        (caloric_polynomial("x1sq", 1), LiftConfig(1, 12)),
-        (caloric_polynomial("x1cube", 3), LiftConfig(3, 4)),
-        (caloric_polynomial("radial", 2), LiftConfig(2, 6)),
-        (heat_kernel_translate(1, np.array([1.5]), 3.0), LiftConfig(1, 8)),
+        (caloric_polynomial("x1", 2), 5),
+        (caloric_polynomial("x1sq", 1), 12),
+        (caloric_polynomial("x1cube", 3), 4),
+        (caloric_polynomial("radial", 2), 6),
+        (heat_kernel_translate(1, np.array([1.5]), 3.0), 8),
     ]
-    for u, cfg in fields:
-        v = lifted_field(u, cfg)
-        Q = step_sum_rotation(cfg)
+    for u, n in fields:
+        v = lifted_field(u, n)
+        Q = step_sum_rotation(u.d, n)
         worst = {"grad": 0.0, "radial": 0.0, "gradsq": 0.0, "laplacian": 0.0}
         for _ in range(100):
-            y = rng.normal(size=cfg.N)
+            y = rng.normal(size=v.N)
             y *= rng.uniform(0.8, 1.6) / np.linalg.norm(y)
             w = Q @ y
             grad_w = v.grad(w)
@@ -193,7 +192,7 @@ def test_criterion_3_chain_rule_lifting(step_sum_rotation):
             radial_v = float(w @ grad_w)
             gradsq_v = float(grad_w @ grad_w)
             laplacian_v = float(v.laplacian(w))
-            fd_grad, fd_lap = _fd_lifted(cfg, u, y)
+            fd_grad, fd_lap = _fd_lifted(n, u, y)
             scale = max(1.0, float(np.max(np.abs(grad_v))))
             worst["grad"] = max(worst["grad"], float(np.max(np.abs(fd_grad - grad_v))) / scale)
             worst["radial"] = max(
@@ -232,7 +231,7 @@ def test_criterion_4_frequency():
     sweep = monotonicity_sweep(lambda t: poon(hk, t).L, np.linspace(0.1, 1.0, 16))
     _check(problems, sweep.violations == 0, f"{sweep.violations} monotonicity violations")
     cube = caloric_polynomial("x1cube", 1)
-    errs = [abs(lifted_frequency(cube, LiftConfig(1, n), 1.0) - 3.0) for n in (10, 40, 160)]
+    errs = [abs(lifted_frequency(cube, n, 1.0) - 3.0) for n in (10, 40, 160)]
     _check(problems, errs[0] > errs[1] > errs[2], f"lifted errors not decreasing: {errs}")
     _check(problems, errs[2] < 0.05 * 3.0, f"lifted error at n=160 is {errs[2]:.3f}")
     _finish(4, "frequency constancy and monotonicity", started, problems, budget=60.0)
@@ -271,7 +270,7 @@ def test_criterion_5_carleman():
     ]
     for alpha in (1.0, 1.875, 2.3):
         for u in parabolic:
-            rep = carleman_parabolic_check(u, alpha, 1)
+            rep = carleman_parabolic_check(u, alpha)
             _check(problems, rep.satisfied, f"parabolic {u.name} fails at alpha={alpha}")
             _check(
                 problems,
@@ -324,7 +323,7 @@ def test_criterion_6_two_phase():
     for tau in (0.5, 1.0, 2.0):
         _check(problems, abs(caffarelli_Phi(up, un, tau).value - 0.25) < 1e-8, f"Phi at tau={tau}")
     for n in (3, 7, 20, 80):
-        got = lifted_two_phase(up, un, LiftConfig(1, n), 1.0).value
+        got = lifted_two_phase(up, un, n, 1.0).value
         _check(problems, abs(got - 0.25) < 1e-8, f"lifted Phi at n={n}")
     v1, v2, h1, h0 = _cube_pair()
     for r in (0.8, 1.25):
@@ -352,7 +351,7 @@ def test_criterion_7_harmonic_maps():
     cm = circle_map()
     for t in (0.25, 1.0, 4.0):
         _check(problems, abs(struwe_Phi(cm, t) - t) < 1e-8, f"circle Phi at t={t}")
-    got = lifted_hm_Phi(cm, LiftConfig(1, 160), 1.0)
+    got = lifted_hm_Phi(cm, 160, 1.0)
     _check(problems, abs(got - 1.0) < 0.05, f"lifted circle value at n=160: {got}")
     _finish(7, "harmonic map densities", started, problems, budget=60.0)
 
@@ -393,7 +392,7 @@ def test_criterion_8_surface_densities():
         _check(problems, bool(np.all(mcf_residual(surf, pts, 1.0) == 0.0)), "flow residual not exactly zero")
     const = graph_plane(1, 0.7)
     limit = huisken_density(const, 1.0)
-    errs = [abs(lifted_mcf_density(const, LiftConfig(1, n), 1.0) - limit) for n in (10, 40, 160)]
+    errs = [abs(lifted_mcf_density(const, n, 1.0) - limit) for n in (10, 40, 160)]
     _check(problems, errs[0] > errs[1] > errs[2], f"lifted errors not decreasing: {errs}")
     _finish(8, "surface densities and flow", started, problems, budget=60.0)
 

@@ -65,7 +65,7 @@ PARABOLIC_BUMPS = [
 @pytest.mark.parametrize("bump", PARABOLIC_BUMPS, ids=lambda b: b.name)
 @pytest.mark.parametrize("alpha", [1.0, 1.875, 2.3])
 def test_parabolic_inequality_on_bumps(bump, alpha):
-    rep = carleman_parabolic_check(bump, alpha, d=1)
+    rep = carleman_parabolic_check(bump, alpha)
     assert rep.satisfied
     beta = 2 * alpha - 0.5 - 1.0
     assert math.isclose(rep.beta, beta)
@@ -76,11 +76,9 @@ def test_parabolic_inequality_on_bumps(bump, alpha):
 def test_parabolic_parameter_gates():
     bump = PARABOLIC_BUMPS[0]
     with pytest.raises(ValueError):
-        carleman_parabolic_check(bump, 1.25, d=1)  # beta = 1 is an integer
+        carleman_parabolic_check(bump, 1.25)  # beta = 1 is an integer
     with pytest.raises(ValueError):
-        carleman_parabolic_check(bump, 0.5, d=1)  # beta = -0.5 <= 0
-    with pytest.raises(ValueError):
-        carleman_parabolic_check(bump, 1.875, d=2)  # field dimension mismatch
+        carleman_parabolic_check(bump, 0.5)  # beta = -0.5 <= 0
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -90,4 +88,4 @@ def test_non_finite_exponents_are_rejected(bad):
     with pytest.raises(ValueError, match="finite gamma"):
         carleman_elliptic_check(ELLIPTIC_BUMPS[0], bad)
     with pytest.raises(ValueError, match="finite alpha"):
-        carleman_parabolic_check(PARABOLIC_BUMPS[0], bad, d=1)
+        carleman_parabolic_check(PARABOLIC_BUMPS[0], bad)

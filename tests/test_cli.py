@@ -207,14 +207,19 @@ _DOMAIN_ERRORS = [
     (["lift-demo", "--which", "harmonic-map", "--field", "equator", "--d", "2"], "the equator map needs --d >= 3"),
     # r^2 overflows, and the energy mean underflows
     (["harmonic-map", "--which", "phi", "--r-grid", "1e160:2e160:2"], "hm_phi at r = 1e+160 is out of floating-point range"),
+    # a lift of 0 steps
+    (["two-phase", "--kind", "lifted", "--n", "0,5"], "need d >= 1 and n >= 1, got d=1, n=0"),
 ]
 
 
 @pytest.mark.parametrize("argv, reason", _DOMAIN_ERRORS, ids=[f"argv{i}" for i in range(len(_DOMAIN_ERRORS))])
-def test_domain_errors_exit_one(argv, reason, tmp_path, monkeypatch, capsys):
+def test_domain_errors_exit_one(argv, reason, tmp_path, monkeypatch, capsys, recwarn):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "err"]) == 1
     assert f"error: {reason}" in capsys.readouterr().err
+    # pytest holds warnings back from stderr, where a user would see them
+    # above the error line; recwarn holds them instead
+    assert [f"{w.category.__name__}: {w.message}" for w in recwarn] == []
     assert not (tmp_path / "err.json").exists()
 
 

@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from dimlift import LiftConfig
 from dimlift.fields import caloric_polynomial, half_space_pair, half_space_power_pair
 from dimlift.functionals import caffarelli_Phi, lifted_frequency, lifted_two_phase, poon
 from dimlift.integrate import _weighted_sums, integrate_spacetime, integrate_weighted
@@ -109,9 +108,7 @@ def test_two_phase_of_a_first_coordinate_pair_is_the_one_dimensional_one(pair):
     for d in (2, 3):
         assert caffarelli_Phi(*make(d), 0.7) == caffarelli_Phi(*base, 0.7)
     for d, n in STEPS:
-        assert lifted_two_phase(*make(d), LiftConfig(d, n), 0.7) == lifted_two_phase(
-            *base, LiftConfig(1, n * d), 0.7
-        )
+        assert lifted_two_phase(*make(d), n, 0.7) == lifted_two_phase(*base, n * d, 0.7)
 
 
 @pytest.mark.parametrize("kind", ["x1", "x1sq", "x1cube"])
@@ -120,7 +117,7 @@ def test_frequency_of_a_first_coordinate_field_is_the_one_dimensional_one(kind):
     assert poon(caloric_polynomial(kind, 3), 0.7) == poon(base, 0.7)
     for d, n in STEPS:
         u = caloric_polynomial(kind, d)
-        assert lifted_frequency(u, LiftConfig(d, n), 0.7) == lifted_frequency(base, LiftConfig(1, n * d), 0.7)
+        assert lifted_frequency(u, n, 0.7) == lifted_frequency(base, n * d, 0.7)
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 5), (3, 4), (2, 40), (3, 40), (2, 160)])
@@ -130,7 +127,7 @@ def test_the_cubic_lifted_frequency_is_exact_at_every_nd(d, n):
     N = n * d
     exact = 3.0 - 12.0 / (N * N - 3 * N + 12)
     for t in (0.7, 1.0):
-        got = lifted_frequency(caloric_polynomial("x1cube", d), LiftConfig(d, n), t)
+        got = lifted_frequency(caloric_polynomial("x1cube", d), n, t)
         assert abs(got - exact) <= 1e-12 * exact
 
 

@@ -4,7 +4,6 @@ and the finite-n approximant converging onto twice the parabolic value."""
 import numpy as np
 import pytest
 
-from dimlift import LiftConfig
 from dimlift.errors import DegenerateDenominatorError
 from dimlift.fields import (
     NonhomTerm,
@@ -91,7 +90,7 @@ def test_boundary_mass_below_floor_raises():
 def test_lifted_frequency_is_exact_for_low_degrees(kind, limit):
     u = caloric_polynomial(kind, 1)
     for n in (5, 12, 40):
-        assert abs(lifted_frequency(u, LiftConfig(1, n), 1.0) - limit) < TOL
+        assert abs(lifted_frequency(u, n, 1.0) - limit) < TOL
 
 
 def _cubic_lifted_oracle(n: int, t: float) -> float:
@@ -107,13 +106,13 @@ def test_lifted_frequency_cubic_matches_the_moment_oracle():
     u = caloric_polynomial("x1cube", 1)
     for n in (10, 40, 160):
         for t in (0.7, 1.0):
-            got = lifted_frequency(u, LiftConfig(1, n), t)
+            got = lifted_frequency(u, n, t)
             assert abs(got - _cubic_lifted_oracle(n, t)) < 1e-12
 
 
 def test_lifted_frequency_error_strictly_decreases():
     u = caloric_polynomial("x1cube", 1)
-    errs = [abs(lifted_frequency(u, LiftConfig(1, n), 1.0) - 3.0) for n in (10, 40, 160)]
+    errs = [abs(lifted_frequency(u, n, 1.0) - 3.0) for n in (10, 40, 160)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] / 3.0 < 0.05
 

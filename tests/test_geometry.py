@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dimlift import LiftConfig, UnsupportedConfigError
+from dimlift import UnsupportedConfigError
 from dimlift.fields import NonhomTerm, graph_linear, graph_paraboloid, graph_plane
 from dimlift.functionals import (
     graph_mean_curvature,
@@ -177,19 +177,19 @@ def test_static_planes_solve_the_flow_exactly():
 
 def test_lifted_density_is_exact_on_planes():
     for n in (5, 25, 80):
-        got = lifted_mcf_density(graph_plane(1, 0.0), LiftConfig(1, n), 1.0)
+        got = lifted_mcf_density(graph_plane(1, 0.0), n, 1.0)
         assert abs(got - (4 * math.pi) ** 0.5) < 1e-8
     # n*d = 320 raises the rim factor to the power 158 without overflow
-    assert abs(lifted_mcf_density(graph_plane(2, 0.0), LiftConfig(2, 160), 1.0) - 4 * math.pi) < 1e-8
+    assert abs(lifted_mcf_density(graph_plane(2, 0.0), 160, 1.0) - 4 * math.pi) < 1e-8
     tilted = graph_linear([0.4])
     want = huisken_density(tilted, 1.0)
-    assert abs(lifted_mcf_density(tilted, LiftConfig(1, 25), 1.0) - want) < 1e-8
+    assert abs(lifted_mcf_density(tilted, 25, 1.0) - want) < 1e-8
 
 
 def test_lifted_density_converges_on_the_constant_graph():
     const = graph_plane(1, 0.7)
     limit = huisken_density(const, 1.0)
-    errs = [abs(lifted_mcf_density(const, LiftConfig(1, n), 1.0) - limit) for n in (10, 40, 160)]
+    errs = [abs(lifted_mcf_density(const, n, 1.0) - limit) for n in (10, 40, 160)]
     assert errs[0] > errs[1] > errs[2]
     # first-order rate: quadrupling n divides the error by about four
     assert 3.0 < errs[0] / errs[1] < 5.0
@@ -206,7 +206,7 @@ def test_lifted_density_of_the_constant_graph_in_closed_form(d):
             for t in (0.7, 1.0):
                 nd = n * d
                 want = (4 * math.pi) ** (d / 2) * (1.0 - c * c / (2 * nd * t)) ** ((nd - 2) / 2)
-                got = lifted_mcf_density(graph_plane(d, c), LiftConfig(d, n), t)
+                got = lifted_mcf_density(graph_plane(d, c), n, t)
                 assert abs(got - want) <= 1e-12 * want
 
 
@@ -219,15 +219,15 @@ def test_lifted_density_of_the_constant_graph_is_scale_free(scale):
             for n in (4, 40, 160):
                 nd = n * d
                 want = (4 * math.pi) ** (d / 2) * (1.0 - c * c / (2 * nd * 0.7)) ** ((nd - 2) / 2)
-                got = lifted_mcf_density(graph_plane(d, scale * c), LiftConfig(d, n), scale * scale * 0.7)
+                got = lifted_mcf_density(graph_plane(d, scale * c), n, scale * scale * 0.7)
                 assert abs(got - want) <= 1e-12 * want
 
 
 def test_lifted_density_is_zero_where_the_weight_misses_the_graph():
     # the sheet at height 10 lies outside the support |x|^2 + u^2 <= 2ndt = 8
-    assert lifted_mcf_density(graph_plane(1, 10.0), LiftConfig(1, 4), 1.0) == 0.0
+    assert lifted_mcf_density(graph_plane(1, 10.0), 4, 1.0) == 0.0
 
 
 def test_lifted_density_rejects_degenerate_lift():
     with pytest.raises(UnsupportedConfigError):
-        lifted_mcf_density(graph_plane(1, 0.0), LiftConfig(1, 2), 1.0)
+        lifted_mcf_density(graph_plane(1, 0.0), 2, 1.0)

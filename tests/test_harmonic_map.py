@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from dimlift import LiftConfig
 from dimlift.errors import AccuracyError
 from dimlift.fields import NonhomTerm, SphereField, circle_map, equator_map
 from dimlift.functionals import (
@@ -78,8 +77,8 @@ def test_lifted_values_match_at_every_n():
     emap = equator_map(3)
     for n in (5, 20, 80):
         for t in (0.5, 1.0):
-            assert abs(lifted_hm_Phi(umap, LiftConfig(1, n), t) - t) < 1e-8
-        assert abs(lifted_hm_Phi(emap, LiftConfig(3, n), 1.0) - 1.0) < 1e-8
+            assert abs(lifted_hm_Phi(umap, n, t) - t) < 1e-8
+        assert abs(lifted_hm_Phi(emap, n, 1.0) - 1.0) < 1e-8
 
 
 def _phase_map():
@@ -105,7 +104,7 @@ def test_lifted_phase_map_density_in_closed_form(n, t):
     # Phi_n = [n/(n-2)] t 8t - [1/(n-2)] 48 t^2 n / (n + 2); unlike the
     # circle and equator maps, this value moves with n
     want = 8.0 * t * t * n * (n - 4) / ((n - 2) * (n + 2))
-    got = lifted_hm_Phi(_phase_map(), LiftConfig(1, n), t)
+    got = lifted_hm_Phi(_phase_map(), n, t)
     # at n = 4 the value is 0, so the miss there is absolute
     assert abs(got - want) <= 1e-12 * (abs(want) if n != 4 else 1.0)
 

@@ -11,7 +11,6 @@ import re
 import numpy as np
 import pytest
 
-from dimlift import LiftConfig
 from dimlift.errors import AccuracyError, DegenerateDenominatorError, UnsupportedConfigError
 from dimlift.fields import (
     GraphSurface,
@@ -58,10 +57,11 @@ from dimlift.integrate import (
     integrate_spacetime,
     integrate_weighted,
     integrate_window,
+    pushforward_check_sphere,
     sample_mu_ball,
     sample_sphere_uniform,
 )
-from dimlift.lift import sphere_area
+from dimlift.lift import lift_point, lift_point_time, lifted_field, sphere_area
 from dimlift.weights import finite_weight, gaussian_weight, ratio_bound, weight_limit_report
 
 MC = MonteCarloSpec(samples=1000, seed=1)
@@ -167,39 +167,33 @@ CASES = [
     ("sphere sampler N", lambda p: sample_sphere_uniform(0, 1.0, MC), ValueError, "need N >= 1"),
     ("ball sampler N", lambda p: sample_mu_ball(0, 1.0, 1, MC), ValueError, "need N >= 1 and d >= 1"),
     # weights and lift
-    ("gaussian t", lambda p: gaussian_weight(1, 0.0, [0.0]), ValueError, "need t > 0, got t=0.0"),
-    ("gaussian width", lambda p: gaussian_weight(2, 1.0, np.zeros(3)), ValueError, "point dimension 3 != d = 2"),
-    ("finite width", lambda p: finite_weight(1, 4, 1.0, np.zeros((2, 2))), ValueError, "point dimension 2 != d = 1"),
+    ("gaussian t", lambda p: gaussian_weight(0.0, [0.0]), ValueError, "need t > 0, got t=0.0"),
     ("ratio nd", lambda p: ratio_bound(1, 3), UnsupportedConfigError, "ratio bound needs n*d >= d + 3"),
-    (
-        "flat grid d",
-        lambda p: weight_limit_report(2, 1.0, np.linspace(0.0, 1.0, 5), [4]),
-        ValueError,
-        "flat grid only valid for d = 1",
-    ),
-    ("empty grid", lambda p: weight_limit_report(1, 1.0, [], [4]), ValueError, "empty evaluation grid"),
-    (
-        "grid width",
-        lambda p: weight_limit_report(2, 1.0, np.zeros((3, 3)), [4]),
-        ValueError,
-        "grid dimension 3 != d = 2",
-    ),
-    (
-        "finite float n",
-        lambda p: finite_weight(1, 10.5, 1.0, [0.0]),
-        ValueError,
-        "d and n must be integers, got d=1, n=10.5",
-    ),
+    ("empty grid", lambda p: weight_limit_report(1.0, [], [4]), ValueError, "empty evaluation grid"),
+    ("grid width", lambda p: weight_limit_report(1.0, np.zeros((4, 0)), [8]), ValueError, "need d >= 1, got d=0"),
+    ("finite float n", lambda p: finite_weight(10.5, 1.0, [0.0]), ValueError, "d and n must be integers, got d=1, n=10.5"),
     ("ratio float n", lambda p: ratio_bound(1, 10.5), ValueError, "d and n must be integers, got d=1, n=10.5"),
+    # a flat grid holds points of R^1
     (
         "report float n",
-        lambda p: weight_limit_report(1, 1.0, np.linspace(0.0, 1.0, 5), [10.5, 20]),
+        lambda p: weight_limit_report(1.0, np.linspace(0.0, 1.0, 5), [10.5, 20]),
         ValueError,
         "d and n must be integers, got d=1, n=10.5",
     ),
     ("sphere area", lambda p: sphere_area(0), ValueError, "need N >= 1, got N=0"),
-    ("lift float n", lambda p: LiftConfig(1, 10.5), ValueError, "d and n must be integers, got d=1, n=10.5"),
-    ("lift float d", lambda p: LiftConfig(2.0, 4), ValueError, "d and n must be integers, got d=2.0, n=4"),
+    ("lift float n", lambda p: lifted_field(U1, 10.5), ValueError, "d and n must be integers, got d=1, n=10.5"),
+    (
+        "lift float d",
+        lambda p: pushforward_check_sphere(_one, 2.0, 4, 1.0, MC),
+        ValueError,
+        "d and n must be integers, got d=2.0, n=4",
+    ),
+    (
+        "lift width",
+        lambda p: lift_point(np.zeros(5), 3),
+        ValueError,
+        "lifted point has width 5, which is not a multiple of n = 3",
+    ),
     # carleman
     ("constant N", lambda p: carleman_elliptic_constant(0.5, 0), ValueError, "need N >= 1"),
     (
@@ -210,7 +204,7 @@ CASES = [
     ),
     (
         "no window",
-        lambda p: carleman_parabolic_check(U1, 1.0, 1),
+        lambda p: carleman_parabolic_check(U1, 1.0),
         ValueError,
         "needs a field supported in a window away from t = 0",
     ),
@@ -225,10 +219,10 @@ CASES = [
     ),
     ("poon t", lambda p: poon(U1, 0.0), ValueError, "need t > 0"),
     ("poon H", lambda p: poon(LATE, 0.5), DegenerateDenominatorError, "weighted mass H = 0.0 is below"),
-    ("lifted frequency t", lambda p: lifted_frequency(U1, LiftConfig(1, 4), 0.0), ValueError, "need t > 0"),
+    ("lifted frequency t", lambda p: lifted_frequency(U1, 4, 0.0), ValueError, "need t > 0"),
     (
         "lifted frequency mass",
-        lambda p: lifted_frequency(LATE, LiftConfig(1, 4), 0.5),
+        lambda p: lifted_frequency(LATE, 4, 0.5),
         DegenerateDenominatorError,
         "weighted mass 0.0 is below",
     ),
@@ -241,7 +235,7 @@ CASES = [
         AccuracyError,
         "slice integrand blows up",
     ),
-    ("mcf t", lambda p: lifted_mcf_density(graph_plane(1), LiftConfig(1, 4), 0.0), ValueError, "need t > 0"),
+    ("mcf t", lambda p: lifted_mcf_density(graph_plane(1), 4, 0.0), ValueError, "need t > 0"),
     # harmonic maps
     ("hm_phi r", lambda p: hm_phi(equator_map(3), np.zeros(3), 0.0), ValueError, "need r > 0"),
     (
@@ -252,18 +246,12 @@ CASES = [
     ),
     ("struwe t", lambda p: struwe_Phi(circle_map(), 0.0), ValueError, "need t > 0"),
     (
-        "lifted map d",
-        lambda p: lifted_hm_Phi(equator_map(3), LiftConfig(1, 4), 1.0),
-        ValueError,
-        "must share the same base dimension",
-    ),
-    (
         "lifted map nd = 2",
-        lambda p: lifted_hm_Phi(circle_map(), LiftConfig(1, 2), 1.0),
+        lambda p: lifted_hm_Phi(circle_map(), 2, 1.0),
         UnsupportedConfigError,
         "needs n*d >= 3, got n*d = 2",
     ),
-    ("lifted map t", lambda p: lifted_hm_Phi(circle_map(), LiftConfig(1, 4), 0.0), ValueError, "need t > 0"),
+    ("lifted map t", lambda p: lifted_hm_Phi(circle_map(), 4, 0.0), ValueError, "need t > 0"),
     # two-phase
     ("support r", lambda p: support_fraction(X1, 0.0), ValueError, "need r > 0"),
     (
@@ -288,12 +276,28 @@ CASES = [
     ("caffarelli tau", lambda p: caffarelli_Phi(U1, U1, 0.0), ValueError, "need tau > 0"),
     (
         "lifted two-phase d",
-        lambda p: lifted_two_phase(U1, U1, LiftConfig(2, 4), 1.0),
+        lambda p: lifted_two_phase(U1, caloric_polynomial("x1", 2), 4, 1.0),
         ValueError,
-        "must share the same base dimension",
+        "both phases must live on the same R^d",
     ),
-    ("lifted two-phase tau", lambda p: lifted_two_phase(U1, U1, LiftConfig(1, 4), 0.0), ValueError, "need tau > 0"),
+    ("lifted two-phase tau", lambda p: lifted_two_phase(U1, U1, 4, 0.0), ValueError, "need tau > 0"),
 ]
+
+# every lift takes its step count n and reads d from what it lifts
+_LIFTS = {
+    "lifted_field": lambda n: lifted_field(U1, n),
+    "lifted_frequency": lambda n: lifted_frequency(U1, n, 1.0),
+    "lifted_two_phase": lambda n: lifted_two_phase(U1, U1, n, 1.0),
+    "lifted_hm_Phi": lambda n: lifted_hm_Phi(circle_map(), n, 1.0),
+    "lifted_mcf_density": lambda n: lifted_mcf_density(graph_plane(1), n, 1.0),
+    "lift_point": lambda n: lift_point(np.zeros(4), n),
+    "lift_point_time": lambda n: lift_point_time(np.zeros(4), n),
+}
+for _name, _lift in _LIFTS.items():
+    CASES += [
+        (f"{_name} n = 0", lambda p, f=_lift: f(0), ValueError, "need d >= 1 and n >= 1"),
+        (f"{_name} n = 2.5", lambda p, f=_lift: f(2.5), ValueError, "d and n must be integers"),
+    ]
 
 
 @pytest.mark.parametrize("call, error, reason", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

@@ -30,7 +30,7 @@ from dimlift import (
 import dimlift.integrate
 from dimlift.errors import AccuracyError, UnsupportedConfigError
 from dimlift.integrate import _use_threads
-from dimlift.lift import LiftConfig, lift_point_time
+from dimlift.lift import lift_point_time
 
 
 def _x1sq(x):
@@ -947,7 +947,6 @@ def test_reduced_draw_has_the_law_of_the_lifted_samplers(d, n, monkeypatch):
     # agree within 4 combined standard errors, plus 1e-12 for the columns that
     # are constant up to rounding (the mass; on the sphere at n = 1,
     # exp(-|x|^2), and x1^2 when d = 1 too)
-    cfg = LiftConfig(d=d, n=n)
     t = 0.7
     radius = math.sqrt(2 * d * t)
     reduced = MonteCarloSpec(seed=100 + 10 * d + n, samples=40_000)
@@ -955,12 +954,12 @@ def test_reduced_draw_has_the_law_of_the_lifted_samplers(d, n, monkeypatch):
     pairs = [
         (
             pushforward_check_sphere(_stack, d, n, t, reduced, threads=2),
-            mc_mean(sample_sphere_uniform(cfg.N, radius, full), lambda y: _stack(lift_point_time(cfg, y)[0])),
+            mc_mean(sample_sphere_uniform(n * d, radius, full), lambda y: _stack(lift_point_time(y, n)[0])),
             1.0,
         ),
         (
             pushforward_check_ball(_stack, d, n, t, reduced, threads=2),
-            mc_mean(sample_mu_ball(cfg.N, t, d, full), lambda y: _stack(*lift_point_time(cfg, y))),
+            mc_mean(sample_mu_ball(n * d, t, d, full), lambda y: _stack(*lift_point_time(y, n))),
             t,
         ),
     ]

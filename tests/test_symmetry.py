@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dimlift.integrate
-from dimlift import LiftConfig, lifted_field
+from dimlift import lifted_field
 from dimlift.fields import (
     NonhomTerm,
     ScalarField,
@@ -89,8 +89,8 @@ DECLARED = {
     "y1_minus": lambda N: half_space_pair(N, kind="elliptic")[1],
     "bump_radial": lambda N: bump_radial(N, 0.5, 1.5),
     "equator energy": equator_map,
-    "lifted x1cube": lambda N: lifted_field(caloric_polynomial("x1cube", 1), LiftConfig(1, N)),
-    "lifted heat kernel": lambda N: lifted_field(heat_kernel_translate(1, [1.5], 3.0), LiftConfig(1, N)),
+    "lifted x1cube": lambda N: lifted_field(caloric_polynomial("x1cube", 1), N),
+    "lifted heat kernel": lambda N: lifted_field(heat_kernel_translate(1, [1.5], 3.0), N),
 }
 
 

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from dimlift import LiftConfig
 from dimlift.fields import NonhomTerm, ScalarField, half_space_pair, half_space_power_pair, harmonic_polynomial
 from dimlift.functionals import (
     acf_dphi_lower_bound,
@@ -77,7 +76,7 @@ def test_caffarelli_plateau_at_one_quarter():
 def test_lifted_pair_value_is_one_quarter_at_every_n():
     up, un = half_space_pair(1)
     for n in (5, 20, 80):
-        rep = lifted_two_phase(up, un, LiftConfig(1, n), 1.0)
+        rep = lifted_two_phase(up, un, n, 1.0)
         assert abs(rep.value - 0.25) < 1e-8
 
 
@@ -88,7 +87,7 @@ def test_power_pair_closed_form_and_lifted_oracle():
     tau = 0.7
     assert abs(caffarelli_Phi(u1, u2, tau).value - 9 * tau**2) < 1e-8
     for n in (5, 20, 80):
-        got = lifted_two_phase(u1, u2, LiftConfig(1, n), tau).value
+        got = lifted_two_phase(u1, u2, n, tau).value
         want = 9 * tau**2 * n / (n + 2)
         assert abs(got - want) < 1e-10
 
@@ -96,7 +95,7 @@ def test_power_pair_closed_form_and_lifted_oracle():
 def test_lifted_power_pair_error_strictly_decreases():
     u1, u2 = half_space_power_pair(1, 3)
     tau = 1.0
-    errs = [abs(lifted_two_phase(u1, u2, LiftConfig(1, n), tau).value - 9.0) for n in (10, 40, 160)]
+    errs = [abs(lifted_two_phase(u1, u2, n, tau).value - 9.0) for n in (10, 40, 160)]
     assert errs[0] > errs[1] > errs[2]
 
 
