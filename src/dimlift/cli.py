@@ -124,8 +124,10 @@ def _decrease_margin(values) -> float:
 
 
 def _increase_margin(values) -> float:
-    """Worst rise of an error sequence: 0 if it never rises; NaN if an error is."""
-    return float(np.max(np.diff(np.asarray(values, dtype=float)), initial=0.0))
+    """Worst rise of an error sequence: 0 if it never rises; NaN if an error
+    is, or if two successive errors are inf."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return float(np.max(np.diff(np.asarray(values, dtype=float)), initial=0.0))
 
 
 def _verdict(mode: str, values, errs, tol: float) -> tuple[bool, float, float]:

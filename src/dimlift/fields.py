@@ -545,7 +545,14 @@ def equator_map(N: int) -> SphereField:
     def jacobian(y):
         y, r = norms(y)
         eye = np.eye(N)
-        return eye / r[..., None, None] - y[..., :, None] * y[..., None, :] / (r**3)[..., None, None]
+        with np.errstate(over="ignore"):
+            r3 = r**3
+        big = ~np.isfinite(r3)
+        if np.any(big):
+            # r^3 overflows: there, (I - u u^T)/|y| from the unit vector u = y/|y|
+            y = np.where(big[..., None], y / r[..., None], y)
+            r3 = np.where(big, r, r3)
+        return eye / r[..., None, None] - y[..., :, None] * y[..., None, :] / r3[..., None, None]
 
     def energy(y):
         _, r = norms(y)

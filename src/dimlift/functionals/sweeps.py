@@ -27,10 +27,14 @@ class MonotonicityReport:
 def _step_margins(values: np.ndarray) -> np.ndarray:
     """-step - SWEEP_TOL * scale for each step of values, scale being the
     larger of 1 and the two values' magnitudes: positive where a step falls
-    by more than SWEEP_TOL relative to that scale."""
-    steps = np.diff(values)
-    scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
-    return -steps - SWEEP_TOL * scale
+    by more than SWEEP_TOL relative to that scale.  A step next to an
+    infinite value can form inf - inf; its margin is then NaN, as a step
+    next to a NaN value gets, and the callers fail a non-finite value on
+    their own."""
+    with np.errstate(invalid="ignore"):
+        steps = np.diff(values)
+        scale = np.maximum(1.0, np.maximum(np.abs(values[:-1]), np.abs(values[1:])))
+        return -steps - SWEEP_TOL * scale
 
 
 def monotonicity_sweep(curve, grid) -> MonotonicityReport:

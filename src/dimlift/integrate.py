@@ -8,11 +8,14 @@ Gauss-Jacobi rules (built with numpy, _jacobi) over a Beta law.  A ball,
 annulus or sphere integral is refined as a mean, which stays of the size of
 the integrand for any N, and multiplied once by the measure in closed form.
 A space-time integral stacks its time nodes as leading rows of one such sum,
-so the integrand is called once per block, not once per node.  A weighted
-integral on R^d whose integrand is declared to read x only through x_1..x_k
-(coords = k < d) runs that sum in R^k instead, against the k-marginal of the
-weight, on k-wide points; the finite weight at n = 1, a law on a sphere with
-no density, keeps the rule of R^d (see integrate_spacetime).
+so the integrand is called once per block, not once per node.  The weights
+scale parabolically, w_t(x) = t^(-d/2) w_1(x / sqrt t), so at one level the
+radial rule of every time node is one t-free rule dilated by sqrt(t), and
+_weighted_rules builds all its rows at once.  A weighted integral on R^d
+whose integrand is declared to read x only through x_1..x_k (coords = k < d)
+runs that sum in R^k instead, against the k-marginal of the weight, on
+k-wide points; the finite weight at n = 1, a law on a sphere with no
+density, keeps the rule of R^d (see integrate_spacetime).
 
 The angular rule is a tensor product of one-dimensional Gauss rules,
 unless the integrand is declared to depend on y only through y_1..y_k and
@@ -579,11 +582,11 @@ def _ball_rule(level: int, d: int, expo: float, r_max: float) -> tuple[np.ndarra
     return r_max * np.sqrt(0.5 * (1.0 + s)), ws
 
 
-def _weighted_rule(d: int, t: float, level: int, n: int | None, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes and weights (kr,) of the marginal of the weight w_t on
-    x_1..x_k, a probability density on R^k:
+def _weighted_rules(d: int, ts: np.ndarray, level: int, n: int | None, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radial nodes and weights (T, kr), one row per time t of ts (T,), of
+    the marginal of the weight w_t on x_1..x_k, a probability density on R^k:
 
-        sum_ij w_i wa_j phi(r_i omega_j) ~ int phi(x_1..x_k) w_t(x) dx
+        sum_ij w_qi wa_j phi(r_qi omega_j) ~ int phi(x_1..x_k) w_t(x) dx
 
     with (omega, wa) = _sphere_nodes(k, level); k = d gives w_t itself.
     w_t is the finite weight G_(t,n) of n steps per coordinate, or its
@@ -595,19 +598,33 @@ def _weighted_rule(d: int, t: float, level: int, n: int | None, k: int) -> tuple
     The finite weight at n = 1 is the uniform law on the sphere
     |x| = sqrt(2dt), with no density; its rule is that one radius with
     weight 1, a rule of R^d only, so k < d needs n None or n >= 2.
+
+    Both weights scale parabolically, w_t(x) = t^(-d/2) w_1(x / sqrt t), so
+    every row is one t-free rule with its nodes dilated by sqrt(t): the
+    t-free pieces are built once, and the rows are formed by broadcasting
+    over a column of times, with the same float operations per element as a
+    rule built for one t alone.
     """
+    col = ts[:, None]
     if n is None:
-        # the density of |x| is |S^(k-1)| r^(k-1) G_t(r), cut where G_t < 1e-16 G_t(0)
-        r, radial_w = _legendre_rule(level, 0.0, TAIL_FACTOR * math.sqrt(t), k - 1)
-        return r, sphere_area(k) * radial_w * np.exp(-r * r / (4.0 * t) - 0.5 * k * math.log(4.0 * math.pi * t))
+        # the density of |x| is |S^(k-1)| r^(k-1) G_t(r), cut where
+        # G_t < 1e-16 G_t(0): a Legendre rule on [0, TAIL_FACTOR sqrt(t)].
+        # The normalizer takes math.log per time, as numpy's log need not
+        # round as libm does.
+        xs, wleg = _leggauss(level)
+        half = 0.5 * (TAIL_FACTOR * np.sqrt(col))
+        r = half * (xs + 1.0)
+        log_norm = np.array([0.5 * k * math.log(4.0 * math.pi * tq) for tq in ts])[:, None]
+        return r, sphere_area(k) * (half * wleg * r ** (k - 1)) * np.exp(-r * r / (4.0 * col) - log_norm)
     if n < 1:
         raise UnsupportedConfigError(f"finite weight needs n >= 1; got n={n}")
     if n == 1:
         # single step per coordinate: the push-forward measure is the
         # uniform law on the sphere, with no density at all
-        return np.array([math.sqrt(2.0 * d * t)]), np.ones(1)
+        return np.sqrt(2.0 * d * col), np.ones((len(ts), 1))
     nd = n * d
-    return _ball_rule(level, k, 0.5 * (nd - k - 2), math.sqrt(2.0 * nd * t))
+    unit, w = _ball_rule(level, k, 0.5 * (nd - k - 2), 1.0)
+    return np.sqrt(2.0 * nd * col) * unit, np.broadcast_to(w, (len(ts), len(w)))
 
 
 def _weighted_sums(f, d: int, ts: np.ndarray, level: int, n: int | None, coords: int | None = None):
@@ -617,13 +634,13 @@ def _weighted_sums(f, d: int, ts: np.ndarray, level: int, n: int | None, coords:
 
     coords = k with 1 <= k < d declares that f reads x only through
     x_1..x_k: the sum then runs in R^k against the k-marginal of w_t
-    (_weighted_rule), and f gets k-wide points.  At n = 1, and for any other
+    (_weighted_rules), and f gets k-wide points.  At n = 1, and for any other
     coords, the sum runs in R^d.
     """
     k = coords if coords is not None and 1 <= coords < d and (n is None or n >= 2) else d
     omega, wa = _sphere_nodes(k, level)
-    rules = [_weighted_rule(d, tq, level, n, k) for tq in ts]
-    return _polar_sum(f, np.stack([r for r, _ in rules]), np.stack([w for _, w in rules]), omega, wa, t=ts)
+    r, wr = _weighted_rules(d, ts, level, n, k)
+    return _polar_sum(f, r, wr, omega, wa, t=ts)
 
 
 def _time_sum(wt: np.ndarray, values: np.ndarray):

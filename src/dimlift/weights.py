@@ -53,12 +53,17 @@ def _check_t(t: float) -> None:
 
 def gaussian_weight(t: float, x) -> np.ndarray:
     """Heat kernel G_t(x) = (4 pi t)^(-d/2) exp(-|x|^2 / 4t) on R^d, d = x.shape[-1]."""
+    out = np.exp(_log_gaussian_weight(t, x))
+    return out if out.ndim else float(out)
+
+
+def _log_gaussian_weight(t: float, x) -> np.ndarray:
+    """log G_t(x), finite where G_t underflows to 0."""
     _check_t(t)
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     rr = np.sum(x * x, axis=-1)
-    out = np.exp(-rr / (4.0 * t) - 0.5 * d * np.log(4.0 * np.pi * t))
-    return out if out.ndim else float(out)
+    return -rr / (4.0 * t) - 0.5 * d * np.log(4.0 * np.pi * t)
 
 
 def finite_weight(n: int, t: float, x) -> np.ndarray:
@@ -73,6 +78,16 @@ def finite_weight(n: int, t: float, x) -> np.ndarray:
     A when the exponent is 0 (the smallest supported case nd = d + 2).
     Requires an integer n with nd >= d + 2.
     """
+    log_w, inside = _log_finite_weight(n, t, x)
+    out = np.zeros(np.shape(log_w), dtype=float)
+    np.copyto(out, np.exp(log_w), where=inside)
+    return out if out.ndim else float(out)
+
+
+def _log_finite_weight(n: int, t: float, x) -> tuple[np.ndarray, np.ndarray]:
+    """log G_{t,n}(x) and the mask of supp G_{t,n}, the closed ball (or,
+    at a positive exponent, the open one); the log is that of the prefactor
+    outside the support, where the weight is 0."""
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     _check_integers(d, n)
@@ -89,16 +104,11 @@ def finite_weight(n: int, t: float, x) -> np.ndarray:
 
     rr = np.sum(x * x, axis=-1)
     s = 1.0 - rr / r2max
-    out = np.zeros(np.shape(rr), dtype=float)
     if expo == 0.0:
-        inside = s >= 0.0  # rim included: (.)^0 = 1 there
-        np.copyto(out, np.exp(log_pref), where=inside)
-    else:
-        inside = s > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.exp(log_pref + expo * np.log(np.where(inside, s, 1.0)))
-        np.copyto(out, vals, where=inside)
-    return out if out.ndim else float(out)
+        # rim included: (.)^0 = 1 there
+        return np.full(np.shape(rr), log_pref), s >= 0.0
+    inside = s > 0.0
+    return log_pref + expo * np.log(np.where(inside, s, 1.0)), inside
 
 
 def ratio_bound(d: int, n: int) -> float:
@@ -142,7 +152,9 @@ def weight_limit_report(t: float, x_grid, n_list) -> WeightLimitReport:
 
     d is the grid's last axis; a flat grid holds points of R^1.  Grid points
     outside supp G_{t,n} contribute relative error exactly 1, since the
-    finite weight vanishes there while G_t does not.
+    finite weight vanishes there while G_t does not, even where G_t
+    underflows to 0; inside the support, the ratio at such a point is taken
+    from the two log weights.
     """
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim == 1:
@@ -152,11 +164,19 @@ def weight_limit_report(t: float, x_grid, n_list) -> WeightLimitReport:
     if x_grid.size == 0:
         raise ValueError("empty evaluation grid")
 
-    g = gaussian_weight(t, x_grid)
+    log_g = _log_gaussian_weight(t, x_grid)
+    g = np.exp(log_g)
+    tail = g == 0.0
     rel = np.empty((len(n_list), x_grid.shape[0]))
     for k, n in enumerate(n_list):
-        gn = finite_weight(n, t, x_grid)  # refuses an n that is not an integer
-        rel[k] = np.abs(gn / g - 1.0)
+        log_gn, inside = _log_finite_weight(n, t, x_grid)  # refuses an n that is not an integer
+        gn = np.where(inside, np.exp(log_gn), 0.0)  # as finite_weight forms it
+        # where G_t underflows, the ratio is 0 outside the support and the
+        # exp of the difference of the logs inside it, bounded as in ratio_bound
+        ratio = np.divide(gn, g, out=np.zeros_like(g), where=~tail)
+        far = tail & inside
+        ratio[far] = np.exp(log_gn[far] - log_g[far])
+        rel[k] = np.abs(ratio - 1.0)
     sup = rel.max(axis=1)
     ratios = sup[:-1] / sup[1:]
     return WeightLimitReport(n_list=tuple(int(n) for n in n_list), sup_rel_error=sup, successive_ratios=ratios)

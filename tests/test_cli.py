@@ -5,6 +5,7 @@ import csv
 import importlib.metadata
 import importlib.util
 import json
+import math
 import os
 import random
 import shutil
@@ -140,7 +141,7 @@ def test_two_phase_product_passes_at_radii_far_from_one(grid, tmp_path, monkeypa
 @pytest.mark.parametrize(
     "argv",
     [
-        # the Gaussian underflows to 0 far out, so every relative error is NaN
+        # the grid reaches past where the Gaussian underflows to 0: errors all 1.0
         ["--grid=-60:60:5"],
         # the grid reaches past every finite weight's support: errors all 1.0
         ["--grid=-40:40:5"],
@@ -162,6 +163,16 @@ def test_verdict_fails_on_a_non_finite_entry(mode, where, bad):
     errs = [1e-9, 1e-10, 1e-11]
     assert _verdict(mode, values, errs, 1e-8)[0]
     (values if where == "values" else errs)[1] = bad
+    assert not _verdict(mode, values, errs, 1e-8)[0]
+
+
+@pytest.mark.parametrize("where", ["values", "errors"])
+@pytest.mark.parametrize("mode", ["plateau", "converging"])
+def test_verdict_fails_on_two_successive_infinite_entries(mode, where):
+    # the steps between them are inf - inf: NaN margins, and no warning
+    values = [1.0, 1.0, 1.0]
+    errs = [1e-9, 1e-10, 1e-11]
+    (values if where == "values" else errs)[1:] = [math.inf, math.inf]
     assert not _verdict(mode, values, errs, 1e-8)[0]
 
 

@@ -55,6 +55,20 @@ def test_equator_energy_sweep_has_no_violations():
     assert sweep.violations == 0
 
 
+@pytest.mark.parametrize("big", [1e110, 1e160])
+def test_equator_jacobian_where_the_cube_of_the_norm_overflows(big, recwarn):
+    # |y|^3 overflows past |y| ~ 5.6e102, and y y^T too past ~1e154:
+    # Dv = (I - u u^T)/|y| there, 0 along u = e_1 and 1/|y| across it
+    jac = equator_map(3).jacobian(np.array([big, 0.0, 0.0]))
+    np.testing.assert_array_equal(jac, np.diag([0.0, 1.0 / big, 1.0 / big]))
+    # a batch that mixes such points with ordinary ones keeps the ordinary bits
+    ys = np.array([[big, 0.0, 0.0], [0.3, -1.2, 2.0]])
+    mixed = equator_map(3).jacobian(ys)
+    assert mixed[1].tobytes() == equator_map(3).jacobian(ys[1]).tobytes()
+    np.testing.assert_array_equal(mixed[0], jac)
+    assert not recwarn.list
+
+
 def test_equator_map_needs_room():
     with pytest.raises(ValueError):
         equator_map(2)

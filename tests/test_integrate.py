@@ -308,6 +308,46 @@ def test_time_axis_matches_the_per_node_loop(case, n, d, monkeypatch):
             assert max(math.prod(s[:-1]) for s in calls) <= budget
 
 
+def _one_time_rule(d, t, level, n, k):
+    """The radial rule of the weight at one time t, built on its own: the
+    reference the time-stacked rows must match bit for bit."""
+    I = dimlift.integrate
+    if n is None:
+        r, radial_w = I._legendre_rule(level, 0.0, I.TAIL_FACTOR * math.sqrt(t), k - 1)
+        return r, sphere_area(k) * radial_w * np.exp(-r * r / (4.0 * t) - 0.5 * k * math.log(4.0 * math.pi * t))
+    if n == 1:
+        return np.array([math.sqrt(2.0 * d * t)]), np.ones(1)
+    nd = n * d
+    return I._ball_rule(level, k, 0.5 * (nd - k - 2), math.sqrt(2.0 * nd * t))
+
+
+@pytest.mark.parametrize(
+    "d, n, k",
+    [
+        (1, None, 1),
+        (2, None, 2),
+        (3, None, 3),
+        (3, None, 1),
+        (1, 1, 1),
+        (2, 1, 2),
+        (1, 2, 1),
+        (1, 7, 1),
+        (2, 5, 2),
+        (2, 40, 1),
+        (3, 2, 3),
+        (3, 7, 2),
+    ],
+)
+@pytest.mark.parametrize("tau", [0.7, 16.0])
+def test_time_stacked_rules_match_the_one_time_rule_bit_for_bit(d, n, k, tau):
+    for level in (24, 48, 96, 192, 384):
+        ts, _ = dimlift.integrate._legendre_rule(level, 0.0, tau)
+        r, w = dimlift.integrate._weighted_rules(d, ts, level, n, k)
+        rules = [_one_time_rule(d, tq, level, n, k) for tq in ts]
+        assert r.tobytes() == np.stack([rq for rq, _ in rules]).tobytes(), level
+        assert np.ascontiguousarray(w).tobytes() == np.stack([wq for _, wq in rules]).tobytes(), level
+
+
 @pytest.fixture(autouse=True)
 def _fresh_pools():
     # the worker pools live for the process; each test starts and ends without any

@@ -109,3 +109,15 @@ def test_weight_limit_report_error_halves_with_n():
     assert np.all(np.diff(rep.sup_rel_error) < 0.0)
     assert np.all((rep.successive_ratios >= 1.6) & (rep.successive_ratios <= 2.4))
 
+
+
+def test_weight_limit_report_where_the_gaussian_underflows():
+    # G_1(55) underflows to 0; at n = 10^7 the point is deep inside the
+    # support, and the ratio from the two log weights still halves with n
+    assert gaussian_weight(1.0, np.array([55.0])) == 0.0
+    rep = weight_limit_report(1.0, [55.0], [10**7, 2 * 10**7, 4 * 10**7])
+    assert np.all((rep.sup_rel_error > 0.01) & (rep.sup_rel_error < 0.1))
+    assert np.all((rep.successive_ratios >= 1.9) & (rep.successive_ratios <= 2.1))
+    # outside every support the error is exactly 1, not 0/0
+    rep = weight_limit_report(1.0, [60.0, -1e4], [8, 16])
+    assert rep.sup_rel_error.tolist() == [1.0, 1.0]
