@@ -526,16 +526,20 @@ def equator_map(N: int) -> SphereField:
     if N < 3:
         raise ValueError("equator map needs N >= 3 for finite local energy")
 
+    tiny = np.finfo(float).tiny
+
     def norms(y):
         y = np.asarray(y, float)
         with np.errstate(over="ignore", invalid="ignore"):
             r = np.linalg.norm(y, axis=-1)
-            if not np.all(np.isfinite(r)):
-                # |y|^2 overflows: there, take the norm of y over its largest entry
+            odd = ~(r * r >= tiny) | np.isinf(r)
+            if np.any(odd):
+                # |y|^2 underflows or overflows: there, take the norm of y
+                # over its largest entry, which is 0 only at the origin
                 m = np.max(np.abs(y), axis=-1, keepdims=True)
-                r = np.where(np.isfinite(r), r, m[..., 0] * np.linalg.norm(y / m, axis=-1))
-        if np.any(r == 0.0):
-            raise ValueError("equator map is undefined at the origin")
+                if np.any(m == 0.0):
+                    raise ValueError("equator map is undefined at the origin")
+                r = np.where(odd, m[..., 0] * np.linalg.norm(y / m, axis=-1), r)
         return y, r
 
     def value(y):
@@ -545,18 +549,23 @@ def equator_map(N: int) -> SphereField:
     def jacobian(y):
         y, r = norms(y)
         eye = np.eye(N)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             r3 = r**3
-        big = ~np.isfinite(r3)
-        if np.any(big):
-            # r^3 overflows: there, (I - u u^T)/|y| from the unit vector u = y/|y|
-            y = np.where(big[..., None], y / r[..., None], y)
-            r3 = np.where(big, r, r3)
-        return eye / r[..., None, None] - y[..., :, None] * y[..., None, :] / r3[..., None, None]
+        odd = ~(r3 >= tiny) | np.isinf(r3)
+        if not np.any(odd):
+            return eye / r[..., None, None] - y[..., :, None] * y[..., None, :] / r3[..., None, None]
+        # |y|^3 is 0, subnormal or inf: there, (I - u u^T)/|y| from the unit
+        # vector u = y/|y|, with inf entries where 1/|y| overflows
+        u = y / r[..., None]
+        with np.errstate(over="ignore"):
+            far = (eye - u[..., :, None] * u[..., None, :]) / r[..., None, None]
+        y, r, r3 = np.where(odd[..., None], 0.0, y), np.where(odd, 1.0, r), np.where(odd, 1.0, r3)
+        near = eye / r[..., None, None] - y[..., :, None] * y[..., None, :] / r3[..., None, None]
+        return np.where(odd[..., None, None], far, near)
 
     def energy(y):
         _, r = norms(y)
-        with np.errstate(over="ignore"):  # 0 where r^2 overflows
+        with np.errstate(over="ignore", divide="ignore"):  # 0 where r^2 overflows, inf where it underflows
             return (N - 1) / r**2
 
     return SphereField(

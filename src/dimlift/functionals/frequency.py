@@ -23,7 +23,7 @@ from ..integrate import (
     integrate_spacetime,
     integrate_weighted,
 )
-from ..lift import _lifted_dim
+from ..weights import _lifted_dim
 from .common import DENOMINATOR_FLOOR, dot, gradsq, power_ratio
 
 __all__ = ["FrequencyValues", "almgren", "almgren_dL_lower_bound", "poon", "lifted_frequency"]

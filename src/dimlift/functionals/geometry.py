@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import AccuracyError, UnsupportedConfigError
+from ..errors import AccuracyError
 from ..fields import GraphSurface, NonhomTerm
 from ..integrate import _jacobi, _polar_sum, _refine, _sphere_nodes, integrate_weighted
-from ..lift import _lifted_dim
-from ..weights import _log_sphere_area
+from ..weights import _finite_weight_law, _log_sphere_area
 from .common import dot
 
 __all__ = [
@@ -231,13 +230,10 @@ def lifted_mcf_density(surface: GraphSurface, n: int, t: float) -> float:
     no accuracy.
     """
     d = surface.dim
-    nd = _lifted_dim(d, n)
+    nd, expo, log_ratio = _finite_weight_law(d, n)
     if not t > 0.0:
         raise ValueError("need t > 0")
-    if nd <= d + 1:
-        raise UnsupportedConfigError(f"finite weight needs n*d >= d + 2; got d={d}, n={n}")
     R = math.sqrt(2.0 * nd * t)
-    expo = 0.5 * (nd - d - 2)
     y0 = np.zeros(d)
     if abs(float(surface.value(y0, t))) >= R:
         return 0.0  # weight support is empty along every direction
@@ -249,7 +245,7 @@ def lifted_mcf_density(surface: GraphSurface, n: int, t: float) -> float:
     # the region (ds = s* dz/2, and (1 - z)^expo has integral
     # 2^(expo+1)/(expo+1)); R^d cancels the weight's (2ndt)^(-d/2), and the
     # rest is folded in here
-    log_pref = _log_sphere_area(nd - d) + _log_sphere_area(d) - _log_sphere_area(nd)
+    log_pref = log_ratio + _log_sphere_area(d)
     log_pref += expo * math.log(2.0) - math.log(expo + 1.0)
     scale = (4.0 * math.pi) ** (0.5 * d) * math.exp(log_pref)
 

@@ -10,7 +10,8 @@ import numpy as np
 from ..errors import AccuracyError, UnsupportedConfigError
 from ..fields import NonhomTerm, SphereField
 from ..integrate import _shell_mean, integrate_ball, integrate_weighted
-from ..lift import _lifted_dim, sphere_area
+from ..lift import sphere_area
+from ..weights import _lifted_dim
 from .common import dot
 
 __all__ = ["hm_phi", "hm_dphi_lower_bound", "struwe_Phi", "lifted_hm_Phi"]

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..fields import NonhomTerm, ScalarField, SpaceTimeField
 from ..integrate import _shell_mean, integrate_ball, integrate_spacetime
-from ..lift import _lifted_dim
+from ..weights import _lifted_dim
 from .common import dot, gradsq
 
 __all__ = [

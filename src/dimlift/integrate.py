@@ -66,8 +66,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import AccuracyError, UnsupportedConfigError
-from .lift import _lifted_dim, sphere_area
-from .weights import _is_integer, _log_sphere_area
+from .lift import sphere_area
+from .weights import _is_integer, _lifted_dim, _log_sphere_area
 
 __all__ = [
     "MonteCarloSpec",
@@ -616,13 +616,11 @@ def _weighted_rules(d: int, ts: np.ndarray, level: int, n: int | None, k: int) -
         r = half * (xs + 1.0)
         log_norm = np.array([0.5 * k * math.log(4.0 * math.pi * tq) for tq in ts])[:, None]
         return r, sphere_area(k) * (half * wleg * r ** (k - 1)) * np.exp(-r * r / (4.0 * col) - log_norm)
-    if n < 1:
-        raise UnsupportedConfigError(f"finite weight needs n >= 1; got n={n}")
+    nd = _lifted_dim(d, n)
     if n == 1:
         # single step per coordinate: the push-forward measure is the
         # uniform law on the sphere, with no density at all
         return np.sqrt(2.0 * d * col), np.ones((len(ts), 1))
-    nd = n * d
     unit, w = _ball_rule(level, k, 0.5 * (nd - k - 2), 1.0)
     return np.sqrt(2.0 * nd * col) * unit, np.broadcast_to(w, (len(ts), len(w)))
 
@@ -637,7 +635,7 @@ def _weighted_sums(f, d: int, ts: np.ndarray, level: int, n: int | None, coords:
     (_weighted_rules), and f gets k-wide points.  At n = 1, and for any other
     coords, the sum runs in R^d.
     """
-    k = coords if coords is not None and 1 <= coords < d and (n is None or n >= 2) else d
+    k = coords if coords is not None and 1 <= coords < d and n != 1 else d
     omega, wa = _sphere_nodes(k, level)
     r, wr = _weighted_rules(d, ts, level, n, k)
     return _polar_sum(f, r, wr, omega, wa, t=ts)

@@ -8,7 +8,10 @@ it to a field on R^(n*d) that the elliptic functionals read.
 
 A lift is fixed by what it lifts and by its step count n: every function
 here and every ``lifted_*`` functional takes n and reads d from its field,
-map or surface, or, for a lifted point, as its width / n.
+map or surface, or, for a lifted point, as its width / n.  One gate,
+``weights._lifted_dim``, checks d and n for all of them, as it does for the
+finite weight G_(t,n) and the integrals against it; the law of G_(t,n) is
+formed once, in ``weights._finite_weight_law``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import numpy as np
 
 from .fields import ScalarField
-from .weights import _check_integers, _is_integer, _log_sphere_area
+from .weights import _is_integer, _lifted_dim, _log_sphere_area
 
 __all__ = [
     "sphere_area",
@@ -26,14 +29,6 @@ __all__ = [
     "lift_point_time",
     "lifted_field",
 ]
-
-
-def _lifted_dim(d, n) -> int:
-    """The dimension n*d of the lift of R^d in n steps, for integers d, n >= 1."""
-    _check_integers(d, n)
-    if d < 1 or n < 1:
-        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
-    return n * d
 
 
 def sphere_area(N: int) -> float:

@@ -6,6 +6,14 @@ R^(n*d) forward through the step-sum map.  It is supported on the closed ball
 |x|^2 <= 2ndt and converges pointwise to the heat kernel G_t as n grows.
 The weights read d from the last axis of the points they are given;
 ratio_bound, which is given no points, takes d.
+
+Two private helpers here serve the whole package.  _lifted_dim is the one
+gate for d and n: every lift, every finite-weight integral and the weights
+themselves refuse an n that is not an integer, or is below 1, through it,
+with the same two messages.  _finite_weight_law is the one place that forms
+the law of G_(t,n): its exponent (nd - d - 2)/2, its support condition
+nd >= d + 2 and its normalizer log(|S^(nd-d-1)| / |S^(nd-1)|), which
+finite_weight, weight_limit_report, ratio_bound and lifted_mcf_density read.
 """
 
 from __future__ import annotations
@@ -41,9 +49,26 @@ def _is_integer(value) -> bool:
     return True
 
 
-def _check_integers(d, n) -> None:
+def _lifted_dim(d, n) -> int:
+    """The dimension n*d of the lift of R^d in n steps, for integers d, n >= 1."""
     if not (_is_integer(d) and _is_integer(n)):
         raise ValueError(f"d and n must be integers, got d={d!r}, n={n!r}")
+    if d < 1 or n < 1:
+        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+    return n * d
+
+
+def _finite_weight_law(d, n) -> tuple[int, float, float]:
+    """nd, the exponent (nd - d - 2)/2 and log(|S^(nd-d-1)| / |S^(nd-1)|) of
+    the finite weight G_(t,n) on R^d, which exists for nd >= d + 2:
+
+        G_(t,n)(x) = [|S^(nd-d-1)| / |S^(nd-1)|] (2ndt)^(-d/2)
+                     * (1 - |x|^2 / (2ndt))^((nd-d-2)/2).
+    """
+    nd = _lifted_dim(d, n)
+    if nd <= d + 1:
+        raise UnsupportedConfigError(f"finite weight needs n*d >= d + 2; got d={d}, n={n} (n*d = {nd})")
+    return nd, 0.5 * (nd - d - 2), _log_sphere_area(nd - d) - _log_sphere_area(nd)
 
 
 def _check_t(t: float) -> None:
@@ -90,17 +115,11 @@ def _log_finite_weight(n: int, t: float, x) -> tuple[np.ndarray, np.ndarray]:
     outside the support, where the weight is 0."""
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
-    _check_integers(d, n)
+    nd, expo, log_ratio = _finite_weight_law(d, n)
     _check_t(t)
-    nd = n * d
-    if nd <= d + 1:
-        raise UnsupportedConfigError(
-            f"finite weight needs n*d >= d + 2; got d={d}, n={n} (n*d = {nd})"
-        )
 
     r2max = 2.0 * nd * t
-    log_pref = _log_sphere_area(nd - d) - _log_sphere_area(nd) - 0.5 * d * np.log(r2max)
-    expo = 0.5 * (nd - d - 2)
+    log_pref = log_ratio - 0.5 * d * np.log(r2max)
 
     rr = np.sum(x * x, axis=-1)
     s = 1.0 - rr / r2max
@@ -122,17 +141,15 @@ def ratio_bound(d: int, n: int) -> float:
     Requires integers d and n with nd >= d + 3, so the maximizer sits inside
     the support.
     """
-    _check_integers(d, n)
-    nd = n * d
+    nd, expo, log_ratio = _finite_weight_law(d, n)
     if nd < d + 3:
         raise UnsupportedConfigError(
             f"ratio bound needs n*d >= d + 3; got d={d}, n={n} (n*d = {nd})"
         )
     log_c = (
-        _log_sphere_area(nd - d)
-        - _log_sphere_area(nd)
+        log_ratio
         + 0.5 * d * np.log(4.0 * np.pi / (2.0 * nd))
-        + 0.5 * (nd - d - 2) * np.log1p(-(d + 2.0) / nd)
+        + expo * np.log1p(-(d + 2.0) / nd)
         + (0.5 * d + 1.0)
     )
     return float(np.exp(log_c))

@@ -374,12 +374,12 @@ _LOWDIM_SHA256 = {
         "c0f3327b51606067997d16e19d77153e9317d48685cfa69aa2b6ab6594c1cfbe",
     ),
     "mcf --which lifted --d 1 --t 1.0": (
-        "21b86fbb375b4224cb1f61a35ac09a4f0226462386a4acdbaf5c02906a5d65b1",
+        "ee53a0bd4e34ca1fee1a067a52c72b16d08e9f426b35eb2a06d4b212e36b7889",
         "729cbd9b26da4880f39c5993040fea65fe28b003b4bc62a0191185f04da29e5b",
     ),
     "mcf --which lifted --d 2": (
-        "ba07d725961c886f0b7ae78422471ebca59770c32d4a536abf0cf69666100fa1",
-        "e8000b6ddff17e498bdc28ef3e5e77da831eb5205bf48ec2c2104d1a07a5ddba",
+        "f96ae3037ba332ef29451e2fa197c09feda894e76186a6c150d365edcd0d5aad",
+        "d1d4960009ba45c6444687a4e3ac34c824a980ca0aa1e0e2e11a1848d06f0076",
     ),
     "lift-demo --which frequency --field x1cube --d 2 --t 1.0": (
         "4b1b7b9bac4bdddff6892bd4885eb688d93691d66b910c13724f6069151ba479",
@@ -394,8 +394,8 @@ _LOWDIM_SHA256 = {
         "b2e33f99f74b46fd7576860cdf1c267585c10090f8ae1cfdf59eebd4f3da61b8",
     ),
     "lift-demo --which mcf --field const --d 1 --t 1.0": (
-        "de8a0891f83479ff64e0e06cc230bd5dfdb92c2d00be06abe374875c70b3e239",
-        "a70875b70feb95599d0b3fb7ac4d37c4e4ab1c5e634630fd4f5120a2b0ba6246",
+        "5e5a51fd5adf3e73f323b9787cf592dd4a97cd343001b63ed99fa9b9c3bf42cf",
+        "d0f6c9d842a8875dba06dca9ac40039750daac60a66fa8946d423491a658af11",
     ),
     "frequency --elliptic --field re_z3": (
         "fd2abb2cb686a25211b4cf36052a5ba4bd031a319e689b929bb683001c323610",
@@ -410,11 +410,11 @@ _LOWDIM_SHA256 = {
         "91e8d88e7fe10bdebcf0de9d04f2e863e79b93f206dc4ab6a6a6418b9c2c5f27",
     ),
     "lift-demo --which mcf --field tilted --d 2": (
-        "92c8ef8aef999343fd60323bf5f9dd01856a28e650e8643a2a190d144428afaf",
-        "7189b3e98c7d83d6ad399cb176266f0343a454a04e5ef24fbe5d783b1d905d9d",
+        "ec0627b746003d07ab7144e72f2966317c3fe707a82b46073bb24ae02a31d6ea",
+        "5dc08d51a87a585ec7c60b756bd92307028c667e4f4b22f5c7e3a50e09d779cf",
     ),
     "lift-demo --which mcf --field plane": (
-        "1e7e170291e644c9a52b028e95255c697b4ef8515502cbcc219a950efd8d665e",
+        "b5be7c74f610204eac1cc280750de594fd9ea0dc70ce3aee83add5b0ad2cd527",
         "4e97ef0dea94985257d640936add4a74f31e6a3d61db66a53c917ac17edd941e",
     ),
 }

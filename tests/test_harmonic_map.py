@@ -69,6 +69,27 @@ def test_equator_jacobian_where_the_cube_of_the_norm_overflows(big, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("small, energy", [(1e-110, 2e220), (1e-170, np.inf)])
+def test_equator_map_where_the_norm_or_its_cube_underflows(small, energy, recwarn):
+    # |y|^3 underflows below |y| ~ 1e-108, and |y|^2 too below ~1e-162, where
+    # np.linalg.norm gives 0 at a point that is not the origin
+    vmap = equator_map(3)
+    y = np.array([small, 0.0, 0.0])
+    np.testing.assert_array_equal(vmap.value(y), [1.0, 0.0, 0.0])
+    np.testing.assert_allclose(vmap.jacobian(y), np.diag([0.0, 1.0 / small, 1.0 / small]), rtol=1e-15, atol=0.0)
+    assert vmap.energy(y) == pytest.approx(energy, rel=1e-15)  # (N - 1)/|y|^2, inf where it overflows
+    np.testing.assert_allclose(vmap.value(np.array([3.0, 4.0, 0.0]) * small), [0.6, 0.8, 0.0], rtol=1e-15)
+    # a batch that mixes such points with ordinary ones keeps the ordinary bits
+    ys = np.array([[small, 0.0, 0.0], [0.3, -1.2, 2.0]])
+    for f in (vmap.value, vmap.jacobian, vmap.energy):
+        assert np.asarray(f(ys))[1].tobytes() == np.asarray(f(ys[1])).tobytes()
+    assert not recwarn.list
+    # the origin itself, alone or in a batch, is still refused
+    for origin in (np.zeros(3), np.array([[0.0, 0.0, 0.0], [small, 0.0, 0.0]])):
+        with pytest.raises(ValueError, match="undefined at the origin"):
+            vmap.jacobian(origin)
+
+
 def test_equator_map_needs_room():
     with pytest.raises(ValueError):
         equator_map(2)

@@ -57,6 +57,7 @@ from dimlift.integrate import (
     integrate_spacetime,
     integrate_weighted,
     integrate_window,
+    pushforward_check_ball,
     pushforward_check_sphere,
     sample_mu_ball,
     sample_sphere_uniform,
@@ -144,7 +145,7 @@ CASES = [
     ("annulus order", lambda p: bump_radial(3, 0.0, 1.0), ValueError, "need 0 < r_in < r_out"),
     ("annulus k", lambda p: bump_radial(3, 1.0, 2.0, k=2), ValueError, "need smoothness k >= 3"),
     # integrate
-    ("finite n = 0", lambda p: integrate_weighted(_one, 1, 1.0, n=0), UnsupportedConfigError, "needs n >= 1; got n=0"),
+    ("weighted float n", lambda p: integrate_weighted(_one, 1, 1.0, n=1.0), ValueError, "d and n must be integers, got d=1, n=1.0"),
     ("weighted t", lambda p: integrate_weighted(_one, 1, 0.0), ValueError, "need t > 0, got t=0.0"),
     ("spacetime tau", lambda p: integrate_spacetime(_one, 1, 0.0), ValueError, "need tau > 0, got tau=0.0"),
     ("ball r", lambda p: integrate_ball(_one, 2, 0.0), ValueError, "need r > 0, got r=0.0"),
@@ -292,6 +293,14 @@ _LIFTS = {
     "lifted_mcf_density": lambda n: lifted_mcf_density(graph_plane(1), n, 1.0),
     "lift_point": lambda n: lift_point(np.zeros(4), n),
     "lift_point_time": lambda n: lift_point_time(np.zeros(4), n),
+    # the weights and integrals of the finite weight G_(t,n) pass the same gate
+    "integrate_weighted": lambda n: integrate_weighted(_one, 1, 1.0, n=n),
+    "integrate_spacetime": lambda n: integrate_spacetime(_one, 1, 1.0, n=n),
+    "finite_weight": lambda n: finite_weight(n, 1.0, [0.0]),
+    "weight_limit_report": lambda n: weight_limit_report(1.0, np.linspace(0.0, 1.0, 5), [n]),
+    "ratio_bound": lambda n: ratio_bound(1, n),
+    "pushforward_check_sphere": lambda n: pushforward_check_sphere(_one, 1, n, 1.0, MC),
+    "pushforward_check_ball": lambda n: pushforward_check_ball(_one, 1, n, 1.0, MC),
 }
 for _name, _lift in _LIFTS.items():
     CASES += [

@@ -110,7 +110,6 @@ def test_weight_limit_report_error_halves_with_n():
     assert np.all((rep.successive_ratios >= 1.6) & (rep.successive_ratios <= 2.4))
 
 
-
 def test_weight_limit_report_where_the_gaussian_underflows():
     # G_1(55) underflows to 0; at n = 10^7 the point is deep inside the
     # support, and the ratio from the two log weights still halves with n
@@ -121,3 +120,73 @@ def test_weight_limit_report_where_the_gaussian_underflows():
     # outside every support the error is exactly 1, not 0/0
     rep = weight_limit_report(1.0, [60.0, -1e4], [8, 16])
     assert rep.sup_rel_error.tolist() == [1.0, 1.0]
+
+
+def _reference_log_sphere_area(N):
+    return math.log(2.0) + 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N)
+
+
+def _reference_log_finite_weight(n, t, x):
+    """log G_(t,n)(x) and its support mask, each term formed in the order
+    the weights have always formed it: the reference their bits must match."""
+    d = x.shape[-1]
+    nd = n * d
+    r2max = 2.0 * nd * t
+    log_pref = _reference_log_sphere_area(nd - d) - _reference_log_sphere_area(nd) - 0.5 * d * np.log(r2max)
+    expo = 0.5 * (nd - d - 2)
+    rr = np.sum(x * x, axis=-1)
+    s = 1.0 - rr / r2max
+    if expo == 0.0:
+        return np.full(np.shape(rr), log_pref), s >= 0.0
+    inside = s > 0.0
+    return log_pref + expo * np.log(np.where(inside, s, 1.0)), inside
+
+
+def _reference_ratio_bound(d, n):
+    nd = n * d
+    log_c = (
+        _reference_log_sphere_area(nd - d)
+        - _reference_log_sphere_area(nd)
+        + 0.5 * d * np.log(4.0 * np.pi / (2.0 * nd))
+        + 0.5 * (nd - d - 2) * np.log1p(-(d + 2.0) / nd)
+        + (0.5 * d + 1.0)
+    )
+    return float(np.exp(log_c))
+
+
+def _reference_sup_rel_error(t, x, n_list):
+    log_g = -np.sum(x * x, axis=-1) / (4.0 * t) - 0.5 * x.shape[-1] * np.log(4.0 * np.pi * t)
+    g = np.exp(log_g)
+    tail = g == 0.0
+    sup = []
+    for n in n_list:
+        log_gn, inside = _reference_log_finite_weight(n, t, x)
+        ratio = np.divide(np.where(inside, np.exp(log_gn), 0.0), g, out=np.zeros_like(g), where=~tail)
+        far = tail & inside
+        ratio[far] = np.exp(log_gn[far] - log_g[far])
+        sup.append(np.abs(ratio - 1.0).max())
+    return np.array(sup)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("t", [0.3, 1.0, 7.0])
+def test_finite_weight_ratio_bound_and_report_keep_their_bits(d, t):
+    # every n from the smallest each function takes to 400, at points inside
+    # and outside the support, and two far out, where G_t is tiny or 0
+    rng = np.random.default_rng(2800 + d)
+    x = rng.uniform(-4.0, 4.0, size=(64, d)) * math.sqrt(t)
+    x[-2:] = 0.0
+    x[-2:, 0] = [45.0 * math.sqrt(t), 60.0 * math.sqrt(t)]
+    n_list = range(3 if d == 1 else 2, 401)
+    for n in n_list:
+        log_w, inside = _reference_log_finite_weight(n, t, x)
+        want = np.zeros(len(x))
+        np.copyto(want, np.exp(log_w), where=inside)
+        assert finite_weight(n, t, x).tobytes() == want.tobytes(), n
+        if n * d >= d + 3:
+            assert np.float64(ratio_bound(d, n)).tobytes() == np.float64(_reference_ratio_bound(d, n)).tobytes(), n
+    for grid in (x, x[:1], x[-1:]):
+        sup = _reference_sup_rel_error(t, grid, n_list)
+        rep = weight_limit_report(t, grid, list(n_list))
+        assert rep.sup_rel_error.tobytes() == sup.tobytes()
+        assert rep.successive_ratios.tobytes() == (sup[:-1] / sup[1:]).tobytes()

@@ -9,7 +9,8 @@ the benchmark's ``cli-lowdim`` workload, with every ``--t`` set to one fixed
 value, two ``pushforward`` cases whose Monte Carlo runs in seven batches,
 so that a record at two or more threads covers batches drawn on workers,
 and one case for each handler branch, ``choices`` value and catalog field
-the others miss (``BRANCH_ARGS``), failing checks included.
+the others miss (``BRANCH_ARGS``), failing checks included, with the odd
+d = 3 of the finite weight and of the lifted MCF density.
 For each case it writes the exit code, the sha256 of the CSV and of the
 summary JSON, and both texts.  The manifest file is left out: it holds
 the wall time and may differ between byte-identical runs.  ``--block`` sets
@@ -86,7 +87,7 @@ MC_ARGS = [
 
 
 # every handler branch, choice and catalog field that the lists above leave
-# out, and checks that fail
+# out, checks that fail, and d = 3 for gn-limit and the lifted MCF density
 BRANCH_ARGS = [
     ["frequency", "--elliptic", "--field", "x1x2", "--N", "3"],
     ["frequency", "--elliptic", "--field", "re_z3"],
@@ -113,6 +114,8 @@ BRANCH_ARGS = [
     ["lift-demo", "--which", "mcf", "--field", "plane"],
     ["carleman", "--elliptic"],
     ["gn-limit", "--n", "64,8"],
+    ["gn-limit", "--d", "3"],
+    ["mcf", "--which", "lifted", "--d", "3"],
     ["lift-demo", "--which", "two-phase", "--field", "power", "--n", "10,10"],
     ["two-phase", "--kind", "lifted", "--pair", "power", "--n", "10,10"],
 ]
