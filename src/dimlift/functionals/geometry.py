@@ -69,7 +69,9 @@ def _graph_ball_rule(surface: GraphSurface, t: float, y0, v0: float, r: float, l
     |S^(N-1)| r^N.  Every power is of a ratio in [0, 1], so no r overflows or
     underflows.  s* comes from bisection on [0, 1], which assumes the center
     lies inside and the region is star-shaped about y0; 80 halvings leave no
-    error above the last bit.
+    error above the last bit.  A halving that leaves lo and hi as they were
+    is a fixed point, since the next one would repeat it, so the loop stops
+    there: on the catalog's planes and paraboloids that is 54 or 55 halvings.
     """
     omega, wa = _sphere_nodes(surface.dim, level)
     lo, hi = np.zeros(len(wa)), np.ones(len(wa))
@@ -77,8 +79,11 @@ def _graph_ball_rule(surface: GraphSurface, t: float, y0, v0: float, r: float, l
         mid = 0.5 * (lo + hi)
         dv = (np.asarray(surface.value(y0 + (r * mid)[:, None] * omega, t), float) - v0) / r
         inside = mid * mid + dv * dv <= 1.0
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
+        lo_next = np.where(inside, mid, lo)
+        hi_next = np.where(inside, hi, mid)
+        if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+            break
+        lo, hi = lo_next, hi_next
     s_star = 0.5 * (lo + hi)
     z, wz = _jacobi(level, expo, 0.0)
     s = 0.5 * (1.0 + z)[:, None] * s_star

@@ -45,7 +45,9 @@ Monte Carlo sampling is counter-based: batch k of a run is a pure function of
 bit-identical for any thread count.  The push-forward checks draw only what
 the lift reads, the d step sums and the lifted time, from d normals and one
 chi-square per sample (exact in law), each batch on the worker thread that
-reduces it, into a buffer reused within the call.
+reduces it, into a buffer reused within the call.  A batch of m values of K
+components is reduced on a (K, m) copy, so each component's sums run along
+contiguous memory and give the bits of that component reduced alone.
 """
 
 from __future__ import annotations
@@ -641,6 +643,18 @@ def _weighted_sums(f, d: int, ts: np.ndarray, level: int, n: int | None, coords:
     return _polar_sum(f, r, wr, omega, wa, t=ts)
 
 
+def _check_weighted_args(d, n, coords) -> None:
+    """Refuse a d or coords that is not an integer.  A finite n passes the
+    gate of the lifts, _lifted_dim, with d; an integer coords outside 1..d-1
+    is allowed and means R^d (_weighted_sums)."""
+    if n is not None:
+        _lifted_dim(d, n)
+    elif not _is_integer(d):
+        raise ValueError(f"d must be an integer, got d={d!r}")
+    if coords is not None and not _is_integer(coords):
+        raise ValueError(f"coords must be an integer, got coords={coords!r}")
+
+
 def _time_sum(wt: np.ndarray, values: np.ndarray):
     """sum_q wt_q values_q, added in node order."""
     return np.cumsum(wt.reshape((-1,) + (1,) * (values.ndim - 1)) * values, axis=0)[-1]
@@ -654,10 +668,12 @@ def integrate_weighted(phi, d: int, t: float, n: int | None = None, coords: int 
     return a trailing component axis to integrate several integrands at once.
     A result of one number, with or without a component axis of length 1,
     is a float, as in integrate_spacetime.  coords = k declares that phi
-    reads x only through x_1..x_k, as in integrate_spacetime.
+    reads x only through x_1..x_k, as in integrate_spacetime.  A d or coords
+    that is not an integer is refused, not rounded.
     """
     if not t > 0.0:
         raise ValueError(f"need t > 0, got t={t}")
+    _check_weighted_args(d, n, coords)
 
     def eval_at(level: int):
         # the one-time-node case of the time-stacked sum
@@ -685,10 +701,12 @@ def integrate_spacetime(phi, d: int, tau: float, n: int | None = None, coords: i
     the integral of a phi of x_1 alone at (d, n) is, bit for bit, its
     d = 1 integral at nd steps.  At n = 1 the weight is a law on the
     sphere, whose marginal the rule does not take, so there, and for any
-    other k, the rule of R^d is used.
+    other integer k, the rule of R^d is used.  A d or k that is not an
+    integer is refused.
     """
     if not tau > 0.0:
         raise ValueError(f"need tau > 0, got tau={tau}")
+    _check_weighted_args(d, n, coords)
 
     def eval_at(level: int):
         # as many time nodes as radial ones
@@ -994,16 +1012,24 @@ def sample_mu_ball(N: int, tau: float, d: int, mc: MonteCarloSpec) -> Iterator[n
 
 
 def _batch_moments(vals) -> tuple[np.ndarray, np.ndarray, int]:
-    """(sum, M2, count) of one batch of values, shape (m,) or (m, K)."""
+    """(sum, M2, count) of one batch of values, shape (m,) or (m, K).
+
+    Both sums run on a (K, m) copy, sample axis last, so each component's is
+    a pairwise sum along contiguous memory, with the bits of its column
+    reduced alone (numpy adds the rows of a leading-axis reduction of a
+    C-ordered (m, K) array one by one).  The deviations are formed in place
+    in that copy, so it is made even at K = 1, where the moved axes are
+    already contiguous and phi's output would be overwritten.
+    """
     vals = np.asarray(vals, dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
     m = vals.shape[0]
-    p1 = vals.sum(axis=0)
-    # one (m, K) temporary, squared in place
-    dev = np.subtract(vals, p1 / m)
+    dev = np.array(np.moveaxis(vals, 0, -1), order="C")
+    p1 = dev.sum(axis=-1)
+    dev -= (p1 / m)[..., None]
     np.multiply(dev, dev, out=dev)
-    return p1, dev.sum(axis=0), m
+    return p1, dev.sum(axis=-1), m
 
 
 def _merge_moments(parts: Iterable[tuple[np.ndarray, np.ndarray, int]]):

@@ -80,11 +80,12 @@ def test_the_k_marginal_rule_runs_on_k_wide_points_with_its_node_count(d, k, n):
 
 def test_coords_that_reduce_nothing_keep_the_rule_of_r_d():
     phi = _moments(1)
-    full = integrate_weighted(phi, 2, 0.7, n=5)
-    for coords in (0, 2, 3):
-        est = integrate_weighted(phi, 2, 0.7, n=5, coords=coords)
-        assert est.evaluations == full.evaluations
-        assert np.array_equal(est.value, full.value)
+    for n in (5, None):
+        full = integrate_weighted(phi, 2, 0.7, n=n)
+        for coords in (0, 2, 3):
+            est = integrate_weighted(phi, 2, 0.7, n=n, coords=coords)
+            assert est.evaluations == full.evaluations
+            assert np.array_equal(est.value, full.value)
 
 
 def test_a_sphere_law_marginal_is_not_its_radius():

@@ -1,6 +1,7 @@
 """Graph-surface densities: ball density with its derivative identity,
 backward Gaussian density of a static flow, and the finite-n family."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,38 @@ from dimlift.functionals import (
     ms_density,
     ms_density_tilde,
 )
+from dimlift.functionals.geometry import _graph_ball_rule
+from dimlift.integrate import _sphere_nodes
+
+
+def _graph_radii_in_80_halvings(surface, y0, v0, r, level):
+    # the bisection of _graph_ball_rule with its full 80 halvings
+    omega, wa = _sphere_nodes(surface.dim, level)
+    lo, hi = np.zeros(len(wa)), np.ones(len(wa))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        dv = (np.asarray(surface.value(y0 + (r * mid)[:, None] * omega, 0.0), float) - v0) / r
+        inside = mid * mid + dv * dv <= 1.0
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("surface", [graph_plane(2, 0.1), graph_linear([0.4, -0.3]), graph_paraboloid(2, 0.5)])
+@pytest.mark.parametrize("level", [24, 48])
+def test_graph_bisection_stops_at_its_fixed_point_with_the_bits_of_80_halvings(surface, level):
+    calls = []
+
+    def value(y, t):
+        calls.append(1)
+        return surface.value(y, t)
+
+    y0, r = np.array([0.2, -0.1]), 0.7
+    v0 = float(surface.value(y0, 0.0)) + 0.05
+    _, _, s_star, _, _ = _graph_ball_rule(dataclasses.replace(surface, value=value), 0.0, y0, v0, r, level)
+    want = _graph_radii_in_80_halvings(surface, y0, v0, r, level)
+    assert [x.hex() for x in s_star] == [x.hex() for x in want]
+    assert len(calls) < 60
 
 
 def test_plane_density_is_one():

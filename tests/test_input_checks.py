@@ -147,6 +147,34 @@ CASES = [
     # integrate
     ("weighted float n", lambda p: integrate_weighted(_one, 1, 1.0, n=1.0), ValueError, "d and n must be integers, got d=1, n=1.0"),
     ("weighted t", lambda p: integrate_weighted(_one, 1, 0.0), ValueError, "need t > 0, got t=0.0"),
+    # the Gaussian weight (n = None) gates d itself, and every n gates coords
+    ("weighted float d", lambda p: integrate_weighted(_one, 2.5, 1.0), ValueError, "d must be an integer, got d=2.5"),
+    ("weighted d = 1.0", lambda p: integrate_weighted(_one, 1.0, 1.0), ValueError, "d must be an integer, got d=1.0"),
+    ("spacetime float d", lambda p: integrate_spacetime(_one, 2.5, 1.0), ValueError, "d must be an integer, got d=2.5"),
+    (
+        "weighted float coords",
+        lambda p: integrate_weighted(_one, 2, 1.0, coords=1.5),
+        ValueError,
+        "coords must be an integer, got coords=1.5",
+    ),
+    (
+        "weighted float coords n = 5",
+        lambda p: integrate_weighted(_one, 2, 1.0, n=5, coords=1.5),
+        ValueError,
+        "coords must be an integer, got coords=1.5",
+    ),
+    (
+        "spacetime float coords",
+        lambda p: integrate_spacetime(_one, 2, 1.0, coords=1.5),
+        ValueError,
+        "coords must be an integer, got coords=1.5",
+    ),
+    (
+        "spacetime float coords n = 5",
+        lambda p: integrate_spacetime(_one, 2, 1.0, n=5, coords=1.0),
+        ValueError,
+        "coords must be an integer, got coords=1.0",
+    ),
     ("spacetime tau", lambda p: integrate_spacetime(_one, 1, 0.0), ValueError, "need tau > 0, got tau=0.0"),
     ("ball r", lambda p: integrate_ball(_one, 2, 0.0), ValueError, "need r > 0, got r=0.0"),
     (

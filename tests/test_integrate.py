@@ -781,6 +781,40 @@ def test_mc_mean_variance_keeps_precision_at_a_large_mean():
     assert abs(se - two_pass) <= 1e-10 * two_pass
 
 
+def _bits(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+def test_batch_moments_reduce_each_component_as_if_alone():
+    # the (m, K) batch is reduced along contiguous memory, so component j
+    # gets the bits of column j reduced by itself; adding the rows of a
+    # C-ordered batch one by one gives other last bits
+    vals = np.random.default_rng(5).standard_normal((16_384, 5)) * 3.0 + 1.0
+    p1, q2, m = dimlift.integrate._batch_moments(vals)
+    assert m == len(vals) and p1.shape == q2.shape == (5,)
+    for j in range(5):
+        alone = dimlift.integrate._batch_moments(vals[:, j].copy())
+        assert _bits(alone[0]) == _bits(p1[j]) and _bits(alone[1]) == _bits(q2[j])
+
+
+@pytest.mark.parametrize("shape", [(4096, 1), (4096, 5)])
+def test_batch_moments_leave_their_input_unchanged(shape):
+    # at K = 1 the batch with its sample axis last is already contiguous;
+    # the deviations must still be formed in a copy, not in phi's output
+    vals = np.random.default_rng(6).standard_normal(shape) + 2.0
+    kept = vals.copy()
+    dimlift.integrate._batch_moments(vals)
+    assert np.array_equal(vals, kept)
+
+
+def test_one_dimensional_batches_merge_to_floats():
+    batches = np.random.default_rng(7).standard_normal((3, 1000))
+    mean, se, count = dimlift.integrate._merge_moments(dimlift.integrate._batch_moments(b) for b in batches)
+    assert type(mean) is float and type(se) is float and count == 3000
+    assert abs(mean - float(np.mean(batches))) <= 1e-15
+    assert abs(se - float(np.std(batches)) / math.sqrt(3000)) <= 1e-12 * se
+
+
 def test_mc_mean_draws_batches_as_it_reduces_them(monkeypatch):
     lock = threading.Lock()
     state = {"drawn": 0, "reduced": 0, "most_ahead": 0}
