@@ -10,68 +10,20 @@ inequalities, two-phase products, harmonic-map and surface densities)
 together with their finite-n counterparts.
 """
 
-from .errors import AccuracyError, DegenerateDenominatorError, UnsupportedConfigError
-from .lift import (
-    lift_point,
-    lift_point_time,
-    lifted_field,
-    sphere_area,
-)
-from .weights import (
-    WeightLimitReport,
-    finite_weight,
-    gaussian_weight,
-    ratio_bound,
-    weight_limit_report,
-)
-from .integrate import (
-    IntegralEstimate,
-    MonteCarloSpec,
-    PushforwardCheck,
-    integrate_annulus,
-    integrate_ball,
-    integrate_sphere,
-    integrate_spacetime,
-    integrate_weighted,
-    integrate_window,
-    mc_mean,
-    pushforward_check_ball,
-    pushforward_check_sphere,
-    sample_mu_ball,
-    sample_sphere_uniform,
-)
-from . import fields
-from . import functionals
+from . import errors, fields, functionals, integrate, lift, weights
+from .errors import *
+from .lift import *
+from .weights import *
+from .integrate import *
 
 __version__ = "0.1.0"
 
+# each public name is listed once, in its own module's __all__
 __all__ = [
-    "AccuracyError",
-    "DegenerateDenominatorError",
-    "UnsupportedConfigError",
-    "lift_point",
-    "lift_point_time",
-    "lifted_field",
-    "sphere_area",
-    "WeightLimitReport",
-    "finite_weight",
-    "gaussian_weight",
-    "ratio_bound",
-    "weight_limit_report",
-    "IntegralEstimate",
-    "MonteCarloSpec",
-    "PushforwardCheck",
-    "integrate_annulus",
-    "integrate_ball",
-    "integrate_sphere",
-    "integrate_spacetime",
-    "integrate_weighted",
-    "integrate_window",
-    "mc_mean",
-    "pushforward_check_ball",
-    "pushforward_check_sphere",
-    "sample_mu_ball",
-    "sample_sphere_uniform",
+    *errors.__all__,
+    *lift.__all__,
+    *weights.__all__,
+    *integrate.__all__,
     "fields",
     "functionals",
     "__version__",

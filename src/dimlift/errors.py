@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["AccuracyError", "DegenerateDenominatorError", "UnsupportedConfigError"]
+
 
 class UnsupportedConfigError(ValueError):
     """Raised when a (d, n) configuration falls outside the supported regime."""

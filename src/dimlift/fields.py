@@ -5,6 +5,11 @@ Every evaluator is vectorized over leading axes: spatial arguments have shape
 (..., dim, dim) for a graph's Hessian.  Time arguments broadcast against the
 leading axes.  The caloric convention throughout is the backward one: a field u is
 caloric when Lap u + du/dt = 0.
+
+The right-hand side h of a perturbed equation (Lap v = h, say), which the
+elliptic lower bounds of dimlift.functionals take, has no class here: it is a
+plain callable of y that reads the points its field reads, and returns a
+scalar, or for a sphere-valued map a vector of the map's shape.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ __all__ = [
     "SpaceTimeField",
     "SphereField",
     "GraphSurface",
-    "NonhomTerm",
     "harmonic_polynomial",
     "caloric_polynomial",
     "heat_kernel_translate",
@@ -112,15 +116,6 @@ class GraphSurface:
     name: str = ""
 
 
-@dataclass(frozen=True)
-class NonhomTerm:
-    """Bounded right-hand side h (scalar) or H (vector) of a perturbed equation."""
-
-    value: Callable
-    vector: bool = False
-    name: str = ""
-
-
 def _lead_shape(x: np.ndarray, t) -> tuple:
     """The shape of x[..., 0] broadcast against t.  A t that fits in it, as
     a scalar or the (rows, 1) times of a space-time sum do, skips
@@ -156,23 +151,7 @@ def harmonic_polynomial(kind: str, N: int, k: int | None = None) -> ScalarField:
     if kind == "x1":
         if N < 1:
             raise ValueError("need N >= 1")
-
-        def val(y):
-            return np.asarray(y, float)[..., 0]
-
-        def grad(y):
-            g = _zeros_vec(y)
-            g[..., 0] = 1.0
-            return g
-
-        return ScalarField(
-            N=N,
-            value=val,
-            grad=grad,
-            laplacian=_zeros,
-            name="x1",
-            symmetry=1,
-        )
+        return _at_rest(caloric_polynomial("x1", N), "x1")
     if kind == "x1x2":
         if N < 2:
             raise ValueError("x1x2 needs N >= 2")
@@ -260,6 +239,19 @@ def _x1_field(d: int, name: str, value, dx, dt=None, dxx=None, dxt=None) -> Spac
         dtt=_zeros,
         name=name,
         coords=1,
+    )
+
+
+def _at_rest(u: SpaceTimeField, name: str) -> ScalarField:
+    """A field u of x_1 that does not depend on t and is harmonic off its
+    kinks, read at t = 0 as a ScalarField on R^d, declared symmetry = 1."""
+    return ScalarField(
+        N=u.d,
+        value=lambda y: u.value(y, 0.0),
+        grad=lambda y: u.grad(y, 0.0),
+        laplacian=_zeros,
+        name=name,
+        symmetry=1,
     )
 
 
@@ -494,19 +486,8 @@ def half_space_pair(dim: int, kind: str = "parabolic"):
     if kind == "parabolic":
         return _half_space_field(dim, +1.0, 1), _half_space_field(dim, -1.0, 1)
     if kind == "elliptic":
-        # the parabolic pair read at t = 0; it does not depend on t
-        def at_rest(sign: float) -> ScalarField:
-            u = _half_space_field(dim, sign, 1)
-            return ScalarField(
-                N=dim,
-                value=lambda y: u.value(y, 0.0),
-                grad=lambda y: u.grad(y, 0.0),
-                laplacian=_zeros,
-                name="y1_plus" if sign > 0 else "y1_minus",
-                symmetry=1,
-            )
-
-        return at_rest(+1.0), at_rest(-1.0)
+        plus, minus = _half_space_field(dim, +1.0, 1), _half_space_field(dim, -1.0, 1)
+        return _at_rest(plus, "y1_plus"), _at_rest(minus, "y1_minus")
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -1,63 +1,19 @@
 """Monotone quantities and inequality checks built on the lift machinery."""
 
-from .carleman import (
-    CarlemanReport,
-    EllipticCarlemanReport,
-    carleman_elliptic_check,
-    carleman_elliptic_constant,
-    carleman_parabolic_check,
-)
-from .frequency import FrequencyValues, almgren, almgren_dL_lower_bound, lifted_frequency, poon
-from .geometry import (
-    MsDensityReport,
-    graph_mean_curvature,
-    huisken_density,
-    lifted_mcf_density,
-    mcf_residual,
-    ms_density,
-    ms_density_tilde,
-)
-from .harmonic_map import hm_dphi_lower_bound, hm_phi, lifted_hm_Phi, struwe_Phi
-from .sweeps import MonotonicityReport, monotonicity_sweep
-from .two_phase import (
-    TwoPhaseReport,
-    acf_dphi_lower_bound,
-    acf_phi,
-    caffarelli_Phi,
-    lifted_two_phase,
-    psi,
-    support_fraction,
-)
+from . import carleman, frequency, geometry, harmonic_map, sweeps, two_phase
+from .carleman import *
+from .frequency import *
+from .geometry import *
+from .harmonic_map import *
+from .sweeps import *
+from .two_phase import *
 
+# each public name is listed once, in its own module's __all__
 __all__ = [
-    "FrequencyValues",
-    "almgren",
-    "almgren_dL_lower_bound",
-    "poon",
-    "lifted_frequency",
-    "CarlemanReport",
-    "EllipticCarlemanReport",
-    "carleman_elliptic_constant",
-    "carleman_elliptic_check",
-    "carleman_parabolic_check",
-    "TwoPhaseReport",
-    "psi",
-    "support_fraction",
-    "acf_phi",
-    "acf_dphi_lower_bound",
-    "caffarelli_Phi",
-    "lifted_two_phase",
-    "hm_phi",
-    "hm_dphi_lower_bound",
-    "struwe_Phi",
-    "lifted_hm_Phi",
-    "MsDensityReport",
-    "graph_mean_curvature",
-    "ms_density",
-    "ms_density_tilde",
-    "huisken_density",
-    "mcf_residual",
-    "lifted_mcf_density",
-    "MonotonicityReport",
-    "monotonicity_sweep",
+    *carleman.__all__,
+    *frequency.__all__,
+    *geometry.__all__,
+    *harmonic_map.__all__,
+    *sweeps.__all__,
+    *two_phase.__all__,
 ]

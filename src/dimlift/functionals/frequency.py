@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateDenominatorError
-from ..fields import NonhomTerm, ScalarField, SpaceTimeField
+from ..fields import ScalarField, SpaceTimeField
 from ..integrate import (
     _shell_mean,
     _shell_total,
@@ -59,12 +59,13 @@ def almgren(v: ScalarField, r: float) -> FrequencyValues:
     return FrequencyValues(H=H, D=D, L=r * r / N * D_mean / H_mean)
 
 
-def almgren_dL_lower_bound(v: ScalarField, h: NonhomTerm, r: float) -> float:
+def almgren_dL_lower_bound(v: ScalarField, h, r: float) -> float:
     """Lower bound for L'(r) when Lap v = h instead of 0:
 
         L'(r) >= 2 (int_{bd B_r} v (y . grad v) dS) (int_{B_r} h v dy) / H^2
                  - 2 (int_{B_r} h (y . grad v) dy) / H.
 
+    h is a scalar callable of y that reads the points v.value reads.
     For h = 0 this recovers monotonicity of the homogeneous frequency.  In
     the sphere and ball means (subscript m) the bound is
     (2r/N) (B_m hv_m / H_m^2 - hr_m / H_m), and the floor applies to H_m.
@@ -81,10 +82,10 @@ def almgren_dL_lower_bound(v: ScalarField, h: NonhomTerm, r: float) -> float:
 
     def h_radial(y):
         g = np.asarray(v.grad(y), dtype=float)
-        return np.asarray(h.value(y), float) * dot(np.asarray(y, float), g)
+        return np.asarray(h(y), float) * dot(np.asarray(y, float), g)
 
     def h_v(y):
-        return np.asarray(h.value(y), float) * np.asarray(v.value(y), float)
+        return np.asarray(h(y), float) * np.asarray(v.value(y), float)
 
     boundary_term = _shell_mean(v_radial, v.N, r, r).value
     bulk_hv = _shell_mean(h_v, v.N, 0.0, r).value

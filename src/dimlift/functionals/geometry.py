@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AccuracyError
-from ..fields import GraphSurface, NonhomTerm
+from ..fields import GraphSurface
 from ..integrate import _jacobi, _polar_sum, _refine, _sphere_nodes, integrate_weighted
 from ..weights import _finite_weight_law, _log_sphere_area
 from .common import dot
@@ -92,6 +92,8 @@ def _graph_ball_rule(surface: GraphSurface, t: float, y0, v0: float, r: float, l
 
 def _ball_center(surface: GraphSurface, w0, r: float) -> tuple[np.ndarray, float, bool]:
     """Base point y0 and height v0 of the center w0, and whether B_r(w0) misses the sheet above y0."""
+    if surface.dim < 1:
+        raise ValueError(f"need d >= 1, got d={surface.dim}")
     if not r > 0.0:
         raise ValueError("need r > 0")
     w0 = np.asarray(w0, dtype=float)
@@ -127,7 +129,7 @@ class MsDensityReport:
     derivative_rhs: float
 
 
-def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float) -> MsDensityReport:
+def ms_density_tilde(surface: GraphSurface, h, w0, r: float) -> MsDensityReport:
     """Density adjusted for mean curvature h, with its exact derivative integrand:
 
         Theta~(r) = [ Area(B_r cap Sigma) + (1/N) int_{B_r cap Sigma} h (w - w0) . nu ] / (omega_N r^N),
@@ -136,7 +138,8 @@ def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float) 
 
         g = |(w - w0)^perp|^2 + (1/N) h ((w - w0) . nu) |w - w0|^2.
 
-    h is evaluated at the base coordinates y; pass None for a minimal surface.
+    h is a scalar callable of the base coordinates y, which reads the
+    points surface.value reads; pass None for a minimal surface.
     The slice integral is taken on the directions omega and graph radii rho*
     of the bulk rule, by the coarea formula for |w - w0| on Sigma:
 
@@ -158,7 +161,7 @@ def ms_density_tilde(surface: GraphSurface, h: NonhomTerm | None, w0, r: float) 
     def hval(pts):
         if h is None:
             return np.zeros(pts.shape[:-1])
-        return np.asarray(h.value(pts), float)
+        return np.asarray(h(pts), float)
 
     def bulk(x, _):
         # area element and the curvature correction, in base coordinates

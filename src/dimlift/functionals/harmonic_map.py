@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from ..errors import AccuracyError, UnsupportedConfigError
-from ..fields import NonhomTerm, SphereField
+from ..fields import SphereField
 from ..integrate import _shell_mean, integrate_ball, integrate_weighted
 from ..lift import sphere_area
 from ..weights import _lifted_dim
@@ -37,22 +37,27 @@ def hm_phi(vmap: SphereField, y0, r: float) -> float:
     return phi
 
 
-def hm_dphi_lower_bound(vmap: SphereField, H: NonhomTerm, y0, r: float) -> float:
+def hm_dphi_lower_bound(vmap: SphereField, H, y0, r: float) -> float:
     """Lower bound for phi'(r) when Lap v + |Dv|^2 v = H:
 
         phi'(r) >= - r^(1-N) int_{B_r(y0)} H . ((y - y0) . Dv) dy.
+
+    H is a callable of y that reads the points vmap.jacobian reads and
+    returns a vector of the shape of vmap.value, (..., m); a value of any
+    other shape, such as a scalar H, is refused at the first points.
     """
     if not r > 0.0:
         raise ValueError("need r > 0")
-    if not H.vector:
-        raise ValueError("the harmonic-map right-hand side is vector valued")
     N = vmap.dim_domain
     c = np.zeros(N) if y0 is None else np.asarray(y0, dtype=float)
 
     def f(y):
         j = np.asarray(vmap.jacobian(y), dtype=float)  # (..., m, N)
         radial = np.einsum("...mk,...k->...m", j, np.asarray(y, float) - c)
-        return dot(np.asarray(H.value(y), float), radial)
+        h = np.asarray(H(y), float)
+        if h.shape != radial.shape:
+            raise ValueError("the harmonic-map right-hand side is vector valued")
+        return dot(h, radial)
 
     bulk = integrate_ball(f, N, r, center=c).value
     return -(r ** (1 - N)) * bulk

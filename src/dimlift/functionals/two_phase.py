@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..fields import NonhomTerm, ScalarField, SpaceTimeField
+from ..fields import ScalarField, SpaceTimeField
 from ..integrate import _shell_mean, integrate_ball, integrate_spacetime
 from ..weights import _lifted_dim
 from .common import dot, gradsq
@@ -75,13 +75,15 @@ def acf_phi(v1: ScalarField, v2: ScalarField, r: float) -> TwoPhaseReport:
     return TwoPhaseReport(factor1=f1, factor2=f2, value=(f1 / (r * r)) * (f2 / (r * r)))
 
 
-def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1: NonhomTerm, h2: NonhomTerm, r: float) -> float:
+def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1, h2, r: float) -> float:
     """Lower bound for phi'(r) when Lap v_i >= h_i:
 
         phi'(r) >= (2/r^4) [ psi(s_1) (int v_1 h_1 |y|^(2-N)) (int |grad v_2|^2 |y|^(2-N))
                            + psi(s_2) (int |grad v_1|^2 |y|^(2-N)) (int v_2 h_2 |y|^(2-N)) ]
 
-    with s_i the boundary support fractions.  Zero support fraction is an error.
+    with s_i the boundary support fractions.  Zero support fraction is an
+    error.  Each h_i is a scalar callable of y that reads the points
+    v_i.value reads.
     """
     s1 = support_fraction(v1, r)
     s2 = support_fraction(v2, r)
@@ -92,7 +94,7 @@ def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1: NonhomTerm, h2: N
 
     def vh(v, h):
         def f(y):
-            return np.asarray(v.value(y), float) * np.asarray(h.value(y), float)
+            return np.asarray(v.value(y), float) * np.asarray(h(y), float)
 
         return f
 

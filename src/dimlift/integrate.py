@@ -376,7 +376,7 @@ def _reduced_sphere_nodes(N: int, level: int, k: int) -> tuple[np.ndarray, np.nd
         return np.ones((1, 1)), np.ones(1)
     # z = |z| theta: the push-forward density in |z|, with as many nodes as
     # the tensor rule's polar factor, times a rule on S^(k-1)
-    rz, wz = _ball_rule(_polar_count(level), k, 0.5 * (N - k - 2), 1.0)
+    rz, wz = _ball_rule(_polar_count(level), k, N)
     theta, wt = _sphere_nodes(k, level)
     omega = np.empty((len(rz), len(wt), k + 1))
     omega[..., :k] = rz[:, None, None] * theta
@@ -558,30 +558,32 @@ def _polar_sum(f, r: np.ndarray, wr: np.ndarray, omega: np.ndarray, wa: np.ndarr
 # weighted integrals on R^d
 
 
-def _ball_rule(level: int, d: int, expo: float, r_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Radial nodes r and weights w, with sum 1, for the probability density
-    proportional to (1 - |x|^2/r_max^2)^expo on the ball |x| <= r_max in R^d:
+def _ball_rule(level: int, k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radial nodes r and weights w, with sum 1, for the k-marginal of the
+    uniform law on S^(N-1), 1 <= k < N: the law of (x_1..x_k) for x uniform
+    on the unit sphere of R^N, whose density is proportional to
+    (1 - |z|^2)^((N-k-2)/2) on the unit ball of R^k, so
 
-        sum_ij w_i wa_j g(r_i omega_j) ~ E[g(x)]
+        sum_ij w_i wa_j g(r_i omega_j) ~ E[g(x_1..x_k)]
 
-    with (omega, wa) = _sphere_nodes(d, level).  Projecting the uniform law
-    on a sphere in R^N onto d coordinates gives this density with
-    expo = (N - d - 2)/2.
+    with (omega, wa) = _sphere_nodes(k, level).  The exponent is formed here
+    only; a caller whose sphere has another radius scales r by it.
     """
-    if d % 2 == 1:
-        # r = R s with the symmetric rule for (1 - s^2)^expo; folding the
-        # +-s node pairs into the antipodal angular pairs keeps r^{d-1}
+    expo = 0.5 * (N - k - 2)
+    if k % 2 == 1:
+        # r = s with the symmetric rule for (1 - s^2)^expo; folding the
+        # +-s node pairs into the antipodal angular pairs keeps r^(k-1)
         # times the angular average smooth even when g has an integrable
         # pole at the origin, and it avoids the Jacobi parameter -1/2 of
         # the generic substitution, which loses ~1e-11 at high degree
         lev = level + (level % 2)
         s, ws = _jacobi(lev, expo, expo)
         half = lev // 2
-        w = ws[half:] * s[half:] ** (d - 1)
-        return r_max * s[half:], w / w.sum()
-    # s = 2 r^2 / R^2 - 1 turns the law of r into a Gauss-Jacobi weight
-    s, ws = _jacobi(level, expo, 0.5 * d - 1.0)
-    return r_max * np.sqrt(0.5 * (1.0 + s)), ws
+        w = ws[half:] * s[half:] ** (k - 1)
+        return s[half:], w / w.sum()
+    # s = 2 r^2 - 1 turns the law of r into a Gauss-Jacobi weight
+    s, ws = _jacobi(level, expo, 0.5 * k - 1.0)
+    return np.sqrt(0.5 * (1.0 + s)), ws
 
 
 def _weighted_rules(d: int, ts: np.ndarray, level: int, n: int | None, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -623,7 +625,7 @@ def _weighted_rules(d: int, ts: np.ndarray, level: int, n: int | None, k: int) -
         # single step per coordinate: the push-forward measure is the
         # uniform law on the sphere, with no density at all
         return np.sqrt(2.0 * d * col), np.ones((len(ts), 1))
-    unit, w = _ball_rule(level, k, 0.5 * (nd - k - 2), 1.0)
+    unit, w = _ball_rule(level, k, nd)
     return np.sqrt(2.0 * nd * col) * unit, np.broadcast_to(w, (len(ts), len(w)))
 
 
@@ -644,13 +646,15 @@ def _weighted_sums(f, d: int, ts: np.ndarray, level: int, n: int | None, coords:
 
 
 def _check_weighted_args(d, n, coords) -> None:
-    """Refuse a d or coords that is not an integer.  A finite n passes the
-    gate of the lifts, _lifted_dim, with d; an integer coords outside 1..d-1
-    is allowed and means R^d (_weighted_sums)."""
+    """Refuse a d or coords that is not an integer, and a d below 1.  A
+    finite n passes the gate of the lifts, _lifted_dim, with d; an integer
+    coords outside 1..d-1 is allowed and means R^d (_weighted_sums)."""
     if n is not None:
         _lifted_dim(d, n)
     elif not _is_integer(d):
         raise ValueError(f"d must be an integer, got d={d!r}")
+    elif d < 1:
+        raise ValueError(f"need d >= 1, got d={d}")
     if coords is not None and not _is_integer(coords):
         raise ValueError(f"coords must be an integer, got coords={coords!r}")
 
@@ -891,13 +895,6 @@ def _batch_sizes(mc: MonteCarloSpec) -> list[int]:
     return sizes
 
 
-def _check_sphere_args(N: int, radius: float) -> None:
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if not radius > 0.0:
-        raise ValueError("need radius > 0")
-
-
 def _check_mu_ball_args(N: int, tau: float, d: int) -> None:
     if N < 1 or d < 1:
         raise ValueError("need N >= 1 and d >= 1")
@@ -995,7 +992,10 @@ def sample_sphere_uniform(N: int, radius: float, mc: MonteCarloSpec) -> Iterator
     is a new array.  The arguments are checked at the call, before any batch
     is drawn.
     """
-    _check_sphere_args(N, radius)
+    if N < 1:
+        raise ValueError("need N >= 1")
+    if not radius > 0.0:
+        raise ValueError("need radius > 0")
     return (_sphere_batch(np.empty((m, N)), mc.seed, k, radius) for k, m in enumerate(_batch_sizes(mc)))
 
 
@@ -1175,10 +1175,11 @@ def pushforward_check_sphere(
     same batches for any thread count; None takes the count every
     quadrature sum reads (_worker_count).
     """
-    N = _lifted_dim(d, n)
-    # t <= 0 (or NaN) fails the radius check rather than the square root
-    radius = math.sqrt(2.0 * d * t) if t > 0.0 else 0.0
-    _check_sphere_args(N, radius)
+    _lifted_dim(d, n)
+    # checked before the square root, so every t <= 0 (or NaN) gets this reason
+    if not t > 0.0:
+        raise ValueError(f"need t > 0, got t={t}")
+    radius = math.sqrt(2.0 * d * t)
 
     def draw(out, k):
         return _lifted_sphere_batch(out, mc.seed, k, n, radius)

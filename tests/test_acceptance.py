@@ -13,7 +13,6 @@ import numpy as np
 
 from dimlift.cli import main as cli_main
 from dimlift.fields import (
-    NonhomTerm,
     ScalarField,
     bump_radial,
     bump_spacetime,
@@ -309,7 +308,7 @@ def _cube_pair():
     zero = lambda y: np.zeros(np.asarray(y, float).shape[:-1])
     v1 = ScalarField(2, cube_val, cube_grad, laplacian=cube_lap)
     v2 = ScalarField(2, neg_val, neg_grad, laplacian=zero)
-    return v1, v2, NonhomTerm(cube_lap), NonhomTerm(zero)
+    return v1, v2, cube_lap, zero
 
 
 def test_criterion_6_two_phase():

@@ -191,13 +191,13 @@ _DOMAIN_ERRORS = [
     (["frequency", "--elliptic", "--r-grid", "2:0.5:8"], "grid needs finite endpoints with b > a"),
     (["frequency", "--parabolic", "--field", "hk", "--t-grid", "4:0.25:16"], "grid needs finite endpoints"),
     (["gn-limit", "--grid", "1:1e400:5"], "grid needs finite endpoints with b > a"),
-    (["pushforward", "--t", "-1"], "need radius > 0"),
-    # dimension 0 has no unit sphere
-    (["two-phase", "--kind", "parabolic", "--d", "0"], "the unit sphere S^(N-1) needs N >= 1"),
-    (["harmonic-map", "--which", "struwe", "--map", "circle", "--d", "0"], "the unit sphere S^(N-1) needs N >= 1"),
-    (["mcf", "--which", "huisken", "--d", "0"], "the unit sphere S^(N-1) needs N >= 1"),
-    (["mcf", "--which", "ms", "--d", "0"], "the unit sphere S^(N-1) needs N >= 1"),
-    # and no heat kernel, bump or weight either
+    (["pushforward", "--t", "-1"], "need t > 0, got t=-1.0"),
+    # dimension 0 is refused by the --d it came from: no weight, ball density,
+    # heat kernel or bump
+    (["two-phase", "--kind", "parabolic", "--d", "0"], "need d >= 1, got d=0"),
+    (["harmonic-map", "--which", "struwe", "--map", "circle", "--d", "0"], "need d >= 1, got d=0"),
+    (["mcf", "--which", "huisken", "--d", "0"], "need d >= 1, got d=0"),
+    (["mcf", "--which", "ms", "--d", "0"], "need d >= 1, got d=0"),
     (["frequency", "--parabolic", "--field", "hk", "--d", "0"], "need d >= 1, got d=0"),
     (["carleman", "--parabolic", "--d", "0"], "need d >= 1, got d=0"),
     (["gn-limit", "--d", "0"], "need d >= 1, got d=0"),

@@ -6,7 +6,6 @@ import pytest
 
 from dimlift.errors import DegenerateDenominatorError
 from dimlift.fields import (
-    NonhomTerm,
     ScalarField,
     bump_radial,
     caloric_polynomial,
@@ -132,7 +131,7 @@ def test_nonhomogeneous_frequency_derivative_bound():
         return g
 
     v = ScalarField(N, val, grad, laplacian=lambda y: np.full(np.asarray(y).shape[:-1], 0.6))
-    h = NonhomTerm(lambda y: np.full(np.asarray(y).shape[:-1], 0.6))
+    h = lambda y: np.full(np.asarray(y).shape[:-1], 0.6)
     for r in (0.8, 1.0, 1.3):
         dr = 1e-4
         fd = (almgren(v, r + dr).L - almgren(v, r - dr).L) / (2 * dr)

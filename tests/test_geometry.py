@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dimlift import UnsupportedConfigError
-from dimlift.fields import NonhomTerm, graph_linear, graph_paraboloid, graph_plane
+from dimlift.fields import graph_linear, graph_paraboloid, graph_plane
 from dimlift.functionals import (
     graph_mean_curvature,
     huisken_density,
@@ -122,7 +122,7 @@ def test_plane_densities_hold_at_every_length_scale(dim, scale):
 
 
 def _with_mean_curvature(surf):
-    return surf, NonhomTerm(lambda y: graph_mean_curvature(surf, y))
+    return surf, lambda y: graph_mean_curvature(surf, y)
 
 
 @pytest.mark.parametrize(
@@ -145,7 +145,7 @@ def test_derivative_rhs_is_pinned(surf, h, w0, r, want):
 
 def test_paraboloid_derivative_identity_with_curvature_term():
     surf = graph_paraboloid(2, 0.3)
-    h = NonhomTerm(lambda y: graph_mean_curvature(surf, y))
+    h = lambda y: graph_mean_curvature(surf, y)
     w0 = np.zeros(3)
     dr = 1e-3
     for r in (0.7, 1.0):

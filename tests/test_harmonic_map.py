@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dimlift.errors import AccuracyError
-from dimlift.fields import NonhomTerm, SphereField, circle_map, equator_map
+from dimlift.fields import SphereField, circle_map, equator_map
 from dimlift.functionals import (
     hm_dphi_lower_bound,
     hm_phi,
@@ -147,7 +147,7 @@ def test_lifted_phase_map_density_in_closed_form(n, t):
 def test_nonhomogeneous_derivative_bound_with_zero_tension():
     vmap = equator_map(3)
     y0 = np.zeros(3)
-    H = NonhomTerm(lambda y: np.zeros_like(np.asarray(y, float)), vector=True)
+    H = lambda y: np.zeros_like(np.asarray(y, float))
     for r in (0.8, 1.0):
         dr = 1e-4
         fd = (hm_phi(vmap, y0, r + dr) - hm_phi(vmap, y0, r - dr)) / (2 * dr)
@@ -156,6 +156,6 @@ def test_nonhomogeneous_derivative_bound_with_zero_tension():
 
 def test_scalar_tension_term_is_rejected():
     vmap = equator_map(3)
-    H = NonhomTerm(lambda y: np.zeros(np.asarray(y, float).shape[:-1]))
-    with pytest.raises(ValueError):
+    H = lambda y: np.zeros(np.asarray(y, float).shape[:-1])
+    with pytest.raises(ValueError, match="the harmonic-map right-hand side is vector valued"):
         hm_dphi_lower_bound(vmap, H, np.zeros(3), 1.0)

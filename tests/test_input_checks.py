@@ -14,7 +14,6 @@ import pytest
 from dimlift.errors import AccuracyError, DegenerateDenominatorError, UnsupportedConfigError
 from dimlift.fields import (
     GraphSurface,
-    NonhomTerm,
     bump_radial,
     bump_spacetime,
     caloric_from_csv,
@@ -39,6 +38,7 @@ from dimlift.functionals import (
     carleman_parabolic_check,
     hm_dphi_lower_bound,
     hm_phi,
+    huisken_density,
     lifted_frequency,
     lifted_hm_Phi,
     lifted_mcf_density,
@@ -95,8 +95,8 @@ def _sphere_band_sheet():
     return GraphSurface(dim=2, value=value, grad=grad, hessian=None, dt=None)
 
 
-ZERO_H = NonhomTerm(lambda y: np.zeros(np.shape(y)[:-1]))
-ZERO_H_VEC = NonhomTerm(lambda y: np.zeros(np.shape(y)), vector=True)
+ZERO_H = lambda y: np.zeros(np.shape(y)[:-1])
+ZERO_H_VEC = lambda y: np.zeros(np.shape(y))
 X1 = harmonic_polynomial("x1", 2)
 U1 = caloric_polynomial("x1", 1)
 # 0 on the sphere of radius 0.5, and 0 at every time outside [1, 2]
@@ -176,6 +176,9 @@ CASES = [
         "coords must be an integer, got coords=1.0",
     ),
     ("spacetime tau", lambda p: integrate_spacetime(_one, 1, 0.0), ValueError, "need tau > 0, got tau=0.0"),
+    # d = 0 is refused as the d the caller passed, not as the N of a sphere
+    ("weighted d = 0", lambda p: integrate_weighted(_one, 0, 1.0), ValueError, "need d >= 1, got d=0"),
+    ("spacetime d = 0", lambda p: integrate_spacetime(_one, 0, 1.0), ValueError, "need d >= 1, got d=0"),
     ("ball r", lambda p: integrate_ball(_one, 2, 0.0), ValueError, "need r > 0, got r=0.0"),
     (
         "ball power",
@@ -195,6 +198,20 @@ CASES = [
     ("mc float seed", lambda p: MonteCarloSpec(seed=1.5), ValueError, "seed must be an integer in [0, 2**64)"),
     ("sphere sampler N", lambda p: sample_sphere_uniform(0, 1.0, MC), ValueError, "need N >= 1"),
     ("ball sampler N", lambda p: sample_mu_ball(0, 1.0, 1, MC), ValueError, "need N >= 1 and d >= 1"),
+    # the sphere check names t, for every t <= 0, before the radius sqrt(2dt) is formed
+    ("sphere check t = 0", lambda p: pushforward_check_sphere(_one, 1, 5, 0.0, MC), ValueError, "need t > 0, got t=0.0"),
+    (
+        "sphere check t < 0",
+        lambda p: pushforward_check_sphere(_one, 1, 5, -1.0, MC),
+        ValueError,
+        "need t > 0, got t=-1.0",
+    ),
+    (
+        "sphere check t nan",
+        lambda p: pushforward_check_sphere(_one, 1, 5, float("nan"), MC),
+        ValueError,
+        "need t > 0, got t=nan",
+    ),
     # weights and lift
     ("gaussian t", lambda p: gaussian_weight(0.0, [0.0]), ValueError, "need t > 0, got t=0.0"),
     ("ratio nd", lambda p: ratio_bound(1, 3), UnsupportedConfigError, "ratio bound needs n*d >= d + 3"),
@@ -258,6 +275,14 @@ CASES = [
     # geometry
     ("center width", lambda p: ms_density(graph_plane(2), np.zeros(2), 1.0), ValueError, "center must live in R^3"),
     ("tilde r", lambda p: ms_density_tilde(graph_plane(2), None, np.zeros(3), 0.0), ValueError, "need r > 0"),
+    ("ms density d = 0", lambda p: ms_density(graph_plane(0), np.zeros(1), 1.0), ValueError, "need d >= 1, got d=0"),
+    (
+        "tilde d = 0",
+        lambda p: ms_density_tilde(graph_plane(0), None, np.zeros(1), 1.0),
+        ValueError,
+        "need d >= 1, got d=0",
+    ),
+    ("huisken d = 0", lambda p: huisken_density(graph_plane(0), 1.0), ValueError, "need d >= 1, got d=0"),
     (
         "tangent slice",
         lambda p: ms_density_tilde(_sphere_band_sheet(), None, np.zeros(3), 1.0),
@@ -274,6 +299,7 @@ CASES = [
         "need r > 0",
     ),
     ("struwe t", lambda p: struwe_Phi(circle_map(), 0.0), ValueError, "need t > 0"),
+    ("struwe d = 0", lambda p: struwe_Phi(circle_map(0), 1.0), ValueError, "need d >= 1, got d=0"),
     (
         "lifted map nd = 2",
         lambda p: lifted_hm_Phi(circle_map(), 2, 1.0),

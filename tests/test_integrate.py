@@ -318,7 +318,8 @@ def _one_time_rule(d, t, level, n, k):
     if n == 1:
         return np.array([math.sqrt(2.0 * d * t)]), np.ones(1)
     nd = n * d
-    return I._ball_rule(level, k, 0.5 * (nd - k - 2), math.sqrt(2.0 * nd * t))
+    unit, w = I._ball_rule(level, k, nd)
+    return math.sqrt(2.0 * nd * t) * unit, w
 
 
 @pytest.mark.parametrize(
@@ -899,7 +900,7 @@ def test_writing_into_quad_value_leaves_the_next_result_intact():
 @pytest.mark.parametrize("t", [0.0, -1.0, float("nan")])
 def test_sphere_check_needs_a_positive_time(t):
     # checked before the radius sqrt(2 d t) is taken, so every t <= 0 gives one reason
-    with pytest.raises(ValueError, match="need radius > 0"):
+    with pytest.raises(ValueError, match=r"^need t > 0, got t="):
         pushforward_check_sphere(_stack, 1, 5, t, MonteCarloSpec(seed=0, samples=1000))
 
 
@@ -1001,7 +1002,7 @@ def test_pushforward_checks_reject_bad_arguments_before_drawing(monkeypatch):
     mc = MonteCarloSpec(seed=1, samples=5000)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^need radius > 0$"):
+        with pytest.raises(ValueError, match=r"^need t > 0, got t=0\.0$"):
             pushforward_check_sphere(_stack, 1, 5, 0.0, mc, threads=2)
         for tau in (0.0, -0.5):
             with pytest.raises(ValueError, match=r"^need tau > 0$"):

@@ -12,7 +12,6 @@ import pytest
 import dimlift.integrate
 from dimlift import lifted_field
 from dimlift.fields import (
-    NonhomTerm,
     ScalarField,
     SphereField,
     bump_radial,
@@ -198,11 +197,11 @@ def test_an_undeclared_field_uses_the_tensor_rule():
 @pytest.mark.usefixtures("coarse")
 def test_integrals_with_a_nonhomogeneous_term_use_the_tensor_rule():
     vmap = equator_map(3)
-    H = NonhomTerm(lambda y: 0.1 * np.asarray(y, float), vector=True)
+    H = lambda y: 0.1 * np.asarray(y, float)
     bound = hm_dphi_lower_bound(vmap, H, np.zeros(3), 1.0)
     assert bound == hm_dphi_lower_bound(_undeclared(vmap), H, np.zeros(3), 1.0)
     v = harmonic_polynomial("x1", 3)
-    h = NonhomTerm(lambda y: np.asarray(y, float)[..., 1] ** 2)
+    h = lambda y: np.asarray(y, float)[..., 1] ** 2
     assert almgren_dL_lower_bound(v, h, 1.0) == almgren_dL_lower_bound(_undeclared(v), h, 1.0)
 
 

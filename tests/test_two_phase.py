@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dimlift.fields import NonhomTerm, ScalarField, half_space_pair, half_space_power_pair, harmonic_polynomial
+from dimlift.fields import ScalarField, half_space_pair, half_space_power_pair, harmonic_polynomial
 from dimlift.functionals import (
     acf_dphi_lower_bound,
     acf_phi,
@@ -57,7 +57,7 @@ def test_elliptic_product_and_its_bound_are_scale_free(lam):
     vp, vn = half_space_pair(2, kind="elliptic")
     assert abs(acf_phi(vp, vn, lam).value - math.pi**2 / 4) < 1e-6
     v = harmonic_polynomial("x1", 2)
-    h = NonhomTerm(lambda y: np.asarray(y, float)[..., 0] / np.sum(np.asarray(y, float) ** 2, axis=-1))
+    h = lambda y: np.asarray(y, float)[..., 0] / np.sum(np.asarray(y, float) ** 2, axis=-1)
     ref = acf_dphi_lower_bound(v, v, h, h, 1.0)
     assert ref > 0.0
     assert math.isclose(acf_dphi_lower_bound(v, v, h, h, lam), ref, rel_tol=1e-12)
@@ -124,7 +124,7 @@ def _elliptic_cube_pair():
     zero = lambda y: np.zeros(np.asarray(y, float).shape[:-1])
     v1 = ScalarField(2, cube_val, cube_grad, laplacian=cube_lap, name="y1_plus_cube")
     v2 = ScalarField(2, neg_val, neg_grad, laplacian=zero, name="y1_minus")
-    return v1, v2, NonhomTerm(cube_lap), NonhomTerm(zero)
+    return v1, v2, cube_lap, zero
 
 
 def test_nonhomogeneous_two_phase_derivative_bound():
