@@ -1,5 +1,9 @@
 """Catalog of closed-form fields the functionals are evaluated on.
 
+No field here is fitted to data.  A user's own solution enters as a
+SpaceTimeField (or ScalarField) the user writes, with the derivatives the
+functionals read.
+
 Every evaluator is vectorized over leading axes: spatial arguments have shape
 (..., dim) and return shape (...) for scalars, (..., dim) for gradients, and
 (..., dim, dim) for a graph's Hessian.  Time arguments broadcast against the
@@ -14,14 +18,11 @@ scalar, or for a sphere-valued map a vector of the map's shape.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .errors import AccuracyError
 
 __all__ = [
     "ScalarField",
@@ -37,8 +38,6 @@ __all__ = [
     "circle_map",
     "bump_spacetime",
     "bump_radial",
-    "caloric_from_data",
-    "caloric_from_csv",
     "graph_plane",
     "graph_linear",
     "graph_paraboloid",
@@ -293,7 +292,7 @@ def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
 
 
 # ---------------------------------------------------------------------------
-# heat kernel translates and kernel superpositions
+# heat kernel translates
 
 
 def _kernel_term(z: np.ndarray, s, d: int, term: int) -> np.ndarray:
@@ -316,141 +315,35 @@ def _kernel_term(z: np.ndarray, s, d: int, term: int) -> np.ndarray:
 
 
 def heat_kernel_translate(d: int, x0, s0: float) -> SpaceTimeField:
-    """u(x, t) = G(x - x0, s0 - t): backward caloric for t < s0, singular at t = s0."""
+    """u(x, t) = G(x - x0, s0 - t): backward caloric for t < s0, singular at
+    t = s0, where each part raises ValueError at every t >= s0."""
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).reshape(d)
     if not s0 > 0.0:
         raise ValueError("need s0 > 0")
     name = f"heat_kernel_translate(x0={x0.tolist()}, s0={s0})"
-    return _kernel_sum_field(x0[None], np.ones(1), s0, d, name, width=0.0)
 
-
-def caloric_from_data(g, T: float, d: int = 1, radius: float | None = None, nodes: int = 128) -> SpaceTimeField:
-    """Backward caloric extension u(x, t) = int G(x - xi, T - t) g(xi) dxi of data g at time T.
-
-    g is a vectorized callable on R^d.  The integral is discretized once on a
-    tensor Gauss-Legendre grid over [-radius, radius]^d; all derivatives are
-    then exact derivatives of the discretized sum, so the caloric residual
-    vanishes identically.  Evaluation within 1e-3 of the data time raises.
-    """
-    if not T > 0.0:
-        raise ValueError("need T > 0")
-    if radius is None:
-        radius = 4.0 + 2.0 * math.sqrt(16.0 * math.log(10.0) * T)
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    axis = radius * xs
-    waxis = radius * ws
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    xi = np.stack([gg.ravel() for gg in grids], axis=-1)
-    wg = np.meshgrid(*([waxis] * d), indexing="ij")
-    w = np.ones(xi.shape[0])
-    for gg in wg:
-        w = w * gg.ravel()
-    coeff = w * np.asarray(g(xi), float)  # (M,)
-    return _kernel_sum_field(xi, coeff, T, d, name=f"caloric_from_data(T={T})")
-
-
-def caloric_from_csv(path, T: float) -> SpaceTimeField:
-    """Like caloric_from_data but with tabulated data.
-
-    The CSV must have a header ``x1,...,xd,value`` describing a full regular
-    tensor grid (uniform spacing along each axis); quadrature weights are the
-    grid cell volumes.
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = [c.strip() for c in rows[0]]
-    if header[-1] != "value" or not all(h == f"x{i + 1}" for i, h in enumerate(header[:-1])):
-        raise ValueError("expected CSV header x1,...,xd,value")
-    d = len(header) - 1
-    data = np.array([[float(c) for c in row] for row in rows[1:]], dtype=float)
-    xi, vals = data[:, :d], data[:, d]
-    cell, expected = 1.0, 1
-    for i in range(d):
-        levels = np.unique(xi[:, i])
-        if len(levels) < 2:
-            raise ValueError(f"axis x{i + 1} needs at least two grid levels")
-        steps = np.diff(levels)
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise ValueError(f"axis x{i + 1} is not uniformly spaced")
-        cell *= steps[0]
-        expected *= len(levels)
-    if len(xi) != expected:
-        raise ValueError("grid rows do not form a full tensor product")
-    return _kernel_sum_field(xi, cell * vals, T, d, name=f"caloric_from_csv(T={T})")
-
-
-# Largest (points, M, d) temporary a kernel-sum field builds at once, in
-# bytes; longer point lists are evaluated in chunks of points.
-_KERNEL_CHUNK_BYTES = 32 << 20
-
-
-def _kernel_sum_field(
-    xi: np.ndarray, coeff: np.ndarray, T: float, d: int, name: str, width: float = 1e-3
-) -> SpaceTimeField:
-    """u(x, t) = sum_m coeff_m G(x - xi_m, T - t), backward caloric for t < T.
-
-    Evaluation within width of T raises AccuracyError (the discretized data
-    fields keep 1e-3; a single translate is exact up to T), and at t >= T
-    ValueError, since the kernel is undefined there.
-    """
-    xi = np.asarray(xi, float).reshape(-1, d)
-    coeff = np.asarray(coeff, float)
-
-    def kernel_sum(x, t, term: int, vector: bool):
-        """sum_m coeff_m K(x - xi_m, T - t) for the kernel term K of
-        _kernel_term, over the points of x (..., d) and the times t that
-        broadcast against x[..., 0].  Each point's sum is one pairwise sum
-        over m, so the bits do not depend on the chunking."""
+    def kernel(x, t, term: int):
+        """Term 0..4 of _kernel_term at (x - x0, s0 - t).  The time terms
+        are formed once per time: once for a scalar t, once per row for the
+        (rows, 1) times of a space-time sum."""
         t = np.asarray(t, float)
-        if np.any(np.abs(T - t) < width):
-            raise AccuracyError(f"cannot evaluate within {width} of the data time T = {T}")
-        if np.any(t >= T):
-            raise ValueError(f"{name} needs t < T = {T}")
-        x = np.asarray(x, float)
-        lead = np.broadcast_shapes(x.shape[:-1], t.shape)
-        pts = np.broadcast_to(x, lead + (d,)).reshape(-1, d)
-        # one time for every point stays one value, so its terms form once
-        one_time = t.size == 1
-        s = np.reshape(T - t, (1, 1)) if one_time else np.broadcast_to(T - t, lead).reshape(-1, 1)
-        w = coeff[:, None] if vector else coeff
-        chunk = max(1, _KERNEL_CHUNK_BYTES // (8 * len(xi) * d))
-        out = np.empty((len(pts), d) if vector else len(pts))
-        for lo in range(0, len(pts), chunk):
-            z = pts[lo : lo + chunk, None, :] - xi  # (chunk, M, d)
-            k = _kernel_term(z, s if one_time else s[lo : lo + chunk], d, term)
-            del z
-            np.sum(k * w, axis=1, out=out[lo : lo + chunk])
-        return out.reshape(lead + out.shape[1:])
-
-    def value(x, t):
-        return kernel_sum(x, t, 0, False)
-
-    def grad(x, t):
-        return kernel_sum(x, t, 1, True)
-
-    def laplacian(x, t):
-        return kernel_sum(x, t, 2, False)
-
-    def dt(x, t):
-        # du/dt = -dG/ds = -Lap G
-        return -laplacian(x, t)
-
-    def grad_dt(x, t):
-        return -kernel_sum(x, t, 3, True)
-
-    def dtt(x, t):
-        return kernel_sum(x, t, 4, False)
+        if np.any(t >= s0):
+            raise ValueError(f"{name} needs t < T = {s0}")
+        # + 0.0 reads a -0.0 (a column of grad at x_i = x0_i) as +0.0, the
+        # sign a sum over kernels gives, so a translate keeps its pinned bits
+        return _kernel_term(np.asarray(x, float) - x0, s0 - t, d, term) + 0.0
 
     return SpaceTimeField(
         d=d,
-        value=value,
-        grad=grad,
-        dt=dt,
-        laplacian=laplacian,
-        grad_dt=grad_dt,
-        dtt=dtt,
+        value=lambda x, t: kernel(x, t, 0),
+        grad=lambda x, t: kernel(x, t, 1),
+        # du/dt = -dG/ds = -Lap G
+        dt=lambda x, t: -kernel(x, t, 2),
+        laplacian=lambda x, t: kernel(x, t, 2),
+        grad_dt=lambda x, t: -kernel(x, t, 3),
+        dtt=lambda x, t: kernel(x, t, 4),
         name=name,
     )
 

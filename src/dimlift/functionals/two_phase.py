@@ -109,7 +109,7 @@ def caffarelli_Phi(u1: SpaceTimeField, u2: SpaceTimeField, tau: float) -> TwoPha
     if u1.d != u2.d:
         raise ValueError("both phases must live on the same R^d")
     if not tau > 0.0:
-        raise ValueError("need tau > 0")
+        raise ValueError(f"need tau > 0, got tau={tau}")
     f1 = integrate_spacetime(gradsq(u1), u1.d, tau, coords=u1.coords).value
     f2 = integrate_spacetime(gradsq(u2), u2.d, tau, coords=u2.coords).value
     return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / tau**2)
@@ -127,7 +127,7 @@ def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, n: int, tau: float)
     if u1.d != u2.d:
         raise ValueError("both phases must live on the same R^d")
     if not tau > 0.0:
-        raise ValueError("need tau > 0")
+        raise ValueError(f"need tau > 0, got tau={tau}")
 
     def lifted_energy(u: SpaceTimeField):
         def f(x, t):

@@ -899,7 +899,7 @@ def _check_mu_ball_args(N: int, tau: float, d: int) -> None:
     if N < 1 or d < 1:
         raise ValueError("need N >= 1 and d >= 1")
     if not tau > 0.0:
-        raise ValueError("need tau > 0")
+        raise ValueError(f"need tau > 0, got tau={tau}")
 
 
 def _sphere_batch(out: np.ndarray, seed: int, k: int, radius: float) -> np.ndarray:

@@ -220,6 +220,8 @@ _DOMAIN_ERRORS = [
     (["harmonic-map", "--which", "phi", "--r-grid", "1e160:2e160:2"], "hm_phi at r = 1e+160 is out of floating-point range"),
     # a lift of 0 steps
     (["two-phase", "--kind", "lifted", "--n", "0,5"], "need d >= 1 and n >= 1, got d=1, n=0"),
+    # the ball domain's --t is its tau, and the refusal names the value
+    (["pushforward", "--domain", "ball", "--t", "-1"], "need tau > 0, got tau=-1.0"),
 ]
 
 

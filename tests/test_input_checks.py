@@ -16,8 +16,6 @@ from dimlift.fields import (
     GraphSurface,
     bump_radial,
     bump_spacetime,
-    caloric_from_csv,
-    caloric_from_data,
     caloric_polynomial,
     circle_map,
     equator_map,
@@ -72,12 +70,6 @@ def _one(x, *_):
     return np.ones(np.shape(x)[:-1])
 
 
-def _csv(tmp_path, text):
-    path = tmp_path / "data.csv"
-    path.write_text(text)
-    return path
-
-
 def _sphere_band_sheet():
     """A graph over R^2 with a flat top at height 1/2 that joins the unit
     sphere around the origin and follows it down: over that band the sheet
@@ -105,237 +97,218 @@ LATE = bump_spacetime(1, 1.0, 2.0, 1.0, 2.0)
 
 CASES = [
     # fields
-    ("x1 on R^0", lambda p: harmonic_polynomial("x1", 0), ValueError, "need N >= 1"),
-    ("x1x2 on R^1", lambda p: harmonic_polynomial("x1x2", 1), ValueError, "x1x2 needs N >= 2"),
-    ("re_zk on R^3", lambda p: harmonic_polynomial("re_zk", 3, 2), ValueError, "re_zk lives on R^2"),
-    ("re_zk without k", lambda p: harmonic_polynomial("re_zk", 2), ValueError, "re_zk needs a degree k >= 1"),
-    ("harmonic kind", lambda p: harmonic_polynomial("x9", 2), ValueError, "unknown harmonic polynomial kind 'x9'"),
-    ("caloric on R^0", lambda p: caloric_polynomial("x1", 0), ValueError, "need d >= 1"),
-    ("caloric kind", lambda p: caloric_polynomial("x9", 1), ValueError, "unknown caloric polynomial kind 'x9'"),
-    ("kernel s0", lambda p: heat_kernel_translate(1, None, 0.0), ValueError, "need s0 > 0"),
-    ("data time", lambda p: caloric_from_data(lambda x: x[..., 0], 0.0), ValueError, "need T > 0"),
-    (
-        "csv header",
-        lambda p: caloric_from_csv(_csv(p, "x1,v\n0,1\n1,2\n"), 1.0),
-        ValueError,
-        "expected CSV header x1,...,xd,value",
-    ),
-    (
-        "csv one level",
-        lambda p: caloric_from_csv(_csv(p, "x1,x2,value\n0,0,1\n1,0,2\n"), 1.0),
-        ValueError,
-        "axis x2 needs at least two grid levels",
-    ),
-    (
-        "csv missing row",
-        lambda p: caloric_from_csv(_csv(p, "x1,x2,value\n0,0,1\n1,0,1\n0,1,1\n"), 1.0),
-        ValueError,
-        "grid rows do not form a full tensor product",
-    ),
-    ("half-space kind", lambda p: half_space_pair(2, kind="other"), ValueError, "unknown kind 'other'"),
-    ("power pair", lambda p: half_space_power_pair(1, 1), ValueError, "power >= 2"),
-    ("equator at 0", lambda p: equator_map(3).energy(np.zeros(3)), ValueError, "equator map is undefined at the origin"),
+    ("x1 on R^0", lambda: harmonic_polynomial("x1", 0), ValueError, "need N >= 1"),
+    ("x1x2 on R^1", lambda: harmonic_polynomial("x1x2", 1), ValueError, "x1x2 needs N >= 2"),
+    ("re_zk on R^3", lambda: harmonic_polynomial("re_zk", 3, 2), ValueError, "re_zk lives on R^2"),
+    ("re_zk without k", lambda: harmonic_polynomial("re_zk", 2), ValueError, "re_zk needs a degree k >= 1"),
+    ("harmonic kind", lambda: harmonic_polynomial("x9", 2), ValueError, "unknown harmonic polynomial kind 'x9'"),
+    ("caloric on R^0", lambda: caloric_polynomial("x1", 0), ValueError, "need d >= 1"),
+    ("caloric kind", lambda: caloric_polynomial("x9", 1), ValueError, "unknown caloric polynomial kind 'x9'"),
+    ("kernel s0", lambda: heat_kernel_translate(1, None, 0.0), ValueError, "need s0 > 0"),
+    ("half-space kind", lambda: half_space_pair(2, kind="other"), ValueError, "unknown kind 'other'"),
+    ("power pair", lambda: half_space_power_pair(1, 1), ValueError, "power >= 2"),
+    ("equator at 0", lambda: equator_map(3).energy(np.zeros(3)), ValueError, "equator map is undefined at the origin"),
     (
         "window order",
-        lambda p: bump_spacetime(1, 2.0, 1.0, 1.0, 2.0),
+        lambda: bump_spacetime(1, 2.0, 1.0, 1.0, 2.0),
         ValueError,
         "need 0 < r_in < r_out and 0 < t_in < t_out",
     ),
-    ("window k", lambda p: bump_spacetime(1, 1.0, 2.0, 1.0, 2.0, k=2), ValueError, "need smoothness k >= 3"),
-    ("annulus order", lambda p: bump_radial(3, 0.0, 1.0), ValueError, "need 0 < r_in < r_out"),
-    ("annulus k", lambda p: bump_radial(3, 1.0, 2.0, k=2), ValueError, "need smoothness k >= 3"),
+    ("window k", lambda: bump_spacetime(1, 1.0, 2.0, 1.0, 2.0, k=2), ValueError, "need smoothness k >= 3"),
+    ("annulus order", lambda: bump_radial(3, 0.0, 1.0), ValueError, "need 0 < r_in < r_out"),
+    ("annulus k", lambda: bump_radial(3, 1.0, 2.0, k=2), ValueError, "need smoothness k >= 3"),
     # integrate
-    ("weighted float n", lambda p: integrate_weighted(_one, 1, 1.0, n=1.0), ValueError, "d and n must be integers, got d=1, n=1.0"),
-    ("weighted t", lambda p: integrate_weighted(_one, 1, 0.0), ValueError, "need t > 0, got t=0.0"),
+    ("weighted float n", lambda: integrate_weighted(_one, 1, 1.0, n=1.0), ValueError, "d and n must be integers, got d=1, n=1.0"),
+    ("weighted t", lambda: integrate_weighted(_one, 1, 0.0), ValueError, "need t > 0, got t=0.0"),
     # the Gaussian weight (n = None) gates d itself, and every n gates coords
-    ("weighted float d", lambda p: integrate_weighted(_one, 2.5, 1.0), ValueError, "d must be an integer, got d=2.5"),
-    ("weighted d = 1.0", lambda p: integrate_weighted(_one, 1.0, 1.0), ValueError, "d must be an integer, got d=1.0"),
-    ("spacetime float d", lambda p: integrate_spacetime(_one, 2.5, 1.0), ValueError, "d must be an integer, got d=2.5"),
+    ("weighted float d", lambda: integrate_weighted(_one, 2.5, 1.0), ValueError, "d must be an integer, got d=2.5"),
+    ("weighted d = 1.0", lambda: integrate_weighted(_one, 1.0, 1.0), ValueError, "d must be an integer, got d=1.0"),
+    ("spacetime float d", lambda: integrate_spacetime(_one, 2.5, 1.0), ValueError, "d must be an integer, got d=2.5"),
     (
         "weighted float coords",
-        lambda p: integrate_weighted(_one, 2, 1.0, coords=1.5),
+        lambda: integrate_weighted(_one, 2, 1.0, coords=1.5),
         ValueError,
         "coords must be an integer, got coords=1.5",
     ),
     (
         "weighted float coords n = 5",
-        lambda p: integrate_weighted(_one, 2, 1.0, n=5, coords=1.5),
+        lambda: integrate_weighted(_one, 2, 1.0, n=5, coords=1.5),
         ValueError,
         "coords must be an integer, got coords=1.5",
     ),
     (
         "spacetime float coords",
-        lambda p: integrate_spacetime(_one, 2, 1.0, coords=1.5),
+        lambda: integrate_spacetime(_one, 2, 1.0, coords=1.5),
         ValueError,
         "coords must be an integer, got coords=1.5",
     ),
     (
         "spacetime float coords n = 5",
-        lambda p: integrate_spacetime(_one, 2, 1.0, n=5, coords=1.0),
+        lambda: integrate_spacetime(_one, 2, 1.0, n=5, coords=1.0),
         ValueError,
         "coords must be an integer, got coords=1.0",
     ),
-    ("spacetime tau", lambda p: integrate_spacetime(_one, 1, 0.0), ValueError, "need tau > 0, got tau=0.0"),
+    ("spacetime tau", lambda: integrate_spacetime(_one, 1, 0.0), ValueError, "need tau > 0, got tau=0.0"),
     # d = 0 is refused as the d the caller passed, not as the N of a sphere
-    ("weighted d = 0", lambda p: integrate_weighted(_one, 0, 1.0), ValueError, "need d >= 1, got d=0"),
-    ("spacetime d = 0", lambda p: integrate_spacetime(_one, 0, 1.0), ValueError, "need d >= 1, got d=0"),
-    ("ball r", lambda p: integrate_ball(_one, 2, 0.0), ValueError, "need r > 0, got r=0.0"),
+    ("weighted d = 0", lambda: integrate_weighted(_one, 0, 1.0), ValueError, "need d >= 1, got d=0"),
+    ("spacetime d = 0", lambda: integrate_spacetime(_one, 0, 1.0), ValueError, "need d >= 1, got d=0"),
+    ("ball r", lambda: integrate_ball(_one, 2, 0.0), ValueError, "need r > 0, got r=0.0"),
     (
         "ball power",
-        lambda p: integrate_ball(_one, 2, 1.0, radial_power=-2.0),
+        lambda: integrate_ball(_one, 2, 1.0, radial_power=-2.0),
         ValueError,
         "radial_power must exceed -N",
     ),
-    ("annulus radii", lambda p: integrate_annulus(_one, 2, (1.0, 1.0)), ValueError, "need 0 <= r0 < r1"),
-    ("sphere r", lambda p: integrate_sphere(_one, 2, 0.0), ValueError, "need r > 0, got r=0.0"),
+    ("annulus radii", lambda: integrate_annulus(_one, 2, (1.0, 1.0)), ValueError, "need 0 <= r0 < r1"),
+    ("sphere r", lambda: integrate_sphere(_one, 2, 0.0), ValueError, "need r > 0, got r=0.0"),
     (
         "window times",
-        lambda p: integrate_window(_one, 1, (0.0, 1.0), (1.0, 1.0)),
+        lambda: integrate_window(_one, 1, (0.0, 1.0), (1.0, 1.0)),
         ValueError,
         "need 0 <= r0 < r1 and 0 < t0 < t1",
     ),
-    ("mc float samples", lambda p: MonteCarloSpec(seed=1, samples=1e5), ValueError, "samples must be an integer"),
-    ("mc float seed", lambda p: MonteCarloSpec(seed=1.5), ValueError, "seed must be an integer in [0, 2**64)"),
-    ("sphere sampler N", lambda p: sample_sphere_uniform(0, 1.0, MC), ValueError, "need N >= 1"),
-    ("ball sampler N", lambda p: sample_mu_ball(0, 1.0, 1, MC), ValueError, "need N >= 1 and d >= 1"),
+    ("mc float samples", lambda: MonteCarloSpec(seed=1, samples=1e5), ValueError, "samples must be an integer"),
+    ("mc float seed", lambda: MonteCarloSpec(seed=1.5), ValueError, "seed must be an integer in [0, 2**64)"),
+    ("sphere sampler N", lambda: sample_sphere_uniform(0, 1.0, MC), ValueError, "need N >= 1"),
+    ("ball sampler N", lambda: sample_mu_ball(0, 1.0, 1, MC), ValueError, "need N >= 1 and d >= 1"),
     # the sphere check names t, for every t <= 0, before the radius sqrt(2dt) is formed
-    ("sphere check t = 0", lambda p: pushforward_check_sphere(_one, 1, 5, 0.0, MC), ValueError, "need t > 0, got t=0.0"),
+    ("sphere check t = 0", lambda: pushforward_check_sphere(_one, 1, 5, 0.0, MC), ValueError, "need t > 0, got t=0.0"),
     (
         "sphere check t < 0",
-        lambda p: pushforward_check_sphere(_one, 1, 5, -1.0, MC),
+        lambda: pushforward_check_sphere(_one, 1, 5, -1.0, MC),
         ValueError,
         "need t > 0, got t=-1.0",
     ),
     (
         "sphere check t nan",
-        lambda p: pushforward_check_sphere(_one, 1, 5, float("nan"), MC),
+        lambda: pushforward_check_sphere(_one, 1, 5, float("nan"), MC),
         ValueError,
         "need t > 0, got t=nan",
     ),
     # weights and lift
-    ("gaussian t", lambda p: gaussian_weight(0.0, [0.0]), ValueError, "need t > 0, got t=0.0"),
-    ("ratio nd", lambda p: ratio_bound(1, 3), UnsupportedConfigError, "ratio bound needs n*d >= d + 3"),
-    ("empty grid", lambda p: weight_limit_report(1.0, [], [4]), ValueError, "empty evaluation grid"),
-    ("grid width", lambda p: weight_limit_report(1.0, np.zeros((4, 0)), [8]), ValueError, "need d >= 1, got d=0"),
-    ("finite float n", lambda p: finite_weight(10.5, 1.0, [0.0]), ValueError, "d and n must be integers, got d=1, n=10.5"),
-    ("ratio float n", lambda p: ratio_bound(1, 10.5), ValueError, "d and n must be integers, got d=1, n=10.5"),
+    ("gaussian t", lambda: gaussian_weight(0.0, [0.0]), ValueError, "need t > 0, got t=0.0"),
+    ("ratio nd", lambda: ratio_bound(1, 3), UnsupportedConfigError, "ratio bound needs n*d >= d + 3"),
+    ("empty grid", lambda: weight_limit_report(1.0, [], [4]), ValueError, "empty evaluation grid"),
+    ("grid width", lambda: weight_limit_report(1.0, np.zeros((4, 0)), [8]), ValueError, "need d >= 1, got d=0"),
+    ("finite float n", lambda: finite_weight(10.5, 1.0, [0.0]), ValueError, "d and n must be integers, got d=1, n=10.5"),
+    ("ratio float n", lambda: ratio_bound(1, 10.5), ValueError, "d and n must be integers, got d=1, n=10.5"),
     # a flat grid holds points of R^1
     (
         "report float n",
-        lambda p: weight_limit_report(1.0, np.linspace(0.0, 1.0, 5), [10.5, 20]),
+        lambda: weight_limit_report(1.0, np.linspace(0.0, 1.0, 5), [10.5, 20]),
         ValueError,
         "d and n must be integers, got d=1, n=10.5",
     ),
-    ("sphere area", lambda p: sphere_area(0), ValueError, "need N >= 1, got N=0"),
-    ("lift float n", lambda p: lifted_field(U1, 10.5), ValueError, "d and n must be integers, got d=1, n=10.5"),
+    ("sphere area", lambda: sphere_area(0), ValueError, "need N >= 1, got N=0"),
+    ("lift float n", lambda: lifted_field(U1, 10.5), ValueError, "d and n must be integers, got d=1, n=10.5"),
     (
         "lift float d",
-        lambda p: pushforward_check_sphere(_one, 2.0, 4, 1.0, MC),
+        lambda: pushforward_check_sphere(_one, 2.0, 4, 1.0, MC),
         ValueError,
         "d and n must be integers, got d=2.0, n=4",
     ),
     (
         "lift width",
-        lambda p: lift_point(np.zeros(5), 3),
+        lambda: lift_point(np.zeros(5), 3),
         ValueError,
         "lifted point has width 5, which is not a multiple of n = 3",
     ),
     # carleman
-    ("constant N", lambda p: carleman_elliptic_constant(0.5, 0), ValueError, "need N >= 1"),
+    ("constant N", lambda: carleman_elliptic_constant(0.5, 0), ValueError, "need N >= 1"),
     (
         "annulus at 0",
-        lambda p: carleman_elliptic_check(dataclasses.replace(HOLLOW, support=(0.0, 2.0)), 0.5),
+        lambda: carleman_elliptic_check(dataclasses.replace(HOLLOW, support=(0.0, 2.0)), 0.5),
         ValueError,
         "support must stay away from the origin",
     ),
     (
         "no window",
-        lambda p: carleman_parabolic_check(U1, 1.0),
+        lambda: carleman_parabolic_check(U1, 1.0),
         ValueError,
         "needs a field supported in a window away from t = 0",
     ),
     # frequency
-    ("almgren r", lambda p: almgren(X1, 0.0), ValueError, "need r > 0"),
-    ("almgren bound r", lambda p: almgren_dL_lower_bound(X1, ZERO_H, 0.0), ValueError, "need r > 0"),
+    ("almgren r", lambda: almgren(X1, 0.0), ValueError, "need r > 0"),
+    ("almgren bound r", lambda: almgren_dL_lower_bound(X1, ZERO_H, 0.0), ValueError, "need r > 0"),
     (
         "almgren bound H",
-        lambda p: almgren_dL_lower_bound(HOLLOW, ZERO_H, 0.5),
+        lambda: almgren_dL_lower_bound(HOLLOW, ZERO_H, 0.5),
         DegenerateDenominatorError,
         "boundary mean H = 0.0 is below",
     ),
-    ("poon t", lambda p: poon(U1, 0.0), ValueError, "need t > 0"),
-    ("poon H", lambda p: poon(LATE, 0.5), DegenerateDenominatorError, "weighted mass H = 0.0 is below"),
-    ("lifted frequency t", lambda p: lifted_frequency(U1, 4, 0.0), ValueError, "need t > 0"),
+    ("poon t", lambda: poon(U1, 0.0), ValueError, "need t > 0"),
+    ("poon H", lambda: poon(LATE, 0.5), DegenerateDenominatorError, "weighted mass H = 0.0 is below"),
+    ("lifted frequency t", lambda: lifted_frequency(U1, 4, 0.0), ValueError, "need t > 0"),
     (
         "lifted frequency mass",
-        lambda p: lifted_frequency(LATE, 4, 0.5),
+        lambda: lifted_frequency(LATE, 4, 0.5),
         DegenerateDenominatorError,
         "weighted mass 0.0 is below",
     ),
     # geometry
-    ("center width", lambda p: ms_density(graph_plane(2), np.zeros(2), 1.0), ValueError, "center must live in R^3"),
-    ("tilde r", lambda p: ms_density_tilde(graph_plane(2), None, np.zeros(3), 0.0), ValueError, "need r > 0"),
-    ("ms density d = 0", lambda p: ms_density(graph_plane(0), np.zeros(1), 1.0), ValueError, "need d >= 1, got d=0"),
+    ("center width", lambda: ms_density(graph_plane(2), np.zeros(2), 1.0), ValueError, "center must live in R^3"),
+    ("tilde r", lambda: ms_density_tilde(graph_plane(2), None, np.zeros(3), 0.0), ValueError, "need r > 0"),
+    ("ms density d = 0", lambda: ms_density(graph_plane(0), np.zeros(1), 1.0), ValueError, "need d >= 1, got d=0"),
     (
         "tilde d = 0",
-        lambda p: ms_density_tilde(graph_plane(0), None, np.zeros(1), 1.0),
+        lambda: ms_density_tilde(graph_plane(0), None, np.zeros(1), 1.0),
         ValueError,
         "need d >= 1, got d=0",
     ),
-    ("huisken d = 0", lambda p: huisken_density(graph_plane(0), 1.0), ValueError, "need d >= 1, got d=0"),
+    ("huisken d = 0", lambda: huisken_density(graph_plane(0), 1.0), ValueError, "need d >= 1, got d=0"),
     (
         "tangent slice",
-        lambda p: ms_density_tilde(_sphere_band_sheet(), None, np.zeros(3), 1.0),
+        lambda: ms_density_tilde(_sphere_band_sheet(), None, np.zeros(3), 1.0),
         AccuracyError,
         "slice integrand blows up",
     ),
-    ("mcf t", lambda p: lifted_mcf_density(graph_plane(1), 4, 0.0), ValueError, "need t > 0"),
+    ("mcf t", lambda: lifted_mcf_density(graph_plane(1), 4, 0.0), ValueError, "need t > 0"),
     # harmonic maps
-    ("hm_phi r", lambda p: hm_phi(equator_map(3), np.zeros(3), 0.0), ValueError, "need r > 0"),
+    ("hm_phi r", lambda: hm_phi(equator_map(3), np.zeros(3), 0.0), ValueError, "need r > 0"),
     (
         "hm bound r",
-        lambda p: hm_dphi_lower_bound(equator_map(3), ZERO_H_VEC, np.zeros(3), 0.0),
+        lambda: hm_dphi_lower_bound(equator_map(3), ZERO_H_VEC, np.zeros(3), 0.0),
         ValueError,
         "need r > 0",
     ),
-    ("struwe t", lambda p: struwe_Phi(circle_map(), 0.0), ValueError, "need t > 0"),
-    ("struwe d = 0", lambda p: struwe_Phi(circle_map(0), 1.0), ValueError, "need d >= 1, got d=0"),
+    ("struwe t", lambda: struwe_Phi(circle_map(), 0.0), ValueError, "need t > 0"),
+    ("struwe d = 0", lambda: struwe_Phi(circle_map(0), 1.0), ValueError, "need d >= 1, got d=0"),
     (
         "lifted map nd = 2",
-        lambda p: lifted_hm_Phi(circle_map(), 2, 1.0),
+        lambda: lifted_hm_Phi(circle_map(), 2, 1.0),
         UnsupportedConfigError,
         "needs n*d >= 3, got n*d = 2",
     ),
-    ("lifted map t", lambda p: lifted_hm_Phi(circle_map(), 4, 0.0), ValueError, "need t > 0"),
+    ("lifted map t", lambda: lifted_hm_Phi(circle_map(), 4, 0.0), ValueError, "need t > 0"),
     # two-phase
-    ("support r", lambda p: support_fraction(X1, 0.0), ValueError, "need r > 0"),
+    ("support r", lambda: support_fraction(X1, 0.0), ValueError, "need r > 0"),
     (
         "acf N",
-        lambda p: acf_phi(X1, harmonic_polynomial("x1", 3), 1.0),
+        lambda: acf_phi(X1, harmonic_polynomial("x1", 3), 1.0),
         ValueError,
         "both phases must live on the same R^N",
     ),
-    ("acf r", lambda p: acf_phi(X1, X1, 0.0), ValueError, "need r > 0"),
+    ("acf r", lambda: acf_phi(X1, X1, 0.0), ValueError, "need r > 0"),
     (
         "acf bound N",
-        lambda p: acf_dphi_lower_bound(X1, harmonic_polynomial("x1", 3), ZERO_H, ZERO_H, 1.0),
+        lambda: acf_dphi_lower_bound(X1, harmonic_polynomial("x1", 3), ZERO_H, ZERO_H, 1.0),
         ValueError,
         "both phases must live on the same R^N",
     ),
     (
         "caffarelli d",
-        lambda p: caffarelli_Phi(U1, caloric_polynomial("x1", 2), 1.0),
+        lambda: caffarelli_Phi(U1, caloric_polynomial("x1", 2), 1.0),
         ValueError,
         "both phases must live on the same R^d",
     ),
-    ("caffarelli tau", lambda p: caffarelli_Phi(U1, U1, 0.0), ValueError, "need tau > 0"),
+    ("caffarelli tau", lambda: caffarelli_Phi(U1, U1, 0.0), ValueError, "need tau > 0"),
     (
         "lifted two-phase d",
-        lambda p: lifted_two_phase(U1, caloric_polynomial("x1", 2), 4, 1.0),
+        lambda: lifted_two_phase(U1, caloric_polynomial("x1", 2), 4, 1.0),
         ValueError,
         "both phases must live on the same R^d",
     ),
-    ("lifted two-phase tau", lambda p: lifted_two_phase(U1, U1, 4, 0.0), ValueError, "need tau > 0"),
+    ("lifted two-phase tau", lambda: lifted_two_phase(U1, U1, 4, 0.0), ValueError, "need tau > 0"),
 ]
 
 # every lift takes its step count n and reads d from what it lifts
@@ -358,12 +331,12 @@ _LIFTS = {
 }
 for _name, _lift in _LIFTS.items():
     CASES += [
-        (f"{_name} n = 0", lambda p, f=_lift: f(0), ValueError, "need d >= 1 and n >= 1"),
-        (f"{_name} n = 2.5", lambda p, f=_lift: f(2.5), ValueError, "d and n must be integers"),
+        (f"{_name} n = 0", lambda f=_lift: f(0), ValueError, "need d >= 1 and n >= 1"),
+        (f"{_name} n = 2.5", lambda f=_lift: f(2.5), ValueError, "d and n must be integers"),
     ]
 
 
 @pytest.mark.parametrize("call, error, reason", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
-def test_input_check_raises_its_reason(call, error, reason, tmp_path):
+def test_input_check_raises_its_reason(call, error, reason):
     with pytest.raises(error, match=re.escape(reason)):
-        call(tmp_path)
+        call()

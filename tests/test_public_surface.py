@@ -52,3 +52,10 @@ def test_the_right_hand_side_has_no_class():
     # h (or H) of the elliptic lower bounds is a plain callable of y
     assert not hasattr(fields, "NonhomTerm")
     assert "NonhomTerm" not in fields.__all__
+
+
+def test_no_field_is_fitted_to_data():
+    # a user's own data enters as a SpaceTimeField the user writes
+    for name in ("caloric_from_data", "caloric_from_csv"):
+        assert not hasattr(fields, name)
+        assert name not in fields.__all__
