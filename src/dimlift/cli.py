@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -438,6 +439,9 @@ def _run_lift_demo(args):
 _GRID_HELP = "grid a:b:k (k points from a to b inclusive; %s)"
 
 
+# built on the first main() call, not at import, and reused by every later
+# call in the process: parse_args keeps no state between calls
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dimlift", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")

@@ -101,6 +101,12 @@ class SphereField:
     # width of at least k + 1 in energy, as a ScalarField does; value and
     # jacobian stay N wide
     symmetry: int | None = None
+    # k when value, jacobian and energy depend on x only through x_1..x_k,
+    # as SpaceTimeField.coords: |x| is not allowed.  A map that declares k
+    # accepts points of any width of at least k, such as the k-wide points
+    # of the weighted rule in R^k, and returns a jacobian of the width it
+    # was given
+    coords: int | None = None
 
 
 @dataclass(frozen=True)
@@ -316,7 +322,8 @@ def _kernel_term(z: np.ndarray, s, d: int, term: int) -> np.ndarray:
 
 def heat_kernel_translate(d: int, x0, s0: float) -> SpaceTimeField:
     """u(x, t) = G(x - x0, s0 - t): backward caloric for t < s0, singular at
-    t = s0, where each part raises ValueError at every t >= s0."""
+    t = s0, where each part raises ValueError at every t >= s0.  It reads
+    every coordinate, so each part refuses points that are not d wide."""
     if d < 1:
         raise ValueError(f"need d >= 1, got d={d}")
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).reshape(d)
@@ -328,12 +335,15 @@ def heat_kernel_translate(d: int, x0, s0: float) -> SpaceTimeField:
         """Term 0..4 of _kernel_term at (x - x0, s0 - t).  The time terms
         are formed once per time: once for a scalar t, once per row for the
         (rows, 1) times of a space-time sum."""
-        t = np.asarray(t, float)
+        x, t = np.asarray(x, float), np.asarray(t, float)
+        if x.shape[-1:] != (d,):
+            width = x.shape[-1] if x.ndim else 0
+            raise ValueError(f"{name} reads points of width d = {d}, got width {width}")
         if np.any(t >= s0):
             raise ValueError(f"{name} needs t < T = {s0}")
         # + 0.0 reads a -0.0 (a column of grad at x_i = x0_i) as +0.0, the
         # sign a sum over kernels gives, so a translate keeps its pinned bits
-        return _kernel_term(np.asarray(x, float) - x0, s0 - t, d, term) + 0.0
+        return _kernel_term(x - x0, s0 - t, d, term) + 0.0
 
     return SpaceTimeField(
         d=d,
@@ -460,8 +470,9 @@ def circle_map(d: int = 1) -> SphereField:
         return np.stack([np.cos(x1), np.sin(x1)], axis=-1)
 
     def jacobian(x):
-        x1 = np.asarray(x, float)[..., 0]
-        j = np.zeros(x1.shape + (2, d))
+        x = np.asarray(x, float)
+        x1 = x[..., 0]
+        j = np.zeros(x1.shape + (2, x.shape[-1]))
         j[..., 0, 0] = -np.sin(x1)
         j[..., 1, 0] = np.cos(x1)
         return j
@@ -475,6 +486,7 @@ def circle_map(d: int = 1) -> SphereField:
         jacobian=jacobian,
         energy=energy,
         name="circle_map",
+        coords=1,
     )
 
 

@@ -67,12 +67,14 @@ def struwe_Phi(umap: SphereField, t: float) -> float:
     """Parabolic energy density Phi(t) = t int |Du|^2 G_t dx for a stationary map.
 
     Only time-independent maps are accepted: they solve the flow exactly, so
-    Phi is constant in t and equals the lifted limit.
+    Phi is constant in t and equals the lifted limit.  A map that declares
+    coords = k is integrated in R^k (integrate_weighted); circle_map's
+    Phi is then its d = 1 value, bit for bit.
     """
     if not t > 0.0:
         raise ValueError("need t > 0")
     d = umap.dim_domain
-    energy = integrate_weighted(lambda x: np.asarray(umap.energy(x), float), d, t).value
+    energy = integrate_weighted(lambda x: np.asarray(umap.energy(x), float), d, t, coords=umap.coords).value
     return t * energy
 
 
@@ -91,6 +93,11 @@ def lifted_hm_Phi(umap: SphereField, n: int, t: float) -> float:
     2 |S^(nd-1)| Phi_n(t); on the stationary phase map (cos x1^2, sin x1^2),
     which is not harmonic, that ratio is 2.67, 2.11 and 2.026 at n = 10, 40
     and 160, and tends to 2 only as n grows.
+
+    A map that declares coords = k is integrated in R^k against the
+    k-marginal of G_{t,n} (integrate_weighted), and energy and jacobian get
+    k-wide points.  The 1-marginal depends on n and d only through nd, so
+    circle_map's Phi_n at (d, n) is its d = 1 value at nd steps, bit for bit.
     """
     nd = _lifted_dim(umap.dim_domain, n)
     if nd <= 2:
@@ -104,5 +111,5 @@ def lifted_hm_Phi(umap: SphereField, n: int, t: float) -> float:
         xd = np.einsum("...mk,...k->...m", j, np.asarray(x, float))
         return np.stack([e, dot(xd, xd)], axis=-1)
 
-    vals = integrate_weighted(both, umap.dim_domain, t, n=n).value
+    vals = integrate_weighted(both, umap.dim_domain, t, n=n, coords=umap.coords).value
     return (nd / (nd - 2.0)) * t * float(vals[0]) - float(vals[1]) / (nd - 2.0)

@@ -1,7 +1,8 @@
-"""Space-time fields that declare coords = k, a dependence on x_1..x_k
-alone: the weighted rule in R^k against the k-marginal of the weight, its
-agreement with the rule of R^d, the exact identity with the d = 1 functionals
-at nd steps, and the fields' contract for k-wide points."""
+"""Space-time fields and sphere-valued maps that declare coords = k, a
+dependence on x_1..x_k alone: the weighted rule in R^k against the
+k-marginal of the weight, its agreement with the rule of R^d, the exact
+identity with the d = 1 functionals at nd steps, and the fields' contract
+for k-wide points."""
 
 import dataclasses
 import math
@@ -9,8 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from dimlift.fields import caloric_polynomial, half_space_pair, half_space_power_pair
-from dimlift.functionals import caffarelli_Phi, lifted_frequency, lifted_two_phase, poon
+from dimlift.fields import SphereField, caloric_polynomial, circle_map, half_space_pair, half_space_power_pair
+from dimlift.functionals import caffarelli_Phi, lifted_frequency, lifted_hm_Phi, lifted_two_phase, poon, struwe_Phi
 from dimlift.integrate import _weighted_sums, integrate_spacetime, integrate_weighted
 
 
@@ -121,6 +122,15 @@ def test_frequency_of_a_first_coordinate_field_is_the_one_dimensional_one(kind):
         assert lifted_frequency(u, n, 0.7) == lifted_frequency(base, n * d, 0.7)
 
 
+@pytest.mark.parametrize("t", [0.3, 1.0, 2.5])
+def test_the_circle_maps_energy_densities_are_the_one_dimensional_ones(t):
+    base = circle_map(1)
+    for d in (2, 3):
+        assert struwe_Phi(circle_map(d), t) == struwe_Phi(base, t)
+    for d, n in STEPS:
+        assert lifted_hm_Phi(circle_map(d), n, t) == lifted_hm_Phi(base, n * d, t)
+
+
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 5), (3, 4), (2, 40), (3, 40), (2, 160)])
 def test_the_cubic_lifted_frequency_is_exact_at_every_nd(d, n):
     # L_n = 3 - 12/(N^2 - 3N + 12), N = nd, from the Beta moments of the
@@ -178,3 +188,50 @@ def test_the_contract_check_refuses_a_false_declaration():
     u = dataclasses.replace(caloric_polynomial("radial", 2), coords=1)
     with pytest.raises(AssertionError):
         _check_reads_only_its_coords(u, 2)
+
+
+def _check_map_reads_only_its_coords(umap, seed: int) -> None:
+    k, d = umap.coords, umap.dim_domain
+    x = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, 4, d))
+    narrow = x[..., :k]
+    for name in ("value", "energy"):
+        wide_v = np.asarray(getattr(umap, name)(x), float)
+        narrow_v = np.asarray(getattr(umap, name)(narrow), float)
+        np.testing.assert_allclose(narrow_v, wide_v, rtol=1e-13, atol=1e-15, err_msg=name)
+    wide_j = np.asarray(umap.jacobian(x), float)
+    narrow_j = np.asarray(umap.jacobian(narrow), float)
+    assert narrow_j.shape == wide_j.shape[:-1] + (k,)
+    np.testing.assert_allclose(narrow_j, wide_j[..., :k], rtol=1e-13, atol=1e-15, err_msg="jacobian")
+    # a map of x_1..x_k alone has no derivative along x_(k+1)..x_d
+    np.testing.assert_array_equal(wide_j[..., k:], 0.0, err_msg="jacobian")
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_the_circle_map_reads_a_point_through_its_first_coordinate(d):
+    umap = circle_map(d)
+    assert umap.coords == 1
+    _check_map_reads_only_its_coords(umap, d)
+
+
+def test_the_map_contract_check_refuses_a_false_declaration():
+    # (cos(x1 + x2), sin(x1 + x2)) reads x_2
+    def phase(x):
+        return np.sum(np.asarray(x, float)[..., :2], axis=-1)
+
+    def jacobian(x):
+        x, p = np.asarray(x, float), phase(x)
+        j = np.zeros(x.shape[:-1] + (2, x.shape[-1]))
+        j[..., 0, :2] = -np.sin(p)[..., None]
+        j[..., 1, :2] = np.cos(p)[..., None]
+        return j
+
+    umap = SphereField(
+        dim_domain=2,
+        value=lambda x: np.stack([np.cos(phase(x)), np.sin(phase(x))], axis=-1),
+        jacobian=jacobian,
+        energy=lambda x: 2.0 * np.ones(np.shape(x)[:-1]),
+        name="x1 + x2 phase",
+        coords=1,
+    )
+    with pytest.raises(AssertionError):
+        _check_map_reads_only_its_coords(umap, 2)

@@ -105,6 +105,19 @@ CASES = [
     ("caloric on R^0", lambda: caloric_polynomial("x1", 0), ValueError, "need d >= 1"),
     ("caloric kind", lambda: caloric_polynomial("x9", 1), ValueError, "unknown caloric polynomial kind 'x9'"),
     ("kernel s0", lambda: heat_kernel_translate(1, None, 0.0), ValueError, "need s0 > 0"),
+    # a translate reads every coordinate: a 1-wide point is not (x_1, x_1)
+    (
+        "kernel 1-wide point",
+        lambda: heat_kernel_translate(2, None, 3.0).value(np.zeros((3, 1)), 1.0),
+        ValueError,
+        "reads points of width d = 2, got width 1",
+    ),
+    (
+        "kernel 3-wide point",
+        lambda: heat_kernel_translate(2, None, 3.0).grad(np.zeros((3, 3)), 1.0),
+        ValueError,
+        "reads points of width d = 2, got width 3",
+    ),
     ("half-space kind", lambda: half_space_pair(2, kind="other"), ValueError, "unknown kind 'other'"),
     ("power pair", lambda: half_space_power_pair(1, 1), ValueError, "power >= 2"),
     ("equator at 0", lambda: equator_map(3).energy(np.zeros(3)), ValueError, "equator map is undefined at the origin"),
