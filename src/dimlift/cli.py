@@ -265,7 +265,7 @@ def _run_frequency(args):
             raise ValueError(f"unknown parabolic field {args.field!r}")
         functional = lambda t: poon(u, t)
     else:
-        if args.field.startswith("re_z"):
+        if args.field.startswith("re_z") and args.field[4:].isdecimal():
             k = int(args.field[4:])
             v = harmonic_polynomial("re_zk", args.N, k)
             expected = float(k)

@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from .weights import _dimension, _positive
+
 __all__ = [
     "ScalarField",
     "SpaceTimeField",
@@ -154,11 +156,10 @@ def _zeros_vec(x, t=0.0) -> np.ndarray:
 def harmonic_polynomial(kind: str, N: int, k: int | None = None) -> ScalarField:
     """Homogeneous harmonic polynomials: "x1", "x1x2", or "re_zk" (N = 2 only)."""
     if kind == "x1":
-        if N < 1:
-            raise ValueError("need N >= 1")
+        _dimension("N", N)
         return _at_rest(caloric_polynomial("x1", N), "x1")
     if kind == "x1x2":
-        if N < 2:
+        if _dimension("N", N) < 2:
             raise ValueError("x1x2 needs N >= 2")
 
         def val(y):
@@ -262,8 +263,7 @@ def _at_rest(u: SpaceTimeField, name: str) -> ScalarField:
 
 def caloric_polynomial(kind: str, d: int) -> SpaceTimeField:
     """Backward caloric polynomials: x1, x1^2 - 2t, x1^3 - 6 x1 t, |x|^2 - 2dt."""
-    if d < 1:
-        raise ValueError("need d >= 1")
+    _dimension("d", d)
     if kind == "x1":
         return _x1_field(d, "x1", lambda x1, t: x1 + 0.0 * t, 1.0)
     if kind == "x1sq":
@@ -324,11 +324,9 @@ def heat_kernel_translate(d: int, x0, s0: float) -> SpaceTimeField:
     """u(x, t) = G(x - x0, s0 - t): backward caloric for t < s0, singular at
     t = s0, where each part raises ValueError at every t >= s0.  It reads
     every coordinate, so each part refuses points that are not d wide."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
+    _dimension("d", d)
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).reshape(d)
-    if not s0 > 0.0:
-        raise ValueError("need s0 > 0")
+    _positive("s0", s0)
     name = f"heat_kernel_translate(x0={x0.tolist()}, s0={s0})"
 
     def kernel(x, t, term: int):
@@ -407,7 +405,7 @@ def half_space_power_pair(dim: int, power: int = 3):
 
 def equator_map(N: int) -> SphereField:
     """v(y) = y / |y| from R^N to S^(N-1); |Dv|^2 = (N - 1)/|y|^2.  Undefined at 0."""
-    if N < 3:
+    if _dimension("N", N) < 3:
         raise ValueError("equator map needs N >= 3 for finite local energy")
 
     tiny = np.finfo(float).tiny
@@ -542,8 +540,7 @@ def bump_spacetime(d: int, r_in: float, r_out: float, t_in: float, t_out: float,
     at the window center (|x| and t at the midpoints) is exactly 1.  All
     derivatives, hence the caloric residual, are closed-form.
     """
-    if d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
+    _dimension("d", d)
     if not (0.0 < r_in < r_out and 0.0 < t_in < t_out):
         raise ValueError("need 0 < r_in < r_out and 0 < t_in < t_out")
     if k < 3:

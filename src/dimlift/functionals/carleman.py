@@ -9,6 +9,7 @@ import numpy as np
 
 from ..fields import ScalarField, SpaceTimeField
 from ..integrate import integrate_annulus, integrate_window
+from ..weights import _dimension
 from .common import dot
 
 __all__ = [
@@ -47,8 +48,7 @@ def carleman_elliptic_constant(gamma: float, N: int) -> float:
     The product is an upward parabola in l, so scanning l up to past both
     roots (which sit below |gamma| + 2) finds the infimum.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _dimension("N", N)
     if not math.isfinite(gamma):
         raise ValueError(f"need a finite gamma, got {gamma}")
     ells = np.arange(0, math.ceil(abs(gamma)) + 3 + 16, dtype=float)

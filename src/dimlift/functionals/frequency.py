@@ -47,8 +47,6 @@ def almgren(v: ScalarField, r: float) -> FrequencyValues:
     floor applies to H_mean; H and D are the totals (_shell_total), inf
     where they exceed the float range.
     """
-    if not r > 0.0:
-        raise ValueError("need r > 0")
     N = v.N
     H_mean = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, N, r, r, symmetry=v.symmetry).value
     if H_mean < DENOMINATOR_FLOOR:
@@ -70,8 +68,6 @@ def almgren_dL_lower_bound(v: ScalarField, h, r: float) -> float:
     the sphere and ball means (subscript m) the bound is
     (2r/N) (B_m hv_m / H_m^2 - hr_m / H_m), and the floor applies to H_m.
     """
-    if not r > 0.0:
-        raise ValueError("need r > 0")
     H = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, r).value
     if H < DENOMINATOR_FLOOR:
         raise DegenerateDenominatorError(f"boundary mean H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
@@ -95,8 +91,6 @@ def almgren_dL_lower_bound(v: ScalarField, h, r: float) -> float:
 
 def poon(u: SpaceTimeField, t: float) -> FrequencyValues:
     """Parabolic frequency t D(t) / H(t) with Gaussian-weighted H and D."""
-    if not t > 0.0:
-        raise ValueError("need t > 0")
 
     def both(x):
         val = np.asarray(u.value(x, t), float)
@@ -122,8 +116,6 @@ def lifted_frequency(u: SpaceTimeField, n: int, t: float) -> float:
     such nodes are truncated (see power_ratio).
     """
     p = 0.5 * (_lifted_dim(u.d, n) - 2)
-    if not t > 0.0:
-        raise ValueError("need t > 0")
 
     def instant(x):
         val = np.asarray(u.value(x, t), float)

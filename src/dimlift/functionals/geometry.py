@@ -24,7 +24,7 @@ import numpy as np
 from ..errors import AccuracyError
 from ..fields import GraphSurface
 from ..integrate import _jacobi, _polar_sum, _refine, _sphere_nodes, integrate_weighted
-from ..weights import _finite_weight_law, _log_sphere_area
+from ..weights import _dimension, _finite_weight_law, _log_sphere_area, _positive
 from .common import dot
 
 __all__ = [
@@ -92,10 +92,8 @@ def _graph_ball_rule(surface: GraphSurface, t: float, y0, v0: float, r: float, l
 
 def _ball_center(surface: GraphSurface, w0, r: float) -> tuple[np.ndarray, float, bool]:
     """Base point y0 and height v0 of the center w0, and whether B_r(w0) misses the sheet above y0."""
-    if surface.dim < 1:
-        raise ValueError(f"need d >= 1, got d={surface.dim}")
-    if not r > 0.0:
-        raise ValueError("need r > 0")
+    _dimension("d", surface.dim)
+    _positive("r", r)
     w0 = np.asarray(w0, dtype=float)
     if w0.shape != (surface.dim + 1,):
         raise ValueError(f"center must live in R^{surface.dim + 1}")
@@ -204,8 +202,6 @@ def huisken_density(surface: GraphSurface, t: float) -> float:
 
     A flat plane through the origin gives (4 pi)^(d/2) for all t.
     """
-    if not t > 0.0:
-        raise ValueError("need t > 0")
     d = surface.dim
 
     def phi(x):
@@ -239,8 +235,7 @@ def lifted_mcf_density(surface: GraphSurface, n: int, t: float) -> float:
     """
     d = surface.dim
     nd, expo, log_ratio = _finite_weight_law(d, n)
-    if not t > 0.0:
-        raise ValueError("need t > 0")
+    _positive("t", t)
     R = math.sqrt(2.0 * nd * t)
     y0 = np.zeros(d)
     if abs(float(surface.value(y0, t))) >= R:

@@ -25,8 +25,6 @@ def hm_phi(vmap: SphereField, y0, r: float) -> float:
     the product is not finite (r^2 overflows) or the mean is subnormal
     (|Dv|^2 of size r^-2 underflows), AccuracyError is raised.
     """
-    if not r > 0.0:
-        raise ValueError("need r > 0")
     N = vmap.dim_domain
     mean = _shell_mean(lambda y: np.asarray(vmap.energy(y), float), N, 0.0, r, y0, symmetry=vmap.symmetry).value
     phi = r * r / N * sphere_area(N) * mean
@@ -46,8 +44,6 @@ def hm_dphi_lower_bound(vmap: SphereField, H, y0, r: float) -> float:
     returns a vector of the shape of vmap.value, (..., m); a value of any
     other shape, such as a scalar H, is refused at the first points.
     """
-    if not r > 0.0:
-        raise ValueError("need r > 0")
     N = vmap.dim_domain
     c = np.zeros(N) if y0 is None else np.asarray(y0, dtype=float)
 
@@ -71,8 +67,6 @@ def struwe_Phi(umap: SphereField, t: float) -> float:
     coords = k is integrated in R^k (integrate_weighted); circle_map's
     Phi is then its d = 1 value, bit for bit.
     """
-    if not t > 0.0:
-        raise ValueError("need t > 0")
     d = umap.dim_domain
     energy = integrate_weighted(lambda x: np.asarray(umap.energy(x), float), d, t, coords=umap.coords).value
     return t * energy
@@ -102,8 +96,6 @@ def lifted_hm_Phi(umap: SphereField, n: int, t: float) -> float:
     nd = _lifted_dim(umap.dim_domain, n)
     if nd <= 2:
         raise UnsupportedConfigError(f"lifted energy density needs n*d >= 3, got n*d = {nd}")
-    if not t > 0.0:
-        raise ValueError("need t > 0")
 
     def both(x):
         e = np.asarray(umap.energy(x), float)

@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import AccuracyError, UnsupportedConfigError
 from .lift import sphere_area
-from .weights import _is_integer, _lifted_dim, _log_sphere_area
+from .weights import _dimension, _is_integer, _lifted_dim, _log_sphere_area, _positive
 
 __all__ = [
     "MonteCarloSpec",
@@ -350,8 +350,6 @@ def _sphere_nodes(N: int, level: int, k: int | None = None) -> tuple[np.ndarray,
     which would all be 0, are left out: an integrand of omega_1..omega_k and
     |omega| reads the same value from the shorter vector.
     """
-    if N < 1:
-        raise ValueError(f"the unit sphere S^(N-1) needs N >= 1, got N = {N}")
     if k is not None:
         return _reduced_sphere_nodes(N, level, k)
     if N == 1:
@@ -651,10 +649,8 @@ def _check_weighted_args(d, n, coords) -> None:
     coords outside 1..d-1 is allowed and means R^d (_weighted_sums)."""
     if n is not None:
         _lifted_dim(d, n)
-    elif not _is_integer(d):
-        raise ValueError(f"d must be an integer, got d={d!r}")
-    elif d < 1:
-        raise ValueError(f"need d >= 1, got d={d}")
+    else:
+        _dimension("d", d)
     if coords is not None and not _is_integer(coords):
         raise ValueError(f"coords must be an integer, got coords={coords!r}")
 
@@ -675,8 +671,7 @@ def integrate_weighted(phi, d: int, t: float, n: int | None = None, coords: int 
     reads x only through x_1..x_k, as in integrate_spacetime.  A d or coords
     that is not an integer is refused, not rounded.
     """
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got t={t}")
+    _positive("t", t)
     _check_weighted_args(d, n, coords)
 
     def eval_at(level: int):
@@ -708,8 +703,7 @@ def integrate_spacetime(phi, d: int, tau: float, n: int | None = None, coords: i
     other integer k, the rule of R^d is used.  A d or k that is not an
     integer is refused.
     """
-    if not tau > 0.0:
-        raise ValueError(f"need tau > 0, got tau={tau}")
+    _positive("tau", tau)
     _check_weighted_args(d, n, coords)
 
     def eval_at(level: int):
@@ -740,8 +734,19 @@ def _shell_mean(
 ) -> IntegralEstimate:
     """Mean of f on r0 <= |y - center| <= r1 under the uniform law on the
     sphere times the probability density proportional to rho^(N-1+radial_power)
-    on [r0, r1]; a ball has r0 = 0 and a sphere r0 = r1.  The arguments are
-    those of integrate_ball and integrate_sphere, which check them."""
+    on [r0, r1]; a ball has r0 = 0 and a sphere r0 = r1.
+
+    This is the one gate of the ball, sphere and annulus means, and of the
+    functionals that take them directly: it refuses an N that is not an
+    integer >= 1, an r1 that is not a finite r > 0, and, when r0 = 0, a
+    radial_power <= -N, whose weight is not integrable at the center.  0 <= r0
+    < r1 is the caller's (integrate_annulus)."""
+    _dimension("N", N)
+    _positive("r", r1)
+    if r0 == 0.0 and radial_power <= -N:
+        raise ValueError(
+            f"radial_power must exceed -N for an integrable weight, got radial_power={radial_power}, N={N}"
+        )
     c = None if center is None else np.asarray(center, dtype=float)
     power = N - 1 + radial_power
     k, c = _reduced_k(N, symmetry, c)
@@ -820,12 +825,10 @@ def integrate_ball(
     rule f gets points y of width k + 1, not N, as the (k + 1)-wide image
     (y_1..y_k, |(y_(k+1), ..., y_N)|) of an N-wide point, so a declared f
     must accept any width of at least k + 1 and read N, where it needs it,
-    from its own closure, never from the width of y.
+    from its own closure, never from the width of y.  N, r and radial_power
+    are checked by _shell_mean: N an integer >= 1, r a finite r > 0, and
+    radial_power > -N.
     """
-    if not r > 0.0:
-        raise ValueError(f"need r > 0, got r={r}")
-    if radial_power <= -N:
-        raise ValueError("radial_power must exceed -N for an integrable weight")
     mean = _shell_mean(f, N, 0.0, r, center, radial_power, symmetry)
     return replace(mean, value=_shell_total(mean.value, N, 0.0, r, radial_power))
 
@@ -837,18 +840,21 @@ def integrate_annulus(
     radial_power: float = 0.0,
     symmetry: int | None = None,
 ) -> IntegralEstimate:
-    """int_{r0 <= |y| <= r1} f(y) |y|^radial_power dy; symmetry as in integrate_ball."""
+    """int_{r0 <= |y| <= r1} f(y) |y|^radial_power dy; symmetry as in integrate_ball.
+
+    Needs 0 <= r0 < r1; _shell_mean checks N and asks for a finite r1, and
+    for radial_power > -N when r0 = 0, as integrate_ball does.
+    """
     r0, r1 = r_range
     if not 0.0 <= r0 < r1:
-        raise ValueError("need 0 <= r0 < r1")
+        raise ValueError(f"need 0 <= r0 < r1, got r0={r0}, r1={r1}")
     mean = _shell_mean(f, N, r0, r1, None, radial_power, symmetry)
     return replace(mean, value=_shell_total(mean.value, N, r0, r1, radial_power))
 
 
 def integrate_sphere(f, N: int, r: float, center=None, symmetry: int | None = None) -> IntegralEstimate:
-    """Surface integral int_{bd B_r(center)} f dS; symmetry as in integrate_ball."""
-    if not r > 0.0:
-        raise ValueError(f"need r > 0, got r={r}")
+    """Surface integral int_{bd B_r(center)} f dS; symmetry as in integrate_ball.
+    N and r are checked by _shell_mean, as for integrate_ball."""
     mean = _shell_mean(f, N, r, r, center, symmetry=symmetry)
     return replace(mean, value=_shell_total(mean.value, N, r, r))
 
@@ -858,12 +864,16 @@ def integrate_window(f, d: int, r_range: tuple[float, float], t_range: tuple[flo
 
     All time nodes go through one polar sum: f(x, t) gets t as an array of
     shape (rows, 1) that broadcasts against x[..., 0], as in
-    integrate_spacetime.
+    integrate_spacetime.  d must be an integer >= 1, r1 and t1 finite, and
+    0 <= r0 < r1, 0 < t0 < t1.
     """
+    _dimension("d", d)
     r0, r1 = r_range
     t0, t1 = t_range
+    _positive("r", r1)
+    _positive("t", t1)
     if not (0.0 <= r0 < r1 and 0.0 < t0 < t1):
-        raise ValueError("need 0 <= r0 < r1 and 0 < t0 < t1")
+        raise ValueError(f"need 0 <= r0 < r1 and 0 < t0 < t1, got r_range={r_range}, t_range={t_range}")
 
     def eval_at(level: int):
         omega, wa = _sphere_nodes(d, level)
@@ -896,10 +906,9 @@ def _batch_sizes(mc: MonteCarloSpec) -> list[int]:
 
 
 def _check_mu_ball_args(N: int, tau: float, d: int) -> None:
-    if N < 1 or d < 1:
-        raise ValueError("need N >= 1 and d >= 1")
-    if not tau > 0.0:
-        raise ValueError(f"need tau > 0, got tau={tau}")
+    _dimension("N", N)
+    _dimension("d", d)
+    _positive("tau", tau)
 
 
 def _sphere_batch(out: np.ndarray, seed: int, k: int, radius: float) -> np.ndarray:
@@ -992,10 +1001,8 @@ def sample_sphere_uniform(N: int, radius: float, mc: MonteCarloSpec) -> Iterator
     is a new array.  The arguments are checked at the call, before any batch
     is drawn.
     """
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if not radius > 0.0:
-        raise ValueError("need radius > 0")
+    _dimension("N", N)
+    _positive("radius", radius)
     return (_sphere_batch(np.empty((m, N)), mc.seed, k, radius) for k, m in enumerate(_batch_sizes(mc)))
 
 
@@ -1177,8 +1184,7 @@ def pushforward_check_sphere(
     """
     _lifted_dim(d, n)
     # checked before the square root, so every t <= 0 (or NaN) gets this reason
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got t={t}")
+    _positive("t", t)
     radius = math.sqrt(2.0 * d * t)
 
     def draw(out, k):

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .fields import ScalarField
-from .weights import _is_integer, _lifted_dim, _log_sphere_area
+from .weights import _dimension, _is_integer, _lifted_dim, _log_sphere_area
 
 __all__ = [
     "sphere_area",
@@ -38,8 +38,7 @@ def sphere_area(N: int) -> float:
     N = 2 gives 2 pi exactly); beyond that it is computed in log space, so
     large N stays finite.
     """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got N={N}")
+    _dimension("N", N)
     try:
         return 2.0 * math.pi ** (0.5 * N) / math.gamma(0.5 * N)
     except OverflowError:

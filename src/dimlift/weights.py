@@ -7,13 +7,18 @@ R^(n*d) forward through the step-sum map.  It is supported on the closed ball
 The weights read d from the last axis of the points they are given;
 ratio_bound, which is given no points, takes d.
 
-Two private helpers here serve the whole package.  _lifted_dim is the one
+Private helpers here serve the whole package.  _lifted_dim is the one
 gate for d and n: every lift, every finite-weight integral and the weights
 themselves refuse an n that is not an integer, or is below 1, through it,
-with the same two messages.  _finite_weight_law is the one place that forms
-the law of G_(t,n): its exponent (nd - d - 2)/2, its support condition
-nd >= d + 2 and its normalizer log(|S^(nd-d-1)| / |S^(nd-1)|), which
-finite_weight, weight_limit_report, ratio_bound and lifted_mcf_density read.
+with the same two messages.  _dimension gates every other dimension (an N,
+or a d with no n), and _positive every t, tau, r or radius, each by the
+name the caller used and in the layer that reads the value: the integrals
+of dimlift.integrate gate their own arguments, so a functional that only
+passes a value on to one of them does not check it again.
+_finite_weight_law is the one place that forms the law of G_(t,n): its
+exponent (nd - d - 2)/2, its support condition nd >= d + 2 and its
+normalizer log(|S^(nd-d-1)| / |S^(nd-1)|), which finite_weight,
+weight_limit_report, ratio_bound and lifted_mcf_density read.
 """
 
 from __future__ import annotations
@@ -49,6 +54,23 @@ def _is_integer(value) -> bool:
     return True
 
 
+def _positive(name: str, value) -> None:
+    """Refuse a value that is not a finite number > 0, by the name the caller gave it."""
+    if not value > 0.0:
+        raise ValueError(f"need {name} > 0, got {name}={value}")
+    if not math.isfinite(value):
+        raise ValueError(f"need a finite {name}, got {name}={value}")
+
+
+def _dimension(name: str, value) -> int:
+    """value, a dimension: an integer >= 1, refused by the name the caller gave it."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+    if value < 1:
+        raise ValueError(f"need {name} >= 1, got {name}={value}")
+    return value
+
+
 def _lifted_dim(d, n) -> int:
     """The dimension n*d of the lift of R^d in n steps, for integers d, n >= 1."""
     if not (_is_integer(d) and _is_integer(n)):
@@ -71,11 +93,6 @@ def _finite_weight_law(d, n) -> tuple[int, float, float]:
     return nd, 0.5 * (nd - d - 2), _log_sphere_area(nd - d) - _log_sphere_area(nd)
 
 
-def _check_t(t: float) -> None:
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got t={t}")
-
-
 def gaussian_weight(t: float, x) -> np.ndarray:
     """Heat kernel G_t(x) = (4 pi t)^(-d/2) exp(-|x|^2 / 4t) on R^d, d = x.shape[-1]."""
     out = np.exp(_log_gaussian_weight(t, x))
@@ -84,7 +101,7 @@ def gaussian_weight(t: float, x) -> np.ndarray:
 
 def _log_gaussian_weight(t: float, x) -> np.ndarray:
     """log G_t(x), finite where G_t underflows to 0."""
-    _check_t(t)
+    _positive("t", t)
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     rr = np.sum(x * x, axis=-1)
@@ -116,7 +133,7 @@ def _log_finite_weight(n: int, t: float, x) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     nd, expo, log_ratio = _finite_weight_law(d, n)
-    _check_t(t)
+    _positive("t", t)
 
     r2max = 2.0 * nd * t
     log_pref = log_ratio - 0.5 * d * np.log(r2max)
@@ -176,8 +193,7 @@ def weight_limit_report(t: float, x_grid, n_list) -> WeightLimitReport:
     x_grid = np.asarray(x_grid, dtype=float)
     if x_grid.ndim == 1:
         x_grid = x_grid[:, None]
-    if x_grid.shape[-1] < 1:
-        raise ValueError(f"need d >= 1, got d={x_grid.shape[-1]}")
+    _dimension("d", x_grid.shape[-1])
     if x_grid.size == 0:
         raise ValueError("empty evaluation grid")
 

@@ -222,6 +222,9 @@ _DOMAIN_ERRORS = [
     (["two-phase", "--kind", "lifted", "--n", "0,5"], "need d >= 1 and n >= 1, got d=1, n=0"),
     # the ball domain's --t is its tau, and the refusal names the value
     (["pushforward", "--domain", "ball", "--t", "-1"], "need tau > 0, got tau=-1.0"),
+    # re_z<k> needs a degree k of digits; anything else is an unknown field
+    (["frequency", "--elliptic", "--field", "re_zx"], "unknown elliptic field 're_zx'"),
+    (["frequency", "--elliptic", "--field", "re_z"], "unknown elliptic field 're_z'"),
 ]
 
 

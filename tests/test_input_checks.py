@@ -6,6 +6,7 @@ one of them unnoticed.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -95,6 +96,12 @@ U1 = caloric_polynomial("x1", 1)
 HOLLOW = bump_radial(3, 1.0, 2.0)
 LATE = bump_spacetime(1, 1.0, 2.0, 1.0, 2.0)
 
+
+def _exact(reason):
+    """A reason the error must give in full, not only contain."""
+    return re.compile(f"^{re.escape(reason)}$")
+
+
 CASES = [
     # fields
     ("x1 on R^0", lambda: harmonic_polynomial("x1", 0), ValueError, "need N >= 1"),
@@ -183,7 +190,7 @@ CASES = [
     ("mc float samples", lambda: MonteCarloSpec(seed=1, samples=1e5), ValueError, "samples must be an integer"),
     ("mc float seed", lambda: MonteCarloSpec(seed=1.5), ValueError, "seed must be an integer in [0, 2**64)"),
     ("sphere sampler N", lambda: sample_sphere_uniform(0, 1.0, MC), ValueError, "need N >= 1"),
-    ("ball sampler N", lambda: sample_mu_ball(0, 1.0, 1, MC), ValueError, "need N >= 1 and d >= 1"),
+    ("ball sampler N", lambda: sample_mu_ball(0, 1.0, 1, MC), ValueError, "need N >= 1, got N=0"),
     # the sphere check names t, for every t <= 0, before the radius sqrt(2dt) is formed
     ("sphere check t = 0", lambda: pushforward_check_sphere(_one, 1, 5, 0.0, MC), ValueError, "need t > 0, got t=0.0"),
     (
@@ -348,8 +355,100 @@ for _name, _lift in _LIFTS.items():
         (f"{_name} n = 2.5", lambda f=_lift: f(2.5), ValueError, "d and n must be integers"),
     ]
 
+# every t, tau, r (or radius, s0) is refused once, by the integral or the
+# function that reads it, with its name and its value; an integral that
+# already named a finite value is listed for inf only
+_ANY, _INF = (0.0, -1.0, math.nan, math.inf), (math.inf,)
+_GATED = [
+    ("t", _ANY, {
+        "poon": lambda t: poon(U1, t),
+        "lifted_frequency": lambda t: lifted_frequency(U1, 4, t),
+        "struwe_Phi": lambda t: struwe_Phi(circle_map(), t),
+        "lifted_hm_Phi": lambda t: lifted_hm_Phi(circle_map(), 4, t),
+        "huisken_density": lambda t: huisken_density(graph_plane(1), t),
+        "lifted_mcf_density": lambda t: lifted_mcf_density(graph_plane(1), 4, t),
+        "integrate_window": lambda t: integrate_window(_one, 1, (0.0, 1.0), (0.5, t)),
+    }),
+    ("t", _INF, {
+        "integrate_weighted": lambda t: integrate_weighted(_one, 1, t),
+        "pushforward_check_sphere": lambda t: pushforward_check_sphere(_one, 1, 5, t, MC),
+        "gaussian_weight": lambda t: gaussian_weight(t, [0.0]),
+        "finite_weight": lambda t: finite_weight(10, t, [0.0]),
+    }),
+    ("tau", _INF, {
+        "caffarelli_Phi": lambda tau: caffarelli_Phi(U1, U1, tau),
+        "lifted_two_phase": lambda tau: lifted_two_phase(U1, U1, 4, tau),
+        "integrate_spacetime": lambda tau: integrate_spacetime(_one, 1, tau),
+        "pushforward_check_ball": lambda tau: pushforward_check_ball(_one, 1, 5, tau, MC),
+        "sample_mu_ball": lambda tau: sample_mu_ball(3, tau, 1, MC),
+    }),
+    ("r", _ANY, {
+        "almgren": lambda r: almgren(X1, r),
+        "almgren_dL_lower_bound": lambda r: almgren_dL_lower_bound(X1, ZERO_H, r),
+        "support_fraction": lambda r: support_fraction(X1, r),
+        "acf_phi": lambda r: acf_phi(X1, X1, r),
+        "hm_phi": lambda r: hm_phi(equator_map(3), np.zeros(3), r),
+        "hm_dphi_lower_bound": lambda r: hm_dphi_lower_bound(equator_map(3), ZERO_H_VEC, np.zeros(3), r),
+        "ms_density": lambda r: ms_density(graph_plane(2), np.zeros(3), r),
+        "integrate_window": lambda r: integrate_window(_one, 1, (0.0, r), (1.0, 2.0)),
+    }),
+    ("r", _INF, {
+        "integrate_ball": lambda r: integrate_ball(_one, 2, r),
+        "integrate_sphere": lambda r: integrate_sphere(_one, 2, r),
+        "integrate_annulus": lambda r: integrate_annulus(_one, 2, (0.5, r)),
+    }),
+    ("radius", _ANY, {"sample_sphere_uniform": lambda r: sample_sphere_uniform(3, r, MC)}),
+    ("s0", _ANY, {"heat_kernel_translate": lambda s0: heat_kernel_translate(1, None, s0)}),
+]
+for _arg, _values, _calls in _GATED:
+    for _name, _call in _calls.items():
+        for _v in _values:
+            _need = f"need a finite {_arg}" if _v == math.inf else f"need {_arg} > 0"
+            _reason = _exact(f"{_need}, got {_arg}={_v}")
+            CASES.append((f"{_name} {_arg}={_v}", lambda f=_call, v=_v: f(v), ValueError, _reason))
+
+# a dimension that is not an integer is refused by the name the caller gave
+# it, before any rule is built: (row, name, value, call of the value)
+_NOT_INTEGER = [
+    ("integrate_ball", "N", 3.5, lambda N: integrate_ball(_one, N, 1.0, symmetry=0)),
+    ("integrate_ball tensor rule", "N", 2.5, lambda N: integrate_ball(_one, N, 1.0)),
+    ("integrate_sphere", "N", 3.5, lambda N: integrate_sphere(_one, N, 1.0, symmetry=0)),
+    ("integrate_annulus", "N", 3.5, lambda N: integrate_annulus(_one, N, (0.5, 1.0))),
+    ("integrate_window", "d", 3.5, lambda d: integrate_window(_one, d, (0.5, 1.0), (1.0, 2.0))),
+    ("carleman_elliptic_check", "N", 3.5, lambda N: carleman_elliptic_check(bump_radial(N, 1.0, 2.0), 1.0)),
+    ("hm_phi", "N", 3.5, lambda N: hm_phi(equator_map(N), None, 1.0)),
+    ("ms_density", "d", 1.5, lambda d: ms_density(graph_plane(d), np.zeros(2), 1.0)),
+    ("sample_sphere_uniform", "N", 2.5, lambda N: sample_sphere_uniform(N, 1.0, MC)),
+]
+for _name, _arg, _v, _call in _NOT_INTEGER:
+    _reason = _exact(f"{_arg} must be an integer, got {_arg}={_v}")
+    CASES.append((f"{_name} {_arg}={_v}", lambda f=_call, v=_v: f(v), ValueError, _reason))
+
+CASES += [
+    # the shell gate refuses a weight that is not integrable at the center,
+    # for an annulus from 0 as for a ball
+    (
+        "annulus power",
+        lambda: integrate_annulus(_one, 3, (0.0, 1.0), radial_power=-3),
+        ValueError,
+        _exact("radial_power must exceed -N for an integrable weight, got radial_power=-3, N=3"),
+    ),
+    (
+        "annulus radii values",
+        lambda: integrate_annulus(_one, 2, (1.0, 1.0)),
+        ValueError,
+        _exact("need 0 <= r0 < r1, got r0=1.0, r1=1.0"),
+    ),
+    (
+        "window range values",
+        lambda: integrate_window(_one, 1, (0.0, 1.0), (1.0, 1.0)),
+        ValueError,
+        _exact("need 0 <= r0 < r1 and 0 < t0 < t1, got r_range=(0.0, 1.0), t_range=(1.0, 1.0)"),
+    ),
+]
+
 
 @pytest.mark.parametrize("call, error, reason", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_input_check_raises_its_reason(call, error, reason):
-    with pytest.raises(error, match=re.escape(reason)):
+    with pytest.raises(error, match=reason if isinstance(reason, re.Pattern) else re.escape(reason)):
         call()

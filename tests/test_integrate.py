@@ -1008,7 +1008,7 @@ def test_pushforward_checks_reject_bad_arguments_before_drawing(monkeypatch):
             with pytest.raises(ValueError, match=rf"^need tau > 0, got tau={re.escape(str(tau))}$"):
                 pushforward_check_ball(_stack, 1, 5, tau, mc, threads=2)
         # the public samplers check at the call, before the first batch
-        with pytest.raises(ValueError, match=r"^need radius > 0$"):
+        with pytest.raises(ValueError, match=r"^need radius > 0, got radius=0\.0$"):
             sample_sphere_uniform(3, 0.0, mc)
         with pytest.raises(ValueError, match=r"^need tau > 0, got tau=-1\.0$"):
             sample_mu_ball(3, -1.0, 1, mc)
