@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -150,14 +151,21 @@ def _verdict(mode: str, values, errs, tol: float) -> tuple[bool, float, float]:
     return finite and worst == 0.0 and errs[-1] < errs[0], worst, max_err
 
 
+_GRID_HELP = "grid a:b:k (k points from a to b inclusive; %s)"
+
 # The three kinds of sequence a check runs along: radii r (elliptic), times t
-# (parabolic) and step counts n (the lifted limit).  The axis decides where
-# the parameters come from, the pass rule and the tolerance.
+# (parabolic) and step counts n (the lifted limit).  The axis decides its
+# flag and help, where the parameters come from and the pass rule.
+_Axis = namedtuple("_Axis", "flag help params mode")
 _AXES = {
-    "r": (lambda args: _parse_grid(args.r_grid, geometric=False).tolist(), "plateau", 1e-6),
-    "t": (lambda args: _parse_grid(args.t_grid, geometric=True).tolist(), "plateau", 1e-8),
-    "n": (lambda args: _parse_list(args, "n"), "converging", 1e-8),
+    "r": _Axis("--r-grid", _GRID_HELP % "linear", lambda args: _parse_grid(args.r_grid, False).tolist(), "plateau"),
+    "t": _Axis("--t-grid", _GRID_HELP % "geometric", lambda args: _parse_grid(args.t_grid, True).tolist(), "plateau"),
+    "n": _Axis("--n", "comma list of step counts", lambda args: _parse_list(args, "n"), "converging"),
 }
+
+# one tolerance for every axis and for the frequency rows; the r-axis
+# sequences measured, up to N = 5, err by at most 1.5e-13
+_SEQUENCE_TOL = 1e-8
 
 
 def _sequence(args, axis: str, header: list[str], evaluate):
@@ -167,13 +175,13 @@ def _sequence(args, axis: str, header: list[str], evaluate):
     ends with the value and a reference of None stands for the value itself.
     Each row is [p, *cells, reference, |value - reference|].
     """
-    params, mode, tol = _AXES[axis]
     rows = []
-    for p in params(args):
+    for p in _AXES[axis].params(args):
         *cells, ref = evaluate(p)
         ref = cells[-1] if ref is None else ref
         rows.append([p, *cells, ref, abs(cells[-1] - ref)])
-    return (header, rows, *_verdict(mode, [row[-3] for row in rows], [row[-1] for row in rows], tol))
+    values, errs = [row[-3] for row in rows], [row[-1] for row in rows]
+    return (header, rows, *_verdict(_AXES[axis].mode, values, errs, _SEQUENCE_TOL))
 
 
 # the pair and map constructors are looked up by name at call time, so that
@@ -195,7 +203,7 @@ def _sphere_map(name: str, dim: int):
 
 
 def _run_gn_limit(args):
-    n_list = _parse_list(args, "n")
+    n_list = _AXES["n"].params(args)
     grid = _parse_grid(args.grid, geometric=False)
     if args.d < 1:
         raise ValueError(f"need d >= 1, got d={args.d}")
@@ -252,8 +260,8 @@ _CALORIC_DEGREES = {"x1": 0.5, "x1sq": 1.0, "x1cube": 1.5, "radial": 1.0}
 
 
 def _run_frequency(args):
-    # the grids of _AXES, but rows without a reference and 1e-8 on both
-    grid = _AXES["t" if args.parabolic else "r"][0](args)
+    # the grids of _AXES, but rows without a reference
+    grid = _AXES["t" if args.parabolic else "r"].params(args)
     if args.parabolic:
         if args.field == "hk":
             u = heat_kernel_translate(args.d, 1.5 * np.ones(args.d), 2.0 * grid[-1])
@@ -282,7 +290,7 @@ def _run_frequency(args):
     values = [row[3] for row in rows]
     # without a known degree only monotonicity is checked
     errs = [0.0 if expected is None else abs(v - expected) for v in values]
-    return (["param", "H", "D", "L"], rows, *_verdict("plateau", values, errs, 1e-8))
+    return (["param", "H", "D", "L"], rows, *_verdict("plateau", values, errs, _SEQUENCE_TOL))
 
 
 _ELLIPTIC_BUMPS = [(1.0, 2.0, 4), (0.5, 1.5, 5), (1.0, 3.0, 6)]
@@ -347,7 +355,8 @@ def _run_harmonic_map(args):
         return _sequence(args, "r", header, lambda r: [hm_phi(vmap, np.zeros(args.N), r), ref])
     dim = args.d if args.map == "circle" else args.N
     umap = _sphere_map(args.map, dim)
-    ref_at = lambda t: t if args.map == "circle" else 1.0
+    # Struwe's Phi of y/|y| in R^N is (N-1)/(2(N-2)) at every t
+    ref_at = lambda t: t if args.map == "circle" else (args.N - 1) / (2.0 * (args.N - 2))
     if args.which == "lifted":
         return _sequence(args, "n", header, lambda n: [lifted_hm_Phi(umap, n, args.t), ref_at(args.t)])
     return _sequence(args, "t", header, lambda t: [struwe_Phi(umap, t), ref_at(t)])
@@ -436,8 +445,6 @@ def _run_lift_demo(args):
 # ---------------------------------------------------------------------------
 # parser construction and orchestration
 
-_GRID_HELP = "grid a:b:k (k points from a to b inclusive; %s)"
-
 
 # built on the first main() call, not at import, and reused by every later
 # call in the process: parse_args keeps no state between calls
@@ -446,7 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dimlift", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
 
-    def add(name, helptext):
+    def add(name, helptext, **axes):
+        """A subparser with the common flags, and the flag of each axis of
+        _AXES named in axes with its default there."""
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--out", default=name, help="output file prefix (default %(default)s)")
         p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
@@ -458,12 +467,13 @@ def _build_parser() -> argparse.ArgumentParser:
             "default DIMLIFT_THREADS or the CPU count, at most the CPU count; "
             "memory in flight grows with it",
         )
+        for axis, default in axes.items():
+            p.add_argument(_AXES[axis].flag, default=default, help=_AXES[axis].help)
         return p
 
-    p = add("gn-limit", "finite bump weights converging to the Gaussian")
+    p = add("gn-limit", "finite bump weights converging to the Gaussian", n="8,16,32,64")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--n", default="8,16,32,64", help="comma list of step counts")
     p.add_argument("--grid", default="-2:2:201", help=_GRID_HELP % "linear, first coordinate")
 
     p = add("pushforward", "Monte Carlo vs quadrature for lifted surface/ball measures")
@@ -474,15 +484,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default="all", help="comma list from one,x1,x1sq,x1quart,gauss")
     p.add_argument("--samples", type=int, default=100_000)
 
-    p = add("frequency", "Almgren / Poon frequency along a radius or time grid")
+    p = add("frequency", "Almgren / Poon frequency along a radius or time grid", r="0.5:2:8", t="0.25:4:16")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--elliptic", action="store_true")
     mode.add_argument("--parabolic", action="store_true")
     p.add_argument("--field", default="x1", help="x1,x1x2,re_z<k> or x1,x1sq,x1cube,radial,hk")
     p.add_argument("--N", type=int, default=2, help="elliptic domain dimension")
     p.add_argument("--d", type=int, default=1, help="parabolic space dimension")
-    p.add_argument("--r-grid", default="0.5:2:8", help=_GRID_HELP % "linear")
-    p.add_argument("--t-grid", default="0.25:4:16", help=_GRID_HELP % "geometric")
 
     p = add("carleman", "weighted inequalities on catalog bump fields")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -493,28 +501,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=3, help="elliptic dimension")
     p.add_argument("--d", type=int, default=1, help="parabolic space dimension")
 
-    p = add("two-phase", "two-phase energy products and their lifted analogue")
+    p = add(
+        "two-phase", "two-phase energy products and their lifted analogue", r="0.5:2:8", t="0.25:2:8", n="5,10,20,40"
+    )
     p.add_argument("--kind", choices=["elliptic", "parabolic", "lifted"], default="elliptic")
     p.add_argument("--pair", choices=["half", "power"], default="half")
     p.add_argument("--N", type=int, default=2, help="elliptic dimension")
     p.add_argument("--d", type=int, default=1, help="parabolic space dimension")
     p.add_argument("--power", type=int, default=3, help="exponent for the power pair")
     p.add_argument("--t", type=float, default=0.7, help="horizon for --kind lifted")
-    p.add_argument("--r-grid", default="0.5:2:8", help=_GRID_HELP % "linear")
-    p.add_argument("--t-grid", default="0.25:2:8", help=_GRID_HELP % "geometric")
-    p.add_argument("--n", default="5,10,20,40", help="comma list of step counts")
 
-    p = add("harmonic-map", "sphere-valued map energy densities")
+    p = add("harmonic-map", "sphere-valued map energy densities", r="0.5:2:8", t="0.25:4:12", n="4,10,40,160")
     p.add_argument("--which", choices=["phi", "struwe", "lifted"], default="phi")
     p.add_argument("--map", choices=["equator", "circle"], default="equator")
     p.add_argument("--N", type=int, default=3, help="equator map dimension")
     p.add_argument("--d", type=int, default=1, help="circle map space dimension")
     p.add_argument("--t", type=float, default=0.7, help="time for --which lifted")
-    p.add_argument("--r-grid", default="0.5:2:8", help=_GRID_HELP % "linear")
-    p.add_argument("--t-grid", default="0.25:4:12", help=_GRID_HELP % "geometric")
-    p.add_argument("--n", default="4,10,40,160", help="comma list of step counts")
 
-    p = add("mcf", "graph densities for minimal surfaces and mean curvature flow")
+    p = add(
+        "mcf", "graph densities for minimal surfaces and mean curvature flow", r="0.8:2:8", t="0.5:2:8", n="10,40,160"
+    )
     p.add_argument("--which", choices=["ms", "huisken", "lifted"], default="huisken")
     p.add_argument("--surface", choices=["plane", "const", "tilted"], default="plane")
     p.add_argument("--d", type=int, default=1, help="graph domain dimension")
@@ -522,11 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", default="0.4,0.3,0.2", help="slope entries for the tilted graph")
     p.add_argument("--delta", type=float, default=0.0, help="center offset for --which ms")
     p.add_argument("--t", type=float, default=1.0, help="time for --which lifted")
-    p.add_argument("--r-grid", default="0.8:2:8", help=_GRID_HELP % "linear")
-    p.add_argument("--t-grid", default="0.5:2:8", help=_GRID_HELP % "geometric")
-    p.add_argument("--n", default="10,40,160", help="comma list of step counts")
 
-    p = add("lift-demo", "finite-n functionals converging to their parabolic limits")
+    p = add("lift-demo", "finite-n functionals converging to their parabolic limits", n="10,40,160")
     p.add_argument(
         "--which",
         choices=["frequency", "two-phase", "harmonic-map", "mcf"],
@@ -535,7 +538,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="x1sq", help="catalog entry for the chosen family")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--n", default="10,40,160", help="comma list of step counts")
 
     return parser
 

@@ -117,16 +117,16 @@ def carleman_parabolic_check(u: SpaceTimeField, alpha: float) -> CarlemanReport:
     r_in, r_out, t_in, t_out = u.window
     constant = 8.0 / eps**2
 
-    def lhs_f(x, t):
+    def weight(x, t, p):
         x = np.asarray(x, float)
-        rr = dot(x, x)
-        return t ** (-2.0 * alpha) * np.exp(-rr / (4.0 * t)) * np.asarray(u.value(x, t), float) ** 2
+        return t**p * np.exp(-dot(x, x) / (4.0 * t))
+
+    def lhs_f(x, t):
+        return weight(x, t, -2.0 * alpha) * np.asarray(u.value(x, t), float) ** 2
 
     def rhs_f(x, t):
-        x = np.asarray(x, float)
-        rr = dot(x, x)
         res = np.asarray(u.laplacian(x, t), float) + np.asarray(u.dt(x, t), float)
-        return t ** (-2.0 * alpha + 2.0) * np.exp(-rr / (4.0 * t)) * res**2
+        return weight(x, t, -2.0 * alpha + 2.0) * res**2
 
     lhs = integrate_window(lhs_f, d, (r_in, r_out), (t_in, t_out)).value
     rhs = constant * integrate_window(rhs_f, d, (r_in, r_out), (t_in, t_out)).value

@@ -38,6 +38,15 @@ class FrequencyValues:
     L: float
 
 
+def _boundary_mean(v: ScalarField, r: float) -> float:
+    """Mean of v^2 on the sphere of radius r, under the rule v declares;
+    refused below DENOMINATOR_FLOOR, since both frequency formulas divide by it."""
+    H_mean = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, r, symmetry=v.symmetry).value
+    if H_mean < DENOMINATOR_FLOOR:
+        raise DegenerateDenominatorError(f"boundary mean H = {H_mean!r} is below the {DENOMINATOR_FLOOR} floor")
+    return H_mean
+
+
 def almgren(v: ScalarField, r: float) -> FrequencyValues:
     """Elliptic frequency r D(r) / H(r) of v centered at the origin.
 
@@ -48,9 +57,7 @@ def almgren(v: ScalarField, r: float) -> FrequencyValues:
     where they exceed the float range.
     """
     N = v.N
-    H_mean = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, N, r, r, symmetry=v.symmetry).value
-    if H_mean < DENOMINATOR_FLOOR:
-        raise DegenerateDenominatorError(f"boundary mean H = {H_mean!r} is below the {DENOMINATOR_FLOOR} floor")
+    H_mean = _boundary_mean(v, r)
     D_mean = _shell_mean(gradsq(v), N, 0.0, r, symmetry=v.symmetry).value
     H = _shell_total(H_mean, N, r, r)
     D = _shell_total(D_mean, N, 0.0, r)
@@ -63,14 +70,13 @@ def almgren_dL_lower_bound(v: ScalarField, h, r: float) -> float:
         L'(r) >= 2 (int_{bd B_r} v (y . grad v) dS) (int_{B_r} h v dy) / H^2
                  - 2 (int_{B_r} h (y . grad v) dy) / H.
 
-    h is a scalar callable of y that reads the points v.value reads.
+    h is a scalar callable of y that reads the points v.value reads, and
+    every mean runs the rule that v.symmetry declares, as almgren's do.
     For h = 0 this recovers monotonicity of the homogeneous frequency.  In
     the sphere and ball means (subscript m) the bound is
     (2r/N) (B_m hv_m / H_m^2 - hr_m / H_m), and the floor applies to H_m.
     """
-    H = _shell_mean(lambda y: np.asarray(v.value(y), float) ** 2, v.N, r, r).value
-    if H < DENOMINATOR_FLOOR:
-        raise DegenerateDenominatorError(f"boundary mean H = {H!r} is below the {DENOMINATOR_FLOOR} floor")
+    H = _boundary_mean(v, r)
 
     def v_radial(y):
         g = np.asarray(v.grad(y), dtype=float)
@@ -83,9 +89,9 @@ def almgren_dL_lower_bound(v: ScalarField, h, r: float) -> float:
     def h_v(y):
         return np.asarray(h(y), float) * np.asarray(v.value(y), float)
 
-    boundary_term = _shell_mean(v_radial, v.N, r, r).value
-    bulk_hv = _shell_mean(h_v, v.N, 0.0, r).value
-    bulk_hr = _shell_mean(h_radial, v.N, 0.0, r).value
+    boundary_term = _shell_mean(v_radial, v.N, r, r, symmetry=v.symmetry).value
+    bulk_hv = _shell_mean(h_v, v.N, 0.0, r, symmetry=v.symmetry).value
+    bulk_hr = _shell_mean(h_radial, v.N, 0.0, r, symmetry=v.symmetry).value
     return 2.0 * r / v.N * (boundary_term * bulk_hv / H**2 - bulk_hr / H)
 
 

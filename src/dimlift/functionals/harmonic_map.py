@@ -43,19 +43,23 @@ def hm_dphi_lower_bound(vmap: SphereField, H, y0, r: float) -> float:
     H is a callable of y that reads the points vmap.jacobian reads and
     returns a vector of the shape of vmap.value, (..., m); a value of any
     other shape, such as a scalar H, is refused at the first points.
+
+    The ball integral runs the tensor rule in R^N, whatever vmap declares:
+    a SphereField's jacobian stays N wide by contract, so the integrand
+    needs N-wide points.  A y0 of None is the origin.
     """
     N = vmap.dim_domain
-    c = np.zeros(N) if y0 is None else np.asarray(y0, dtype=float)
+    offset = 0.0 if y0 is None else np.asarray(y0, dtype=float)
 
     def f(y):
         j = np.asarray(vmap.jacobian(y), dtype=float)  # (..., m, N)
-        radial = np.einsum("...mk,...k->...m", j, np.asarray(y, float) - c)
+        radial = np.einsum("...mk,...k->...m", j, np.asarray(y, float) - offset)
         h = np.asarray(H(y), float)
         if h.shape != radial.shape:
             raise ValueError("the harmonic-map right-hand side is vector valued")
         return dot(h, radial)
 
-    bulk = integrate_ball(f, N, r, center=c).value
+    bulk = integrate_ball(f, N, r, center=y0).value
     return -(r ** (1 - N)) * bulk
 
 

@@ -56,16 +56,20 @@ def support_fraction(v: ScalarField, r: float) -> float:
     def indicator(y):
         return (np.asarray(v.value(y), float) > 0.0).astype(float)
 
-    return _shell_mean(indicator, v.N, r, r).value
+    return _shell_mean(indicator, v.N, r, r, symmetry=v.symmetry).value
+
+
+def _ball_factor(f, v: ScalarField, r: float) -> float:
+    """int_{B_r} f(y) |y|^(2-N) dy, N = v.N, under the rule v declares."""
+    return integrate_ball(f, v.N, r, radial_power=2.0 - v.N, symmetry=v.symmetry).value
 
 
 def acf_phi(v1: ScalarField, v2: ScalarField, r: float) -> TwoPhaseReport:
     """phi(r) = r^-4 prod_i int_{B_r} |grad v_i|^2 |y|^(2-N) dy (the weight is 1 when N = 2)."""
     if v1.N != v2.N:
         raise ValueError("both phases must live on the same R^N")
-    N = v1.N
-    f1 = integrate_ball(gradsq(v1), N, r, radial_power=2.0 - N, symmetry=v1.symmetry).value
-    f2 = integrate_ball(gradsq(v2), N, r, radial_power=2.0 - N, symmetry=v2.symmetry).value
+    f1 = _ball_factor(gradsq(v1), v1, r)
+    f2 = _ball_factor(gradsq(v2), v2, r)
     # each factor is of size r^2: divided one at a time, neither r^4 nor the
     # product under- or overflows at radii far from 1
     return TwoPhaseReport(factor1=f1, factor2=f2, value=(f1 / (r * r)) * (f2 / (r * r)))
@@ -86,27 +90,25 @@ def acf_dphi_lower_bound(v1: ScalarField, v2: ScalarField, h1, h2, r: float) -> 
     if s1 <= 0.0 or s2 <= 0.0:
         raise ValueError("each phase needs positive support on the boundary sphere")
     energy = acf_phi(v1, v2, r)  # checks that both phases live on one R^N
-    N = v1.N
-
-    def vh(v, h):
-        def f(y):
-            return np.asarray(v.value(y), float) * np.asarray(h(y), float)
-
-        return f
-
-    vh1 = integrate_ball(vh(v1, h1), N, r, radial_power=2.0 - N).value
-    vh2 = integrate_ball(vh(v2, h2), N, r, radial_power=2.0 - N).value
+    vh1 = _ball_factor(lambda y: np.asarray(v1.value(y), float) * np.asarray(h1(y), float), v1, r)
+    vh2 = _ball_factor(lambda y: np.asarray(v2.value(y), float) * np.asarray(h2(y), float), v2, r)
     r2 = r * r
     return 2.0 * (psi(s1) * (vh1 / r2) * (energy.factor2 / r2) + psi(s2) * (energy.factor1 / r2) * (vh2 / r2))
 
 
-def caffarelli_Phi(u1: SpaceTimeField, u2: SpaceTimeField, tau: float) -> TwoPhaseReport:
-    """Phi(tau) = tau^-2 prod_i int_0^tau int |grad u_i|^2 G_t dx dt."""
+def _product(u1: SpaceTimeField, u2: SpaceTimeField, tau: float, energy, n: int | None = None) -> TwoPhaseReport:
+    """tau^-2 prod_i int_0^tau int energy(u_i)(x, t) G_{t,n} dx dt, with
+    G_{t,None} = G_t."""
     if u1.d != u2.d:
         raise ValueError("both phases must live on the same R^d")
-    f1 = integrate_spacetime(gradsq(u1), u1.d, tau, coords=u1.coords).value
-    f2 = integrate_spacetime(gradsq(u2), u2.d, tau, coords=u2.coords).value
+    f1 = integrate_spacetime(energy(u1), u1.d, tau, n=n, coords=u1.coords).value
+    f2 = integrate_spacetime(energy(u2), u2.d, tau, n=n, coords=u2.coords).value
     return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / tau**2)
+
+
+def caffarelli_Phi(u1: SpaceTimeField, u2: SpaceTimeField, tau: float) -> TwoPhaseReport:
+    """Phi(tau) = tau^-2 prod_i int_0^tau int |grad u_i|^2 G_t dx dt."""
+    return _product(u1, u2, tau, gradsq)
 
 
 def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, n: int, tau: float) -> TwoPhaseReport:
@@ -118,8 +120,6 @@ def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, n: int, tau: float)
     which recovers caffarelli_Phi as n -> infinity.
     """
     nd = _lifted_dim(u1.d, n)
-    if u1.d != u2.d:
-        raise ValueError("both phases must live on the same R^d")
 
     def lifted_energy(u: SpaceTimeField):
         def f(x, t):
@@ -130,6 +130,4 @@ def lifted_two_phase(u1: SpaceTimeField, u2: SpaceTimeField, n: int, tau: float)
 
         return f
 
-    f1 = integrate_spacetime(lifted_energy(u1), u1.d, tau, n=n, coords=u1.coords).value
-    f2 = integrate_spacetime(lifted_energy(u2), u2.d, tau, n=n, coords=u2.coords).value
-    return TwoPhaseReport(factor1=f1, factor2=f2, value=f1 * f2 / tau**2)
+    return _product(u1, u2, tau, lifted_energy, n)

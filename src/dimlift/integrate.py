@@ -738,9 +738,10 @@ def _shell_mean(
 
     This is the one gate of the ball, sphere and annulus means, and of the
     functionals that take them directly: it refuses an N that is not an
-    integer >= 1, an r1 that is not a finite r > 0, and, when r0 = 0, a
-    radial_power <= -N, whose weight is not integrable at the center.  0 <= r0
-    < r1 is the caller's (integrate_annulus)."""
+    integer >= 1, an r1 that is not a finite r > 0, a center that is not a
+    point of R^N (shape (N,); one that merely broadcasts is refused too), and,
+    when r0 = 0, a radial_power <= -N, whose weight is not integrable at the
+    center.  0 <= r0 < r1 is the caller's (integrate_annulus)."""
     _dimension("N", N)
     _positive("r", r1)
     if r0 == 0.0 and radial_power <= -N:
@@ -748,6 +749,8 @@ def _shell_mean(
             f"radial_power must exceed -N for an integrable weight, got radial_power={radial_power}, N={N}"
         )
     c = None if center is None else np.asarray(center, dtype=float)
+    if c is not None and c.shape != (N,):
+        raise ValueError(f"center must be a point of R^{N}, shape ({N},), got shape {c.shape}")
     power = N - 1 + radial_power
     k, c = _reduced_k(N, symmetry, c)
 
@@ -825,9 +828,9 @@ def integrate_ball(
     rule f gets points y of width k + 1, not N, as the (k + 1)-wide image
     (y_1..y_k, |(y_(k+1), ..., y_N)|) of an N-wide point, so a declared f
     must accept any width of at least k + 1 and read N, where it needs it,
-    from its own closure, never from the width of y.  N, r and radial_power
-    are checked by _shell_mean: N an integer >= 1, r a finite r > 0, and
-    radial_power > -N.
+    from its own closure, never from the width of y.  N, r, center and
+    radial_power are checked by _shell_mean: N an integer >= 1, r a finite
+    r > 0, center a point of R^N, and radial_power > -N.
     """
     mean = _shell_mean(f, N, 0.0, r, center, radial_power, symmetry)
     return replace(mean, value=_shell_total(mean.value, N, 0.0, r, radial_power))

@@ -176,6 +176,15 @@ def test_verdict_fails_on_two_successive_infinite_entries(mode, where):
     assert not _verdict(mode, values, errs, 1e-8)[0]
 
 
+@pytest.mark.parametrize("axis, flag, grid", [("r", "r_grid", "1:2:2"), ("t", "t_grid", "1:2:2"), ("n", "n", "4,8")])
+def test_every_axis_fails_an_error_of_1e_7(axis, flag, grid):
+    # one tolerance, 1e-8, on every axis: the r axis no longer lets 1e-7 pass
+    args = argparse.Namespace(**{flag: grid})
+    for err, ok in ((1e-9, True), (1e-7, False)):
+        *_, passed, _, max_err = cli._sequence(args, axis, ["param", "value"], lambda p: [1.0 + err, 1.0])
+        assert passed is ok and max_err == pytest.approx(err)
+
+
 # each argv with the start of the reason it must print
 _DOMAIN_ERRORS = [
     (["mcf", "--which", "ms", "--surface", "const"], "for the ball density use --surface plane"),
@@ -302,6 +311,8 @@ def test_seed_beyond_64_bits_exits_one(tmp_path, monkeypatch, capsys):
         ["harmonic-map", "--which", "phi", "--N", "5"],
         ["frequency", "--elliptic", "--field", "x1x2", "--N", "10"],
         ["carleman", "--elliptic", "--N", "6"],
+        # Struwe's Phi of the equator map in R^4 is 3/4, not its R^3 value 1
+        ["harmonic-map", "--which", "struwe", "--map", "equator", "--N", "4", "--t-grid", "0.5:2:2"],
     ],
 )
 def test_checks_beyond_the_default_dimension_pass(argv, tmp_path, monkeypatch):

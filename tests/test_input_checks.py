@@ -419,6 +419,7 @@ _NOT_INTEGER = [
     ("hm_phi", "N", 3.5, lambda N: hm_phi(equator_map(N), None, 1.0)),
     ("ms_density", "d", 1.5, lambda d: ms_density(graph_plane(d), np.zeros(2), 1.0)),
     ("sample_sphere_uniform", "N", 2.5, lambda N: sample_sphere_uniform(N, 1.0, MC)),
+    ("hm_dphi_lower_bound", "N", 3.5, lambda N: hm_dphi_lower_bound(circle_map(N), ZERO_H_VEC, None, 1.0)),
 ]
 for _name, _arg, _v, _call in _NOT_INTEGER:
     _reason = _exact(f"{_arg} must be an integer, got {_arg}={_v}")
@@ -446,6 +447,20 @@ CASES += [
         _exact("need 0 <= r0 < r1 and 0 < t0 < t1, got r_range=(0.0, 1.0), t_range=(1.0, 1.0)"),
     ),
 ]
+
+# a center is a point of R^N: one that only broadcasts against the points,
+# or that is wider than N, is refused by the shell gate with its shape
+_CENTERS = [
+    ("integrate_ball center", 3, (1,), lambda: integrate_ball(_one, 3, 1.0, center=[0.5])),
+    ("integrate_ball center row", 3, (1, 3), lambda: integrate_ball(_one, 3, 1.0, center=np.zeros((1, 3)))),
+    ("integrate_sphere center", 3, (), lambda: integrate_sphere(_one, 3, 1.0, center=0.5)),
+    ("hm_phi y0", 3, (1,), lambda: hm_phi(equator_map(3), np.zeros(1), 1.0)),
+    ("hm_phi circle y0", 2, (3,), lambda: hm_phi(circle_map(2), np.zeros(3), 1.0)),
+    ("hm bound y0", 2, (3,), lambda: hm_dphi_lower_bound(circle_map(2), ZERO_H_VEC, np.zeros(3), 1.0)),
+]
+for _name, _N, _shape, _call in _CENTERS:
+    _reason = _exact(f"center must be a point of R^{_N}, shape ({_N},), got shape {_shape}")
+    CASES.append((_name, _call, ValueError, _reason))
 
 
 @pytest.mark.parametrize("call, error, reason", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

@@ -22,6 +22,7 @@ from dimlift.fields import (
     heat_kernel_translate,
 )
 from dimlift.functionals import (
+    acf_dphi_lower_bound,
     acf_phi,
     almgren,
     almgren_dL_lower_bound,
@@ -130,11 +131,21 @@ def test_a_sphere_mean_at_480_dimensions_runs_on_four_wide_points():
     assert abs(mean - (1.0 + 1.0 / N + 3.0 / (N * (N + 2)))) <= 1e-13
 
 
+def _acf_bound(N, undeclare):
+    # smooth right-hand sides that read what their phases read: y_1 for x1,
+    # and y_1 y_2 for x1x2
+    v1, v2 = (undeclare(harmonic_polynomial(kind, N)) for kind in ("x1", "x1x2"))
+    h1 = lambda y: np.asarray(y, float)[..., 0]
+    h2 = lambda y: np.asarray(y, float)[..., 0] * np.asarray(y, float)[..., 1]
+    return acf_dphi_lower_bound(v1, v2, h1, h2, 1.3)
+
+
 CASES = {
     "hm_phi equator": lambda N, undeclare: hm_phi(undeclare(equator_map(N)), np.zeros(N), 1.3),
     "almgren x1": lambda N, undeclare: almgren(undeclare(harmonic_polynomial("x1", N)), 1.3),
     "almgren x1x2": lambda N, undeclare: almgren(undeclare(harmonic_polynomial("x1x2", N)), 0.7),
     "acf_phi half-space": lambda N, undeclare: acf_phi(*map(undeclare, half_space_pair(N, kind="elliptic")), 1.3),
+    "acf bound x1, x1x2": lambda N, undeclare: _acf_bound(N, undeclare),
     "carleman bump k=5": lambda N, undeclare: carleman_elliptic_check(undeclare(bump_radial(N, 0.5, 1.5, 5)), 0.7),
     "carleman bump k=4": lambda N, undeclare: carleman_elliptic_check(undeclare(bump_radial(N, 1.0, 2.0, 4)), 2.25),
 }
@@ -196,13 +207,28 @@ def test_an_undeclared_field_uses_the_tensor_rule():
 
 @pytest.mark.usefixtures("coarse")
 def test_integrals_with_a_nonhomogeneous_term_use_the_tensor_rule():
+    # a SphereField's jacobian is N wide, so the harmonic-map bound runs the
+    # tensor rule whatever the map declares
     vmap = equator_map(3)
     H = lambda y: 0.1 * np.asarray(y, float)
     bound = hm_dphi_lower_bound(vmap, H, np.zeros(3), 1.0)
     assert bound == hm_dphi_lower_bound(_undeclared(vmap), H, np.zeros(3), 1.0)
-    v = harmonic_polynomial("x1", 3)
-    h = lambda y: np.asarray(y, float)[..., 1] ** 2
-    assert almgren_dL_lower_bound(v, h, 1.0) == almgren_dL_lower_bound(_undeclared(v), h, 1.0)
+    # the frequency bound runs the rule its field declares, and h = Lap v,
+    # which reads the points v reads, gets the reduced rule's 2-wide points;
+    # its value is the tensor rule's
+    u = heat_kernel_translate(1, [0.7], 3.0)
+    for N in (3, 4):
+        v = lifted_field(u, N)
+        widths = set()
+
+        def h(y):
+            widths.add(np.shape(y)[-1])
+            return v.laplacian(y)
+
+        declared = almgren_dL_lower_bound(v, h, 1.0)
+        assert widths == {v.symmetry + 1}
+        tensor = almgren_dL_lower_bound(_undeclared(v), v.laplacian, 1.0)
+        assert abs(declared - tensor) <= 1e-12 * abs(tensor)
 
 
 def test_a_radial_energy_costs_a_radial_rule():
@@ -219,6 +245,17 @@ def test_a_radial_energy_costs_a_radial_rule():
 @pytest.mark.parametrize("N", [160, 320])
 def test_almgren_holds_at_hundreds_of_dimensions(N):
     assert abs(almgren(harmonic_polynomial("x1x2", N), 1.0).L - 2.0) < 1e-8
+
+
+def test_the_frequency_bound_on_a_declared_field_runs_at_hundreds_of_dimensions():
+    # the lift of a heat-kernel translate at d = 2, n = 160 declares
+    # symmetry 2, so each mean runs on 3-wide points; at r = sqrt(2dt), t = 1,
+    # nd times the bound settles near -1.29 (the defect table of ROADMAP.md)
+    v = lifted_field(heat_kernel_translate(2, (0.7, 0.7), 3.0), 160)
+    assert v.N == 320
+    bound = almgren_dL_lower_bound(v, v.laplacian, 2.0)
+    assert math.isfinite(bound)
+    assert abs(v.N * bound + 1.287) < 1e-3
 
 
 def test_almgren_reports_totals_past_the_float_range_and_keeps_its_frequency():

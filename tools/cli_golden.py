@@ -98,6 +98,7 @@ BRANCH_ARGS = [
     ["two-phase", "--kind", "parabolic", "--pair", "power", "--power", "5", "--d", "2"],
     ["harmonic-map", "--which", "struwe", "--map", "equator", "--N", "3"],
     ["harmonic-map", "--which", "lifted", "--map", "equator", "--N", "3"],
+    ["harmonic-map", "--which", "struwe", "--map", "equator", "--N", "4", "--t-grid", "0.5:2:2"],
     ["mcf", "--which", "ms", "--delta", "0.4"],
     ["mcf", "--which", "ms", "--surface", "tilted", "--d", "2"],
     ["mcf", "--which", "ms", "--d", "3", "--r-grid", "1e-120:2e-120:2"],
