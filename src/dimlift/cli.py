@@ -163,8 +163,8 @@ _AXES = {
     "n": _Axis("--n", "comma list of step counts", lambda args: _parse_list(args, "n"), "converging"),
 }
 
-# one tolerance for every axis and for the frequency rows; the r-axis
-# sequences measured, up to N = 5, err by at most 1.5e-13
+# one tolerance for every axis; the r-axis sequences measured, up to N = 5,
+# err by at most 1.5e-13
 _SEQUENCE_TOL = 1e-8
 
 
@@ -260,11 +260,11 @@ _CALORIC_DEGREES = {"x1": 0.5, "x1sq": 1.0, "x1cube": 1.5, "radial": 1.0}
 
 
 def _run_frequency(args):
-    # the grids of _AXES, but rows without a reference
-    grid = _AXES["t" if args.parabolic else "r"].params(args)
+    # the known degree is the reference; the heat kernel has none, so only
+    # its monotonicity is checked
     if args.parabolic:
         if args.field == "hk":
-            u = heat_kernel_translate(args.d, 1.5 * np.ones(args.d), 2.0 * grid[-1])
+            u = heat_kernel_translate(args.d, 1.5 * np.ones(args.d), 2.0 * _AXES["t"].params(args)[-1])
             expected = None
         elif args.field in _CALORIC_DEGREES:
             u = caloric_polynomial(args.field, args.d)
@@ -283,14 +283,13 @@ def _run_frequency(args):
         else:
             raise ValueError(f"unknown elliptic field {args.field!r}")
         functional = lambda r: almgren(v, r)
-    rows = []
-    for p in grid:
+
+    def at(p):
         fv = functional(p)
-        rows.append([p, fv.H, fv.D, fv.L])
-    values = [row[3] for row in rows]
-    # without a known degree only monotonicity is checked
-    errs = [0.0 if expected is None else abs(v - expected) for v in values]
-    return (["param", "H", "D", "L"], rows, *_verdict("plateau", values, errs, _SEQUENCE_TOL))
+        return [fv.H, fv.D, fv.L, expected]
+
+    header = ["param", "H", "D", "L", "reference", "abs_error"]
+    return _sequence(args, "t" if args.parabolic else "r", header, at)
 
 
 _ELLIPTIC_BUMPS = [(1.0, 2.0, 4), (0.5, 1.5, 5), (1.0, 3.0, 6)]
@@ -453,9 +452,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dimlift", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="subcommand")
 
-    def add(name, helptext, **axes):
-        """A subparser with the common flags, and the flag of each axis of
-        _AXES named in axes with its default there."""
+    def add(name, helptext, modes=False, **axes):
+        """A subparser with the common flags, the flag of each axis of _AXES
+        named in axes with its default there, and with modes the required
+        choice of --elliptic or --parabolic."""
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--out", default=name, help="output file prefix (default %(default)s)")
         p.add_argument("--seed", type=int, default=0, help="random seed (default %(default)s)")
@@ -469,6 +469,10 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         for axis, default in axes.items():
             p.add_argument(_AXES[axis].flag, default=default, help=_AXES[axis].help)
+        if modes:
+            mode = p.add_mutually_exclusive_group(required=True)
+            mode.add_argument("--elliptic", action="store_true")
+            mode.add_argument("--parabolic", action="store_true")
         return p
 
     p = add("gn-limit", "finite bump weights converging to the Gaussian", n="8,16,32,64")
@@ -484,18 +488,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", default="all", help="comma list from one,x1,x1sq,x1quart,gauss")
     p.add_argument("--samples", type=int, default=100_000)
 
-    p = add("frequency", "Almgren / Poon frequency along a radius or time grid", r="0.5:2:8", t="0.25:4:16")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--elliptic", action="store_true")
-    mode.add_argument("--parabolic", action="store_true")
+    p = add("frequency", "Almgren / Poon frequency along a radius or time grid", True, r="0.5:2:8", t="0.25:4:16")
     p.add_argument("--field", default="x1", help="x1,x1x2,re_z<k> or x1,x1sq,x1cube,radial,hk")
     p.add_argument("--N", type=int, default=2, help="elliptic domain dimension")
     p.add_argument("--d", type=int, default=1, help="parabolic space dimension")
 
-    p = add("carleman", "weighted inequalities on catalog bump fields")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--elliptic", action="store_true")
-    mode.add_argument("--parabolic", action="store_true")
+    p = add("carleman", "weighted inequalities on catalog bump fields", True)
     p.add_argument("--gamma", default="0.7,1.5,2.25", help="elliptic exponents, comma list")
     p.add_argument("--alpha", default="1.0,1.875,2.3", help="parabolic exponents, comma list")
     p.add_argument("--N", type=int, default=3, help="elliptic dimension")

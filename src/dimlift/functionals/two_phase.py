@@ -51,12 +51,16 @@ def psi(s: float) -> float:
 
 
 def support_fraction(v: ScalarField, r: float) -> float:
-    """|{v > 0} on the sphere of radius r| divided by the full sphere measure."""
+    """|{v > 0} on the sphere of radius r| divided by the full sphere measure.
+
+    The mean of the indicator is clamped at 1: the weights of a tensor rule
+    sum to 1 only up to rounding (1 + 9e-16 at N = 4), and psi refuses s > 1.
+    """
 
     def indicator(y):
         return (np.asarray(v.value(y), float) > 0.0).astype(float)
 
-    return _shell_mean(indicator, v.N, r, r, symmetry=v.symmetry).value
+    return min(1.0, _shell_mean(indicator, v.N, r, r, symmetry=v.symmetry).value)
 
 
 def _ball_factor(f, v: ScalarField, r: float) -> float:

@@ -69,7 +69,7 @@ import numpy as np
 
 from .errors import AccuracyError, UnsupportedConfigError
 from .lift import sphere_area
-from .weights import _dimension, _is_integer, _lifted_dim, _log_sphere_area, _positive
+from .weights import _declared, _dimension, _is_integer, _lifted_dim, _log_sphere_area, _positive
 
 __all__ = [
     "MonteCarloSpec",
@@ -175,13 +175,16 @@ def _default_threads() -> int:
 
 def _worker_count(requested: int | None = None) -> int:
     """Threads to use: requested, else the count set by _use_threads, else
-    _default_threads(); at least 1 and at most the CPU count.
+    _default_threads(); at most the CPU count.  A requested count that is
+    not an integer >= 1 is refused by the name threads.
 
     Memory grows with the work in flight and no result depends on the count,
     so more threads than CPUs would only cost memory.
     """
     if requested is None:
         requested = _requested_threads.get()
+    else:
+        _dimension("threads", requested)
     if requested is None:
         requested = _default_threads()
     return max(1, min(requested, os.cpu_count() or 1))
@@ -329,14 +332,6 @@ def _polar_count(level: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _circle_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    m = _azimuth_count(level)
-    theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
-    pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    return pts, np.full(m, 1.0 / m)
-
-
-@lru_cache(maxsize=None)
 def _sphere_nodes(N: int, level: int, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (m, N) and weights (m,) with sum 1 for the uniform probability
     measure on S^(N-1): sum_j wa_j g(omega_j) is the mean of g over the sphere.
@@ -355,7 +350,9 @@ def _sphere_nodes(N: int, level: int, k: int | None = None) -> tuple[np.ndarray,
     if N == 1:
         return np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])
     if N == 2:
-        return _circle_nodes(level)
+        m = _azimuth_count(level)
+        theta = 2.0 * np.pi * (np.arange(m) + 0.5) / m
+        return np.stack([np.cos(theta), np.sin(theta)], axis=-1), np.full(m, 1.0 / m)
 
     sub_pts, sub_w = _sphere_nodes(N - 1, level)
     # x = (sin(theta) w', cos(theta)); Gauss-Jacobi absorbs sin^(N-2)
@@ -395,13 +392,12 @@ def _reduced_k(N: int, symmetry: int | None, center) -> tuple[int | None, np.nda
     Gauss-Jacobi parameter -1/2 loses 1e-14 to 7e-14 in the moments of
     omega_1 up to degree 6 at level 96 (N = 3..5), against at most 6e-15 at
     k <= N - 2.  At N <= 2 the tensor rule is a single circle rule and is
-    kept.
+    kept.  A symmetry that is not an integer is refused (weights._declared).
     """
-    if symmetry is None or N < 3 or not 0 <= symmetry <= N - 2:
+    k = _declared("symmetry", symmetry, 0, N - 2)
+    if k is None or N < 3 or (center is not None and np.any(center[k:] != 0.0)):
         return None, center
-    if center is not None and np.any(center[symmetry:] != 0.0):
-        return None, center
-    return symmetry, (None if center is None else center[: symmetry + 1])
+    return k, (None if center is None else center[: k + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -635,24 +631,26 @@ def _weighted_sums(f, d: int, ts: np.ndarray, level: int, n: int | None, coords:
     coords = k with 1 <= k < d declares that f reads x only through
     x_1..x_k: the sum then runs in R^k against the k-marginal of w_t
     (_weighted_rules), and f gets k-wide points.  At n = 1, and for any other
-    coords, the sum runs in R^d.
+    integer coords, the sum runs in R^d.
     """
-    k = coords if coords is not None and 1 <= coords < d and n != 1 else d
+    k = _declared("coords", coords, 1, d - 1)
+    if k is None or n == 1:
+        k = d
     omega, wa = _sphere_nodes(k, level)
     r, wr = _weighted_rules(d, ts, level, n, k)
     return _polar_sum(f, r, wr, omega, wa, t=ts)
 
 
 def _check_weighted_args(d, n, coords) -> None:
-    """Refuse a d or coords that is not an integer, and a d below 1.  A
-    finite n passes the gate of the lifts, _lifted_dim, with d; an integer
-    coords outside 1..d-1 is allowed and means R^d (_weighted_sums)."""
+    """Refuse a d or coords that is not an integer, and a d below 1, before
+    any rule is built.  A finite n passes the gate of the lifts, _lifted_dim,
+    with d; an integer coords outside 1..d-1 is allowed and means R^d
+    (_weighted_sums)."""
     if n is not None:
         _lifted_dim(d, n)
     else:
         _dimension("d", d)
-    if coords is not None and not _is_integer(coords):
-        raise ValueError(f"coords must be an integer, got coords={coords!r}")
+    _declared("coords", coords, 1, d - 1)
 
 
 def _time_sum(wt: np.ndarray, values: np.ndarray):
@@ -739,9 +737,10 @@ def _shell_mean(
     This is the one gate of the ball, sphere and annulus means, and of the
     functionals that take them directly: it refuses an N that is not an
     integer >= 1, an r1 that is not a finite r > 0, a center that is not a
-    point of R^N (shape (N,); one that merely broadcasts is refused too), and,
-    when r0 = 0, a radial_power <= -N, whose weight is not integrable at the
-    center.  0 <= r0 < r1 is the caller's (integrate_annulus)."""
+    point of R^N (shape (N,); one that merely broadcasts is refused too), a
+    symmetry that is not an integer (_reduced_k), and, when r0 = 0, a
+    radial_power <= -N, whose weight is not integrable at the center.
+    0 <= r0 < r1 is the caller's (integrate_annulus)."""
     _dimension("N", N)
     _positive("r", r1)
     if r0 == 0.0 and radial_power <= -N:
@@ -830,7 +829,8 @@ def integrate_ball(
     must accept any width of at least k + 1 and read N, where it needs it,
     from its own closure, never from the width of y.  N, r, center and
     radial_power are checked by _shell_mean: N an integer >= 1, r a finite
-    r > 0, center a point of R^N, and radial_power > -N.
+    r > 0, center a point of R^N, and radial_power > -N; so is symmetry, an
+    integer if given.
     """
     mean = _shell_mean(f, N, 0.0, r, center, radial_power, symmetry)
     return replace(mean, value=_shell_total(mean.value, N, 0.0, r, radial_power))
@@ -1085,7 +1085,8 @@ def _drawn_mc_mean(draw, width: int, mc: MonteCarloSpec, phi, threads: int):
     """mc_mean of phi over the batches draw(out, k) of the plan mc, with its bits.
 
     Each batch is drawn, passed to phi and reduced by one call on a worker
-    thread.  The call draws into one of a fixed set of buffers of
+    thread.  The workers are _worker_count(threads), at most one per batch.
+    The call draws into one of a fixed set of buffers of
     min(_MC_BATCH, mc.samples) rows of `width` numbers, allocated here, one
     per worker, and handed out through a free list: no more calls run at
     once than there are workers, so a buffer is never shared, and the memory
@@ -1094,9 +1095,9 @@ def _drawn_mc_mean(draw, width: int, mc: MonteCarloSpec, phi, threads: int):
     returns.
     """
     sizes = _batch_sizes(mc)
-    workers = 1 if len(sizes) < 2 else _worker_count(threads)
+    workers = min(_worker_count(threads), len(sizes))
     rows = min(_MC_BATCH, mc.samples)
-    free = deque(np.empty((rows, width)) for _ in range(min(workers, len(sizes))))
+    free = deque(np.empty((rows, width)) for _ in range(workers))
 
     def reduce_one(item):
         k, m = item
@@ -1124,21 +1125,12 @@ class PushforwardCheck:
 
 
 # The quadrature side of a check does not depend on the sampling plan, so it
-# is kept for the last few (kind, phi, d, n, t).  A function hashes by
+# is kept for the last few (integral, phi, d, n, t).  A function hashes by
 # identity, and an entry holds a reference to its phi, so that phi's entry
 # cannot be taken by another object while it lives.
 @lru_cache(maxsize=32)
-def _memo_quad(kind: str, phi, d: int, n: int, t: float):
-    if kind == "sphere":
-        return integrate_weighted(phi, d, t, n=n).value
-    return integrate_spacetime(phi, d, t, n=n).value
-
-
-def _pushforward_quad(kind: str, phi, d: int, n: int, t: float):
-    """Finite-weight quadrature of a push-forward check, once per (kind, phi, d, n, t)."""
-    value = _memo_quad(kind, phi, d, n, t)
-    # a copy, so a caller writing into quad_value leaves the memo intact
-    return value.copy() if isinstance(value, np.ndarray) else value
+def _memo_quad(integral, phi, d: int, n: int, t: float):
+    return integral(phi, d, t, n=n).value
 
 
 def _discrepancy(mean, se, quad):
@@ -1153,17 +1145,19 @@ def _discrepancy(mean, se, quad):
     return np.abs(mean - quad) / np.where(se > 0.0, np.maximum(se, floor), np.inf)
 
 
-def _pushforward_check(kind: str, phi, d: int, n: int, t: float, mc, threads: int, draw, width: int, batch_phi, scale):
-    """The check of `kind` ("sphere" or "ball"): the Monte Carlo mean and
-    standard error of batch_phi over the batches draw(out, k) of mc, of
-    `width` numbers per sample, times scale, against the memoized quadrature.
+def _pushforward_check(integral, phi, d: int, n: int, t: float, mc, threads: int, draw, width: int, batch_phi, scale):
+    """The Monte Carlo mean and standard error of batch_phi over the batches
+    draw(out, k) of mc, of `width` numbers per sample, times scale, against
+    integral(phi, d, t, n=n), the finite-weight quadrature, memoized.
 
     One component gives floats: the two sides are 0-d together.
     """
     mean, se, _ = _drawn_mc_mean(draw, width, mc, batch_phi, threads)
     mean = np.asarray(mean) * scale
     se = np.asarray(se) * scale
-    quad = _pushforward_quad(kind, phi, d, n, t)
+    quad = _memo_quad(integral, phi, d, n, t)
+    # a copy, so a caller writing into quad_value leaves the memo intact
+    quad = quad.copy() if isinstance(quad, np.ndarray) else quad
     disc = _discrepancy(mean, se, quad)
     if np.ndim(quad) == 0:
         mean, se, disc = float(mean), float(se), float(disc)
@@ -1183,7 +1177,8 @@ def pushforward_check_sphere(
     sample_sphere_uniform draws nd normals.  Batches are drawn and reduced on
     `threads` workers (_drawn_mc_mean), with the bits of mc_mean over the
     same batches for any thread count; None takes the count every
-    quadrature sum reads (_worker_count).
+    quadrature sum reads, and a count that is not an integer >= 1 is
+    refused before any batch is drawn (_worker_count).
     """
     _lifted_dim(d, n)
     # checked before the square root, so every t <= 0 (or NaN) gets this reason
@@ -1193,7 +1188,7 @@ def pushforward_check_sphere(
     def draw(out, k):
         return _lifted_sphere_batch(out, mc.seed, k, n, radius)
 
-    return _pushforward_check("sphere", phi, d, n, t, mc, threads, draw, width=d, batch_phi=phi, scale=1.0)
+    return _pushforward_check(integrate_weighted, phi, d, n, t, mc, threads, draw, width=d, batch_phi=phi, scale=1.0)
 
 
 def pushforward_check_ball(
@@ -1212,5 +1207,5 @@ def pushforward_check_ball(
         return _lifted_ball_batch(out, mc.seed, k, n, tau)
 
     return _pushforward_check(
-        "ball", phi, d, n, tau, mc, threads, draw, width=d + 1, batch_phi=lambda xt: phi(*xt), scale=tau
+        integrate_spacetime, phi, d, n, tau, mc, threads, draw, width=d + 1, batch_phi=lambda xt: phi(*xt), scale=tau
     )

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .fields import ScalarField
-from .weights import _dimension, _is_integer, _lifted_dim, _log_sphere_area
+from .weights import _declared, _dimension, _is_integer, _lifted_dim, _log_sphere_area
 
 __all__ = [
     "sphere_area",
@@ -81,7 +81,8 @@ def lifted_field(u, n: int) -> ScalarField:
     The field reads w = Q y for an orthogonal Q whose first d rows are the
     unit step-sum directions, so x = sqrt(n) w_1..d and t = |w|^2 / (2d).
     When u declares coords = k with 1 <= k < d it reads x = sqrt(n) w_1..k
-    only; otherwise k = d.  So v depends on w only through w_1..w_k and |w|:
+    only; otherwise k = d, and a coords that is not an integer is refused
+    (weights._declared).  So v depends on w only through w_1..w_k and |w|:
     it declares symmetry = k, accepts points of any width of at least k + 1,
     and returns a gradient of the width it was given.  With the derivatives
     of u taken at (x, t):
@@ -95,7 +96,7 @@ def lifted_field(u, n: int) -> ScalarField:
     """
     d = u.d
     N = _lifted_dim(d, n)
-    k = u.coords if u.coords is not None and 1 <= u.coords < d else d
+    k = _declared("coords", u.coords, 1, d - 1) or d
     root_n = math.sqrt(n)
 
     def base(w):

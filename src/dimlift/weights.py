@@ -11,10 +11,12 @@ Private helpers here serve the whole package.  _lifted_dim is the one
 gate for d and n: every lift, every finite-weight integral and the weights
 themselves refuse an n that is not an integer, or is below 1, through it,
 with the same two messages.  _dimension gates every other dimension (an N,
-or a d with no n), and _positive every t, tau, r or radius, each by the
-name the caller used and in the layer that reads the value: the integrals
-of dimlift.integrate gate their own arguments, so a functional that only
-passes a value on to one of them does not check it again.
+a d with no n, or a worker count), _declared every width a field or
+integrand declares (symmetry, coords), and _positive every t, tau, r or
+radius, each by the name the caller used and in the layer that reads the
+value: the integrals of dimlift.integrate gate their own arguments, so a
+functional that only passes a value on to one of them does not check it
+again.
 _finite_weight_law is the one place that forms the law of G_(t,n): its
 exponent (nd - d - 2)/2, its support condition nd >= d + 2 and its
 normalizer log(|S^(nd-d-1)| / |S^(nd-1)|), which finite_weight,
@@ -69,6 +71,16 @@ def _dimension(name: str, value) -> int:
     if value < 1:
         raise ValueError(f"need {name} >= 1, got {name}={value}")
     return value
+
+
+def _declared(name: str, k, lo: int, hi: int) -> int | None:
+    """The width k that a field or integrand declares under `name`, when
+    lo <= k <= hi; None when k is None or out of that range, where the
+    caller keeps its full rule.  A k that is not an integer is refused by
+    name; a bool reads as its integer."""
+    if k is not None and not _is_integer(k):
+        raise ValueError(f"{name} must be an integer, got {name}={k!r}")
+    return None if k is None or not lo <= k <= hi else operator.index(k)
 
 
 def _lifted_dim(d, n) -> int:

@@ -346,15 +346,15 @@ _LOWDIM_SHA256 = {
         "50a3e79057b0f60ecf8b1020b515e87ee3f7bb9646d3b7f2e0c3f082620e297e",
     ),
     "frequency --parabolic --field x1sq --d 1": (
-        "fe3a1a94550016892efc1c77a142b57d912829016c8f3b5d04d91dec1e32c4a1",
+        "991af06d79705f88e4b686148427950fcec96ff52e92bf30c17b754ef45de734",
         "0826ab5125cfaba856e83a9d0fe3c6785eab289fe40b1ee0a239d918fd960c5b",
     ),
     "frequency --parabolic --field x1cube --d 2": (
-        "65514cbf2ea74b6473c54ccd200ba476aa1e0a443ce67ad1e8156e9918806064",
+        "49b345b5f920130aa394910a273181240b5dd0421a1d7d3ef71c95b7e95c8711",
         "011c0d65897676b12e7a8627c3855b786978a9f2720bae7d44c6513cb48fd83f",
     ),
     "frequency --parabolic --field hk --d 2": (
-        "cb8ee6c7dad0fdd01e3bd010b54a224e1d5ce18eb4f08beb79105ebe2ff2212b",
+        "33aa84255bee0e3caf21e3be324868788b15905e9ac2e3715b893552f637f9d2",
         "83918d6b98ef4d291bbe0371962b84bc3822589b708dff70e54fe80b7e395f27",
     ),
     "carleman --parabolic --d 1": (
@@ -414,7 +414,7 @@ _LOWDIM_SHA256 = {
         "d0f6c9d842a8875dba06dca9ac40039750daac60a66fa8946d423491a658af11",
     ),
     "frequency --elliptic --field re_z3": (
-        "fd2abb2cb686a25211b4cf36052a5ba4bd031a319e689b929bb683001c323610",
+        "a2a95b0c8ad72051bf38a249f18e1fc1e4d5366fbdd512d350784416d007ba6b",
         "197394e8b89f5a135e8e74670b719d00234d93cbb6f5b5240ae2d7678f1e779d",
     ),
     "pushforward --domain ball --samples 20000": (
@@ -528,12 +528,21 @@ def test_csv_numbers_round_trip_and_booleans_are_lowercase(tmp_path, monkeypatch
     assert main(["frequency", "--elliptic", "--field", "x1", "--out", "freq"]) == 0
     with open(tmp_path / "freq.csv", newline="") as f:
         rows = list(csv.reader(f))
-    assert rows[0] == ["param", "H", "D", "L"]
+    assert rows[0] == ["param", "H", "D", "L", "reference", "abs_error"]
     radii = np.array([float(r[0]) for r in rows[1:]])
     assert np.array_equal(radii, np.linspace(0.5, 2.0, 8))
     for row in rows[1:]:
         for cell in row:
             assert repr(float(cell)) == cell
+        # the known degree of x1
+        assert row[4] == "1.0"
+
+    # the heat kernel has no known degree: each row is its own reference
+    assert main(["frequency", "--parabolic", "--field", "hk", "--t-grid", "0.25:4:4", "--out", "hk"]) == 0
+    with open(tmp_path / "hk.csv", newline="") as f:
+        hrows = list(csv.reader(f))
+    assert len(hrows) == 5
+    assert all(row[4] == row[3] and row[5] == "0.0" for row in hrows[1:])
 
     assert main(["carleman", "--elliptic", "--gamma", "0.7", "--out", "carl"]) == 0
     with open(tmp_path / "carl.csv", newline="") as f:

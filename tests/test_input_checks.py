@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+import dimlift.integrate
 from dimlift.errors import AccuracyError, DegenerateDenominatorError, UnsupportedConfigError
 from dimlift.fields import (
     GraphSurface,
@@ -461,6 +462,52 @@ _CENTERS = [
 for _name, _N, _shape, _call in _CENTERS:
     _reason = _exact(f"center must be a point of R^{_N}, shape ({_N},), got shape {_shape}")
     CASES.append((_name, _call, ValueError, _reason))
+
+
+# a declared width that is not an integer is refused by its name, before a
+# rule is built: (row, name, value, call of the value)
+_WIDTHS = [
+    (f"{_name} symmetry={_v!r}", "symmetry", _v, _call)
+    for _name, _call in {
+        "integrate_ball": lambda k: integrate_ball(_one, 4, 1.0, symmetry=k),
+        "integrate_sphere": lambda k: integrate_sphere(_one, 4, 1.0, symmetry=k),
+        "integrate_annulus": lambda k: integrate_annulus(_one, 4, (0.5, 1.0), symmetry=k),
+    }.items()
+    for _v in (1.5, 2.0, "1")
+]
+_WIDTHS.append(
+    (
+        "almgren lifted coords",
+        "coords",
+        1.5,
+        lambda k: almgren(lifted_field(dataclasses.replace(caloric_polynomial("x1", 2), coords=k), 4), 1.0),
+    )
+)
+for _name, _arg, _v, _call in _WIDTHS:
+    _reason = _exact(f"{_arg} must be an integer, got {_arg}={_v!r}")
+    CASES.append((_name, lambda f=_call, v=_v: f(v), ValueError, _reason))
+
+# an explicit worker count is an integer >= 1, as --threads is
+for _check in (pushforward_check_sphere, pushforward_check_ball):
+    for _v in (0, -3, 2.5, 1.5, "2"):
+        if isinstance(_v, int):
+            _reason = f"need threads >= 1, got threads={_v}"
+        else:
+            _reason = f"threads must be an integer, got threads={_v!r}"
+        _call = lambda f=_check, v=_v: f(_one, 1, 5, 1.0, MC, threads=v)
+        CASES.append((f"{_check.__name__} threads={_v!r}", _call, ValueError, _exact(_reason)))
+
+
+def test_a_bool_symmetry_reads_as_its_integer():
+    def f(y):
+        return y[..., 0] ** 2 + np.sum(y * y, axis=-1)
+
+    # True == 1 as a cache key, so the rule is built from True itself
+    dimlift.integrate._sphere_nodes.cache_clear()
+    true = integrate_ball(f, 4, 1.0, symmetry=True)
+    one = integrate_ball(f, 4, 1.0, symmetry=1)
+    assert true.evaluations == one.evaluations
+    assert true.value.hex() == one.value.hex()
 
 
 @pytest.mark.parametrize("call, error, reason", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

@@ -1,12 +1,13 @@
 """Two-phase products: the elliptic pi^2/4 plateau, the parabolic 1/4
 plateau, the convex boundary-support weight, and the finite-n family."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from dimlift.fields import ScalarField, half_space_pair, half_space_power_pair, harmonic_polynomial
+from dimlift.fields import ScalarField, half_space_pair, half_space_power_pair, harmonic_polynomial, heat_kernel_translate
 from dimlift.functionals import (
     acf_dphi_lower_bound,
     acf_phi,
@@ -16,6 +17,7 @@ from dimlift.functionals import (
     psi,
     support_fraction,
 )
+from dimlift.lift import lifted_field
 
 
 def test_psi_spot_values_are_exact():
@@ -145,3 +147,26 @@ def test_vanishing_phase_is_rejected_in_the_bound():
     )
     with pytest.raises(ValueError):
         acf_dphi_lower_bound(v1, gone, h1, h0, 1.0)
+
+
+def _positive_lift():
+    """The lift to R^4 of a heat-kernel translate, positive on every sphere,
+    as declared (symmetry 1) and with the declaration dropped."""
+    declared = lifted_field(heat_kernel_translate(1, [1.5], 3.0), 4)
+    return declared, dataclasses.replace(declared, symmetry=None)
+
+
+def test_a_field_positive_on_the_sphere_has_support_fraction_one():
+    # the N = 4 tensor rule's weights sum to 1 + 9e-16
+    declared, undeclared = _positive_lift()
+    assert support_fraction(declared, 1.3) == 1.0
+    assert support_fraction(undeclared, 1.3) == 1.0
+
+
+def test_the_bound_of_a_positive_phase_reads_psi_of_one():
+    # psi(1) = 0, so the bound is 0.0 under either rule
+    declared, undeclared = _positive_lift()
+    h = declared.laplacian
+    expected = acf_dphi_lower_bound(declared, declared, h, h, 1.3)
+    assert expected == 0.0
+    assert acf_dphi_lower_bound(undeclared, undeclared, h, h, 1.3) == expected
